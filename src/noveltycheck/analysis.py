@@ -9,6 +9,7 @@ doubly-verified evidence pair.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -42,7 +43,9 @@ from .taxonomy import (
 from .verification import (
     QuoteLocation,
     SimilaritySegment,
+    TokenStream,
     filter_segments,
+    tokenize,
     verify_quote,
     verify_segment,
 )
@@ -352,7 +355,20 @@ def _cap_quote(text: str) -> str:
     return text
 
 
-def _parse_evidence(raw_evidence: Any, target_doc: DocumentText, candidate_text: str) -> RefutationEvidence:
+def _target_stream(
+    target_doc: DocumentText, target_tokens: Optional[TokenStream]
+) -> Callable[[], TokenStream]:
+    """The target's tokens: the stream given, or the target tokenized on first use."""
+    if target_tokens is not None:
+        return lambda: target_tokens
+    return functools.cache(lambda: tokenize(target_doc.normalized))
+
+
+def _parse_evidence(
+    raw_evidence: Any,
+    target_stream: Callable[[], TokenStream],
+    candidate_stream: Callable[[], TokenStream],
+) -> RefutationEvidence:
     summary = ""
     pairs: list[EvidencePair] = []
     if isinstance(raw_evidence, Mapping):
@@ -369,8 +385,8 @@ def _parse_evidence(raw_evidence: Any, target_doc: DocumentText, candidate_text:
                     candidate_quote=candidate_quote,
                     candidate_paragraph_label=str(p.get("candidate_paragraph_label", "unknown")),
                     rationale=str(p.get("rationale", "")),
-                    original_location=verify_quote(original_quote, target_doc),
-                    candidate_location=verify_quote(candidate_quote, candidate_text),
+                    original_location=verify_quote(original_quote, target_stream()),
+                    candidate_location=verify_quote(candidate_quote, candidate_stream()),
                 )
             )
     return RefutationEvidence(summary=summary, evidence_pairs=pairs)
@@ -383,16 +399,18 @@ def compare_contribution(
     llm: LlmClient,
     *,
     citation: Optional[str] = None,
+    target_tokens: Optional[TokenStream] = None,
 ) -> list[ContributionComparison]:
     """One isolated inference call judging every claim against one candidate.
 
     Quotes are verified against their source documents as soon as they are
-    parsed. A parse failure degrades every claim's entry to ``unclear``
-    rather than aborting the run.
+    parsed; each document is tokenized at most once per call, the target
+    not at all when ``target_tokens`` is given. A parse failure degrades
+    every claim's entry to ``unclear`` rather than aborting the run.
     """
     if candidate.full_text is not None:
         mode = "fulltext"
-        candidate_text: Any = candidate.full_text
+        candidate_text = candidate.full_text.normalized
         prompt_text = candidate.full_text.raw
     else:
         mode = "abstract"
@@ -436,6 +454,8 @@ def compare_contribution(
             if name:
                 by_name.setdefault(name, item)
 
+    target_stream = _target_stream(target_doc, target_tokens)
+    candidate_stream = functools.cache(lambda: tokenize(candidate_text))
     entries: list[ContributionComparison] = []
     for i, claim in enumerate(claims):
         item = by_name.get(claim.name.strip().lower())
@@ -449,7 +469,7 @@ def compare_contribution(
             entries.append(_entry(UNCLEAR, f"Unrecognized status {status!r}.", None))
             continue
         if status == CAN_REFUTE:
-            evidence = _parse_evidence(item.get("refutation_evidence"), target_doc, candidate_text)
+            evidence = _parse_evidence(item.get("refutation_evidence"), target_stream, candidate_stream)
             entries.append(_entry(CAN_REFUTE, None, evidence))
         else:
             note = str(item.get("brief_note") or "").strip() or "No explanation provided."
@@ -689,11 +709,14 @@ def detect_similarity(
     cache: SimilarityCache,
     *,
     target_id: str = "",
+    target_tokens: Optional[TokenStream] = None,
 ) -> list[SimilaritySegment]:
     """Detect and verify overlap segments for one candidate.
 
     Memoized on (target id, candidate id) so each pair is analyzed exactly
-    once per cache lifetime, even when a cache outlives a single run.
+    once per cache lifetime, even when a cache outlives a single run. Each
+    document is tokenized at most once per call, the target not at all
+    when ``target_tokens`` is given.
     """
     key = f"{target_id}::{candidate.canonical_id}"
 
@@ -710,6 +733,8 @@ def detect_similarity(
         except (LlmError, ParseFailureError) as exc:
             logger.warning("similarity detection failed for %s: %s", key, exc)
             return []
+        target_stream = _target_stream(target_doc, target_tokens)
+        candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
         segments: list[SimilaritySegment] = []
         items = parsed.get("plagiarism_segments", []) if isinstance(parsed, Mapping) else []
         for i, item in enumerate(items, start=1):
@@ -723,7 +748,7 @@ def detect_similarity(
                 segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
                 rationale=str(item.get("rationale", "")),
             )
-            verified = verify_segment(seg, target_doc, candidate.full_text)
+            verified = verify_segment(seg, target_stream(), candidate_stream())
             if verified.verified:
                 segments.append(verified)
             else:
@@ -1257,6 +1282,9 @@ def run_analysis_phase(
             diagnostics=["taxonomy did not place the target paper"],
         )
 
+    # shared read-only by the comparison and similarity workers
+    target_tokens = tokenize(target_doc.normalized)
+
     # one comparison call per distinct candidate, covering every claim
     comparison_order: list[str] = []
     for claim in phase1.claims:
@@ -1268,7 +1296,8 @@ def run_analysis_phase(
     def _compare(pid: str) -> tuple[str, list[ContributionComparison]]:
         record = candidate_records[pid]
         return pid, compare_contribution(
-            target_doc, record, phase1.claims, llm, citation=citations.get(pid)
+            target_doc, record, phase1.claims, llm,
+            citation=citations.get(pid), target_tokens=target_tokens,
         )
 
     entries_by_candidate: dict[str, list[ContributionComparison]] = {}
@@ -1287,7 +1316,7 @@ def run_analysis_phase(
     def _similar(pid: str) -> tuple[str, list[SimilaritySegment]]:
         return pid, detect_similarity(
             target_doc, candidate_records[pid], llm, cache,
-            target_id=str(target.canonical_id),
+            target_id=str(target.canonical_id), target_tokens=target_tokens,
         )
 
     segments_by_candidate: dict[str, list[SimilaritySegment]] = {}

@@ -20,6 +20,7 @@ from .errors import InvalidInputError, RetrievalEmptyError, SearchError
 from .extraction import QuerySet, SearchQuery
 from .papers import (
     CanonicalId,
+    DocumentText,
     PaperRecord,
     QualityFlag,
     SCHEME_PRIORITY,
@@ -80,7 +81,10 @@ class RetrievalBatch:
     attempts_by_query: dict[str, int]
 
 
-def _hit_to_result(hit: SearchHit, query: SearchQuery) -> Optional[RetrievalResult]:
+def _hit_to_result(
+    hit: SearchHit, query: SearchQuery, documents: dict[str, DocumentText]
+) -> Optional[RetrievalResult]:
+    """Convert one search hit; ``documents`` holds the full texts preprocessed so far, by raw text."""
     if not hit.title or not hit.title.strip():
         logger.warning("dropping hit without a title from query %s", query.query_id)
         return None
@@ -95,7 +99,10 @@ def _hit_to_result(hit: SearchHit, query: SearchQuery) -> Optional[RetrievalResu
     relevance = min(max(float(hit.relevance_score), 0.0), 1.0)
     full_text = None
     if hit.full_text:
-        full_text = preprocess_document(hit.full_text, purpose="comparison")
+        full_text = documents.get(hit.full_text)
+        if full_text is None:
+            full_text = preprocess_document(hit.full_text, purpose="comparison")
+            documents[hit.full_text] = full_text
     paper = PaperRecord(
         canonical_id=canonical,
         title=hit.title,
@@ -171,6 +178,7 @@ def execute_queries(
 
     results: list[RetrievalResult] = []
     failures: list[QueryFailure] = []
+    documents: dict[str, DocumentText] = {}
     attempts: dict[str, int] = {}
     for query, hits, tries, error in outcomes:
         attempts[query.query_id] = tries
@@ -178,7 +186,7 @@ def execute_queries(
             failures.append(QueryFailure(query.query_id, tries, error))
             continue
         for hit in hits:
-            result = _hit_to_result(hit, query)
+            result = _hit_to_result(hit, query, documents)
             if result is not None:
                 results.append(result)
     if not results and len(failures) == len(query_list):

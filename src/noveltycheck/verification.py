@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
+from types import MappingProxyType
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .papers import DocumentText
@@ -27,20 +29,31 @@ MAX_COMPACT_GAP = 300
 MIN_SEGMENT_WORDS = 30
 MAX_SEGMENTS_KEPT = 3
 
-#: Evaluate every window start when the document is small enough; fall back
-#: to candidate starts derived from shared-token alignments otherwise.
-_EXHAUSTIVE_WINDOW_LIMIT = 4096
-
 # apostrophes and intra-word hyphens stay inside tokens; everything else splits
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
 
 
+def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
+    index: dict[str, list[int]] = {}
+    for i, token in enumerate(tokens):
+        index.setdefault(token, []).append(i)
+    return MappingProxyType({token: tuple(p) for token, p in index.items()})
+
+
 @dataclass(frozen=True)
 class TokenStream:
-    """Normalized tokens plus their character spans in the source text."""
+    """Normalized tokens plus their character spans in the source text.
+
+    ``positions`` maps each token to its ascending indices. It is built on
+    construction, so a stream shared by worker threads is never mutated.
+    """
 
     tokens: tuple[str, ...]
     offsets: tuple[tuple[int, int], ...]
+    positions: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", _token_positions(self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -54,6 +67,10 @@ def tokenize(text: str) -> TokenStream:
         tokens.append(m.group(0).lower())
         offsets.append((m.start(), m.end()))
     return TokenStream(tokens=tuple(tokens), offsets=tuple(offsets))
+
+
+#: A document to verify against: preprocessed, plain text, or already tokenized.
+Document = Union[DocumentText, str, TokenStream]
 
 
 @dataclass(frozen=True)
@@ -122,19 +139,18 @@ def _matched_tokens(matcher: SequenceMatcher) -> tuple[int, Optional[tuple[int, 
     return total, span
 
 
-def _candidate_starts(anchor: Sequence[str], doc: Sequence[str], m: int, n: int) -> list[int]:
-    """Window starts that align some shared token at its anchor offset."""
-    positions: dict[str, list[int]] = {}
-    anchor_set = set(anchor)
-    for j, token in enumerate(doc):
-        if token in anchor_set:
-            positions.setdefault(token, []).append(j)
-    starts: set[int] = set()
-    limit = n - m
-    for q, token in enumerate(anchor):
-        for p in positions.get(token, ()):
-            starts.add(min(max(p - q, 0), limit))
-    return sorted(starts)
+def _verbatim_start(
+    anchor: tuple[str, ...], doc: tuple[str, ...], positions: Mapping[str, tuple[int, ...]]
+) -> Optional[int]:
+    """Leftmost start where the anchor occurs verbatim, probing its rarest token."""
+    occurrences = [positions.get(token, ()) for token in anchor]
+    q = min(range(len(anchor)), key=lambda i: len(occurrences[i]))
+    last_start = len(doc) - len(anchor)
+    for p in occurrences[q]:
+        start = p - q
+        if 0 <= start <= last_start and doc[start : start + len(anchor)] == anchor:
+            return start
+    return None
 
 
 def align_anchor(
@@ -144,44 +160,70 @@ def align_anchor(
 
     Matching uses longest-contiguous-subsequence alignment; coverage is
     matched anchor tokens divided by anchor length. Ties go to the leftmost
-    window.
+    window. The result equals a scan of every window, at every document size.
+
+    Only window starts where the set of anchor-token positions inside the
+    window changes are evaluated: a position ``p`` enters at ``p - m + 1``
+    and leaves at ``p + 1``, and windows holding the same positions match
+    the same tokens, so the leftmost of them stands for the rest. Matched
+    tokens form a common subsequence, so their count is at most the
+    multiset overlap of anchor and window; a window whose overlap does not
+    beat the best count so far is skipped without running the matcher.
     """
-    anchor_tokens = list(anchor.tokens if isinstance(anchor, Anchor) else anchor)
-    doc_tokens = list(doc.tokens if isinstance(doc, TokenStream) else doc)
+    anchor_tokens = tuple(anchor.tokens if isinstance(anchor, Anchor) else anchor)
+    if isinstance(doc, TokenStream):
+        doc_tokens = doc.tokens
+        positions = doc.positions
+    else:
+        doc_tokens = tuple(doc)
+        positions = _token_positions(doc_tokens)
     m, n = len(anchor_tokens), len(doc_tokens)
     if m == 0 or n == 0:
         return AnchorMatch(coverage=0.0, doc_span=None)
 
-    # fast path: the anchor occurs verbatim
-    first = anchor_tokens[0]
-    for i in range(n - m + 1):
-        if doc_tokens[i] == first and doc_tokens[i : i + m] == anchor_tokens:
-            return AnchorMatch(coverage=1.0, doc_span=(i, i + m))
+    start = _verbatim_start(anchor_tokens, doc_tokens, positions)
+    if start is not None:
+        return AnchorMatch(coverage=1.0, doc_span=(start, start + m))
 
-    if n <= m:
-        starts: Sequence[int] = [0]
-        window_len = n
-    else:
-        window_len = m
-        n_windows = n - m + 1
-        if n_windows <= _EXHAUSTIVE_WINDOW_LIMIT:
-            starts = range(n_windows)
-        else:
-            starts = _candidate_starts(anchor_tokens, doc_tokens, m, n)
+    need = Counter(anchor_tokens)
+    shared = sorted(p for token in need for p in positions.get(token, ()))
+    if not shared:
+        return AnchorMatch(coverage=0.0, doc_span=None)
+    window_len = min(m, n)
+    last_start = n - window_len
+    starts = sorted(
+        {0}
+        | {p - window_len + 1 for p in shared if p >= window_len}
+        | {p + 1 for p in shared if p < last_start}
+    )
 
+    have = dict.fromkeys(need, 0)
+    overlap = 0  # multiset overlap of the anchor and shared[lo:hi]
+    lo = hi = 0
     best_matched = 0
     best_span: Optional[tuple[int, int]] = None
-    matcher = SequenceMatcher(None, anchor_tokens, [], autojunk=False)
+    matcher = SequenceMatcher(None, anchor_tokens, (), autojunk=False)
     for start in starts:
-        window = doc_tokens[start : start + window_len]
-        matcher.set_seq2(window)
+        end = start + window_len
+        while hi < len(shared) and shared[hi] < end:
+            token = doc_tokens[shared[hi]]
+            have[token] += 1
+            if have[token] <= need[token]:
+                overlap += 1
+            hi += 1
+        while lo < hi and shared[lo] < start:
+            token = doc_tokens[shared[lo]]
+            if have[token] <= need[token]:
+                overlap -= 1
+            have[token] -= 1
+            lo += 1
+        if overlap <= best_matched:
+            continue
+        matcher.set_seq2(doc_tokens[start:end])
         matched, span = _matched_tokens(matcher)
         if matched > best_matched:
             best_matched = matched
-            if span is not None:
-                best_span = (start + span[0], start + span[1])
-            if best_matched == m:
-                break
+            best_span = (start + span[0], start + span[1])
     if best_matched == 0:
         return AnchorMatch(coverage=0.0, doc_span=None)
     return AnchorMatch(coverage=best_matched / m, doc_span=best_span)
@@ -235,17 +277,21 @@ def combine_score(mean_hit_coverage: float, hit_ratio: float, compact: bool) -> 
 
 def verify_quote_detailed(
     quote: str,
-    doc: Union[DocumentText, str],
+    doc: Document,
     *,
     mean_over: str = "hits",
 ) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
+    ``doc`` may be given already tokenized, as ``tokenize(doc.normalized)``,
+    so that a caller verifying many quotes tokenizes the document once.
     ``mean_over`` selects whether mean coverage averages hit anchors only
     (the default reading) or all anchors.
     """
-    text = doc.normalized if isinstance(doc, DocumentText) else doc
-    doc_stream = tokenize(text)
+    if isinstance(doc, TokenStream):
+        doc_stream = doc
+    else:
+        doc_stream = tokenize(doc.normalized if isinstance(doc, DocumentText) else doc)
     quote_stream = tokenize(quote)
     anchors = segment_anchors(quote_stream)
     if not anchors or len(doc_stream) == 0:
@@ -275,7 +321,7 @@ def verify_quote_detailed(
 
 
 def verify_quote(
-    quote: str, doc: Union[DocumentText, str], *, mean_over: str = "hits"
+    quote: str, doc: Document, *, mean_over: str = "hits"
 ) -> QuoteLocation:
     """Locate a quote in a document; found iff the confidence exceeds 0.6."""
     return verify_quote_detailed(quote, doc, mean_over=mean_over).location
@@ -340,8 +386,8 @@ class SimilaritySegment:
 
 def verify_segment(
     seg: SimilaritySegment,
-    doc_a: Union[DocumentText, str],
-    doc_b: Union[DocumentText, str],
+    doc_a: Document,
+    doc_b: Document,
 ) -> SimilaritySegment:
     """A segment is verified when both quotes are found and it spans 30+ words."""
     original_loc = verify_quote(seg.original_text, doc_a)

@@ -7,6 +7,8 @@ by importing the production code paths it validates.
 from __future__ import annotations
 
 import json
+from difflib import SequenceMatcher
+from typing import Optional
 
 
 # --- quality flag truth table -------------------------------------------------
@@ -83,6 +85,29 @@ def brute_force_coverage(anchor: list[str], doc: list[str]) -> float:
         if best == m:
             break
     return best / m
+
+
+def every_window_alignment(anchor: list[str], doc: list[str]) -> tuple[float, Optional[tuple[int, int]]]:
+    """(coverage, doc_span) of the leftmost best window, scanning every window.
+
+    Matches each window with ``difflib.SequenceMatcher``, the alignment the
+    library's definition names, and returns the span of the matched tokens
+    in document coordinates, end exclusive.
+    """
+    m, n = len(anchor), len(doc)
+    if m == 0 or n == 0:
+        return 0.0, None
+    length = min(m, n)
+    best, span = 0, None
+    matcher = SequenceMatcher(None, anchor, [], autojunk=False)
+    for s in range(n - length + 1):
+        matcher.set_seq2(doc[s : s + length])
+        blocks = [b for b in matcher.get_matching_blocks() if b.size]
+        matched = sum(b.size for b in blocks)
+        if matched > best:
+            best = matched
+            span = (s + blocks[0].b, s + blocks[-1].b + blocks[-1].size)
+    return (best / m if best else 0.0), span
 
 
 # --- truncation-repair oracle ---------------------------------------------------

@@ -254,6 +254,40 @@ class TestCompareContribution:
         assert pair.original_location.found and pair.candidate_location.found
         assert pair.doubly_verified
 
+    def test_each_document_tokenized_at_most_once(self, monkeypatch):
+        from noveltycheck import analysis
+
+        tokenized = []
+        real = analysis.tokenize
+
+        def counting(text):
+            tokenized.append(text)
+            return real(text)
+
+        monkeypatch.setattr(analysis, "tokenize", counting)
+        candidate = make_record("Prior Widget Study", 0.9)
+        candidate.full_text = preprocess_document(CANDIDATE_TEXT, "comparison")
+        pair = {
+            "original_quote": TARGET_QUOTE,
+            "original_paragraph_label": "Method",
+            "candidate_quote": CANDIDATE_QUOTE,
+            "candidate_paragraph_label": "Approach",
+            "rationale": "Both measure elastic limits under cyclic load.",
+        }
+        evidence = {"summary": "Same scheme.", "evidence_pairs": [pair, pair, pair]}
+        llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
+        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        assert all(p.doubly_verified for p in entries[0].refutation_evidence.evidence_pairs)
+        assert sorted(tokenized) == sorted(
+            [TARGET_DOC.normalized, candidate.full_text.normalized]
+        )
+
+        tokenized.clear()
+        given = real(TARGET_DOC.normalized)
+        again = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm, target_tokens=given)
+        assert tokenized == [candidate.full_text.normalized]
+        assert again == entries
+
     def test_fabricated_quote_fails_verification_then_downgrades(self):
         candidate = make_record("Prior Widget Study", 0.9)
         candidate.abstract = "Widget bending analysis."

@@ -104,6 +104,28 @@ class TestExecuteQueries:
         threaded_keys = [(r.query_id, str(r.paper.canonical_id)) for r in threaded.results]
         assert serial_keys == threaded_keys
 
+    def test_full_text_preprocessed_once_per_distinct_text(self, monkeypatch):
+        from noveltycheck import retrieval
+
+        calls = []
+        real = retrieval.preprocess_document
+
+        def counting(raw, purpose="extraction"):
+            calls.append(raw)
+            return real(raw, purpose)
+
+        monkeypatch.setattr(retrieval, "preprocess_document", counting)
+        shared = dict(HIT, full_text="Shared body text.\nMore of it.")
+        other = dict(HIT, title="Another Paper", full_text="A different body.")
+        fixture = {"queries": {f"q{i}": {"results": [shared, other]} for i in range(3)}}
+        queries = [
+            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task", "variant") for i in range(3)
+        ]
+        batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
+        assert sorted(calls) == sorted([shared["full_text"], other["full_text"]])
+        assert len(batch.results) == 6
+        assert {r.paper.full_text.raw for r in batch.results} == set(calls)
+
     def test_hit_date_inferred_from_url(self):
         hit = dict(HIT, url="https://arxiv.org/abs/2401.00001")
         search = MockSearchClient({"queries": {"some query": {"results": [hit]}}})

@@ -106,6 +106,16 @@ class TestAlignAnchor:
         match = align_anchor(["a", "b", "c", "d"], ["a", "b"])
         assert match.coverage == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [500, 4200])
+    def test_result_independent_of_document_size(self, n):
+        anchor = ["t7", "t0", "t7", "t1", "t4", "t2", "t5"]
+        doc = [f"f{i % 50}" for i in range(n)]
+        doc[300:309] = ["t0", "t7", "t1", "t0", "t9", "t4", "t2", "t10", "t5"]
+        match = align_anchor(anchor, doc)
+        assert match.coverage == pytest.approx(5 / 7)
+        assert match.doc_span == (300, 307)
+        assert match.is_hit
+
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(5)
         vocab = [f"v{i}" for i in range(25)]
@@ -155,6 +165,11 @@ class TestVerifyQuote:
                 loc = verify_quote(quote, doc)
                 assert loc.found == (loc.match_score > 0.6)
                 assert 0.0 <= loc.match_score <= 1.0
+
+    def test_pretokenized_document_scores_the_same(self):
+        stream = tokenize(DOC_TEXT)
+        for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
+            assert verify_quote(quote, stream) == verify_quote(quote, DOC_TEXT)
 
     def test_mean_over_all_anchors_switch(self):
         detail = verify_quote_detailed(anchor_case_quote(), anchor_case_doc(compact=True), mean_over="all")
