@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .extraction import (
 from .papers import DocumentText, PaperRecord, normalize_text
 from .prompts import load_prompt
 from .retrieval import CandidateSet
+from .scheduler import Scheduler
 from .taxonomy import (
     RepairOutcome,
     StructuralPosition,
@@ -534,12 +535,14 @@ def compare_core_task(
     *,
     core_task: CoreTask,
     citations: Optional[Mapping[str, str]] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> CoreTaskAnalysis:
     """Distinguish the target from its structural neighbors in the taxonomy.
 
     Sibling papers get individual distinction calls with duplicate detection
-    first; a lone paper in a populated parent gets one categorical call; an
-    isolated paper is logged without any model call.
+    first, submitted to ``scheduler`` (inline without one) and collected in
+    sibling order; a lone paper in a populated parent gets one categorical
+    call; an isolated paper is logged without any model call.
     """
     analysis = CoreTaskAnalysis(mode=position.mode, taxonomy_path=list(position.path))
     citations = citations or {}
@@ -595,11 +598,11 @@ def compare_core_task(
         original_content, original_type = _content_of(target)
     else:
         original_content, original_type = target_doc.raw, "fulltext"
-    for sibling_id in position.siblings:
+
+    def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
         record = candidates.get(sibling_id)
         if record is None:
-            analysis.diagnostics.append(f"sibling {sibling_id} has no candidate record")
-            continue
+            return None, f"sibling {sibling_id} has no candidate record"
         content, content_type = _content_of(record)
         title = record.title
         if sibling_id in citations:
@@ -633,29 +636,27 @@ def compare_core_task(
             parsed = parse_structured_output(raw).value
             if not isinstance(parsed, Mapping):
                 raise ParseFailureError("sibling comparison is not an object", raw)
-            analysis.comparisons.append(
-                CoreTaskComparison(
-                    canonical_id=sibling_id,
-                    candidate_paper_title=record.title,
-                    candidate_paper_url=record.url,
-                    comparison_mode=mode,
-                    is_duplicate_variant=bool(parsed.get("is_duplicate_variant", False)),
-                    brief_comparison=str(parsed.get("brief_comparison", "")).strip()
-                    or "No comparison text returned.",
-                )
-            )
+            duplicate = bool(parsed.get("is_duplicate_variant", False))
+            brief = str(parsed.get("brief_comparison", "")).strip()
+            diagnostic = None
         except (LlmError, ParseFailureError) as exc:
-            analysis.diagnostics.append(f"sibling comparison failed for {sibling_id}: {exc}")
-            analysis.comparisons.append(
-                CoreTaskComparison(
-                    canonical_id=sibling_id,
-                    candidate_paper_title=record.title,
-                    candidate_paper_url=record.url,
-                    comparison_mode=mode,
-                    is_duplicate_variant=False,
-                    brief_comparison=f"Comparison unavailable: {exc}",
-                )
-            )
+            duplicate, brief = False, f"Comparison unavailable: {exc}"
+            diagnostic = f"sibling comparison failed for {sibling_id}: {exc}"
+        return CoreTaskComparison(
+            canonical_id=sibling_id,
+            candidate_paper_title=record.title,
+            candidate_paper_url=record.url,
+            comparison_mode=mode,
+            is_duplicate_variant=duplicate,
+            brief_comparison=brief or "No comparison text returned.",
+        ), diagnostic
+
+    results = (scheduler or Scheduler(1)).map(_compare_sibling, position.siblings)
+    for comparison, diagnostic in results:
+        if diagnostic is not None:
+            analysis.diagnostics.append(diagnostic)
+        if comparison is not None:
+            analysis.comparisons.append(comparison)
     return analysis
 
 
@@ -1240,20 +1241,17 @@ def run_analysis_phase(
     artifact_filenames: Optional[Mapping[str, str]] = None,
     similarity_cache: Optional[SimilarityCache] = None,
 ) -> NoveltyReport:
-    """Run all Phase III work and assemble the structured report."""
+    """Run all Phase III work and assemble the structured report.
+
+    Each model call is submitted once its inputs exist, at most ``concurrency``
+    at once; results are read in candidate order, never completion order.
+    """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
     citations = {r.canonical_id: f"{r.alias}[{r.index}]" for r in references}
     allowed_indices = {r.index for r in references}
-
-    outcome = build_taxonomy(
-        candidate_set.core_task, phase1.core_task, llm, original=target
-    )
-    position: Optional[StructuralPosition] = None
-    try:
-        position = structural_position(outcome.taxonomy, str(target.canonical_id))
-    except InvalidInputError as exc:
-        diagnostics.append(f"structural position unavailable: {exc}")
+    core_ids = {str(p.canonical_id) for p in candidate_set.core_task}
+    taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
 
     candidate_records: dict[str, PaperRecord] = {}
     for uc in candidate_set.unified:
@@ -1264,27 +1262,6 @@ def run_analysis_phase(
     for p in candidate_set.core_task:
         candidate_records.setdefault(str(p.canonical_id), p)
 
-    if position is not None:
-        core_analysis = compare_core_task(
-            position,
-            target,
-            target_doc,
-            candidate_records,
-            llm,
-            core_task=phase1.core_task,
-            citations=citations,
-        )
-    else:
-        core_analysis = CoreTaskAnalysis(
-            mode="isolated",
-            taxonomy_path=[],
-            isolation={"note": "No comparison: target position in taxonomy is unknown."},
-            diagnostics=["taxonomy did not place the target paper"],
-        )
-
-    # shared read-only by the comparison and similarity workers
-    target_tokens = tokenize(target_doc.normalized)
-
     # one comparison call per distinct candidate, covering every claim
     comparison_order: list[str] = []
     for claim in phase1.claims:
@@ -1292,42 +1269,64 @@ def run_analysis_phase(
             pid = str(paper.canonical_id)
             if pid not in comparison_order:
                 comparison_order.append(pid)
-
-    def _compare(pid: str) -> tuple[str, list[ContributionComparison]]:
-        record = candidate_records[pid]
-        return pid, compare_contribution(
-            target_doc, record, phase1.claims, llm,
-            citation=citations.get(pid), target_tokens=target_tokens,
-        )
-
-    entries_by_candidate: dict[str, list[ContributionComparison]] = {}
-    if comparison_order:
-        if concurrency > 1:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                for pid, entries in pool.map(_compare, comparison_order):
-                    entries_by_candidate[pid] = entries
-        else:
-            for pid in comparison_order:
-                entries_by_candidate[pid] = _compare(pid)[1]
-
-    cache = similarity_cache or SimilarityCache()
     similarity_order = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
+    cache = similarity_cache or SimilarityCache()
 
-    def _similar(pid: str) -> tuple[str, list[SimilaritySegment]]:
-        return pid, detect_similarity(
-            target_doc, candidate_records[pid], llm, cache,
-            target_id=str(target.canonical_id), target_tokens=target_tokens,
+    with Scheduler(concurrency) as scheduler:
+        taxonomy_future = scheduler.submit(
+            build_taxonomy, candidate_set.core_task, phase1.core_task, llm, original=target
         )
+        # shared read-only by the comparison and similarity tasks
+        target_tokens = tokenize(target_doc.normalized)
+        comparison_futures = [
+            scheduler.submit(
+                compare_contribution, target_doc, candidate_records[pid], phase1.claims, llm,
+                citation=citations.get(pid), target_tokens=target_tokens,
+            )
+            for pid in comparison_order
+        ]
+        similarity_futures = [
+            scheduler.submit(
+                detect_similarity, target_doc, candidate_records[pid], llm, cache,
+                target_id=str(target.canonical_id), target_tokens=target_tokens,
+            )
+            for pid in similarity_order
+        ]
+        one_liners_future = scheduler.submit(generate_one_liners, candidate_set.core_task, llm)
 
-    segments_by_candidate: dict[str, list[SimilaritySegment]] = {}
-    if similarity_order:
-        if concurrency > 1:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                for pid, segments in pool.map(_similar, similarity_order):
-                    segments_by_candidate[pid] = segments
+        outcome = taxonomy_future.result()
+        position: Optional[StructuralPosition] = None
+        try:
+            position = structural_position(outcome.taxonomy, str(target.canonical_id))
+        except InvalidInputError as exc:
+            diagnostics.append(f"structural position unavailable: {exc}")
+        narrative_future = scheduler.submit(
+            generate_narrative,
+            phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,
+        )
+        if position is not None:
+            core_analysis = compare_core_task(
+                position,
+                target,
+                target_doc,
+                candidate_records,
+                llm,
+                core_task=phase1.core_task,
+                citations=citations,
+                scheduler=scheduler,
+            )
         else:
-            for pid in similarity_order:
-                segments_by_candidate[pid] = _similar(pid)[1]
+            core_analysis = CoreTaskAnalysis(
+                mode="isolated",
+                taxonomy_path=[],
+                isolation={"note": "No comparison: target position in taxonomy is unknown."},
+                diagnostics=["taxonomy did not place the target paper"],
+            )
+        entries_by_candidate = dict(zip(comparison_order, (f.result() for f in comparison_futures)))
+        segments_by_candidate = dict(zip(similarity_order, (f.result() for f in similarity_futures)))
+        one_liners = one_liners_future.result()
+        narrative, narrative_diag = narrative_future.result()
+    diagnostics.extend(narrative_diag)
 
     # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}
@@ -1358,15 +1357,6 @@ def run_analysis_phase(
         comparison.similarity_segments = list(
             segments_by_candidate.get(comparison.canonical_id, [])
         )
-
-    one_liners = generate_one_liners(candidate_set.core_task, llm)
-    taxonomy_indices = {0} | {
-        r.index for r in references if r.canonical_id in {str(p.canonical_id) for p in candidate_set.core_task}
-    }
-    narrative, narrative_diag = generate_narrative(
-        phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm
-    )
-    diagnostics.extend(narrative_diag)
 
     stats_payload = [
         {

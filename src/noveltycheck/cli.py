@@ -42,7 +42,8 @@ def main(verbose: bool) -> None:
 @click.option("--search-endpoint", envvar="NOVELTYCHECK_SEARCH_ENDPOINT")
 @click.option("--search-api-key", envvar="NOVELTYCHECK_SEARCH_API_KEY")
 @click.option("--concurrency", type=int, default=1, show_default=True,
-              help="Worker count for retrieval and analysis.")
+              help="Most client calls in flight: model calls in extraction and "
+                   "analysis, searches in retrieval.")
 @click.option("--max-attempts", type=int, default=8, show_default=True)
 @click.option("--initial-delay", type=float, default=5.0, show_default=True)
 @click.option("--topk-core", type=int, default=50, show_default=True)

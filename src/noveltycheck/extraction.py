@@ -18,6 +18,7 @@ from .clients import LlmClient
 from .errors import ContributionRejected, LlmError, ParseFailureError, PhaseAbortError
 from .papers import DocumentText
 from .prompts import load_prompt
+from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
@@ -709,38 +710,42 @@ def run_extraction_phase(
     title: str = "",
     abstract: str = "",
     temperatures: Temperatures = Temperatures(),
+    concurrency: int = 1,
 ) -> Phase1Result:
-    """Run the complete Phase I flow: extract, generate queries, assemble."""
-    warnings: list[str] = []
-    core = extract_core_task(
-        doc, llm, title=title, abstract=abstract, temperatures=temperatures
-    )
-    core_queries, core_flags = expand_query_variants(
-        core.text, llm, require_prefix=False, temperatures=temperatures
-    )
+    """Run Phase I: the core-task and contribution chains side by side, then assemble."""
+    with Scheduler(concurrency) as scheduler:
+        core_future = scheduler.submit(
+            extract_core_task, doc, llm, title=title, abstract=abstract, temperatures=temperatures
+        )
+        claims_future = scheduler.submit(
+            extract_contributions, doc, llm, title=title, temperatures=temperatures
+        )
+        core = core_future.result()
+        core_expansion = scheduler.submit(
+            expand_query_variants, core.text, llm, require_prefix=False, temperatures=temperatures
+        )
+        claims, warnings = claims_future.result()
+        primaries, query_warnings = scheduler.submit(
+            generate_primary_queries, claims, llm, temperatures=temperatures
+        ).result()
+        warnings.extend(query_warnings)
+        expansions = scheduler.map(
+            lambda claim: expand_query_variants(
+                primaries[claim.claim_id], llm, require_prefix=True, temperatures=temperatures
+            ),
+            claims,
+        )
+        core_queries, core_flags = core_expansion.result()
     core = replace(core, query_variants=core_queries, audit_flags=core.audit_flags + tuple(core_flags))
-
-    claims, claim_warnings = extract_contributions(
-        doc, llm, title=title, temperatures=temperatures
-    )
-    warnings.extend(claim_warnings)
-
-    primaries, query_warnings = generate_primary_queries(claims, llm, temperatures=temperatures)
-    warnings.extend(query_warnings)
-    completed: list[ContributionClaim] = []
-    for claim in claims:
-        primary = primaries[claim.claim_id]
-        variants, vflags = expand_query_variants(
-            primary, llm, require_prefix=True, temperatures=temperatures
+    completed = [
+        replace(
+            claim,
+            prior_work_query=primaries[claim.claim_id],
+            query_variants=variants,
+            audit_flags=claim.audit_flags + tuple(vflags),
         )
-        completed.append(
-            replace(
-                claim,
-                prior_work_query=primary,
-                query_variants=variants,
-                audit_flags=claim.audit_flags + tuple(vflags),
-            )
-        )
+        for claim, (variants, vflags) in zip(claims, expansions)
+    ]
     query_set = assemble_query_set(core, completed)
     warnings.extend(query_set.warnings)
     return Phase1Result(core_task=core, claims=completed, query_set=query_set, warnings=warnings)

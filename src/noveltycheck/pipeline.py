@@ -75,6 +75,8 @@ class PipelineConfig:
     sleep: Callable[[float], None] = time.sleep
 
     def validate(self) -> None:
+        if self.analysis_concurrency < 1:
+            raise InvalidInputError("analysis_concurrency must be at least 1")
         if self.mock:
             if not self.llm_fixture or not self.search_fixture:
                 raise InvalidInputError("mock mode requires fixture paths for both clients")
@@ -267,6 +269,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             title=target.title,
             abstract=target.abstract,
             temperatures=cfg.temperatures,
+            concurrency=cfg.analysis_concurrency,
         )
         _write_json(phase1_path, {"target": target.to_dict(), "result": result.to_dict()})
         return result

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -31,6 +30,7 @@ from .papers import (
     normalize_title,
     preprocess_document,
 )
+from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
@@ -170,11 +170,8 @@ def execute_queries(
                     return query, None, attempt, error
         return query, None, policy.max_query_attempts, error
 
-    if policy.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=policy.concurrency) as pool:
-            outcomes = list(pool.map(_run, query_list))
-    else:
-        outcomes = [_run(q) for q in query_list]
+    with Scheduler(policy.concurrency) as scheduler:
+        outcomes = scheduler.map(_run, query_list)
 
     results: list[RetrievalResult] = []
     failures: list[QueryFailure] = []

@@ -1,0 +1,54 @@
+"""One bounded, order-preserving task scheduler for every client call.
+
+Phases submit each model or search call as soon as its inputs exist and
+read the results back in their own iteration order, never in completion
+order, so artifacts are identical at any worker count.
+
+Only the orchestrating caller waits on futures; a task never waits on
+another task. A bounded pool therefore cannot deadlock, and at most
+``workers`` tasks, and so client calls, are in flight at once.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+class Scheduler:
+    """Runs submitted tasks on at most ``workers`` threads.
+
+    With one worker (or fewer) every task runs inline at submission and
+    returns a completed future; no thread is started. Use it as a context
+    manager: leaving the block waits for running tasks, and on an exception
+    drops queued tasks whose results nobody will read.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+    def submit(self, fn: Callable[..., R], /, *args: Any, **kwargs: Any) -> "Future[R]":
+        """Start ``fn(*args, **kwargs)``; its exception re-raises at ``.result()``."""
+        if self._pool is not None:
+            return self._pool.submit(fn, *args, **kwargs)
+        future: Future[R] = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """Submit ``fn`` over every item at once; results in ``items`` order."""
+        futures = [self.submit(fn, item) for item in items]
+        return [future.result() for future in futures]

@@ -325,6 +325,9 @@ def test_criterion_7_golden_pipeline_runs(tmp_path):
             )
             manifest = run_pipeline(paper, cfg)
             assert manifest.succeeded
+            # phase1.json has no golden: run 1 is the reference for the rest
+            goldens.setdefault("phase1.json", (out / "phase1.json").read_bytes())
+            assert (out / "phase1.json").read_bytes() == goldens["phase1.json"]
             assert (out / "phase2.json").read_bytes() == goldens["phase2.json"]
             assert (out / "phase3.json").read_bytes() == goldens["phase3.json"]
             md = next(p for p in out.iterdir() if p.suffix == ".md")

@@ -1,11 +1,16 @@
 """End-to-end pipeline runs, artifacts, resumability, and the CLI."""
 
 import json
+import threading
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from noveltycheck import pipeline
 from noveltycheck.cli import main as cli_main
+from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
+from noveltycheck.errors import InvalidInputError, SearchError
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
 from noveltycheck.retrieval import RetryPolicy
 
@@ -29,6 +34,77 @@ def make_config(tmp_path, fixtures_dir, **overrides) -> PipelineConfig:
 @pytest.fixture
 def paper_text(fixtures_dir):
     return (fixtures_dir / "target_paper.txt").read_text(encoding="utf-8")
+
+
+class InflightProbe:
+    """Wraps both clients and records the most calls ever in flight at once.
+
+    With ``barrier`` set, the core-task and contribution extraction calls
+    wait on it, so both pass only when they are in flight together.
+    """
+
+    EXTRACTIONS = ("extract ONE short phrase", "extract the main contributions")
+
+    def __init__(self, barrier=None):
+        self.barrier = barrier
+        self.overlapped = 0
+        self.peak = 0
+        self._inflight = 0
+        self._lock = threading.Lock()
+
+    def call(self, fn, *args, extraction=False):
+        with self._lock:
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+        try:
+            if extraction and self.barrier is not None:
+                self.barrier.wait()
+                with self._lock:
+                    self.overlapped += 1
+            time.sleep(0.002)  # long enough for pooled calls to overlap
+            return fn(*args)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+    def clients(self, llm, search):
+        probe = self
+
+        class Llm(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                extraction = any(s in system_prompt for s in probe.EXTRACTIONS)
+                return probe.call(
+                    llm.complete, system_prompt, user_prompt, temperature, extraction=extraction
+                )
+
+        class Search(SearchClient):
+            def search(self, query):
+                return probe.call(search.search, query)
+
+        return Llm(), Search()
+
+
+def run_bounded(paper_text, cfg, timeout=60):
+    """``run_pipeline`` on a thread; fail on a hang or a raw exception."""
+    outcome = {}
+
+    def _target():
+        try:
+            outcome["manifest"] = run_pipeline(paper_text, cfg)
+        except BaseException as exc:  # reported by the assertion below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=_target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "run_pipeline did not return"
+    assert "error" not in outcome, f"raw exception: {outcome.get('error')!r}"
+    return outcome["manifest"]
+
+
+class AlwaysFailingSearch(SearchClient):
+    def search(self, query):
+        raise SearchError("search service unavailable")
 
 
 class TestFrontMatter:
@@ -90,6 +166,74 @@ class TestRunPipeline:
         assert manifest.phases["phase3"].status == "completed"
         assert manifest.succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_client_calls_in_flight_bounded_by_workers(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text, workers
+    ):
+        probe = InflightProbe(threading.Barrier(2, timeout=10) if workers == 2 else None)
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: probe.clients(
+                MockLlmClient.from_file(cfg.llm_fixture),
+                MockSearchClient.from_file(cfg.search_fixture),
+            ),
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir,
+            retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+        )
+        manifest = run_bounded(paper_text, cfg)
+        assert manifest.succeeded
+        assert 1 <= probe.peak <= workers
+        if workers == 2:  # both extractions were in flight together
+            assert probe.overlapped == 2
+        assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
+    @pytest.mark.parametrize("failure", ["core_task_too_short", "search_always_raises"])
+    def test_failed_phase_recorded_at_concurrency_4(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, failure
+    ):
+        llm_fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
+        if failure == "core_task_too_short":
+            for rule in llm_fixture["rules"]:
+                if rule.get("system_contains") == "extract ONE short phrase":
+                    rule["response"] = "Cache eviction"
+            failed_phase = "phase1"
+        else:
+            failed_phase = "phase2"
+        search = (
+            AlwaysFailingSearch()
+            if failure == "search_always_raises"
+            else MockSearchClient.from_file(fixtures_dir / "mock_search.json")
+        )
+        monkeypatch.setattr(
+            pipeline, "build_clients", lambda cfg: (MockLlmClient(llm_fixture), search)
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir,
+            retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001, concurrency=4),
+            analysis_concurrency=4,
+            sleep=lambda _: None,
+        )
+        manifest = run_bounded(paper_text, cfg)
+        assert not manifest.succeeded
+        assert manifest.phases[failed_phase].status == "failed"
+        assert manifest.failure_log and manifest.failure_log[0].startswith(failed_phase)
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["phases"][failed_phase]["status"] == "failed"
+        assert on_disk["succeeded"] is False
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_analysis_concurrency_below_one_rejected(
+        self, tmp_path, fixtures_dir, paper_text, workers
+    ):
+        cfg = make_config(tmp_path, fixtures_dir, analysis_concurrency=workers)
+        with pytest.raises(InvalidInputError, match="analysis_concurrency"):
+            cfg.validate()
+        with pytest.raises(InvalidInputError):
+            run_pipeline(paper_text, cfg)
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_mock_mode_requires_fixtures(self, tmp_path):
         cfg = PipelineConfig(output_dir=tmp_path, mock=True)

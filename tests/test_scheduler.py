@@ -1,0 +1,50 @@
+"""The bounded, order-preserving task scheduler behind every client call."""
+
+import threading
+import time
+
+import pytest
+
+from noveltycheck.scheduler import Scheduler
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_map_preserves_order(workers):
+    def slow_first(i):
+        time.sleep(0.002 * (8 - i))  # later items finish first on a pool
+        return i * i
+
+    with Scheduler(workers) as scheduler:
+        assert scheduler.map(slow_first, range(8)) == [i * i for i in range(8)]
+
+
+def test_one_worker_runs_inline_in_submission_order():
+    order = []
+    caller = threading.get_ident()
+
+    def task(i):
+        order.append((i, threading.get_ident()))
+        return i
+
+    with Scheduler(1) as scheduler:
+        futures = []
+        for i in range(5):
+            futures.append(scheduler.submit(task, i))
+            assert futures[-1].done()  # ran before submit returned
+        assert order == [(i, caller) for i in range(5)]
+        assert [f.result() for f in futures] == list(range(5))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_task_exception_reraises_at_result(workers):
+    def boom(message):
+        raise ValueError(message)
+
+    with Scheduler(workers) as scheduler:
+        failing = scheduler.submit(boom, "task failed")
+        passing = scheduler.submit(len, "abc")
+        with pytest.raises(ValueError, match="task failed"):
+            failing.result(timeout=10)
+        assert passing.result(timeout=10) == 3
+        with pytest.raises(ValueError, match="item 2"):
+            scheduler.map(lambda i: boom(f"item {i}") if i >= 2 else i, range(4))
