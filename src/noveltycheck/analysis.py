@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
+from .codec import decode, encode
 from .errors import AssemblyError, InvalidInputError, LlmError, ParseFailureError
 from .extraction import (
     ContributionClaim,
@@ -64,17 +65,17 @@ _STATUSES = {CAN_REFUTE, CANNOT_REFUTE, UNCLEAR}
 # --- comparison schema ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvidencePair:
     """A quote from each paper backing one refutation claim."""
 
     original_quote: str
     original_paragraph_label: str
+    original_location: Optional[QuoteLocation] = None
     candidate_quote: str
     candidate_paragraph_label: str
-    rationale: str
-    original_location: Optional[QuoteLocation] = None
     candidate_location: Optional[QuoteLocation] = None
+    rationale: str
 
     @property
     def doubly_verified(self) -> bool:
@@ -85,55 +86,11 @@ class EvidencePair:
             and self.candidate_location.found
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "original_quote": self.original_quote,
-            "original_paragraph_label": self.original_paragraph_label,
-            "original_location": self.original_location.to_dict()
-            if self.original_location
-            else None,
-            "candidate_quote": self.candidate_quote,
-            "candidate_paragraph_label": self.candidate_paragraph_label,
-            "candidate_location": self.candidate_location.to_dict()
-            if self.candidate_location
-            else None,
-            "rationale": self.rationale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "EvidencePair":
-        return cls(
-            original_quote=d["original_quote"],
-            original_paragraph_label=d.get("original_paragraph_label", "unknown"),
-            candidate_quote=d["candidate_quote"],
-            candidate_paragraph_label=d.get("candidate_paragraph_label", "unknown"),
-            rationale=d.get("rationale", ""),
-            original_location=QuoteLocation.from_dict(d["original_location"])
-            if d.get("original_location")
-            else None,
-            candidate_location=QuoteLocation.from_dict(d["candidate_location"])
-            if d.get("candidate_location")
-            else None,
-        )
-
 
 @dataclass
 class RefutationEvidence:
     summary: str
     evidence_pairs: list[EvidencePair]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "summary": self.summary,
-            "evidence_pairs": [p.to_dict() for p in self.evidence_pairs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RefutationEvidence":
-        return cls(
-            summary=d.get("summary", ""),
-            evidence_pairs=[EvidencePair.from_dict(p) for p in d.get("evidence_pairs", [])],
-        )
 
 
 @dataclass
@@ -149,77 +106,19 @@ class ContributionComparison:
     brief_note: Optional[str] = None
     similarity_segments: list[SimilaritySegment] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "canonical_id": self.canonical_id,
-            "candidate_paper_title": self.candidate_paper_title,
-            "candidate_paper_url": self.candidate_paper_url,
-            "comparison_mode": self.comparison_mode,
-            "refutation_status": self.refutation_status,
-            "refutation_evidence": self.refutation_evidence.to_dict()
-            if self.refutation_evidence
-            else None,
-            "brief_note": self.brief_note,
-            "similarity_segments": [s.to_dict() for s in self.similarity_segments],
-        }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ContributionComparison":
-        return cls(
-            canonical_id=d["canonical_id"],
-            candidate_paper_title=d["candidate_paper_title"],
-            candidate_paper_url=d.get("candidate_paper_url"),
-            comparison_mode=d.get("comparison_mode", "abstract"),
-            refutation_status=d["refutation_status"],
-            refutation_evidence=RefutationEvidence.from_dict(d["refutation_evidence"])
-            if d.get("refutation_evidence")
-            else None,
-            brief_note=d.get("brief_note"),
-            similarity_segments=[
-                SimilaritySegment.from_dict(s) for s in d.get("similarity_segments", [])
-            ],
-        )
-
-
-@dataclass
+@dataclass(kw_only=True)
 class CoreTaskComparison:
     """Distinction analysis against one sibling paper in the same leaf."""
 
     canonical_id: str
     candidate_paper_title: str
     candidate_paper_url: Optional[str]
+    relationship: str = "sibling"
     comparison_mode: str  # "fulltext" or "abstract_fallback"
     is_duplicate_variant: bool
     brief_comparison: str
-    relationship: str = "sibling"
     similarity_segments: list[SimilaritySegment] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "canonical_id": self.canonical_id,
-            "candidate_paper_title": self.candidate_paper_title,
-            "candidate_paper_url": self.candidate_paper_url,
-            "relationship": self.relationship,
-            "comparison_mode": self.comparison_mode,
-            "is_duplicate_variant": self.is_duplicate_variant,
-            "brief_comparison": self.brief_comparison,
-            "similarity_segments": [s.to_dict() for s in self.similarity_segments],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CoreTaskComparison":
-        return cls(
-            canonical_id=d["canonical_id"],
-            candidate_paper_title=d["candidate_paper_title"],
-            candidate_paper_url=d.get("candidate_paper_url"),
-            comparison_mode=d.get("comparison_mode", "abstract_fallback"),
-            is_duplicate_variant=bool(d.get("is_duplicate_variant", False)),
-            brief_comparison=d.get("brief_comparison", ""),
-            relationship=d.get("relationship", "sibling"),
-            similarity_segments=[
-                SimilaritySegment.from_dict(s) for s in d.get("similarity_segments", [])
-            ],
-        )
 
 
 DOWNGRADE_NOTE = (
@@ -490,27 +389,6 @@ class CoreTaskAnalysis:
     isolation: Optional[dict[str, Any]] = None
     diagnostics: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "taxonomy_path": list(self.taxonomy_path),
-            "comparisons": [c.to_dict() for c in self.comparisons],
-            "subtopic_summary": self.subtopic_summary,
-            "isolation": self.isolation,
-            "diagnostics": list(self.diagnostics),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CoreTaskAnalysis":
-        return cls(
-            mode=d["mode"],
-            taxonomy_path=list(d.get("taxonomy_path", ())),
-            comparisons=[CoreTaskComparison.from_dict(c) for c in d.get("comparisons", [])],
-            subtopic_summary=d.get("subtopic_summary"),
-            isolation=d.get("isolation"),
-            diagnostics=list(d.get("diagnostics", ())),
-        )
-
 
 def _content_of(paper: PaperRecord) -> tuple[str, str]:
     if paper.full_text is not None:
@@ -772,29 +650,6 @@ class ReportReference:
     year: Optional[int]
     is_original: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "alias": self.alias,
-            "canonical_id": self.canonical_id,
-            "title": self.title,
-            "url": self.url,
-            "year": self.year,
-            "is_original": self.is_original,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ReportReference":
-        return cls(
-            index=int(d["index"]),
-            alias=d["alias"],
-            canonical_id=d["canonical_id"],
-            title=d["title"],
-            url=d.get("url"),
-            year=d.get("year"),
-            is_original=bool(d.get("is_original", False)),
-        )
-
 
 _ALIAS_STOPWORDS = frozenset(
     {"a", "an", "and", "for", "in", "of", "on", "the", "to", "using", "via", "with"}
@@ -1004,35 +859,23 @@ def generate_one_liners(
 
 @dataclass
 class ContributionAnalysisEntry:
-    claim: ContributionClaim
-    statistics: dict[str, int]
-    comparisons: list[ContributionComparison]
+    """One claim with its statistics and per-candidate comparisons."""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim.claim_id,
-            "name": self.claim.name,
-            "author_claim_text": self.claim.author_claim_text,
-            "description": self.claim.description,
-            "source_hint": self.claim.source_hint,
-            "statistics": dict(self.statistics),
-            "comparisons": [c.to_dict() for c in self.comparisons],
-        }
+    claim_id: str
+    name: str
+    author_claim_text: str = "unknown"
+    description: str = "unknown"
+    source_hint: str = "unknown"
+    statistics: dict[str, int] = field(default_factory=dict)
+    comparisons: list[ContributionComparison] = field(default_factory=list)
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ContributionAnalysisEntry":
-        claim = ContributionClaim(
-            claim_id=d["claim_id"],
-            name=d["name"],
-            author_claim_text=d.get("author_claim_text", "unknown"),
-            description=d.get("description", "unknown"),
-            source_hint=d.get("source_hint", "unknown"),
-        )
-        return cls(
-            claim=claim,
-            statistics=dict(d.get("statistics", {})),
-            comparisons=[ContributionComparison.from_dict(c) for c in d.get("comparisons", [])],
-        )
+
+@dataclass
+class ContributionAnalysis:
+    """The report's contribution module: overall assessment, then one entry per claim."""
+
+    overall_assessment: list[str]
+    contributions: list[ContributionAnalysisEntry]
 
 
 @dataclass
@@ -1041,54 +884,26 @@ class NoveltyReport:
 
     original_paper: dict[str, Any]
     core_task_survey: dict[str, Any]
-    overall_assessment: list[str]
-    contributions: list[ContributionAnalysisEntry]
+    contribution_analysis: ContributionAnalysis
     core_task_comparisons: CoreTaskAnalysis
     references: list[ReportReference]
     textual_similarity: dict[str, Any]
     metadata: dict[str, Any]
 
+    @property
+    def overall_assessment(self) -> list[str]:
+        return self.contribution_analysis.overall_assessment
+
+    @property
+    def contributions(self) -> list[ContributionAnalysisEntry]:
+        return self.contribution_analysis.contributions
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "original_paper": self.original_paper,
-            "core_task_survey": self.core_task_survey,
-            "contribution_analysis": {
-                "overall_assessment": list(self.overall_assessment),
-                "contributions": [c.to_dict() for c in self.contributions],
-            },
-            "core_task_comparisons": self.core_task_comparisons.to_dict(),
-            "references": [r.to_dict() for r in self.references],
-            "textual_similarity": self.textual_similarity,
-            "metadata": self.metadata,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "NoveltyReport":
-        required = (
-            "original_paper",
-            "core_task_survey",
-            "contribution_analysis",
-            "core_task_comparisons",
-            "references",
-            "textual_similarity",
-            "metadata",
-        )
-        for module in required:
-            if module not in d:
-                raise AssemblyError(f"report is missing required module: {module}")
-        ca = d["contribution_analysis"]
-        return cls(
-            original_paper=dict(d["original_paper"]),
-            core_task_survey=dict(d["core_task_survey"]),
-            overall_assessment=list(ca.get("overall_assessment", ())),
-            contributions=[
-                ContributionAnalysisEntry.from_dict(c) for c in ca.get("contributions", [])
-            ],
-            core_task_comparisons=CoreTaskAnalysis.from_dict(d["core_task_comparisons"]),
-            references=[ReportReference.from_dict(r) for r in d["references"]],
-            textual_similarity=dict(d["textual_similarity"]),
-            metadata=dict(d["metadata"]),
-        )
+        return decode(cls, d)
 
 
 def assemble_report(
@@ -1172,7 +987,15 @@ def assemble_report(
         if stats["can_refute"] + stats["non_refutable_or_unclear"] != examined:
             raise AssemblyError(f"statistics identity violated for {claim.claim_id}")
         contributions.append(
-            ContributionAnalysisEntry(claim=claim, statistics=stats, comparisons=entries)
+            ContributionAnalysisEntry(
+                claim_id=claim.claim_id,
+                name=claim.name,
+                author_claim_text=claim.author_claim_text,
+                description=claim.description,
+                source_hint=claim.source_hint,
+                statistics=stats,
+                comparisons=entries,
+            )
         )
 
     total_segments = sum(len(v) for v in segments_by_candidate.values())
@@ -1180,7 +1003,7 @@ def assemble_report(
         "total_segments": total_segments,
         "candidates_with_overlap": [k for k, v in segments_by_candidate.items() if v],
         "segments_by_candidate": {
-            k: [s.to_dict() for s in v] for k, v in segments_by_candidate.items() if v
+            k: [encode(s) for s in v] for k, v in segments_by_candidate.items() if v
         },
     }
 
@@ -1211,13 +1034,12 @@ def assemble_report(
             "title": target.title,
             "abstract": target.abstract,
             "url": target.url,
-            "publication_date": target.publication_date.to_dict()
+            "publication_date": encode(target.publication_date)
             if target.publication_date
             else None,
         },
         core_task_survey=survey,
-        overall_assessment=list(overall_assessment),
-        contributions=contributions,
+        contribution_analysis=ContributionAnalysis(list(overall_assessment), contributions),
         core_task_comparisons=core_task_analysis,
         references=list(references),
         textual_similarity=textual_similarity,

@@ -78,32 +78,32 @@ def run(
     quote_limit: int,
 ) -> None:
     """Run the full four-phase pipeline on one paper."""
-    cfg = PipelineConfig(
-        output_dir=out_dir,
-        mock=mock,
-        llm_fixture=llm_fixture,
-        search_fixture=search_fixture,
-        llm_endpoint=llm_endpoint,
-        llm_model=llm_model,
-        llm_api_key=llm_api_key,
-        search_endpoint=search_endpoint,
-        search_api_key=search_api_key,
-        retry=RetryPolicy(
-            max_query_attempts=max_attempts,
-            initial_delay=initial_delay,
-            concurrency=concurrency,
-        ),
-        topk_core=topk_core,
-        topk_contribution=topk_contribution,
-        analysis_concurrency=concurrency,
-        resume=resume,
-        fixed_timestamp=timestamp,
-        target_title=title,
-        target_url=url,
-        emit_pdf=emit_pdf,
-        quote_truncation_limit=quote_limit,
-    )
     try:
+        cfg = PipelineConfig(
+            output_dir=out_dir,
+            mock=mock,
+            llm_fixture=llm_fixture,
+            search_fixture=search_fixture,
+            llm_endpoint=llm_endpoint,
+            llm_model=llm_model,
+            llm_api_key=llm_api_key,
+            search_endpoint=search_endpoint,
+            search_api_key=search_api_key,
+            retry=RetryPolicy(
+                max_query_attempts=max_attempts,
+                initial_delay=initial_delay,
+                concurrency=concurrency,
+            ),
+            topk_core=topk_core,
+            topk_contribution=topk_contribution,
+            analysis_concurrency=concurrency,
+            resume=resume,
+            fixed_timestamp=timestamp,
+            target_title=title,
+            target_url=url,
+            emit_pdf=emit_pdf,
+            quote_truncation_limit=quote_limit,
+        )
         manifest = run_pipeline(input_path.read_text(encoding="utf-8"), cfg)
     except NoveltyCheckError as exc:
         click.echo(f"error: {exc}", err=True)

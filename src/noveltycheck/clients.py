@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
+from .codec import decode
 from .errors import LlmError, SearchError
 from .papers import PublicationDate, VerificationVerdict
 
@@ -53,7 +54,7 @@ class SearchHit:
             verdict = VerificationVerdict.from_dicts(d["verdict"])
         date = None
         if d.get("publication_date"):
-            date = PublicationDate.from_dict(d["publication_date"])
+            date = decode(PublicationDate, d["publication_date"])
         return cls(
             title=d["title"],
             abstract=d.get("abstract", ""),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
+from .codec import decode, encode
 from .errors import ContributionRejected, LlmError, ParseFailureError, PhaseAbortError
 from .papers import DocumentText
 from .prompts import load_prompt
@@ -218,31 +219,6 @@ class ContributionClaim:
     query_variants: tuple[str, ...] = ()
     audit_flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "name": self.name,
-            "author_claim_text": self.author_claim_text,
-            "description": self.description,
-            "source_hint": self.source_hint,
-            "prior_work_query": self.prior_work_query,
-            "query_variants": list(self.query_variants),
-            "audit_flags": list(self.audit_flags),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ContributionClaim":
-        return cls(
-            claim_id=d["claim_id"],
-            name=d["name"],
-            author_claim_text=d.get("author_claim_text", "unknown"),
-            description=d.get("description", "unknown"),
-            source_hint=d.get("source_hint", "unknown"),
-            prior_work_query=d.get("prior_work_query"),
-            query_variants=tuple(d.get("query_variants", ())),
-            audit_flags=tuple(d.get("audit_flags", ())),
-        )
-
 
 @dataclass(frozen=True)
 class SearchQuery:
@@ -251,19 +227,6 @@ class SearchQuery:
     scope: str  # "core_task" or "contribution"
     kind: str  # "primary" or "variant"
     contribution_id: Optional[str] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "query_id": self.query_id,
-            "text": self.text,
-            "scope": self.scope,
-            "kind": self.kind,
-            "contribution_id": self.contribution_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SearchQuery":
-        return cls(d["query_id"], d["text"], d["scope"], d["kind"], d.get("contribution_id"))
 
 
 @dataclass(frozen=True)
@@ -282,27 +245,6 @@ class QuerySet:
     def total(self) -> int:
         return len(self.core_task_queries) + sum(
             len(g) for g in self.contribution_queries.values()
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "core_task_queries": [q.to_dict() for q in self.core_task_queries],
-            "contribution_queries": {
-                cid: [q.to_dict() for q in group]
-                for cid, group in self.contribution_queries.items()
-            },
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "QuerySet":
-        return cls(
-            core_task_queries=tuple(SearchQuery.from_dict(q) for q in d["core_task_queries"]),
-            contribution_queries={
-                cid: tuple(SearchQuery.from_dict(q) for q in group)
-                for cid, group in d["contribution_queries"].items()
-            },
-            warnings=tuple(d.get("warnings", ())),
         )
 
 
@@ -672,35 +614,16 @@ class Phase1Result:
     """Everything Phase I hands to retrieval and analysis."""
 
     core_task: CoreTask
-    claims: list[ContributionClaim]
+    claims: list[ContributionClaim] = field(metadata={"key": "contributions"})
     query_set: QuerySet
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "core_task": {
-                "text": self.core_task.text,
-                "query_variants": list(self.core_task.query_variants),
-                "audit_flags": list(self.core_task.audit_flags),
-            },
-            "contributions": [c.to_dict() for c in self.claims],
-            "query_set": self.query_set.to_dict(),
-            "warnings": list(self.warnings),
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Phase1Result":
-        ct = d["core_task"]
-        return cls(
-            core_task=CoreTask(
-                text=ct["text"],
-                query_variants=tuple(ct.get("query_variants", ())),
-                audit_flags=tuple(ct.get("audit_flags", ())),
-            ),
-            claims=[ContributionClaim.from_dict(c) for c in d.get("contributions", [])],
-            query_set=QuerySet.from_dict(d["query_set"]),
-            warnings=list(d.get("warnings", ())),
-        )
+        return decode(cls, d)
 
 
 def run_extraction_phase(

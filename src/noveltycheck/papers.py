@@ -97,12 +97,6 @@ class VerificationVerdict:
     def from_dicts(cls, items: Sequence[Mapping[str, str]]) -> "VerificationVerdict":
         return cls.from_pairs([(d["criterion_type"], d["assessment"]) for d in items])
 
-    def to_dicts(self) -> list[dict[str, str]]:
-        return [
-            {"criterion_type": c.criterion_type, "assessment": c.assessment.value}
-            for c in self.criteria
-        ]
-
 
 @dataclass(frozen=True)
 class PublicationDate:
@@ -143,24 +137,6 @@ class PublicationDate:
         """
         return self.earliest() > other.latest()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "year": self.year,
-            "month": self.month,
-            "day": self.day,
-            "granularity": self.granularity,
-            "source_tier": self.source_tier,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PublicationDate":
-        return cls(
-            year=d["year"],
-            month=d.get("month"),
-            day=d.get("day"),
-            source_tier=d.get("source_tier", "regex"),
-        )
-
 
 @dataclass(frozen=True)
 class DocumentText:
@@ -192,47 +168,6 @@ class PaperRecord:
 
     def title_hash(self) -> str:
         return md5(normalize_title(self.title).encode("utf-8")).hexdigest()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "canonical_id": str(self.canonical_id),
-            "title": self.title,
-            "abstract": self.abstract,
-            "url": self.url,
-            "relevance_score": self.relevance_score,
-            "publication_date": self.publication_date.to_dict() if self.publication_date else None,
-            "quality_flag": self.quality_flag.value if self.quality_flag else None,
-            "full_text": (
-                {
-                    "raw": self.full_text.raw,
-                    "normalized": self.full_text.normalized,
-                    "token_count": self.full_text.token_count,
-                }
-                if self.full_text
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PaperRecord":
-        full_text = None
-        if d.get("full_text"):
-            ft = d["full_text"]
-            full_text = DocumentText(ft["raw"], ft["normalized"], ft["token_count"])
-        return cls(
-            canonical_id=CanonicalId.parse(d["canonical_id"]),
-            title=d["title"],
-            abstract=d.get("abstract", ""),
-            url=d.get("url"),
-            relevance_score=d.get("relevance_score"),
-            publication_date=(
-                PublicationDate.from_dict(d["publication_date"])
-                if d.get("publication_date")
-                else None
-            ),
-            quality_flag=QualityFlag(d["quality_flag"]) if d.get("quality_flag") else None,
-            full_text=full_text,
-        )
 
 
 _WS_RE = re.compile(r"\s+")

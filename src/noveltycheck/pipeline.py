@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -25,6 +26,7 @@ from .clients import (
     MockSearchClient,
     SearchClient,
 )
+from .codec import encode
 from .errors import InvalidInputError, NoveltyCheckError, PhaseAbortError
 from .extraction import Phase1Result, Temperatures, run_extraction_phase
 from .papers import (
@@ -106,15 +108,6 @@ class PhaseStatus:
     finished_at: Optional[str] = None
     error: Optional[str] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "artifact": self.artifact,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-        }
-
 
 @dataclass
 class RunManifest:
@@ -131,22 +124,23 @@ class RunManifest:
             self.phases[name].status in ("completed", "skipped") for name in PHASES
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "phases": {name: status.to_dict() for name, status in self.phases.items()},
-            "failure_log": list(self.failure_log),
-            "succeeded": self.succeeded,
-        }
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` in one step, so a crashed write leaves the old bytes intact."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _read_json(path: Path) -> Any:
@@ -207,7 +201,16 @@ class _PhaseRunner:
         self._resumable = resumable
 
     def persist(self) -> None:
-        _write_json(self.manifest_path, self.manifest.to_dict())
+        manifest = {**encode(self.manifest), "succeeded": self.manifest.succeeded}
+        _write_json(self.manifest_path, manifest)
+
+    def _fail(self, name: str, exc: Exception) -> None:
+        status = self.manifest.phases[name]
+        status.status = "failed"
+        status.finished_at = _now()
+        status.error = str(exc)
+        self.manifest.failure_log.append(f"{name}: {exc}")
+        self.persist()
 
     def run(self, name: str, artifact: Path, compute: Callable[[], Any], *, load: Callable[[], Any]):
         """Execute one phase, honoring resume and recording status transitions."""
@@ -219,17 +222,18 @@ class _PhaseRunner:
             status.status = "skipped"
             status.artifact = artifact.name
             self.persist()
-            return load()
+            try:
+                return load()
+            except Exception as exc:
+                abort = PhaseAbortError(name, f"cannot load {artifact.name}: {exc}")
+                self._fail(name, abort)
+                raise abort from exc
         status.started_at = _now()
         self.persist()
         try:
             result = compute()
         except Exception as exc:
-            status.status = "failed"
-            status.finished_at = _now()
-            status.error = str(exc)
-            self.manifest.failure_log.append(f"{name}: {exc}")
-            self.persist()
+            self._fail(name, exc)
             raise
         status.status = "completed"
         status.finished_at = _now()
@@ -271,7 +275,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             temperatures=cfg.temperatures,
             concurrency=cfg.analysis_concurrency,
         )
-        _write_json(phase1_path, {"target": target.to_dict(), "result": result.to_dict()})
+        _write_json(phase1_path, {"target": encode(target), "result": result.to_dict()})
         return result
 
     def _load_phase1() -> Phase1Result:
@@ -324,7 +328,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         )
         markdown = render_markdown(report, render_cfg)
         md_path = out / output_filename(report)
-        md_path.write_text(markdown, encoding="utf-8")
+        _write_text(md_path, markdown)
         if cfg.emit_pdf:
             render_pdf(md_path, render_cfg)
         return md_path

@@ -22,6 +22,7 @@ from .analysis import (
     ReportReference,
     find_citation_indices,
 )
+from .codec import decode
 from .errors import InvalidInputError, RenderError
 from .verification import SimilaritySegment
 
@@ -234,11 +235,11 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
         md.line(_check_citations(paragraph, indices, "overall assessment"))
         md.blank()
     for i, contribution in enumerate(report.contributions, start=1):
-        md.line(f"### Contribution {i}: {contribution.claim.name}")
+        md.line(f"### Contribution {i}: {contribution.name}")
         md.blank()
         md.line(
-            f"**Author claim:** \"{contribution.claim.author_claim_text}\""
-            f" ({contribution.claim.source_hint})"
+            f"**Author claim:** \"{contribution.author_claim_text}\""
+            f" ({contribution.source_hint})"
         )
         stats = contribution.statistics
         md.line(
@@ -267,7 +268,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
                 seg = (
                     raw
                     if isinstance(raw, SimilaritySegment)
-                    else SimilaritySegment.from_dict(raw)
+                    else decode(SimilaritySegment, raw)
                 )
                 _render_segment(md, seg, limit)
             md.blank()

@@ -15,6 +15,7 @@ from threading import Lock
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .clients import SearchClient, SearchHit
+from .codec import decode, encode
 from .errors import InvalidInputError, RetrievalEmptyError, SearchError
 from .extraction import QuerySet, SearchQuery
 from .papers import (
@@ -203,16 +204,6 @@ class FilterStats:
     after_temporal: int = 0
     selected: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "raw": self.raw,
-            "after_quality": self.after_quality,
-            "after_dedup": self.after_dedup,
-            "after_self_reference": self.after_self_reference,
-            "after_temporal": self.after_temporal,
-            "selected": self.selected,
-        }
-
 
 @dataclass
 class FilterOutcome:
@@ -298,13 +289,6 @@ class UnifiedCandidate:
     paper: PaperRecord
     provenance: list[str]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"paper": self.paper.to_dict(), "provenance": list(self.provenance)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "UnifiedCandidate":
-        return cls(paper=PaperRecord.from_dict(d["paper"]), provenance=list(d["provenance"]))
-
 
 @dataclass
 class CandidateSet:
@@ -314,29 +298,6 @@ class CandidateSet:
     per_contribution: dict[str, list[PaperRecord]]
     unified: list[UnifiedCandidate]
     stats: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "core_task": [p.to_dict() for p in self.core_task],
-            "per_contribution": {
-                cid: [p.to_dict() for p in papers]
-                for cid, papers in self.per_contribution.items()
-            },
-            "unified": [u.to_dict() for u in self.unified],
-            "stats": self.stats,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CandidateSet":
-        return cls(
-            core_task=[PaperRecord.from_dict(p) for p in d["core_task"]],
-            per_contribution={
-                cid: [PaperRecord.from_dict(p) for p in papers]
-                for cid, papers in d["per_contribution"].items()
-            },
-            unified=[UnifiedCandidate.from_dict(u) for u in d["unified"]],
-            stats=dict(d.get("stats", {})),
-        )
 
 
 def _better_id(a: CanonicalId, b: CanonicalId) -> CanonicalId:
@@ -420,36 +381,11 @@ class Phase2Result:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "candidate_set": self.candidate_set.to_dict(),
-            "core_stats": self.core_stats.to_dict(),
-            "contribution_stats": {
-                cid: s.to_dict() for cid, s in self.contribution_stats.items()
-            },
-            "failures": [
-                {"query_id": f.query_id, "attempts": f.attempts, "error": f.error}
-                for f in self.failures
-            ],
-            "diagnostics": list(self.diagnostics),
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Phase2Result":
-        def _stats(sd: Mapping[str, int]) -> FilterStats:
-            return FilterStats(**sd)
-
-        return cls(
-            candidate_set=CandidateSet.from_dict(d["candidate_set"]),
-            core_stats=_stats(d["core_stats"]),
-            contribution_stats={
-                cid: _stats(sd) for cid, sd in d["contribution_stats"].items()
-            },
-            failures=[
-                QueryFailure(f["query_id"], f["attempts"], f["error"])
-                for f in d.get("failures", [])
-            ],
-            diagnostics=list(d.get("diagnostics", ())),
-        )
+        return decode(cls, d)
 
 
 def summarize_filtering(result: Phase2Result) -> dict[str, Any]:

@@ -365,14 +365,6 @@ class StructuralPosition:
     sibling_subtopics: tuple[TaxonomyNode, ...] = ()
     leaf: Optional[TaxonomyNode] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": list(self.path),
-            "mode": self.mode,
-            "siblings": list(self.siblings),
-            "sibling_subtopics": [n.to_dict(is_root=False) for n in self.sibling_subtopics],
-        }
-
 
 def structural_position(tax: TaxonomyNode, original: str) -> StructuralPosition:
     """Classify the target's neighborhood: leaf siblings, subtopic siblings, or isolation."""

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .papers import DocumentText
 
@@ -236,13 +236,6 @@ class QuoteLocation:
     found: bool
     match_score: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"found": self.found, "match_score": self.match_score}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "QuoteLocation":
-        return cls(found=bool(d["found"]), match_score=float(d["match_score"]))
-
 
 @dataclass(frozen=True)
 class QuoteVerification:
@@ -338,7 +331,7 @@ class SimilaritySegment:
     location: str
     original_text: str
     candidate_text: str
-    segment_type: str  # "Direct" or "Paraphrase"
+    segment_type: str = field(metadata={"key": "type"})  # "Direct" or "Paraphrase"
     rationale: str
     verified: bool = False
     original_location: Optional[QuoteLocation] = None
@@ -347,41 +340,6 @@ class SimilaritySegment:
     @property
     def min_word_count(self) -> int:
         return min(len(self.original_text.split()), len(self.candidate_text.split()))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "segment_id": self.segment_id,
-            "location": self.location,
-            "original_text": self.original_text,
-            "candidate_text": self.candidate_text,
-            "type": self.segment_type,
-            "rationale": self.rationale,
-            "verified": self.verified,
-            "original_location": self.original_location.to_dict()
-            if self.original_location
-            else None,
-            "candidate_location": self.candidate_location.to_dict()
-            if self.candidate_location
-            else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SimilaritySegment":
-        return cls(
-            segment_id=int(d["segment_id"]),
-            location=str(d.get("location", "unknown")),
-            original_text=str(d["original_text"]),
-            candidate_text=str(d["candidate_text"]),
-            segment_type=str(d.get("type", "Direct")),
-            rationale=str(d.get("rationale", "")),
-            verified=bool(d.get("verified", False)),
-            original_location=QuoteLocation.from_dict(d["original_location"])
-            if d.get("original_location")
-            else None,
-            candidate_location=QuoteLocation.from_dict(d["candidate_location"])
-            if d.get("candidate_location")
-            else None,
-        )
 
 
 def verify_segment(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noveltycheck.clients import MockLlmClient
+from noveltycheck.codec import encode
 from noveltycheck.errors import ContributionRejected, ParseFailureError, PhaseAbortError
 from noveltycheck.extraction import (
     ContributionClaim,
@@ -152,7 +153,7 @@ class TestValidateContribution:
                 "query_variants": [" ".join(["v"] * rng.randint(1, 30))],
             }
             once = validate_contribution(raw)
-            twice = validate_contribution(once.to_dict())
+            twice = validate_contribution(encode(once))
             assert (twice.name, twice.author_claim_text, twice.description) == (
                 once.name, once.author_claim_text, once.description,
             )

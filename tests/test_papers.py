@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noveltycheck.clients import MockLlmClient
+from noveltycheck.codec import decode, encode
 from noveltycheck.errors import InvalidInputError
 from noveltycheck.papers import (
     CanonicalId,
@@ -246,4 +247,4 @@ class TestPaperRecord:
             publication_date=PublicationDate(2024, 1),
             quality_flag=QualityFlag.PERFECT,
         )
-        assert PaperRecord.from_dict(record.to_dict()) == record
+        assert decode(PaperRecord, encode(record)) == record

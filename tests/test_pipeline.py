@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -122,6 +123,7 @@ class TestRunPipeline:
         assert manifest.succeeded
         for name in ("phase1.json", "phase2.json", "phase3.json", "manifest.json"):
             assert (tmp_path / name).exists()
+        assert len(list(tmp_path.iterdir())) == 5  # the four above and the report, no temp files
         assert (tmp_path / "phase2.json").read_bytes() == (goldens_dir / "phase2.json").read_bytes()
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
         md = next(p for p in tmp_path.iterdir() if p.suffix == ".md")
@@ -166,6 +168,39 @@ class TestRunPipeline:
         assert manifest.phases["phase3"].status == "completed"
         assert manifest.succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
+    @pytest.mark.parametrize("phase", ["phase1", "phase2", "phase3"])
+    def test_resume_over_truncated_artifact_fails_its_phase(
+        self, tmp_path, fixtures_dir, paper_text, phase
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        artifact = tmp_path / f"{phase}.json"
+        artifact.write_bytes(artifact.read_bytes()[: artifact.stat().st_size // 2])
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        status = manifest.phases[phase]
+        assert status.status == "failed"
+        assert f"cannot load {phase}.json" in status.error
+        assert manifest.failure_log == [f"{phase}: {status.error}"]
+        assert manifest.phases["phase4"].status == "pending"
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["phases"][phase]["status"] == "failed"
+        assert on_disk["succeeded"] is False
+
+    def test_interrupted_write_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "phase2.json"
+        pipeline._write_json(path, {"complete": True})
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline._write_json(path, {"complete": False, "padding": "x" * 200})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["phase2.json"]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_client_calls_in_flight_bounded_by_workers(
@@ -343,6 +378,25 @@ class TestCli:
         assert "phase4: completed" in result.output
         assert (tmp_path / "phase3.json").exists()
 
+    @pytest.mark.parametrize("option", ["--concurrency", "--max-attempts"])
+    def test_run_rejects_non_positive_knob(self, tmp_path, fixtures_dir, option):
+        runner = CliRunner()
+        result = runner.invoke(
+            cli_main,
+            [
+                "run",
+                "--input", str(fixtures_dir / "target_paper.txt"),
+                "--out-dir", str(tmp_path),
+                "--mock",
+                "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
+                "--search-fixture", str(fixtures_dir / "mock_search.json"),
+                option, "0",
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "must be positive" in result.output
+
     def test_unknown_flag_exits_two(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["run", "--frobnicate"])
@@ -357,6 +411,17 @@ class TestCli:
         result = runner.invoke(cli_main, ["render", "--input", str(broken)])
         assert result.exit_code == 1
         assert "references" in result.output
+
+    def test_render_rejects_report_missing_nested_key(self, tmp_path, goldens_dir):
+        report = json.loads((goldens_dir / "phase3.json").read_text())
+        del report["references"][0]["title"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(report))
+        runner = CliRunner()
+        result = runner.invoke(cli_main, ["render", "--input", str(broken)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "'title'" in result.output
 
     def test_verify_quote_command(self, tmp_path, fixtures_dir):
         runner = CliRunner()
