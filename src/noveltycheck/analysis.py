@@ -13,8 +13,6 @@ import functools
 import json
 import logging
 import re
-import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -166,7 +164,6 @@ def build_taxonomy(
     llm: LlmClient,
     *,
     original: Optional[PaperRecord] = None,
-    enable_llm_repair: bool = True,
 ) -> RepairOutcome:
     """One generation call over all candidate metadata, then validate and repair."""
     if len(core_candidates) < 2:
@@ -212,7 +209,7 @@ def build_taxonomy(
         allowed,
         original=original_id,
         papers=records,
-        llm=llm if enable_llm_repair else None,
+        llm=llm,
     )
     rank_map = {str(p.canonical_id): i for i, p in enumerate(core_candidates, start=1)}
     outcome.taxonomy = order_all_leaves(outcome.taxonomy, original_id, rank_map)
@@ -541,39 +538,6 @@ def compare_core_task(
 # --- similarity detection -----------------------------------------------------------
 
 
-class SimilarityCache:
-    """Per-candidate memo guaranteeing exactly one detection per id.
-
-    Single writer per key, any number of readers. Concurrent requests for
-    the same key block on the first computation's future.
-    """
-
-    def __init__(self) -> None:
-        self._futures: dict[str, Future] = {}
-        self._lock = threading.Lock()
-
-    def get_or_compute(self, key: str, compute: Callable[[], list[SimilaritySegment]]):
-        with self._lock:
-            fut = self._futures.get(key)
-            if fut is None:
-                fut = Future()
-                self._futures[key] = fut
-                owner = True
-            else:
-                owner = False
-        if owner:
-            try:
-                fut.set_result(compute())
-            except Exception as exc:
-                fut.set_exception(exc)
-                raise
-        return fut.result()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._futures)
-
-
 _SIMILARITY_USER_TMPL = (
     "# Now, please process the following inputs:\n"
     "<Paper_A>\n{paper_a}\n</Paper_A>\n"
@@ -585,56 +549,48 @@ def detect_similarity(
     target_doc: DocumentText,
     candidate: PaperRecord,
     llm: LlmClient,
-    cache: SimilarityCache,
     *,
-    target_id: str = "",
     target_tokens: Optional[TokenStream] = None,
 ) -> list[SimilaritySegment]:
     """Detect and verify overlap segments for one candidate.
 
-    Memoized on (target id, candidate id) so each pair is analyzed exactly
-    once per cache lifetime, even when a cache outlives a single run. Each
-    document is tokenized at most once per call, the target not at all
+    Each document is tokenized at most once per call, the target not at all
     when ``target_tokens`` is given.
     """
-    key = f"{target_id}::{candidate.canonical_id}"
-
-    def _compute() -> list[SimilaritySegment]:
-        if candidate.full_text is None:
-            logger.info("similarity detection skipped for %s: no full text", key)
-            return []
-        user = _SIMILARITY_USER_TMPL.format(
-            paper_a=target_doc.raw, paper_b=candidate.full_text.raw
+    cid = str(candidate.canonical_id)
+    if candidate.full_text is None:
+        logger.info("similarity detection skipped for %s: no full text", cid)
+        return []
+    user = _SIMILARITY_USER_TMPL.format(
+        paper_a=target_doc.raw, paper_b=candidate.full_text.raw
+    )
+    try:
+        raw = llm.complete(load_prompt("similarity_detection"), user, 0.0)
+        parsed = parse_structured_output(raw).value
+    except (LlmError, ParseFailureError) as exc:
+        logger.warning("similarity detection failed for %s: %s", cid, exc)
+        return []
+    target_stream = _target_stream(target_doc, target_tokens)
+    candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
+    segments: list[SimilaritySegment] = []
+    items = parsed.get("plagiarism_segments", []) if isinstance(parsed, Mapping) else []
+    for i, item in enumerate(items, start=1):
+        if not isinstance(item, Mapping):
+            continue
+        seg = SimilaritySegment(
+            segment_id=int(item.get("segment_id", i)),
+            location=str(item.get("location", "unknown")) or "unknown",
+            original_text=str(item.get("original_text", "")),
+            candidate_text=str(item.get("candidate_text", "")),
+            segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
+            rationale=str(item.get("rationale", "")),
         )
-        try:
-            raw = llm.complete(load_prompt("similarity_detection"), user, 0.0)
-            parsed = parse_structured_output(raw).value
-        except (LlmError, ParseFailureError) as exc:
-            logger.warning("similarity detection failed for %s: %s", key, exc)
-            return []
-        target_stream = _target_stream(target_doc, target_tokens)
-        candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
-        segments: list[SimilaritySegment] = []
-        items = parsed.get("plagiarism_segments", []) if isinstance(parsed, Mapping) else []
-        for i, item in enumerate(items, start=1):
-            if not isinstance(item, Mapping):
-                continue
-            seg = SimilaritySegment(
-                segment_id=int(item.get("segment_id", i)),
-                location=str(item.get("location", "unknown")) or "unknown",
-                original_text=str(item.get("original_text", "")),
-                candidate_text=str(item.get("candidate_text", "")),
-                segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
-                rationale=str(item.get("rationale", "")),
-            )
-            verified = verify_segment(seg, target_stream(), candidate_stream())
-            if verified.verified:
-                segments.append(verified)
-            else:
-                logger.info("similarity segment %d for %s failed verification", i, key)
-        return filter_segments(segments)
-
-    return cache.get_or_compute(key, _compute)
+        verified = verify_segment(seg, target_stream(), candidate_stream())
+        if verified.verified:
+            segments.append(verified)
+        else:
+            logger.info("similarity segment %d for %s failed verification", i, cid)
+    return filter_segments(segments)
 
 
 # --- references, narrative, assessment ------------------------------------------------
@@ -1061,7 +1017,6 @@ def run_analysis_phase(
     generated_at: str,
     pipeline_version: str,
     artifact_filenames: Optional[Mapping[str, str]] = None,
-    similarity_cache: Optional[SimilarityCache] = None,
 ) -> NoveltyReport:
     """Run all Phase III work and assemble the structured report.
 
@@ -1092,7 +1047,6 @@ def run_analysis_phase(
             if pid not in comparison_order:
                 comparison_order.append(pid)
     similarity_order = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
-    cache = similarity_cache or SimilarityCache()
 
     with Scheduler(concurrency) as scheduler:
         taxonomy_future = scheduler.submit(
@@ -1109,8 +1063,8 @@ def run_analysis_phase(
         ]
         similarity_futures = [
             scheduler.submit(
-                detect_similarity, target_doc, candidate_records[pid], llm, cache,
-                target_id=str(target.canonical_id), target_tokens=target_tokens,
+                detect_similarity, target_doc, candidate_records[pid], llm,
+                target_tokens=target_tokens,
             )
             for pid in similarity_order
         ]
@@ -1152,25 +1106,13 @@ def run_analysis_phase(
 
     # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}
-    for claim in phase1.claims:
+    for idx, claim in enumerate(phase1.claims):
         entries: list[ContributionComparison] = []
         for paper in candidate_set.per_contribution.get(claim.claim_id, ()):
             pid = str(paper.canonical_id)
-            candidate_entries = entries_by_candidate.get(pid, [])
-            idx = phase1.claims.index(claim)
-            if idx < len(candidate_entries):
-                entry = candidate_entries[idx]
-            else:
-                entry = ContributionComparison(
-                    canonical_id=pid,
-                    candidate_paper_title=candidate_records[pid].title,
-                    candidate_paper_url=candidate_records[pid].url,
-                    comparison_mode="abstract",
-                    refutation_status=UNCLEAR,
-                    brief_note="No analysis produced for this candidate.",
-                )
             entry = replace(
-                entry, similarity_segments=list(segments_by_candidate.get(pid, []))
+                entries_by_candidate[pid][idx],
+                similarity_segments=list(segments_by_candidate.get(pid, [])),
             )
             entries.append(entry)
         all_entries[claim.claim_id] = downgrade_unverified(entries)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import sys
@@ -17,6 +18,20 @@ from .render import RenderConfig, output_filename, render_markdown
 from .retrieval import RetryPolicy
 from .taxonomy import TaxonomyNode, validate_taxonomy
 from .verification import verify_quote_detailed
+
+
+def _exit_on_error(command):
+    """Report bad input or a pipeline error as one ``error:`` line and exit 1."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (NoveltyCheckError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+    return wrapper
 
 
 @click.group()
@@ -54,6 +69,7 @@ def main(verbose: bool) -> None:
 @click.option("--url", help="Target paper URL (also used for date inference).")
 @click.option("--emit-pdf", is_flag=True)
 @click.option("--quote-limit", type=int, default=90, show_default=True)
+@_exit_on_error
 def run(
     input_path: Path,
     out_dir: Path,
@@ -78,36 +94,32 @@ def run(
     quote_limit: int,
 ) -> None:
     """Run the full four-phase pipeline on one paper."""
-    try:
-        cfg = PipelineConfig(
-            output_dir=out_dir,
-            mock=mock,
-            llm_fixture=llm_fixture,
-            search_fixture=search_fixture,
-            llm_endpoint=llm_endpoint,
-            llm_model=llm_model,
-            llm_api_key=llm_api_key,
-            search_endpoint=search_endpoint,
-            search_api_key=search_api_key,
-            retry=RetryPolicy(
-                max_query_attempts=max_attempts,
-                initial_delay=initial_delay,
-                concurrency=concurrency,
-            ),
-            topk_core=topk_core,
-            topk_contribution=topk_contribution,
-            analysis_concurrency=concurrency,
-            resume=resume,
-            fixed_timestamp=timestamp,
-            target_title=title,
-            target_url=url,
-            emit_pdf=emit_pdf,
-            quote_truncation_limit=quote_limit,
-        )
-        manifest = run_pipeline(input_path.read_text(encoding="utf-8"), cfg)
-    except NoveltyCheckError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cfg = PipelineConfig(
+        output_dir=out_dir,
+        mock=mock,
+        llm_fixture=llm_fixture,
+        search_fixture=search_fixture,
+        llm_endpoint=llm_endpoint,
+        llm_model=llm_model,
+        llm_api_key=llm_api_key,
+        search_endpoint=search_endpoint,
+        search_api_key=search_api_key,
+        retry=RetryPolicy(
+            max_query_attempts=max_attempts,
+            initial_delay=initial_delay,
+            concurrency=concurrency,
+        ),
+        topk_core=topk_core,
+        topk_contribution=topk_contribution,
+        analysis_concurrency=concurrency,
+        resume=resume,
+        fixed_timestamp=timestamp,
+        target_title=title,
+        target_url=url,
+        emit_pdf=emit_pdf,
+        quote_truncation_limit=quote_limit,
+    )
+    manifest = run_pipeline(input_path.read_text(encoding="utf-8"), cfg)
     for name, status in manifest.phases.items():
         click.echo(f"{name}: {status.status}" + (f" ({status.error})" if status.error else ""))
     sys.exit(0 if manifest.succeeded else 1)
@@ -117,6 +129,7 @@ def run(
 @click.option("--quote", required=True, help="Quote text to locate.")
 @click.option("--doc", "doc_path", type=click.Path(exists=True, path_type=Path), required=True,
               help="Plain-text document to search.")
+@_exit_on_error
 def verify_quote_cmd(quote: str, doc_path: Path) -> None:
     """Check whether a quote can be verified in a document."""
     doc = preprocess_document(doc_path.read_text(encoding="utf-8"), purpose="comparison")
@@ -142,6 +155,7 @@ def verify_quote_cmd(quote: str, doc_path: Path) -> None:
 @click.option("--allowed", "allowed_path", type=click.Path(exists=True, path_type=Path),
               required=True, help="JSON list of allowed paper ids.")
 @click.option("--original", help="Canonical id that must appear exactly once.")
+@_exit_on_error
 def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | None) -> None:
     """Validate a taxonomy against its allowed id set; exit 1 when invalid."""
     tax = TaxonomyNode.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
@@ -157,14 +171,11 @@ def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | 
 @click.option("--out", "out_path", type=click.Path(path_type=Path),
               help="Output Markdown path (default: derived name in cwd).")
 @click.option("--quote-limit", type=int, default=90, show_default=True)
+@_exit_on_error
 def render(input_path: Path, out_path: Path | None, quote_limit: int) -> None:
     """Render a Phase III report JSON to Markdown (Phase IV only)."""
-    try:
-        report = NoveltyReport.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
-        markdown = render_markdown(report, RenderConfig(quote_truncation_limit=quote_limit))
-    except NoveltyCheckError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = NoveltyReport.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
+    markdown = render_markdown(report, RenderConfig(quote_truncation_limit=quote_limit))
     target = out_path or Path(output_filename(report))
     target.write_text(markdown, encoding="utf-8")
     click.echo(str(target))

@@ -35,15 +35,9 @@ MIN_CORE_TASK_WORDS = 5
 MAX_CONTRIBUTIONS = 3
 
 
-@dataclass(frozen=True)
-class Temperatures:
-    """Sampling temperatures per extraction task, exposed in config."""
-
-    contribution_extraction: float = 0.0
-    core_task: float = 0.1
-    primary_query: float = 0.0
-    query_variants: float = 0.2
-    analysis: float = 0.0
+#: Sampling temperatures of the two paraphrasing tasks; every other call uses 0.0.
+CORE_TASK_TEMPERATURE = 0.1
+QUERY_VARIANTS_TEMPERATURE = 0.2
 
 
 def word_count(text: str) -> int:
@@ -380,11 +374,10 @@ _VARIANTS_USER_TMPL = "Original query:\n{primary}\n\nPlease provide 2-3 paraphra
 _PROMPT_BODY_CHARS = 60_000
 
 
-def _call_llm(
-    llm: LlmClient, system: str, user: str, temperature: float, *, retries: int = 1
-) -> str:
+def _call_llm(llm: LlmClient, system: str, user: str, temperature: float) -> str:
+    """One call, retried once on a model error; a second error aborts Phase I."""
     last: Optional[Exception] = None
-    for _ in range(retries + 1):
+    for _ in range(2):
         try:
             return llm.complete(system, user, temperature)
         except LlmError as exc:
@@ -404,7 +397,6 @@ def extract_core_task(
     *,
     title: str = "",
     abstract: str = "",
-    temperatures: Temperatures = Temperatures(),
 ) -> CoreTask:
     """Ask the model for the core-task phrase and enforce the 5-15 word bound.
 
@@ -418,10 +410,10 @@ def extract_core_task(
         title=title, abstract=abstract, body=doc.raw[:_PROMPT_BODY_CHARS]
     )
     flags: list[str] = []
-    phrase = _clean_phrase(_call_llm(llm, system, user, temperatures.core_task))
+    phrase = _clean_phrase(_call_llm(llm, system, user, CORE_TASK_TEMPERATURE))
     if word_count(phrase) < MIN_CORE_TASK_WORDS:
         logger.info("core task %r under 5 words, re-requesting once", phrase)
-        phrase = _clean_phrase(_call_llm(llm, system, user, temperatures.core_task))
+        phrase = _clean_phrase(_call_llm(llm, system, user, CORE_TASK_TEMPERATURE))
         flags.append("core_task_rerequested")
         if word_count(phrase) < MIN_CORE_TASK_WORDS:
             raise PhaseAbortError(
@@ -438,7 +430,6 @@ def extract_contributions(
     llm: LlmClient,
     *,
     title: str = "",
-    temperatures: Temperatures = Temperatures(),
 ) -> tuple[list[ContributionClaim], list[str]]:
     """Extract up to three validated contribution claims.
 
@@ -448,7 +439,7 @@ def extract_contributions(
     system = load_prompt("contribution_extraction")
     user = _CONTRIBUTION_USER_TMPL.format(title=title, body=doc.raw[:_PROMPT_BODY_CHARS])
     warnings: list[str] = []
-    raw = _call_llm(llm, system, user, temperatures.contribution_extraction)
+    raw = _call_llm(llm, system, user, 0.0)
     try:
         parsed = parse_structured_output(raw)
     except ParseFailureError:
@@ -486,7 +477,6 @@ def expand_query_variants(
     llm: LlmClient,
     *,
     require_prefix: bool,
-    temperatures: Temperatures = Temperatures(),
 ) -> tuple[tuple[str, ...], list[str]]:
     """One variant-generation call, normalized to exactly three query texts."""
     flags: list[str] = []
@@ -495,7 +485,7 @@ def expand_query_variants(
         raw = llm.complete(
             load_prompt("query_variants"),
             _VARIANTS_USER_TMPL.format(primary=primary),
-            temperatures.query_variants,
+            QUERY_VARIANTS_TEMPERATURE,
         )
         parsed = parse_structured_output(raw)
         if isinstance(parsed.value, dict):
@@ -510,8 +500,6 @@ def expand_query_variants(
 def generate_primary_queries(
     claims: Sequence[ContributionClaim],
     llm: LlmClient,
-    *,
-    temperatures: Temperatures = Temperatures(),
 ) -> tuple[dict[str, str], list[str]]:
     """One call producing the prior-work query for every claim id."""
     warnings: list[str] = []
@@ -527,7 +515,7 @@ def generate_primary_queries(
             )
         user = "Generate one query per claim for the following claims:\n" + "\n".join(sections)
         try:
-            raw = llm.complete(load_prompt("primary_query"), user, temperatures.primary_query)
+            raw = llm.complete(load_prompt("primary_query"), user, 0.0)
             parsed = parse_structured_output(raw)
             if isinstance(parsed.value, dict):
                 for entry in parsed.value.get("queries", []):
@@ -632,29 +620,24 @@ def run_extraction_phase(
     *,
     title: str = "",
     abstract: str = "",
-    temperatures: Temperatures = Temperatures(),
     concurrency: int = 1,
 ) -> Phase1Result:
     """Run Phase I: the core-task and contribution chains side by side, then assemble."""
     with Scheduler(concurrency) as scheduler:
         core_future = scheduler.submit(
-            extract_core_task, doc, llm, title=title, abstract=abstract, temperatures=temperatures
+            extract_core_task, doc, llm, title=title, abstract=abstract
         )
-        claims_future = scheduler.submit(
-            extract_contributions, doc, llm, title=title, temperatures=temperatures
-        )
+        claims_future = scheduler.submit(extract_contributions, doc, llm, title=title)
         core = core_future.result()
         core_expansion = scheduler.submit(
-            expand_query_variants, core.text, llm, require_prefix=False, temperatures=temperatures
+            expand_query_variants, core.text, llm, require_prefix=False
         )
         claims, warnings = claims_future.result()
-        primaries, query_warnings = scheduler.submit(
-            generate_primary_queries, claims, llm, temperatures=temperatures
-        ).result()
+        primaries, query_warnings = scheduler.submit(generate_primary_queries, claims, llm).result()
         warnings.extend(query_warnings)
         expansions = scheduler.map(
             lambda claim: expand_query_variants(
-                primaries[claim.claim_id], llm, require_prefix=True, temperatures=temperatures
+                primaries[claim.claim_id], llm, require_prefix=True
             ),
             claims,
         )

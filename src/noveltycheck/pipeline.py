@@ -28,7 +28,7 @@ from .clients import (
 )
 from .codec import encode
 from .errors import InvalidInputError, NoveltyCheckError, PhaseAbortError
-from .extraction import Phase1Result, Temperatures, run_extraction_phase
+from .extraction import Phase1Result, run_extraction_phase
 from .papers import (
     PaperRecord,
     canonical_id_of,
@@ -65,13 +65,11 @@ class PipelineConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     topk_core: int = DEFAULT_TOPK_CORE
     topk_contribution: int = DEFAULT_TOPK_CONTRIBUTION
-    temperatures: Temperatures = field(default_factory=Temperatures)
     analysis_concurrency: int = 1
     resume: bool = False
     fixed_timestamp: Optional[str] = None
     target_title: Optional[str] = None
     target_url: Optional[str] = None
-    target_abstract: Optional[str] = None
     emit_pdf: bool = False
     quote_truncation_limit: int = 90
     sleep: Callable[[float], None] = time.sleep
@@ -178,7 +176,6 @@ def parse_front_matter(paper_text: str) -> tuple[str, str]:
 def build_target_record(paper_text: str, cfg: PipelineConfig, llm: LlmClient) -> PaperRecord:
     title, abstract = parse_front_matter(paper_text)
     title = cfg.target_title or title or "Untitled target paper"
-    abstract = cfg.target_abstract or abstract
     date = infer_publication_date(
         url=cfg.target_url, front_matter=paper_text[:4000], llm=llm
     )
@@ -232,9 +229,14 @@ class _PhaseRunner:
         self.persist()
         try:
             result = compute()
-        except Exception as exc:
+        except NoveltyCheckError as exc:
             self._fail(name, exc)
             raise
+        except Exception as exc:
+            logger.exception("%s failed", name)
+            abort = PhaseAbortError(name, f"{type(exc).__name__}: {exc}")
+            self._fail(name, abort)
+            raise abort from exc
         status.status = "completed"
         status.finished_at = _now()
         status.artifact = artifact.name
@@ -272,7 +274,6 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             llm,
             title=target.title,
             abstract=target.abstract,
-            temperatures=cfg.temperatures,
             concurrency=cfg.analysis_concurrency,
         )
         _write_json(phase1_path, {"target": encode(target), "result": result.to_dict()})
@@ -321,16 +322,12 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         return NoveltyReport.from_dict(_read_json(phase3_path))
 
     def _phase4(report: NoveltyReport) -> Path:
-        render_cfg = RenderConfig(
-            quote_truncation_limit=cfg.quote_truncation_limit,
-            emit_pdf=cfg.emit_pdf,
-            output_dir=out,
-        )
+        render_cfg = RenderConfig(quote_truncation_limit=cfg.quote_truncation_limit)
         markdown = render_markdown(report, render_cfg)
         md_path = out / output_filename(report)
         _write_text(md_path, markdown)
         if cfg.emit_pdf:
-            render_pdf(md_path, render_cfg)
+            render_pdf(md_path)
         return md_path
 
     try:

@@ -32,10 +32,6 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RenderConfig:
     quote_truncation_limit: int = 90
-    indent_unit: str = "  "
-    emit_pdf: bool = False
-    output_dir: Optional[Path] = None
-    pdf_converter: str = "pandoc"
 
     def __post_init__(self) -> None:
         if self.quote_truncation_limit < 30:
@@ -81,10 +77,9 @@ def _render_taxonomy(
     md: _MarkdownBuilder,
     node: Mapping[str, Any],
     refs_by_id: Mapping[str, ReportReference],
-    indent_unit: str,
     depth: int = 0,
 ) -> None:
-    indent = indent_unit * depth
+    indent = "  " * depth
     scope = node.get("scope_note")
     label = f"**{node['name']}**"
     if scope:
@@ -92,9 +87,9 @@ def _render_taxonomy(
     md.line(f"{indent}- {label}")
     for pid in node.get("papers", ()):
         ref = refs_by_id.get(pid)
-        md.line(f"{indent}{indent_unit}- {_cite(ref, pid)}" + (f": {ref.title}" if ref else ""))
+        md.line(f"{indent}  - {_cite(ref, pid)}" + (f": {ref.title}" if ref else ""))
     for child in node.get("subtopics", ()):
-        _render_taxonomy(md, child, refs_by_id, indent_unit, depth + 1)
+        _render_taxonomy(md, child, refs_by_id, depth + 1)
 
 
 def _render_segment(
@@ -179,7 +174,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     if survey.get("taxonomy_status") == "needs_review":
         md.line("> Note: this taxonomy failed validation after repair (needs_review).")
         md.blank()
-    _render_taxonomy(md, survey.get("taxonomy", {"name": "Survey Taxonomy"}), refs_by_id, cfg.indent_unit)
+    _render_taxonomy(md, survey.get("taxonomy", {"name": "Survey Taxonomy"}), refs_by_id)
     md.blank()
     md.line("### Narrative")
     md.blank()
@@ -295,12 +290,12 @@ def output_filename(report: NoveltyReport, extension: str = "md") -> str:
     return f"novelty_report_{safe_cid}_v{safe_version}.{extension}"
 
 
-def render_pdf(markdown_path: Path, cfg: RenderConfig) -> Path:
-    """Shell out to the configured converter; excluded from golden tests."""
+def render_pdf(markdown_path: Path) -> Path:
+    """Shell out to pandoc; excluded from golden tests."""
     pdf_path = markdown_path.with_suffix(".pdf")
     try:
         subprocess.run(
-            [cfg.pdf_converter, str(markdown_path), "-o", str(pdf_path)],
+            ["pandoc", str(markdown_path), "-o", str(pdf_path)],
             check=True,
             capture_output=True,
         )

@@ -226,7 +226,7 @@ def llm_repair(
     papers: Mapping[str, PaperRecord],
     llm: LlmClient,
     *,
-    allowed: Optional[set[str]] = None,
+    allowed: set[str],
     original: Optional[str] = None,
 ) -> RepairOutcome:
     """One model round placing missing papers into best-fit existing leaves.
@@ -236,9 +236,6 @@ def llm_repair(
     diagnostics.
     """
     diagnostics: list[str] = []
-    if allowed is None:
-        assigned = set(_walk_assignments(tax))
-        allowed = (assigned - set(report.extra_ids)) | set(report.missing_ids)
     if not report.missing_ids:
         status = "valid" if report.is_valid else "needs_review"
         if status == "needs_review":

@@ -268,18 +268,12 @@ def combine_score(mean_hit_coverage: float, hit_ratio: float, compact: bool) -> 
     return score
 
 
-def verify_quote_detailed(
-    quote: str,
-    doc: Document,
-    *,
-    mean_over: str = "hits",
-) -> QuoteVerification:
+def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
     ``doc`` may be given already tokenized, as ``tokenize(doc.normalized)``,
     so that a caller verifying many quotes tokenizes the document once.
-    ``mean_over`` selects whether mean coverage averages hit anchors only
-    (the default reading) or all anchors.
+    Mean coverage averages the hit anchors only.
     """
     if isinstance(doc, TokenStream):
         doc_stream = doc
@@ -298,10 +292,7 @@ def verify_quote_detailed(
     matches = tuple(align_anchor(a, doc_stream) for a in anchors)
     hits = [m for m in matches if m.is_hit]
     hit_ratio = len(hits) / len(matches)
-    if mean_over == "all":
-        mean_coverage = sum(m.coverage for m in matches) / len(matches)
-    else:
-        mean_coverage = sum(m.coverage for m in hits) / len(hits) if hits else 0.0
+    mean_coverage = sum(m.coverage for m in hits) / len(hits) if hits else 0.0
     compact = _spans_compact(matches)
     score = combine_score(mean_coverage, hit_ratio, compact)
     return QuoteVerification(
@@ -313,11 +304,9 @@ def verify_quote_detailed(
     )
 
 
-def verify_quote(
-    quote: str, doc: Document, *, mean_over: str = "hits"
-) -> QuoteLocation:
+def verify_quote(quote: str, doc: Document) -> QuoteLocation:
     """Locate a quote in a document; found iff the confidence exceeds 0.6."""
-    return verify_quote_detailed(quote, doc, mean_over=mean_over).location
+    return verify_quote_detailed(quote, doc).location
 
 
 # --- similarity segments --------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Phase III behavior: comparisons, similarity caching, downgrade, assembly."""
+"""Phase III behavior: comparisons, similarity detection, downgrade, assembly."""
 
 import json
 import random
-import threading
 
 import pytest
 
@@ -14,7 +13,6 @@ from noveltycheck.analysis import (
     ContributionComparison,
     EvidencePair,
     RefutationEvidence,
-    SimilarityCache,
     assemble_report,
     build_references,
     build_taxonomy,
@@ -502,7 +500,7 @@ class TestDetectSimilarity:
                  "original_text": SEGMENT_TEXT, "candidate_text": SEGMENT_TEXT,
                  "plagiarism_type": "Direct", "rationale": "verbatim"}]}}
         )
-        segments = detect_similarity(self._target_doc(), self._candidate(), llm, SimilarityCache())
+        segments = detect_similarity(self._target_doc(), self._candidate(), llm)
         assert len(segments) == 1
         assert segments[0].verified and segments[0].segment_type == "Direct"
 
@@ -514,53 +512,15 @@ class TestDetectSimilarity:
                  "candidate_text": "words that simply do not occur in the candidate document " * 4,
                  "plagiarism_type": "Direct", "rationale": "made up"}]}}
         )
-        segments = detect_similarity(self._target_doc(), self._candidate(), llm, SimilarityCache())
+        segments = detect_similarity(self._target_doc(), self._candidate(), llm)
         assert segments == []
-
-    def test_candidate_analyzed_exactly_once(self):
-        llm = MockLlmClient({"default": {"plagiarism_segments": []}})
-        cache = SimilarityCache()
-        candidate = self._candidate()
-        doc = self._target_doc()
-        detect_similarity(doc, candidate, llm, cache, target_id="t1")
-        detect_similarity(doc, candidate, llm, cache, target_id="t1")
-        assert len(llm.calls) == 1
-
-    def test_cache_keyed_by_target_and_candidate(self):
-        llm = MockLlmClient({"default": {"plagiarism_segments": []}})
-        cache = SimilarityCache()
-        candidate = self._candidate()
-        doc = self._target_doc()
-        detect_similarity(doc, candidate, llm, cache, target_id="t1")
-        detect_similarity(doc, candidate, llm, cache, target_id="t2")
-        assert len(llm.calls) == 2
 
     def test_no_full_text_returns_empty(self):
         llm = MockLlmClient({})
         candidate = make_record("Abstract Only Candidate", 0.9)
-        segments = detect_similarity(self._target_doc(), candidate, llm, SimilarityCache())
+        segments = detect_similarity(self._target_doc(), candidate, llm)
         assert segments == []
         assert llm.calls == []
-
-    def test_cache_single_writer_under_threads(self):
-        calls = []
-        lock = threading.Lock()
-
-        def compute():
-            with lock:
-                calls.append(1)
-            return []
-
-        cache = SimilarityCache()
-        threads = [
-            threading.Thread(target=lambda: cache.get_or_compute("key", compute))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
 
 
 class TestReferencesAndAssembly:

@@ -13,6 +13,7 @@ from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
 from noveltycheck.errors import InvalidInputError, SearchError
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
+from noveltycheck.prompts import load_prompt
 from noveltycheck.retrieval import RetryPolicy
 
 TARGET_URL = "https://arxiv.org/abs/2504.01234"
@@ -101,6 +102,16 @@ def run_bounded(paper_text, cfg, timeout=60):
     assert not worker.is_alive(), "run_pipeline did not return"
     assert "error" not in outcome, f"raw exception: {outcome.get('error')!r}"
     return outcome["manifest"]
+
+
+def run_recording_llm(monkeypatch, paper_text, cfg):
+    """Run the bundled fixtures; return the manifest and the model client's call log."""
+    llm = MockLlmClient.from_file(cfg.llm_fixture)
+    monkeypatch.setattr(
+        pipeline, "build_clients",
+        lambda cfg: (llm, MockSearchClient.from_file(cfg.search_fixture)),
+    )
+    return run_bounded(paper_text, cfg), llm.calls
 
 
 class AlwaysFailingSearch(SearchClient):
@@ -259,6 +270,53 @@ class TestRunPipeline:
         assert on_disk["phases"][failed_phase]["status"] == "failed"
         assert on_disk["succeeded"] is False
 
+    def test_one_similarity_check_per_full_text_candidate(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        cfg = make_config(
+            tmp_path, fixtures_dir, retry=RetryPolicy(concurrency=4), analysis_concurrency=4
+        )
+        manifest, calls = run_recording_llm(monkeypatch, paper_text, cfg)
+        assert manifest.succeeded
+        unified = json.loads((tmp_path / "phase2.json").read_text())["candidate_set"]["unified"]
+        texts = [u["paper"]["full_text"]["raw"] for u in unified if u["paper"]["full_text"]]
+        checks = [c["user"] for c in calls if c["system"] == load_prompt("similarity_detection")]
+        assert len(texts) == 2
+        assert len(checks) == len(texts)
+        for text in texts:
+            assert sum(f"<Paper_B>\n{text}\n</Paper_B>" in user for user in checks) == 1
+
+    def test_sampling_temperature_per_prompt(self, monkeypatch, tmp_path, fixtures_dir, paper_text):
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir)
+        )
+        assert manifest.succeeded
+        names = {load_prompt(name): name for name in ("core_task", "query_variants")}
+        sent = {(names.get(c["system"], "other"), c["temperature"]) for c in calls}
+        assert sent == {("core_task", 0.1), ("query_variants", 0.2), ("other", 0.0)}
+
+    def test_error_outside_the_pipeline_fails_its_phase(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        write_json = pipeline._write_json
+
+        def disk_full_on_phase2(path, payload):
+            if path.name == "phase2.json":
+                raise OSError(28, "No space left on device")
+            write_json(path, payload)
+
+        monkeypatch.setattr(pipeline, "_write_json", disk_full_on_phase2)
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir))
+        assert not manifest.succeeded
+        assert manifest.phases["phase1"].status == "completed"
+        assert manifest.phases["phase2"].status == "failed"
+        assert "No space left on device" in manifest.phases["phase2"].error
+        assert manifest.phases["phase3"].status == "pending"
+        assert manifest.phases["phase4"].status == "pending"
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["phases"]["phase2"]["status"] == "failed"
+        assert on_disk["succeeded"] is False
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_analysis_concurrency_below_one_rejected(
         self, tmp_path, fixtures_dir, paper_text, workers
@@ -396,6 +454,34 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "must be positive" in result.output
+
+    @pytest.mark.parametrize(
+        "case", ["render_cut_json", "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8"]
+    )
+    def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
+        path = tmp_path / "input"
+        if case == "render_cut_json":
+            path.write_bytes((goldens_dir / "phase3.json").read_bytes()[:300])
+            args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case == "taxonomy_missing_name":
+            path.write_text(json.dumps({"foo": 1}))
+            (tmp_path / "allowed.json").write_text(json.dumps(["p1"]))
+            args = ["validate-taxonomy", "--input", str(path),
+                    "--allowed", str(tmp_path / "allowed.json")]
+        elif case == "quote_empty_doc":
+            path.write_text("")
+            args = ["verify-quote", "--quote", "any quote at all", "--doc", str(path)]
+        else:
+            path.write_bytes(b"Title\n\n\xff\xfe not utf-8\n")
+            args = [
+                "run", "--input", str(path), "--out-dir", str(tmp_path / "out"), "--mock",
+                "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
+                "--search-fixture", str(fixtures_dir / "mock_search.json"),
+            ]
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
 
     def test_unknown_flag_exits_two(self):
         runner = CliRunner()

@@ -1,6 +1,7 @@
 """Query execution fault tolerance and the multi-layer filtering pipeline."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     PARTIAL,
@@ -21,6 +22,15 @@ from noveltycheck.retrieval import (
     execute_queries,
     filter_scope,
 )
+
+# Small pools, so ids and titles collide within and across scopes, and a
+# record found by title can carry a better id than the entry it joins.
+_PAPER = st.tuples(
+    st.sampled_from(["Shared Work", "shared  work.", "Own Work", "Third Work"]),
+    st.sampled_from([None, "doi", "arxiv", "openreview", "title-hash"]),
+    st.sampled_from(["a", "b", "c"]),
+)
+_SCOPE = st.lists(_PAPER, max_size=6)
 
 QUERY = SearchQuery(query_id="core_task:primary", text="some query", scope="core_task", kind="primary")
 
@@ -275,6 +285,19 @@ class TestCrossScopeDedup:
         # the unified view and the core-task view describe the same record,
         # so the identity upgrade is visible in both
         assert candidate_set.core_task[0].canonical_id.scheme is IdScheme.DOI
+
+    @given(core=_SCOPE, per=st.lists(_SCOPE, max_size=3))
+    def test_unified_ids_pairwise_distinct(self, core, per):
+        """Phase III runs one similarity check per unified id, so no id repeats."""
+
+        def records(specs):
+            return [make_record(t, scheme=scheme, value=value) for t, scheme, value in specs]
+
+        candidate_set = cross_scope_dedup(
+            records(core), {f"contribution_{i}": records(s) for i, s in enumerate(per, start=1)}
+        )
+        ids = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
+        assert len(ids) == len(set(ids))
 
     def test_per_scope_lists_preserved(self):
         core = [make_record("Shared Work", 0.9)]

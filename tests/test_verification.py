@@ -171,11 +171,6 @@ class TestVerifyQuote:
         for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
             assert verify_quote(quote, stream) == verify_quote(quote, DOC_TEXT)
 
-    def test_mean_over_all_anchors_switch(self):
-        detail = verify_quote_detailed(anchor_case_quote(), anchor_case_doc(compact=True), mean_over="all")
-        # mean over all four anchors: (1 + 1 + 0.5 + 0) / 4 = 0.625
-        assert detail.location.match_score == pytest.approx((7 * 0.625 + 3 * 0.5) / 10)
-
     def test_verbatim_substrings_of_fixture_doc(self, fixtures_dir):
         from noveltycheck.papers import preprocess_document
 
