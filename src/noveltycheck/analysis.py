@@ -10,7 +10,6 @@ doubly-verified evidence pair.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -23,12 +22,13 @@ from .extraction import (
     ContributionClaim,
     CoreTask,
     Phase1Result,
+    ask,
     parse_structured_output,
     truncate_words,
     word_count,
 )
 from .papers import DocumentText, PaperRecord, normalize_text
-from .prompts import load_prompt
+from .prompts import complete
 from .retrieval import CandidateSet
 from .scheduler import Scheduler
 from .taxonomy import (
@@ -184,12 +184,9 @@ def build_taxonomy(
             {"id": pid, "title": paper.title, "abstract": paper.abstract, "rank": rank}
         )
     allowed = set(records)
-    user = json.dumps(
-        {"topic": core_task.text, "original_paper_id": original_id, "papers": papers_payload},
-        ensure_ascii=False,
-    )
+    payload = {"topic": core_task.text, "original_paper_id": original_id, "papers": papers_payload}
     try:
-        raw = llm.complete(load_prompt("taxonomy_construction"), user, 0.0)
+        raw = complete(llm, "taxonomy_construction", payload)
     except LlmError as exc:
         return RepairOutcome(
             taxonomy=TaxonomyNode(name="Survey Taxonomy (unavailable)"),
@@ -335,16 +332,14 @@ def compare_contribution(
         candidate=prompt_text,
     )
     try:
-        raw = llm.complete(load_prompt("claim_comparison"), user, 0.0)
-        parsed = parse_structured_output(raw).value
+        parsed = ask(llm, "claim_comparison", user).value
     except (LlmError, ParseFailureError) as exc:
         note = f"Comparison unavailable: {exc}"
         return [_entry(UNCLEAR, note, None) for _ in claims]
 
-    analyses = parsed.get("contribution_analyses", []) if isinstance(parsed, Mapping) else []
     by_name: dict[str, Mapping[str, Any]] = {}
     ordered: list[Mapping[str, Any]] = []
-    for item in analyses:
+    for item in parsed.get("contribution_analyses", []):
         if isinstance(item, Mapping):
             ordered.append(item)
             name = str(item.get("contribution_name", "")).strip().lower()
@@ -459,12 +454,7 @@ def compare_core_task(
             ],
         }
         try:
-            raw = llm.complete(
-                load_prompt("subtopic_comparison"), json.dumps(payload, ensure_ascii=False), 0.0
-            )
-            parsed = parse_structured_output(raw).value
-            if isinstance(parsed, Mapping):
-                analysis.subtopic_summary = dict(parsed)
+            analysis.subtopic_summary = ask(llm, "subtopic_comparison", payload).value
         except (LlmError, ParseFailureError) as exc:
             analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
         return analysis
@@ -505,12 +495,7 @@ def compare_core_task(
         }
         mode = "fulltext" if record.full_text is not None else "abstract_fallback"
         try:
-            raw = llm.complete(
-                load_prompt("sibling_distinction"), json.dumps(payload, ensure_ascii=False), 0.0
-            )
-            parsed = parse_structured_output(raw).value
-            if not isinstance(parsed, Mapping):
-                raise ParseFailureError("sibling comparison is not an object", raw)
+            parsed = ask(llm, "sibling_distinction", payload).value
             duplicate = bool(parsed.get("is_duplicate_variant", False))
             brief = str(parsed.get("brief_comparison", "")).strip()
             diagnostic = None
@@ -565,16 +550,14 @@ def detect_similarity(
         paper_a=target_doc.raw, paper_b=candidate.full_text.raw
     )
     try:
-        raw = llm.complete(load_prompt("similarity_detection"), user, 0.0)
-        parsed = parse_structured_output(raw).value
+        parsed = ask(llm, "similarity_detection", user).value
     except (LlmError, ParseFailureError) as exc:
         logger.warning("similarity detection failed for %s: %s", cid, exc)
         return []
     target_stream = _target_stream(target_doc, target_tokens)
     candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
     segments: list[SimilaritySegment] = []
-    items = parsed.get("plagiarism_segments", []) if isinstance(parsed, Mapping) else []
-    for i, item in enumerate(items, start=1):
+    for i, item in enumerate(parsed.get("plagiarism_segments", []), start=1):
         if not isinstance(item, Mapping):
             continue
         seg = SimilaritySegment(
@@ -668,8 +651,8 @@ def strip_bad_citations(text: str, allowed: set[int]) -> str:
 
 def _request_prose(
     llm: LlmClient,
-    system: str,
-    user: str,
+    name: str,
+    payload: Mapping[str, Any],
     key: str,
     allowed: set[int],
 ) -> tuple[Any, list[str]]:
@@ -677,10 +660,9 @@ def _request_prose(
     diagnostics: list[str] = []
 
     def _once() -> Any:
-        raw = llm.complete(system, user, 0.0)
-        parsed = parse_structured_output(raw).value
-        if not isinstance(parsed, Mapping) or key not in parsed:
-            raise ParseFailureError(f"missing key {key!r} in response", raw)
+        parsed = ask(llm, name, payload).value
+        if key not in parsed:
+            raise ParseFailureError(f"missing key {key!r} in response", str(parsed))
         return parsed[key]
 
     value = _once()
@@ -733,8 +715,8 @@ def generate_narrative(
     try:
         value, diagnostics = _request_prose(
             llm,
-            load_prompt("narrative_synthesis"),
-            json.dumps(payload, ensure_ascii=False),
+            "narrative_synthesis",
+            payload,
             "narrative",
             allowed_indices,
         )
@@ -773,8 +755,8 @@ def generate_overall_assessment(
     try:
         value, diagnostics = _request_prose(
             llm,
-            load_prompt("overall_assessment"),
-            json.dumps(payload, ensure_ascii=False),
+            "overall_assessment",
+            payload,
             "paragraphs",
             allowed_indices,
         )
@@ -797,16 +779,14 @@ def generate_one_liners(
         ]
     }
     try:
-        raw = llm.complete(load_prompt("one_liner"), json.dumps(payload, ensure_ascii=False), 0.0)
-        parsed = parse_structured_output(raw).value
+        parsed = ask(llm, "one_liner", payload).value
     except (LlmError, ParseFailureError) as exc:
         logger.warning("one-liner generation failed: %s", exc)
         return {}
     out: dict[str, str] = {}
-    if isinstance(parsed, Mapping):
-        for item in parsed.get("items", []):
-            if isinstance(item, Mapping) and item.get("paper_id"):
-                out[str(item["paper_id"])] = str(item.get("brief_one_liner", ""))
+    for item in parsed.get("items", []):
+        if isinstance(item, Mapping) and item.get("paper_id"):
+            out[str(item["paper_id"])] = str(item.get("brief_one_liner", ""))
     return out
 
 

@@ -27,7 +27,7 @@ def _exit_on_error(command):
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (NoveltyCheckError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (NoveltyCheckError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 

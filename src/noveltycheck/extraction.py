@@ -12,13 +12,13 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
 from .codec import decode, encode
 from .errors import ContributionRejected, LlmError, ParseFailureError, PhaseAbortError
 from .papers import DocumentText
-from .prompts import load_prompt
+from .prompts import complete
 from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
@@ -33,11 +33,6 @@ MAX_QUERY_WORDS = 25
 MAX_CORE_TASK_WORDS = 15
 MIN_CORE_TASK_WORDS = 5
 MAX_CONTRIBUTIONS = 3
-
-
-#: Sampling temperatures of the two paraphrasing tasks; every other call uses 0.0.
-CORE_TASK_TEMPERATURE = 0.1
-QUERY_VARIANTS_TEMPERATURE = 0.2
 
 
 def word_count(text: str) -> int:
@@ -186,6 +181,15 @@ def parse_structured_output(raw: str) -> ParsedOutput:
     if value is not None:
         return ParsedOutput(value, "truncation")
     raise ParseFailureError("model output is not recoverable JSON", raw)
+
+
+def ask(llm: LlmClient, name: str, user: Any) -> ParsedOutput:
+    """Send a named prompt whose reply must be a JSON object; anything else fails the parse."""
+    raw = complete(llm, name, user)
+    parsed = parse_structured_output(raw)
+    if not isinstance(parsed.value, dict):
+        raise ParseFailureError(f"{name} reply is not a JSON object", raw)
+    return parsed
 
 
 # --- domain types -------------------------------------------------------------
@@ -374,12 +378,14 @@ _VARIANTS_USER_TMPL = "Original query:\n{primary}\n\nPlease provide 2-3 paraphra
 _PROMPT_BODY_CHARS = 60_000
 
 
-def _call_llm(llm: LlmClient, system: str, user: str, temperature: float) -> str:
-    """One call, retried once on a model error; a second error aborts Phase I."""
+def _call_llm(
+    call: Callable[[LlmClient, str, str], Any], llm: LlmClient, name: str, user: str
+) -> Any:
+    """One ``complete`` or ``ask``, retried once on a model error; a second error aborts Phase I."""
     last: Optional[Exception] = None
     for _ in range(2):
         try:
-            return llm.complete(system, user, temperature)
+            return call(llm, name, user)
         except LlmError as exc:
             last = exc
             logger.warning("llm call failed, %s", exc)
@@ -405,15 +411,14 @@ def extract_core_task(
     """
     if not doc.raw.strip():
         raise PhaseAbortError("phase1", "document is empty")
-    system = load_prompt("core_task")
     user = _CORE_TASK_USER_TMPL.format(
         title=title, abstract=abstract, body=doc.raw[:_PROMPT_BODY_CHARS]
     )
     flags: list[str] = []
-    phrase = _clean_phrase(_call_llm(llm, system, user, CORE_TASK_TEMPERATURE))
+    phrase = _clean_phrase(_call_llm(complete, llm, "core_task", user))
     if word_count(phrase) < MIN_CORE_TASK_WORDS:
         logger.info("core task %r under 5 words, re-requesting once", phrase)
-        phrase = _clean_phrase(_call_llm(llm, system, user, CORE_TASK_TEMPERATURE))
+        phrase = _clean_phrase(_call_llm(complete, llm, "core_task", user))
         flags.append("core_task_rerequested")
         if word_count(phrase) < MIN_CORE_TASK_WORDS:
             raise PhaseAbortError(
@@ -436,18 +441,16 @@ def extract_contributions(
     Returns the claims plus a warning list. Zero valid contributions is not
     fatal; the pipeline continues with core-task scope only.
     """
-    system = load_prompt("contribution_extraction")
     user = _CONTRIBUTION_USER_TMPL.format(title=title, body=doc.raw[:_PROMPT_BODY_CHARS])
     warnings: list[str] = []
-    raw = _call_llm(llm, system, user, 0.0)
     try:
-        parsed = parse_structured_output(raw)
+        parsed = _call_llm(ask, llm, "contribution_extraction", user)
     except ParseFailureError:
         warnings.append("contribution extraction output unparseable; continuing without claims")
         return [], warnings
     if parsed.fallback:
         warnings.append(f"contribution extraction needed fallback parse: {parsed.fallback}")
-    items = parsed.value.get("contributions", []) if isinstance(parsed.value, dict) else []
+    items = parsed.value.get("contributions", [])
     claims: list[ContributionClaim] = []
     seen_names: set[str] = set()
     for item in items:
@@ -482,14 +485,8 @@ def expand_query_variants(
     flags: list[str] = []
     raw_variants: list[str] = []
     try:
-        raw = llm.complete(
-            load_prompt("query_variants"),
-            _VARIANTS_USER_TMPL.format(primary=primary),
-            QUERY_VARIANTS_TEMPERATURE,
-        )
-        parsed = parse_structured_output(raw)
-        if isinstance(parsed.value, dict):
-            raw_variants = [str(v) for v in parsed.value.get("variants", [])]
+        parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
+        raw_variants = [str(v) for v in parsed.value.get("variants", [])]
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
         flags.append("variant_generation_failed")
@@ -515,12 +512,9 @@ def generate_primary_queries(
             )
         user = "Generate one query per claim for the following claims:\n" + "\n".join(sections)
         try:
-            raw = llm.complete(load_prompt("primary_query"), user, 0.0)
-            parsed = parse_structured_output(raw)
-            if isinstance(parsed.value, dict):
-                for entry in parsed.value.get("queries", []):
-                    if isinstance(entry, Mapping) and "id" in entry:
-                        answers[str(entry["id"])] = str(entry.get("prior_work_query", ""))
+            for entry in ask(llm, "primary_query", user).value.get("queries", []):
+                if isinstance(entry, Mapping) and "id" in entry:
+                    answers[str(entry["id"])] = str(entry.get("prior_work_query", ""))
         except (LlmError, ParseFailureError) as exc:
             warnings.append(f"primary query generation failed: {exc}")
     queries: dict[str, str] = {}

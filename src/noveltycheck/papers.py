@@ -17,6 +17,7 @@ from hashlib import md5
 from typing import Any, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from .errors import InvalidInputError
+from .prompts import complete
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clients import LlmClient
@@ -328,14 +329,6 @@ def _date_from_text(text: str, tier: str) -> Optional[PublicationDate]:
     return None
 
 
-_DATE_PROMPT = (
-    "You extract the publication date of a research paper from its front "
-    "matter. Respond with ONLY the date, formatted as YYYY, YYYY-MM, or "
-    "YYYY-MM-DD. If no date can be determined, respond with the single "
-    "word unknown."
-)
-
-
 def infer_publication_date(
     url: Optional[str] = None,
     front_matter: Optional[str] = None,
@@ -358,7 +351,7 @@ def infer_publication_date(
             return date
     if llm is not None and front_matter:
         try:
-            answer = llm.complete(_DATE_PROMPT, front_matter[:4000], temperature=0.0)
+            answer = complete(llm, "publication_date", front_matter[:4000])
         except Exception as exc:  # LLM tier is best effort
             logger.warning("date inference LLM call failed: %s", exc)
             return None

@@ -1,30 +1,45 @@
-"""Prompt text assets fed verbatim to the model client."""
+"""Prompt text assets and the one path by which they reach the model client."""
 
+from __future__ import annotations
+
+import json
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING, Any
 
-_NAMES = frozenset(
-    {
-        "core_task",
-        "contribution_extraction",
-        "primary_query",
-        "query_variants",
-        "taxonomy_construction",
-        "taxonomy_repair",
-        "narrative_synthesis",
-        "one_liner",
-        "similarity_detection",
-        "claim_comparison",
-        "overall_assessment",
-        "sibling_distinction",
-        "subtopic_comparison",
-    }
-)
+if TYPE_CHECKING:  # pragma: no cover
+    from ..clients import LlmClient
+
+#: Every prompt asset by name, with its sampling temperature: the two
+#: paraphrasing tasks sample, every other prompt is greedy.
+TEMPERATURES = {
+    "core_task": 0.1,
+    "query_variants": 0.2,
+    "contribution_extraction": 0.0,
+    "primary_query": 0.0,
+    "publication_date": 0.0,
+    "taxonomy_construction": 0.0,
+    "taxonomy_repair": 0.0,
+    "narrative_synthesis": 0.0,
+    "one_liner": 0.0,
+    "similarity_detection": 0.0,
+    "claim_comparison": 0.0,
+    "overall_assessment": 0.0,
+    "sibling_distinction": 0.0,
+    "subtopic_comparison": 0.0,
+}
 
 
 @lru_cache(maxsize=None)
 def load_prompt(name: str) -> str:
     """Load a prompt asset by short name."""
-    if name not in _NAMES:
+    if name not in TEMPERATURES:
         raise KeyError(f"unknown prompt asset: {name}")
     return resources.files(__package__).joinpath(f"{name}.txt").read_text(encoding="utf-8")
+
+
+def complete(llm: LlmClient, name: str, user: Any) -> str:
+    """Send one named prompt at its temperature; a non-string ``user`` goes as JSON."""
+    if not isinstance(user, str):
+        user = json.dumps(user, ensure_ascii=False)
+    return llm.complete(load_prompt(name), user, TEMPERATURES[name])

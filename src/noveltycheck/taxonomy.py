@@ -17,9 +17,8 @@ from typing import Any, Iterator, Mapping, Optional
 
 from .clients import LlmClient
 from .errors import InvalidInputError, LlmError, ParseFailureError
-from .extraction import parse_structured_output, word_count
+from .extraction import ask, word_count
 from .papers import PaperRecord
-from .prompts import load_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -253,21 +252,17 @@ def llm_repair(
                 "rank": None,
             }
         )
-    user = json.dumps(
-        {
-            "root_name": tax.name,
-            "allowed_ids": sorted(allowed),
-            "missing_ids": sorted(report.missing_ids),
-            "extra_ids": sorted(report.extra_ids),
-            "missing_papers": missing_payload,
-            "original_paper_id": original,
-            "taxonomy": tax.to_dict(),
-        },
-        ensure_ascii=False,
-    )
+    payload = {
+        "root_name": tax.name,
+        "allowed_ids": sorted(allowed),
+        "missing_ids": sorted(report.missing_ids),
+        "extra_ids": sorted(report.extra_ids),
+        "missing_papers": missing_payload,
+        "original_paper_id": original,
+        "taxonomy": tax.to_dict(),
+    }
     try:
-        raw = llm.complete(load_prompt("taxonomy_repair"), user, 0.0)
-        repaired = TaxonomyNode.from_dict(parse_structured_output(raw).value)
+        repaired = TaxonomyNode.from_dict(ask(llm, "taxonomy_repair", payload).value)
     except (LlmError, ParseFailureError, InvalidInputError) as exc:
         diagnostics.append(f"llm repair failed: {exc}")
         return RepairOutcome(taxonomy=tax, status="needs_review", diagnostics=diagnostics)

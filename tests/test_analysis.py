@@ -25,7 +25,13 @@ from noveltycheck.analysis import (
 )
 from noveltycheck.clients import MockLlmClient
 from noveltycheck.errors import AssemblyError, InvalidInputError
-from noveltycheck.extraction import ContributionClaim, CoreTask
+from noveltycheck.extraction import (
+    ContributionClaim,
+    CoreTask,
+    expand_query_variants,
+    extract_contributions,
+    generate_primary_queries,
+)
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.taxonomy import structural_position
@@ -654,3 +660,57 @@ class TestNarrativeCitations:
         narrative, diagnostics = generate_narrative(CORE_TASK, tree, None, refs, {0, 1}, llm)
         assert "[9]" not in narrative and "[1]" in narrative
         assert any("stripping" in d for d in diagnostics)
+
+
+def _subtopic_failures(llm):
+    target, other = make_record("The Target Paper"), make_record("Nearby Work")
+    tid, oid = str(target.canonical_id), str(other.canonical_id)
+    from noveltycheck.taxonomy import TaxonomyNode
+
+    tree = TaxonomyNode.from_dict(
+        {
+            "name": "X Survey Taxonomy",
+            "subtopics": [
+                {"name": "A", "scope_note": "s", "exclude_note": "e", "subtopics": [
+                    {"name": "Solo", "scope_note": "s", "exclude_note": "e", "papers": [tid]},
+                    {"name": "Dense", "scope_note": "s", "exclude_note": "e", "papers": [oid]},
+                ]}
+            ],
+        }
+    )
+    position = structural_position(tree, tid)
+    return compare_core_task(
+        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK
+    ).diagnostics
+
+
+# each site's own parse-failure note, flag or warning
+NON_OBJECT_SITES = {
+    "claim_comparison": (
+        lambda llm: [e.brief_note for e in compare_contribution(
+            TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm)],
+        "Comparison unavailable",
+    ),
+    "subtopic_comparison": (_subtopic_failures, "subtopic comparison failed"),
+    "contribution_extraction": (
+        lambda llm: extract_contributions(TARGET_DOC, llm)[1],
+        "contribution extraction output unparseable",
+    ),
+    "query_variants": (
+        lambda llm: expand_query_variants("original core topic phrase", llm,
+                                          require_prefix=False)[1],
+        "variant_generation_failed",
+    ),
+    "primary_query": (
+        lambda llm: generate_primary_queries(CLAIMS, llm)[1],
+        "primary query generation failed",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NON_OBJECT_SITES))
+@pytest.mark.parametrize("reply", [[], "42", '"a string"'])
+def test_non_object_reply_takes_the_failure_branch(site, reply):
+    run, expected = NON_OBJECT_SITES[site]
+    outputs = run(MockLlmClient({"default": reply}))
+    assert any(expected in text for text in outputs), outputs

@@ -13,7 +13,7 @@ from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
 from noveltycheck.errors import InvalidInputError, SearchError
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
-from noveltycheck.prompts import load_prompt
+from noveltycheck.prompts import TEMPERATURES, load_prompt
 from noveltycheck.retrieval import RetryPolicy
 
 TARGET_URL = "https://arxiv.org/abs/2504.01234"
@@ -287,13 +287,17 @@ class TestRunPipeline:
             assert sum(f"<Paper_B>\n{text}\n</Paper_B>" in user for user in checks) == 1
 
     def test_sampling_temperature_per_prompt(self, monkeypatch, tmp_path, fixtures_dir, paper_text):
+        # without a URL the target's publication date is asked of the model too
         manifest, calls = run_recording_llm(
-            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir)
+            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir, target_url=None)
         )
         assert manifest.succeeded
-        names = {load_prompt(name): name for name in ("core_task", "query_variants")}
-        sent = {(names.get(c["system"], "other"), c["temperature"]) for c in calls}
-        assert sent == {("core_task", 0.1), ("query_variants", 0.2), ("other", 0.0)}
+        names = {load_prompt(name): name for name in TEMPERATURES}
+        sent = [(names.get(c["system"]), c["temperature"]) for c in calls]
+        assert [c["system"][:60] for c in calls if c["system"] not in names] == []
+        assert "publication_date" in {name for name, _ in sent}
+        kinds = {(n if n in ("core_task", "query_variants") else "other", t) for n, t in sent}
+        assert kinds == {("core_task", 0.1), ("query_variants", 0.2), ("other", 0.0)}
 
     def test_error_outside_the_pipeline_fails_its_phase(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text
@@ -456,13 +460,20 @@ class TestCli:
         assert "error:" in result.output and "must be positive" in result.output
 
     @pytest.mark.parametrize(
-        "case", ["render_cut_json", "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8"]
+        "case",
+        [
+            "render_cut_json", "render_missing_out_dir", "taxonomy_missing_name",
+            "quote_empty_doc", "run_not_utf8",
+        ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
         path = tmp_path / "input"
         if case == "render_cut_json":
             path.write_bytes((goldens_dir / "phase3.json").read_bytes()[:300])
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case == "render_missing_out_dir":
+            args = ["render", "--input", str(goldens_dir / "phase3.json"),
+                    "--out", str(tmp_path / "missing" / "report.md")]
         elif case == "taxonomy_missing_name":
             path.write_text(json.dumps({"foo": 1}))
             (tmp_path / "allowed.json").write_text(json.dumps(["p1"]))
