@@ -362,6 +362,30 @@ class TestCompareContribution:
         assert [e.refutation_status for e in first[1]] == [e.refutation_status for e in second[0]]
 
 
+def _compare_lone_target(llm):
+    """Core-task comparison of a target alone in its leaf beside a populated leaf."""
+    target = make_record("The Target Paper")
+    other = make_record("Nearby Work")
+    tid, oid = str(target.canonical_id), str(other.canonical_id)
+    from noveltycheck.taxonomy import TaxonomyNode
+
+    tree = TaxonomyNode.from_dict(
+        {
+            "name": "X Survey Taxonomy",
+            "subtopics": [
+                {"name": "A", "scope_note": "s", "exclude_note": "e", "subtopics": [
+                    {"name": "Solo", "scope_note": "s", "exclude_note": "e", "papers": [tid]},
+                    {"name": "Dense", "scope_note": "s", "exclude_note": "e", "papers": [oid]},
+                ]}
+            ],
+        }
+    )
+    position = structural_position(tree, tid)
+    return compare_core_task(
+        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK
+    )
+
+
 class TestCompareCoreTask:
     def _position(self, tree_ids):
         payload = _tax_payload(tree_ids)
@@ -438,30 +462,11 @@ class TestCompareCoreTask:
         assert llm.calls == []
 
     def test_subtopic_siblings_single_call(self):
-        target = make_record("The Target Paper")
-        other = make_record("Nearby Work")
-        tid, oid = str(target.canonical_id), str(other.canonical_id)
-        from noveltycheck.taxonomy import TaxonomyNode
-
-        tree = TaxonomyNode.from_dict(
-            {
-                "name": "X Survey Taxonomy",
-                "subtopics": [
-                    {"name": "A", "scope_note": "s", "exclude_note": "e", "subtopics": [
-                        {"name": "Solo", "scope_note": "s", "exclude_note": "e", "papers": [tid]},
-                        {"name": "Dense", "scope_note": "s", "exclude_note": "e", "papers": [oid]},
-                    ]}
-                ],
-            }
-        )
-        position = structural_position(tree, tid)
         llm = MockLlmClient(
             {"default": {"overall": "Related but distinct.", "similarities": ["topic"],
                          "differences": ["method"]}}
         )
-        analysis = compare_core_task(
-            position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK
-        )
+        analysis = _compare_lone_target(llm)
         assert analysis.mode == "subtopic_siblings"
         assert analysis.subtopic_summary["overall"] == "Related but distinct."
         assert len(llm.calls) == 1
@@ -662,28 +667,6 @@ class TestNarrativeCitations:
         assert any("stripping" in d for d in diagnostics)
 
 
-def _subtopic_failures(llm):
-    target, other = make_record("The Target Paper"), make_record("Nearby Work")
-    tid, oid = str(target.canonical_id), str(other.canonical_id)
-    from noveltycheck.taxonomy import TaxonomyNode
-
-    tree = TaxonomyNode.from_dict(
-        {
-            "name": "X Survey Taxonomy",
-            "subtopics": [
-                {"name": "A", "scope_note": "s", "exclude_note": "e", "subtopics": [
-                    {"name": "Solo", "scope_note": "s", "exclude_note": "e", "papers": [tid]},
-                    {"name": "Dense", "scope_note": "s", "exclude_note": "e", "papers": [oid]},
-                ]}
-            ],
-        }
-    )
-    position = structural_position(tree, tid)
-    return compare_core_task(
-        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK
-    ).diagnostics
-
-
 # each site's own parse-failure note, flag or warning
 NON_OBJECT_SITES = {
     "claim_comparison": (
@@ -691,7 +674,9 @@ NON_OBJECT_SITES = {
             TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm)],
         "Comparison unavailable",
     ),
-    "subtopic_comparison": (_subtopic_failures, "subtopic comparison failed"),
+    "subtopic_comparison": (
+        lambda llm: _compare_lone_target(llm).diagnostics, "subtopic comparison failed"
+    ),
     "contribution_extraction": (
         lambda llm: extract_contributions(TARGET_DOC, llm)[1],
         "contribution extraction output unparseable",
