@@ -24,6 +24,7 @@ from .extraction import (
     Phase1Result,
     ask,
     parse_structured_output,
+    reply_objects,
     truncate_words,
     word_count,
 )
@@ -267,9 +268,7 @@ def _parse_evidence(
     pairs: list[EvidencePair] = []
     if isinstance(raw_evidence, Mapping):
         summary = str(raw_evidence.get("summary", ""))
-        for p in raw_evidence.get("evidence_pairs", []):
-            if not isinstance(p, Mapping):
-                continue
+        for p in reply_objects(raw_evidence, "evidence_pairs"):
             original_quote = _cap_quote(str(p.get("original_quote", "")))
             candidate_quote = _cap_quote(str(p.get("candidate_quote", "")))
             pairs.append(
@@ -339,12 +338,11 @@ def compare_contribution(
 
     by_name: dict[str, Mapping[str, Any]] = {}
     ordered: list[Mapping[str, Any]] = []
-    for item in parsed.get("contribution_analyses", []):
-        if isinstance(item, Mapping):
-            ordered.append(item)
-            name = str(item.get("contribution_name", "")).strip().lower()
-            if name:
-                by_name.setdefault(name, item)
+    for item in reply_objects(parsed, "contribution_analyses"):
+        ordered.append(item)
+        name = str(item.get("contribution_name", "")).strip().lower()
+        if name:
+            by_name.setdefault(name, item)
 
     target_stream = _target_stream(target_doc, target_tokens)
     candidate_stream = functools.cache(lambda: tokenize(candidate_text))
@@ -557,11 +555,10 @@ def detect_similarity(
     target_stream = _target_stream(target_doc, target_tokens)
     candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
     segments: list[SimilaritySegment] = []
-    for i, item in enumerate(parsed.get("plagiarism_segments", []), start=1):
-        if not isinstance(item, Mapping):
-            continue
+    for i, item in enumerate(reply_objects(parsed, "plagiarism_segments"), start=1):
+        segment_id = item.get("segment_id")
         seg = SimilaritySegment(
-            segment_id=int(item.get("segment_id", i)),
+            segment_id=segment_id if isinstance(segment_id, int) else i,
             location=str(item.get("location", "unknown")) or "unknown",
             original_text=str(item.get("original_text", "")),
             candidate_text=str(item.get("candidate_text", "")),
@@ -784,8 +781,8 @@ def generate_one_liners(
         logger.warning("one-liner generation failed: %s", exc)
         return {}
     out: dict[str, str] = {}
-    for item in parsed.get("items", []):
-        if isinstance(item, Mapping) and item.get("paper_id"):
+    for item in reply_objects(parsed, "items"):
+        if item.get("paper_id"):
             out[str(item["paper_id"])] = str(item.get("brief_one_liner", ""))
     return out
 
@@ -882,28 +879,20 @@ def assemble_report(
             raise AssemblyError(f"missing required module: {name}")
 
     ref_by_id = {r.canonical_id: r for r in references}
-    rank_by_id = {str(p.canonical_id): i for i, p in enumerate(candidate_set.core_task, start=1)}
+    rank_by_id = {pid: i for i, pid in enumerate(candidate_set.core_task, start=1)}
+    records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
 
     papers_index: list[dict[str, Any]] = []
     target_id = str(target.canonical_id)
-    index_ids = [target_id] + [
-        str(p.canonical_id)
-        for p in candidate_set.core_task
-        if str(p.canonical_id) != target_id
-    ]
-    titles = {target_id: target.title}
-    urls = {target_id: target.url}
-    for p in candidate_set.core_task:
-        titles[str(p.canonical_id)] = p.title
-        urls[str(p.canonical_id)] = p.url
-    for pid in index_ids:
+    records[target_id] = target
+    for pid in [target_id] + [pid for pid in candidate_set.core_task if pid != target_id]:
         ref = ref_by_id.get(pid)
         entry: dict[str, Any] = {
             "canonical_id": pid,
             "index": ref.index if ref else None,
-            "alias": ref.alias if ref else derive_alias(titles[pid]),
-            "title": titles[pid],
-            "url": urls[pid],
+            "alias": ref.alias if ref else derive_alias(records[pid].title),
+            "title": records[pid].title,
+            "url": records[pid].url,
             "rank": rank_by_id.get(pid, 0),
         }
         if pid in one_liners:
@@ -1007,30 +996,22 @@ def run_analysis_phase(
     references = build_references(target, candidate_set)
     citations = {r.canonical_id: f"{r.alias}[{r.index}]" for r in references}
     allowed_indices = {r.index for r in references}
-    core_ids = {str(p.canonical_id) for p in candidate_set.core_task}
+    core_ids = set(candidate_set.core_task)
     taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
 
-    candidate_records: dict[str, PaperRecord] = {}
-    for uc in candidate_set.unified:
-        candidate_records[str(uc.paper.canonical_id)] = uc.paper
-    for papers in candidate_set.per_contribution.values():
-        for p in papers:
-            candidate_records.setdefault(str(p.canonical_id), p)
-    for p in candidate_set.core_task:
-        candidate_records.setdefault(str(p.canonical_id), p)
+    candidate_records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
+    core_papers = [candidate_records[pid] for pid in candidate_set.core_task]
 
     # one comparison call per distinct candidate, covering every claim
-    comparison_order: list[str] = []
-    for claim in phase1.claims:
-        for paper in candidate_set.per_contribution.get(claim.claim_id, ()):
-            pid = str(paper.canonical_id)
-            if pid not in comparison_order:
-                comparison_order.append(pid)
-    similarity_order = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
+    comparison_order = list(dict.fromkeys(
+        pid
+        for claim in phase1.claims
+        for pid in candidate_set.per_contribution.get(claim.claim_id, ())
+    ))
 
     with Scheduler(concurrency) as scheduler:
         taxonomy_future = scheduler.submit(
-            build_taxonomy, candidate_set.core_task, phase1.core_task, llm, original=target
+            build_taxonomy, core_papers, phase1.core_task, llm, original=target
         )
         # shared read-only by the comparison and similarity tasks
         target_tokens = tokenize(target_doc.normalized)
@@ -1042,13 +1023,10 @@ def run_analysis_phase(
             for pid in comparison_order
         ]
         similarity_futures = [
-            scheduler.submit(
-                detect_similarity, target_doc, candidate_records[pid], llm,
-                target_tokens=target_tokens,
-            )
-            for pid in similarity_order
+            scheduler.submit(detect_similarity, target_doc, paper, llm, target_tokens=target_tokens)
+            for paper in candidate_records.values()
         ]
-        one_liners_future = scheduler.submit(generate_one_liners, candidate_set.core_task, llm)
+        one_liners_future = scheduler.submit(generate_one_liners, core_papers, llm)
 
         outcome = taxonomy_future.result()
         position: Optional[StructuralPosition] = None
@@ -1079,7 +1057,9 @@ def run_analysis_phase(
                 diagnostics=["taxonomy did not place the target paper"],
             )
         entries_by_candidate = dict(zip(comparison_order, (f.result() for f in comparison_futures)))
-        segments_by_candidate = dict(zip(similarity_order, (f.result() for f in similarity_futures)))
+        segments_by_candidate = {
+            pid: f.result() for pid, f in zip(candidate_records, similarity_futures)
+        }
         one_liners = one_liners_future.result()
         narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)
@@ -1088,8 +1068,7 @@ def run_analysis_phase(
     all_entries: dict[str, list[ContributionComparison]] = {}
     for idx, claim in enumerate(phase1.claims):
         entries: list[ContributionComparison] = []
-        for paper in candidate_set.per_contribution.get(claim.claim_id, ()):
-            pid = str(paper.canonical_id)
+        for pid in candidate_set.per_contribution.get(claim.claim_id, ()):
             entry = replace(
                 entries_by_candidate[pid][idx],
                 similarity_segments=list(segments_by_candidate.get(pid, [])),

@@ -192,6 +192,12 @@ def ask(llm: LlmClient, name: str, user: Any) -> ParsedOutput:
     return parsed
 
 
+def reply_objects(reply: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    """The objects listed under ``key``; a missing, null or non-list value reads as empty."""
+    items = reply.get(key)
+    return [item for item in items if isinstance(item, Mapping)] if isinstance(items, list) else []
+
+
 # --- domain types -------------------------------------------------------------
 
 
@@ -450,12 +456,9 @@ def extract_contributions(
         return [], warnings
     if parsed.fallback:
         warnings.append(f"contribution extraction needed fallback parse: {parsed.fallback}")
-    items = parsed.value.get("contributions", [])
     claims: list[ContributionClaim] = []
     seen_names: set[str] = set()
-    for item in items:
-        if not isinstance(item, Mapping):
-            continue
+    for item in reply_objects(parsed.value, "contributions"):
         try:
             claim = validate_contribution(item)
         except ContributionRejected as exc:
@@ -486,7 +489,8 @@ def expand_query_variants(
     raw_variants: list[str] = []
     try:
         parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
-        raw_variants = [str(v) for v in parsed.value.get("variants", [])]
+        variants = parsed.value.get("variants")
+        raw_variants = [str(v) for v in variants] if isinstance(variants, list) else []
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
         flags.append("variant_generation_failed")
@@ -512,8 +516,8 @@ def generate_primary_queries(
             )
         user = "Generate one query per claim for the following claims:\n" + "\n".join(sections)
         try:
-            for entry in ask(llm, "primary_query", user).value.get("queries", []):
-                if isinstance(entry, Mapping) and "id" in entry:
+            for entry in reply_objects(ask(llm, "primary_query", user).value, "queries"):
+                if "id" in entry:
                     answers[str(entry["id"])] = str(entry.get("prior_work_query", ""))
         except (LlmError, ParseFailureError) as exc:
             warnings.append(f"primary query generation failed: {exc}")

@@ -195,7 +195,7 @@ class _PhaseRunner:
     def __init__(self, manifest: RunManifest, manifest_path: Path, resumable: bool) -> None:
         self.manifest = manifest
         self.manifest_path = manifest_path
-        self._resumable = resumable
+        self._reuse = resumable
 
     def persist(self) -> None:
         manifest = {**encode(self.manifest), "succeeded": self.manifest.succeeded}
@@ -210,11 +210,13 @@ class _PhaseRunner:
         self.persist()
 
     def run(self, name: str, artifact: Path, compute: Callable[[], Any], *, load: Callable[[], Any]):
-        """Execute one phase, honoring resume and recording status transitions."""
+        """Execute one phase, honoring resume and recording status transitions.
+
+        The first phase that is computed rather than reused turns reuse off
+        for every later phase, whose artifact may predate the new input.
+        """
         status = self.manifest.phases[name]
-        if status.status == "failed":
-            raise PhaseAbortError(name, "phase already failed")
-        if artifact.exists() and status.status == "pending" and self._resumable:
+        if self._reuse and artifact.exists():
             logger.info("%s: reusing existing artifact %s", name, artifact.name)
             status.status = "skipped"
             status.artifact = artifact.name
@@ -225,6 +227,7 @@ class _PhaseRunner:
                 abort = PhaseAbortError(name, f"cannot load {artifact.name}: {exc}")
                 self._fail(name, abort)
                 raise abort from exc
+        self._reuse = False
         status.started_at = _now()
         self.persist()
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from threading import Lock
+from threading import Semaphore
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .clients import SearchClient, SearchHit
@@ -56,12 +56,9 @@ class RetryPolicy:
 
 @dataclass
 class RetrievalResult:
-    """One retrieved paper attributed to the query that produced it."""
+    """One retrieved paper and the scope of the query that produced it."""
 
     paper: PaperRecord
-    query_id: str
-    verdict: VerificationVerdict
-    relevance_score: float
     scope: str = "core_task"
     contribution_id: Optional[str] = None
 
@@ -114,14 +111,7 @@ def _hit_to_result(
         quality_flag=flag,
         full_text=full_text,
     )
-    return RetrievalResult(
-        paper=paper,
-        query_id=query.query_id,
-        verdict=verdict,
-        relevance_score=relevance,
-        scope=query.scope,
-        contribution_id=query.contribution_id,
-    )
+    return RetrievalResult(paper=paper, scope=query.scope, contribution_id=query.contribution_id)
 
 
 def execute_queries(
@@ -141,15 +131,7 @@ def execute_queries(
     if not query_list:
         raise InvalidInputError("query set is empty")
 
-    retry_budget = {"remaining": policy.global_max_retries}
-    budget_lock = Lock()
-
-    def _consume_retry() -> bool:
-        with budget_lock:
-            if retry_budget["remaining"] <= 0:
-                return False
-            retry_budget["remaining"] -= 1
-            return True
+    retry_budget = Semaphore(policy.global_max_retries)
 
     def _run(query: SearchQuery) -> tuple[SearchQuery, list[SearchHit] | None, int, str]:
         error = ""
@@ -166,7 +148,7 @@ def execute_queries(
             except SearchError as exc:
                 error = str(exc)
                 logger.warning("query %s attempt %d failed: %s", query.query_id, attempt, exc)
-                if attempt < policy.max_query_attempts and not _consume_retry():
+                if attempt < policy.max_query_attempts and not retry_budget.acquire(blocking=False):
                     logger.error("global retry budget exhausted; abandoning %s", query.query_id)
                     return query, None, attempt, error
         return query, None, policy.max_query_attempts, error
@@ -251,7 +233,7 @@ def filter_scope(
         if key not in best:
             best[key] = r
             order.append(key)
-        elif r.relevance_score > best[key].relevance_score:
+        elif r.paper.relevance_score > best[key].paper.relevance_score:
             best[key] = r
     deduped = [best[key].paper for key in order]
     stats.after_dedup = len(deduped)
@@ -292,12 +274,23 @@ class UnifiedCandidate:
 
 @dataclass
 class CandidateSet:
-    """Per-scope Top-K lists plus the deduplicated unified candidate pool."""
+    """The deduplicated candidate pool, and each scope's Top-K as ids into it.
 
-    core_task: list[PaperRecord]
-    per_contribution: dict[str, list[PaperRecord]]
+    ``unified`` is the only place a paper record lives. ``core_task`` and
+    each ``per_contribution`` list hold the ids of the unified entries their
+    scope's records merged into, in rank order, each id at most once.
+    """
+
+    core_task: list[str]
+    per_contribution: dict[str, list[str]]
     unified: list[UnifiedCandidate]
     stats: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        known = {str(uc.paper.canonical_id) for uc in self.unified}
+        for ids in (self.core_task, *self.per_contribution.values()):
+            if not all(isinstance(pid, str) and pid in known for pid in ids):
+                raise InvalidInputError("per-scope lists must hold ids of unified candidates")
 
 
 def _better_id(a: CanonicalId, b: CanonicalId) -> CanonicalId:
@@ -313,8 +306,8 @@ def cross_scope_dedup(
     Two records are the same work when their canonical ids match or their
     normalized titles hash identically. On a collision the core-task
     instance wins and its identity is upgraded to the higher-priority
-    identifier scheme seen on either side. Per-scope lists are preserved
-    untouched for downstream use.
+    identifier scheme seen on either side. Each scope's list comes back as
+    the ids of the entries its records merged into.
     """
     unified: list[UnifiedCandidate] = []
     index: dict[str, int] = {}
@@ -322,7 +315,8 @@ def cross_scope_dedup(
     def _keys(paper: PaperRecord) -> list[str]:
         return [str(paper.canonical_id), f"title:{paper.title_hash()}"]
 
-    def _insert(paper: PaperRecord, provenance: str) -> None:
+    def _insert(paper: PaperRecord, provenance: str) -> int:
+        """Merge ``paper`` into the pool; return the position of its entry."""
         hit = None
         for key in _keys(paper):
             if key in index:
@@ -333,7 +327,7 @@ def cross_scope_dedup(
             unified.append(UnifiedCandidate(paper=paper, provenance=[provenance]))
             for key in _keys(paper):
                 index[key] = pos
-            return
+            return pos
         existing = unified[hit]
         if provenance not in existing.provenance:
             existing.provenance.append(provenance)
@@ -348,12 +342,17 @@ def cross_scope_dedup(
             existing.paper.full_text = paper.full_text
         for key in _keys(paper):
             index.setdefault(key, hit)
+        return hit
 
-    for paper in core:
-        _insert(paper, "core_task")
-    for cid, papers in per_contribution.items():
-        for paper in papers:
-            _insert(paper, f"contribution:{cid}")
+    core_positions = [_insert(paper, "core_task") for paper in core]
+    contribution_positions = {
+        cid: [_insert(paper, f"contribution:{cid}") for paper in papers]
+        for cid, papers in per_contribution.items()
+    }
+
+    def _ids(positions: list[int]) -> list[str]:
+        # read only now: a later merge can still upgrade an entry's id
+        return [str(unified[pos].paper.canonical_id) for pos in dict.fromkeys(positions)]
 
     combined = len(core) + sum(len(p) for p in per_contribution.values())
     removed = combined - len(unified)
@@ -365,8 +364,8 @@ def cross_scope_dedup(
         "cross_scope_removed_pct": pct,
     }
     return CandidateSet(
-        core_task=list(core),
-        per_contribution={cid: list(papers) for cid, papers in per_contribution.items()},
+        core_task=_ids(core_positions),
+        per_contribution={cid: _ids(pos) for cid, pos in contribution_positions.items()},
         unified=unified,
         stats=stats,
     )

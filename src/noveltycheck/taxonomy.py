@@ -70,10 +70,11 @@ class TaxonomyNode:
             raise InvalidInputError("taxonomy node must be an object with a name")
         subtopics = tuple(cls.from_dict(c) for c in d.get("subtopics") or ())
         papers = tuple(str(p) for p in d.get("papers") or ())
+        scope_note, exclude_note = d.get("scope_note"), d.get("exclude_note")
         return cls(
             name=str(d["name"]),
-            scope_note=d.get("scope_note"),
-            exclude_note=d.get("exclude_note"),
+            scope_note=scope_note if isinstance(scope_note, str) else None,
+            exclude_note=exclude_note if isinstance(exclude_note, str) else None,
             subtopics=subtopics,
             papers=papers,
         )

@@ -54,18 +54,10 @@ def make_record(title: str, relevance: float = 0.5, *, verdict=None, url=None, d
     )
 
 
-def make_result(title: str, query_id: str, relevance: float, *, verdict=None, scope="core_task",
+def make_result(title: str, relevance: float, *, verdict=None, scope="core_task",
                 contribution_id=None, scheme=None, value=None) -> RetrievalResult:
-    verdict = verdict or PERFECT
     record = make_record(title, relevance, verdict=verdict, scheme=scheme, value=value)
-    return RetrievalResult(
-        paper=record,
-        query_id=query_id,
-        verdict=VerificationVerdict.from_pairs(verdict),
-        relevance_score=relevance,
-        scope=scope,
-        contribution_id=contribution_id,
-    )
+    return RetrievalResult(paper=record, scope=scope, contribution_id=contribution_id)
 
 
 # --- the filtering-progression fixture -------------------------------------------
@@ -85,18 +77,18 @@ def progression_core_results() -> list[RetrievalResult]:
     rel = lambda i: round(0.99 - i * 0.0005, 6)
     # 47 ids retrieved by two queries each, 116 by one: 210 perfect results
     for i in range(1, 164):
-        results.append(make_result(f"Core Candidate {i:04d}", "core_task:primary", rel(i)))
+        results.append(make_result(f"Core Candidate {i:04d}", rel(i)))
         if i <= 47:
             results.append(
-                make_result(f"Core Candidate {i:04d}", "core_task:variant1", rel(i) - 0.2)
+                make_result(f"Core Candidate {i:04d}", rel(i) - 0.2)
             )
     # 564 non-perfect results split between partial and rejected flags
     for i in range(282):
         results.append(
-            make_result(f"Noise Paper {i:04d}", "core_task:primary", 0.3, verdict=PARTIAL)
+            make_result(f"Noise Paper {i:04d}", 0.3, verdict=PARTIAL)
         )
         results.append(
-            make_result(f"Noise Paper B{i:04d}", "core_task:variant2", 0.3, verdict=REJECTED)
+            make_result(f"Noise Paper B{i:04d}", 0.3, verdict=REJECTED)
         )
     assert len(results) == 774
     return results
@@ -112,30 +104,28 @@ def progression_contribution_results() -> dict[str, list[RetrievalResult]]:
     out: dict[str, list[RetrievalResult]] = {}
     for k, cid in enumerate(("contribution_1", "contribution_2", "contribution_3"), start=1):
         results: list[RetrievalResult] = []
-        qid = f"{cid}:primary"
         # shared ids also present in the core Top-50, retrieved with high relevance
         for i in shared[cid]:
             results.append(
-                make_result(f"Core Candidate {i:04d}", qid, 0.95, scope="contribution",
+                make_result(f"Core Candidate {i:04d}", 0.95, scope="contribution",
                             contribution_id=cid)
             )
         # unique perfect ids; 12 of the 112 perfect results are duplicates
         unique = 100 - len(shared[cid])
         for j in range(unique):
             results.append(
-                make_result(f"Claim {k} Candidate {j:04d}", qid, round(0.9 - j * 0.001, 6),
+                make_result(f"Claim {k} Candidate {j:04d}", round(0.9 - j * 0.001, 6),
                             scope="contribution", contribution_id=cid)
             )
         for j in range(12):
             results.append(
-                make_result(f"Claim {k} Candidate {j:04d}", f"{cid}:variant1",
-                            round(0.5 - j * 0.001, 6), scope="contribution",
-                            contribution_id=cid)
+                make_result(f"Claim {k} Candidate {j:04d}", round(0.5 - j * 0.001, 6),
+                            scope="contribution", contribution_id=cid)
             )
         # 406 non-perfect results
         for j in range(406):
             results.append(
-                make_result(f"Claim {k} Noise {j:04d}", f"{cid}:variant2", 0.2,
+                make_result(f"Claim {k} Noise {j:04d}", 0.2,
                             verdict=PARTIAL if j % 2 else REJECTED,
                             scope="contribution", contribution_id=cid)
             )

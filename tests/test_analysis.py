@@ -22,6 +22,7 @@ from noveltycheck.analysis import (
     detect_similarity,
     downgrade_unverified,
     generate_narrative,
+    generate_one_liners,
 )
 from noveltycheck.clients import MockLlmClient
 from noveltycheck.errors import AssemblyError, InvalidInputError
@@ -556,7 +557,7 @@ class TestReferencesAndAssembly:
         target, candidate_set = self._setup()
         refs = build_references(target, candidate_set)
         claims = [ContributionClaim(claim_id="contribution_1", name="Only Claim")]
-        ids = [str(p.canonical_id) for p in candidate_set.per_contribution["contribution_1"]]
+        ids = candidate_set.per_contribution["contribution_1"]
         entries = {
             "contribution_1": [
                 ContributionComparison(
@@ -699,3 +700,86 @@ def test_non_object_reply_takes_the_failure_branch(site, reply):
     run, expected = NON_OBJECT_SITES[site]
     outputs = run(MockLlmClient({"default": reply}))
     assert any(expected in text for text in outputs), outputs
+
+
+def _overlap_candidate():
+    candidate = make_record("Overlapping Candidate Work", 0.9)
+    candidate.full_text = preprocess_document(
+        f"Intro text.\n{SEGMENT_TEXT}\nClosing text.", "comparison"
+    )
+    return candidate
+
+
+def _compare_prior(llm):
+    return compare_contribution(TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm)
+
+
+def _segment(**fields):
+    return {"plagiarism_segments": [
+        {"location": "Introduction", "original_text": SEGMENT_TEXT, "candidate_text": SEGMENT_TEXT,
+         "plagiarism_type": "Direct", "rationale": "verbatim", **fields},
+    ]}
+
+
+def _refutation(evidence_pairs):
+    return {"contribution_analyses": [
+        {"contribution_name": CLAIMS[0].name, "refutation_status": "can_refute",
+         "refutation_evidence": {"summary": "s", "evidence_pairs": evidence_pairs}},
+    ]}
+
+
+_TAXONOMY_PAPERS = [make_record("Alpha Widget Paper", 0.9), make_record("Beta Widget Paper", 0.8)]
+
+
+def _taxonomy(**notes):
+    return {"name": "Widget Survey Taxonomy", "subtopics": [
+        {"name": "Widgets", "exclude_note": "e", **notes,
+         "papers": [str(p.canonical_id) for p in _TAXONOMY_PAPERS]},
+    ]}
+
+
+# site -> (run, a reply with one mistyped field, the well-typed reply it must read as)
+MISTYPED_FIELDS = {
+    "contribution_analyses_null": (
+        _compare_prior, {"contribution_analyses": None}, {"contribution_analyses": []},
+    ),
+    "evidence_pairs_null": (
+        _compare_prior, _refutation(None), _refutation([]),
+    ),
+    "plagiarism_segments_null": (
+        lambda llm: detect_similarity(TARGET_DOC, _overlap_candidate(), llm),
+        {"plagiarism_segments": None}, {"plagiarism_segments": []},
+    ),
+    "segment_id_text": (
+        lambda llm: detect_similarity(
+            preprocess_document(f"Header.\n{SEGMENT_TEXT}\nFooter here.", "comparison"),
+            _overlap_candidate(), llm,
+        ),
+        _segment(segment_id="s1"), _segment(segment_id=1),
+    ),
+    "items_null": (
+        lambda llm: generate_one_liners(_TAXONOMY_PAPERS, llm), {"items": None}, {"items": []},
+    ),
+    "queries_null": (
+        lambda llm: generate_primary_queries(CLAIMS, llm), {"queries": None}, {"queries": []},
+    ),
+    "contributions_null": (
+        lambda llm: extract_contributions(TARGET_DOC, llm),
+        {"contributions": None}, {"contributions": []},
+    ),
+    "scope_note_number": (
+        lambda llm: build_taxonomy(_TAXONOMY_PAPERS, CORE_TASK, llm),
+        _taxonomy(scope_note=5), _taxonomy(),
+    ),
+    "variants_text": (
+        lambda llm: expand_query_variants("original core topic phrase", llm, require_prefix=False),
+        {"variants": "abc"}, {"variants": []},
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MISTYPED_FIELDS))
+def test_mistyped_reply_field_reads_as_its_empty_value(site):
+    """A JSON object with a mistyped field takes the site's empty branch instead of raising."""
+    run, mistyped, well_typed = MISTYPED_FIELDS[site]
+    assert run(MockLlmClient({"default": mistyped})) == run(MockLlmClient({"default": well_typed}))

@@ -12,6 +12,7 @@ from noveltycheck import pipeline
 from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
 from noveltycheck.errors import InvalidInputError, SearchError
+from noveltycheck.extraction import QUERY_PREFIX
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
 from noveltycheck.prompts import TEMPERATURES, load_prompt
 from noveltycheck.retrieval import RetryPolicy
@@ -180,6 +181,46 @@ class TestRunPipeline:
         assert manifest.succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
 
+    def test_resume_recomputes_the_report_after_a_recomputed_phase(
+        self, tmp_path, fixtures_dir, paper_text
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        (tmp_path / "phase3.json").unlink()
+        later = "2026-02-01T00:00:00+00:00"
+        cfg = make_config(tmp_path, fixtures_dir, resume=True, fixed_timestamp=later)
+        manifest = run_pipeline(paper_text, cfg)
+        assert manifest.succeeded
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "skipped", "skipped", "completed", "completed",
+        ]
+        [md] = tmp_path.glob("*.md")
+        assert f"**Generated:** {later}" in md.read_text(encoding="utf-8").splitlines()
+
+    def test_resume_without_phase1_recomputes_every_phase(
+        self, tmp_path, fixtures_dir, paper_text
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        (tmp_path / "phase1.json").unlink()
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert manifest.succeeded
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == ["completed"] * 4
+
+    def test_resume_over_record_lists_in_phase2_fails_phase2(
+        self, tmp_path, fixtures_dir, paper_text
+    ):
+        # the per-scope lists of phase2.json hold pool ids; full records there are not reused
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        path = tmp_path / "phase2.json"
+        phase2 = json.loads(path.read_text())
+        candidates = phase2["candidate_set"]
+        papers = {u["paper"]["canonical_id"]: u["paper"] for u in candidates["unified"]}
+        candidates["core_task"] = [papers[pid] for pid in candidates["core_task"]]
+        path.write_text(json.dumps(phase2))
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert manifest.phases["phase2"].status == "failed"
+        assert "cannot load phase2.json" in manifest.phases["phase2"].error
+        assert manifest.phases["phase3"].status == "pending"
+
     @pytest.mark.parametrize("phase", ["phase1", "phase2", "phase3"])
     def test_resume_over_truncated_artifact_fails_its_phase(
         self, tmp_path, fixtures_dir, paper_text, phase
@@ -285,6 +326,29 @@ class TestRunPipeline:
         assert len(checks) == len(texts)
         for text in texts:
             assert sum(f"<Paper_B>\n{text}\n</Paper_B>" in user for user in checks) == 1
+
+    def test_paper_merged_across_scopes_compared_under_its_pool_id(
+        self, tmp_path, fixtures_dir, paper_text
+    ):
+        # the core-scope hits of Foreseer carry a DOI, its contribution-scope hits only the arXiv id
+        search_fixture = json.loads((fixtures_dir / "mock_search.json").read_text())
+        for query, spec in search_fixture["queries"].items():
+            for hit in spec.get("results", []):
+                if hit["title"].startswith("Foreseer") and not query.startswith(QUERY_PREFIX):
+                    hit["identifiers"]["doi"] = "10.5555/foreseer"
+        patched = tmp_path / "search_with_doi.json"
+        patched.write_text(json.dumps(search_fixture))
+        cfg = make_config(tmp_path / "out", fixtures_dir, search_fixture=patched)
+        assert run_pipeline(paper_text, cfg).succeeded
+        report = json.loads((tmp_path / "out" / "phase3.json").read_text())
+        claim = report["contribution_analysis"]["contributions"][0]
+        assert claim["claim_id"] == "contribution_1"
+        [entry] = [
+            c for c in claim["comparisons"] if c["candidate_paper_title"].startswith("Foreseer")
+        ]
+        assert entry["canonical_id"] == "doi:10.5555/foreseer"
+        assert entry["canonical_id"] in {r["canonical_id"] for r in report["references"]}
+        assert entry["comparison_mode"] == "fulltext"
 
     def test_sampling_temperature_per_prompt(self, monkeypatch, tmp_path, fixtures_dir, paper_text):
         # without a URL the target's publication date is asked of the model too

@@ -93,7 +93,7 @@ class TestExecuteQueries:
             SearchQuery(f"core_task:q{i}", f"q{i}", "core_task", "variant") for i in range(12)
         ]
         batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
-        assert [r.query_id for r in batch.results] == [f"core_task:q{i}" for i in range(12)]
+        assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(12)]
 
     def test_all_failed_raises_retrieval_empty(self):
         search = MockSearchClient({"queries": {"some query": {"fail_times": 99}}})
@@ -110,8 +110,8 @@ class TestExecuteQueries:
         threaded = execute_queries(
             queries, MockSearchClient(fixture), RetryPolicy(concurrency=4)
         )
-        serial_keys = [(r.query_id, str(r.paper.canonical_id)) for r in serial.results]
-        threaded_keys = [(r.query_id, str(r.paper.canonical_id)) for r in threaded.results]
+        serial_keys = [(r.paper.title, str(r.paper.canonical_id)) for r in serial.results]
+        threaded_keys = [(r.paper.title, str(r.paper.canonical_id)) for r in threaded.results]
         assert serial_keys == threaded_keys
 
     def test_full_text_preprocessed_once_per_distinct_text(self, monkeypatch):
@@ -183,23 +183,23 @@ class TestFilterScope:
     def test_self_reference_removed_by_title(self):
         target = progression_target()
         results = [
-            make_result(target.title, "core_task:primary", 0.99),
-            make_result("Different Paper", "core_task:primary", 0.5),
+            make_result(target.title, 0.99),
+            make_result("Different Paper", 0.5),
         ]
         outcome = filter_scope(results, "core_task", 50, target)
         assert [p.title for p in outcome.selected] == ["Different Paper"]
 
     def test_self_reference_removed_by_url(self):
         target = make_record("The Target", url="https://example.org/paper")
-        results = [make_result("Renamed Version", "q", 0.9)]
+        results = [make_result("Renamed Version", 0.9)]
         results[0].paper.url = "https://example.org/paper"
         outcome = filter_scope(results, "core_task", 50, target)
         assert outcome.selected == []
 
     def test_partial_flags_logged_never_ranked(self):
         results = [
-            make_result("Perfect One", "q", 0.9),
-            make_result("Partial One", "q", 0.99, verdict=PARTIAL),
+            make_result("Perfect One", 0.9),
+            make_result("Partial One", 0.99, verdict=PARTIAL),
         ]
         outcome = filter_scope(results, "core_task", 50, progression_target())
         assert [p.title for p in outcome.selected] == ["Perfect One"]
@@ -207,16 +207,16 @@ class TestFilterScope:
 
     def test_temporal_filter_unknown_dates_pass(self):
         target = progression_target()  # dated 2025-09
-        late = make_result("Late Paper", "q", 0.9)
+        late = make_result("Late Paper", 0.9)
         late.paper.publication_date = PublicationDate(2026, 1)
-        unknown = make_result("Undated Paper", "q", 0.8)
+        unknown = make_result("Undated Paper", 0.8)
         outcome = filter_scope([late, unknown], "core_task", 50, target)
         assert [p.title for p in outcome.selected] == ["Undated Paper"]
 
     def test_dedup_keeps_highest_relevance_instance(self):
         results = [
-            make_result("Twice Retrieved", "q1", 0.4),
-            make_result("Twice Retrieved", "q2", 0.8),
+            make_result("Twice Retrieved", 0.4),
+            make_result("Twice Retrieved", 0.8),
         ]
         outcome = filter_scope(results, "core_task", 50, progression_target())
         assert len(outcome.selected) == 1
@@ -224,16 +224,16 @@ class TestFilterScope:
 
     def test_ranked_by_relevance_with_id_tiebreak(self):
         results = [
-            make_result("Paper C", "q", 0.5),
-            make_result("Paper A", "q", 0.5),
-            make_result("Paper B", "q", 0.9),
+            make_result("Paper C", 0.5),
+            make_result("Paper A", 0.5),
+            make_result("Paper B", 0.9),
         ]
         outcome = filter_scope(results, "core_task", 2, progression_target())
         assert [p.title for p in outcome.selected][0] == "Paper B"
         assert len(outcome.selected) == 2
         # the 0.5 tie breaks on canonical id text, deterministically
         tied = sorted(
-            [r.paper for r in results if r.relevance_score == 0.5],
+            [r.paper for r in results if r.paper.relevance_score == 0.5],
             key=lambda p: str(p.canonical_id),
         )
         assert outcome.selected[1].canonical_id == tied[0].canonical_id
@@ -282,9 +282,10 @@ class TestCrossScopeDedup:
         contrib = make_record("Shared Work", 0.8, scheme="doi", value="10.5/zz")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [contrib]})
         assert candidate_set.unified[0].paper.canonical_id.scheme is IdScheme.DOI
-        # the unified view and the core-task view describe the same record,
-        # so the identity upgrade is visible in both
-        assert candidate_set.core_task[0].canonical_id.scheme is IdScheme.DOI
+        # every scope names the merged paper by its upgraded id, the core
+        # scope included although its own record arrived with the arXiv id
+        assert candidate_set.core_task == ["doi:10.5/zz"]
+        assert candidate_set.per_contribution == {"contribution_1": ["doi:10.5/zz"]}
 
     @given(core=_SCOPE, per=st.lists(_SCOPE, max_size=3))
     def test_unified_ids_pairwise_distinct(self, core, per):
@@ -298,6 +299,10 @@ class TestCrossScopeDedup:
         )
         ids = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
         assert len(ids) == len(set(ids))
+        # each scope lists unified ids only, none of them twice
+        for scope in (candidate_set.core_task, *candidate_set.per_contribution.values()):
+            assert set(scope) <= set(ids)
+            assert len(scope) == len(set(scope))
 
     def test_per_scope_lists_preserved(self):
         core = [make_record("Shared Work", 0.9)]
