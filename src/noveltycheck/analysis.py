@@ -28,7 +28,7 @@ from .extraction import (
     truncate_words,
     word_count,
 )
-from .papers import DocumentText, PaperRecord, normalize_text
+from .papers import PaperRecord
 from .prompts import complete
 from .retrieval import CandidateSet
 from .scheduler import Scheduler
@@ -250,18 +250,15 @@ def _cap_quote(text: str) -> str:
     return text
 
 
-def _target_stream(
-    target_doc: DocumentText, target_tokens: Optional[TokenStream]
-) -> Callable[[], TokenStream]:
-    """The target's tokens: the stream given, or the target tokenized on first use."""
-    if target_tokens is not None:
-        return lambda: target_tokens
-    return functools.cache(lambda: tokenize(target_doc.normalized))
+def _content_of(paper: PaperRecord) -> tuple[str, str]:
+    if paper.full_text is not None:
+        return paper.full_text, "fulltext"
+    return paper.abstract, "abstract"
 
 
 def _parse_evidence(
     raw_evidence: Any,
-    target_stream: Callable[[], TokenStream],
+    target_tokens: TokenStream,
     candidate_stream: Callable[[], TokenStream],
 ) -> RefutationEvidence:
     summary = ""
@@ -278,7 +275,7 @@ def _parse_evidence(
                     candidate_quote=candidate_quote,
                     candidate_paragraph_label=str(p.get("candidate_paragraph_label", "unknown")),
                     rationale=str(p.get("rationale", "")),
-                    original_location=verify_quote(original_quote, target_stream()),
+                    original_location=verify_quote(original_quote, target_tokens),
                     candidate_location=verify_quote(candidate_quote, candidate_stream()),
                 )
             )
@@ -286,29 +283,22 @@ def _parse_evidence(
 
 
 def compare_contribution(
-    target_doc: DocumentText,
+    target_doc: str,
     candidate: PaperRecord,
     claims: Sequence[ContributionClaim],
     llm: LlmClient,
     *,
     citation: Optional[str] = None,
-    target_tokens: Optional[TokenStream] = None,
+    target_tokens: TokenStream,
 ) -> list[ContributionComparison]:
     """One isolated inference call judging every claim against one candidate.
 
-    Quotes are verified against their source documents as soon as they are
-    parsed; each document is tokenized at most once per call, the target
-    not at all when ``target_tokens`` is given. A parse failure degrades
-    every claim's entry to ``unclear`` rather than aborting the run.
+    Quotes are verified as soon as they are parsed, against ``target_tokens``
+    (the target document's tokens) and the candidate's content, which is
+    tokenized at most once per call. A parse failure degrades every claim's
+    entry to ``unclear`` rather than aborting the run.
     """
-    if candidate.full_text is not None:
-        mode = "fulltext"
-        candidate_text = candidate.full_text.normalized
-        prompt_text = candidate.full_text.raw
-    else:
-        mode = "abstract"
-        candidate_text = normalize_text(candidate.abstract)
-        prompt_text = candidate.abstract
+    candidate_text, mode = _content_of(candidate)
     cid = str(candidate.canonical_id)
 
     def _entry(status: str, note: Optional[str], evidence: Optional[RefutationEvidence]) -> ContributionComparison:
@@ -327,8 +317,8 @@ def compare_contribution(
         citation=f" ({citation})" if citation else "",
         n=len(claims),
         contributions=_format_claims(claims),
-        original=target_doc.raw,
-        candidate=prompt_text,
+        original=target_doc,
+        candidate=candidate_text,
     )
     try:
         parsed = ask(llm, "claim_comparison", user).value
@@ -344,7 +334,6 @@ def compare_contribution(
         if name:
             by_name.setdefault(name, item)
 
-    target_stream = _target_stream(target_doc, target_tokens)
     candidate_stream = functools.cache(lambda: tokenize(candidate_text))
     entries: list[ContributionComparison] = []
     for i, claim in enumerate(claims):
@@ -359,7 +348,7 @@ def compare_contribution(
             entries.append(_entry(UNCLEAR, f"Unrecognized status {status!r}.", None))
             continue
         if status == CAN_REFUTE:
-            evidence = _parse_evidence(item.get("refutation_evidence"), target_stream, candidate_stream)
+            evidence = _parse_evidence(item.get("refutation_evidence"), target_tokens, candidate_stream)
             entries.append(_entry(CAN_REFUTE, None, evidence))
         else:
             note = str(item.get("brief_note") or "").strip() or "No explanation provided."
@@ -380,12 +369,6 @@ class CoreTaskAnalysis:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _content_of(paper: PaperRecord) -> tuple[str, str]:
-    if paper.full_text is not None:
-        return paper.full_text.raw, "fulltext"
-    return paper.abstract, "abstract"
-
-
 def _leaf_count(node: TaxonomyNode) -> int:
     return sum(1 for _ in node.iter_leaves())
 
@@ -397,7 +380,7 @@ def _paper_count(node: TaxonomyNode) -> int:
 def compare_core_task(
     position: StructuralPosition,
     target: PaperRecord,
-    target_doc: DocumentText,
+    target_doc: str,
     candidates: Mapping[str, PaperRecord],
     llm: LlmClient,
     *,
@@ -460,7 +443,7 @@ def compare_core_task(
     if target.full_text is not None:
         original_content, original_type = _content_of(target)
     else:
-        original_content, original_type = target_doc.raw, "fulltext"
+        original_content, original_type = target_doc, "fulltext"
 
     def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
         record = candidates.get(sibling_id)
@@ -529,31 +512,30 @@ _SIMILARITY_USER_TMPL = (
 
 
 def detect_similarity(
-    target_doc: DocumentText,
+    target_doc: str,
     candidate: PaperRecord,
     llm: LlmClient,
     *,
-    target_tokens: Optional[TokenStream] = None,
+    target_tokens: TokenStream,
 ) -> list[SimilaritySegment]:
     """Detect and verify overlap segments for one candidate.
 
-    Each document is tokenized at most once per call, the target not at all
-    when ``target_tokens`` is given.
+    Segments are verified against ``target_tokens`` (the target document's
+    tokens) and the candidate's full text, tokenized at most once per call.
     """
     cid = str(candidate.canonical_id)
     if candidate.full_text is None:
         logger.info("similarity detection skipped for %s: no full text", cid)
         return []
     user = _SIMILARITY_USER_TMPL.format(
-        paper_a=target_doc.raw, paper_b=candidate.full_text.raw
+        paper_a=target_doc, paper_b=candidate.full_text
     )
     try:
         parsed = ask(llm, "similarity_detection", user).value
     except (LlmError, ParseFailureError) as exc:
         logger.warning("similarity detection failed for %s: %s", cid, exc)
         return []
-    target_stream = _target_stream(target_doc, target_tokens)
-    candidate_stream = functools.cache(lambda: tokenize(candidate.full_text.normalized))
+    candidate_stream = functools.cache(lambda: tokenize(candidate.full_text))
     segments: list[SimilaritySegment] = []
     for i, item in enumerate(reply_objects(parsed, "plagiarism_segments"), start=1):
         segment_id = item.get("segment_id")
@@ -565,7 +547,7 @@ def detect_similarity(
             segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
             rationale=str(item.get("rationale", "")),
         )
-        verified = verify_segment(seg, target_stream(), candidate_stream())
+        verified = verify_segment(seg, target_tokens, candidate_stream())
         if verified.verified:
             segments.append(verified)
         else:
@@ -845,7 +827,6 @@ def assemble_report(
     core_task: CoreTask,
     claims: Sequence[ContributionClaim],
     taxonomy_outcome: RepairOutcome,
-    position: Optional[StructuralPosition],
     core_task_analysis: CoreTaskAnalysis,
     comparisons_by_claim: Mapping[str, Sequence[ContributionComparison]],
     candidate_set: CandidateSet,
@@ -979,7 +960,7 @@ def run_analysis_phase(
     phase1: Phase1Result,
     candidate_set: CandidateSet,
     target: PaperRecord,
-    target_doc: DocumentText,
+    target_doc: str,
     llm: LlmClient,
     *,
     concurrency: int = 1,
@@ -1014,7 +995,7 @@ def run_analysis_phase(
             build_taxonomy, core_papers, phase1.core_task, llm, original=target
         )
         # shared read-only by the comparison and similarity tasks
-        target_tokens = tokenize(target_doc.normalized)
+        target_tokens = tokenize(target_doc)
         comparison_futures = [
             scheduler.submit(
                 compare_contribution, target_doc, candidate_records[pid], phase1.claims, llm,
@@ -1111,7 +1092,6 @@ def run_analysis_phase(
         core_task=phase1.core_task,
         claims=phase1.claims,
         taxonomy_outcome=outcome,
-        position=position,
         core_task_analysis=core_analysis,
         comparisons_by_claim=all_entries,
         candidate_set=candidate_set,

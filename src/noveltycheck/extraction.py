@@ -17,7 +17,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from .clients import LlmClient
 from .codec import decode, encode
 from .errors import ContributionRejected, LlmError, ParseFailureError, PhaseAbortError
-from .papers import DocumentText
 from .prompts import complete
 from .scheduler import Scheduler
 
@@ -192,10 +191,15 @@ def ask(llm: LlmClient, name: str, user: Any) -> ParsedOutput:
     return parsed
 
 
-def reply_objects(reply: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-    """The objects listed under ``key``; a missing, null or non-list value reads as empty."""
+def reply_list(reply: Mapping[str, Any], key: str) -> list[Any]:
+    """The list under ``key``; a missing, null or non-list value reads as empty."""
     items = reply.get(key)
-    return [item for item in items if isinstance(item, Mapping)] if isinstance(items, list) else []
+    return items if isinstance(items, list) else []
+
+
+def reply_objects(reply: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    """The objects listed under ``key``, non-object items skipped."""
+    return [item for item in reply_list(reply, key) if isinstance(item, Mapping)]
 
 
 # --- domain types -------------------------------------------------------------
@@ -308,7 +312,7 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
     name = str(rawfields.get("name") or "").strip()
     if not name:
         raise ContributionRejected("contribution is missing a name")
-    flags: list[str] = list(rawfields.get("audit_flags", ()))
+    flags: list[str] = list(reply_list(rawfields, "audit_flags"))
 
     def _flag(f: str) -> None:
         if f not in flags:
@@ -336,7 +340,7 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
         _flag("source_hint_defaulted")
 
     prior_work_query = rawfields.get("prior_work_query")
-    variants = rawfields.get("query_variants") or ()
+    variants = reply_list(rawfields, "query_variants")
     query: Optional[str] = None
     query_variants: tuple[str, ...] = ()
     if prior_work_query is None and variants:
@@ -404,7 +408,7 @@ def _clean_phrase(raw: str) -> str:
 
 
 def extract_core_task(
-    doc: DocumentText,
+    doc: str,
     llm: LlmClient,
     *,
     title: str = "",
@@ -415,10 +419,10 @@ def extract_core_task(
     Over-long phrases are trimmed to 15 words with an audit flag. Under-length
     phrases earn exactly one re-request; a second violation aborts the phase.
     """
-    if not doc.raw.strip():
+    if not doc.strip():
         raise PhaseAbortError("phase1", "document is empty")
     user = _CORE_TASK_USER_TMPL.format(
-        title=title, abstract=abstract, body=doc.raw[:_PROMPT_BODY_CHARS]
+        title=title, abstract=abstract, body=doc[:_PROMPT_BODY_CHARS]
     )
     flags: list[str] = []
     phrase = _clean_phrase(_call_llm(complete, llm, "core_task", user))
@@ -437,7 +441,7 @@ def extract_core_task(
 
 
 def extract_contributions(
-    doc: DocumentText,
+    doc: str,
     llm: LlmClient,
     *,
     title: str = "",
@@ -447,7 +451,7 @@ def extract_contributions(
     Returns the claims plus a warning list. Zero valid contributions is not
     fatal; the pipeline continues with core-task scope only.
     """
-    user = _CONTRIBUTION_USER_TMPL.format(title=title, body=doc.raw[:_PROMPT_BODY_CHARS])
+    user = _CONTRIBUTION_USER_TMPL.format(title=title, body=doc[:_PROMPT_BODY_CHARS])
     warnings: list[str] = []
     try:
         parsed = _call_llm(ask, llm, "contribution_extraction", user)
@@ -489,8 +493,7 @@ def expand_query_variants(
     raw_variants: list[str] = []
     try:
         parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
-        variants = parsed.value.get("variants")
-        raw_variants = [str(v) for v in variants] if isinstance(variants, list) else []
+        raw_variants = [str(v) for v in reply_list(parsed.value, "variants")]
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
         flags.append("variant_generation_failed")
@@ -613,7 +616,7 @@ class Phase1Result:
 
 
 def run_extraction_phase(
-    doc: DocumentText,
+    doc: str,
     llm: LlmClient,
     *,
     title: str = "",

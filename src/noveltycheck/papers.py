@@ -139,15 +139,6 @@ class PublicationDate:
         return self.earliest() > other.latest()
 
 
-@dataclass(frozen=True)
-class DocumentText:
-    """A preprocessed document: raw (truncated) text plus its normalized form."""
-
-    raw: str
-    normalized: str
-    token_count: int
-
-
 @dataclass
 class PaperRecord:
     """A target or retrieved paper with identity, metadata, and text."""
@@ -159,9 +150,11 @@ class PaperRecord:
     relevance_score: Optional[float] = None
     publication_date: Optional[PublicationDate] = None
     quality_flag: Optional[QualityFlag] = None
-    full_text: Optional[DocumentText] = None
+    full_text: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.full_text is not None and not isinstance(self.full_text, str):
+            raise InvalidInputError("paper full_text must be a string")
         if not self.title or not self.title.strip():
             raise InvalidInputError("paper title must be non-empty")
         if self.relevance_score is not None and not 0.0 <= self.relevance_score <= 1.0:
@@ -424,13 +417,15 @@ def _remove_section(text: str, names: frozenset[str]) -> str:
     return text[:start] + text[end:]
 
 
-def preprocess_document(raw: str, purpose: str = "extraction") -> DocumentText:
-    """Truncate and normalize a plain-text document.
+def preprocess_document(raw: str, purpose: str = "extraction") -> str:
+    """Truncate a plain-text document; the result keeps the source's characters.
 
     Both purposes drop everything from the first references or bibliography
     heading onward and cap the result at 200K characters. The comparison
     variant additionally removes the acknowledgements section so overlap
-    detection does not trip on boilerplate.
+    detection does not trip on boilerplate. Matching normalizes the text
+    when it tokenizes it, so the result is shown to the model and matched
+    against quotes as is.
     """
     if not raw:
         raise InvalidInputError("document text must be non-empty")
@@ -445,5 +440,4 @@ def preprocess_document(raw: str, purpose: str = "extraction") -> DocumentText:
     text = text[:MAX_DOCUMENT_CHARS]
     if not text.strip():
         logger.warning("document became empty after preprocessing")
-    normalized = normalize_text(text)
-    return DocumentText(raw=text, normalized=normalized, token_count=len(normalized.split()))
+    return text

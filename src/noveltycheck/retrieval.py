@@ -20,7 +20,6 @@ from .errors import InvalidInputError, RetrievalEmptyError, SearchError
 from .extraction import QuerySet, SearchQuery
 from .papers import (
     CanonicalId,
-    DocumentText,
     PaperRecord,
     QualityFlag,
     SCHEME_PRIORITY,
@@ -80,7 +79,7 @@ class RetrievalBatch:
 
 
 def _hit_to_result(
-    hit: SearchHit, query: SearchQuery, documents: dict[str, DocumentText]
+    hit: SearchHit, query: SearchQuery, documents: dict[str, str]
 ) -> Optional[RetrievalResult]:
     """Convert one search hit; ``documents`` holds the full texts preprocessed so far, by raw text."""
     if not hit.title or not hit.title.strip():
@@ -158,7 +157,7 @@ def execute_queries(
 
     results: list[RetrievalResult] = []
     failures: list[QueryFailure] = []
-    documents: dict[str, DocumentText] = {}
+    documents: dict[str, str] = {}
     attempts: dict[str, int] = {}
     for query, hits, tries, error in outcomes:
         attempts[query.query_id] = tries

@@ -17,7 +17,7 @@ from typing import Any, Iterator, Mapping, Optional
 
 from .clients import LlmClient
 from .errors import InvalidInputError, LlmError, ParseFailureError
-from .extraction import ask, word_count
+from .extraction import ask, reply_list, word_count
 from .papers import PaperRecord
 
 logger = logging.getLogger(__name__)
@@ -68,8 +68,8 @@ class TaxonomyNode:
     def from_dict(cls, d: Mapping[str, Any]) -> "TaxonomyNode":
         if not isinstance(d, Mapping) or "name" not in d:
             raise InvalidInputError("taxonomy node must be an object with a name")
-        subtopics = tuple(cls.from_dict(c) for c in d.get("subtopics") or ())
-        papers = tuple(str(p) for p in d.get("papers") or ())
+        subtopics = tuple(cls.from_dict(c) for c in reply_list(d, "subtopics"))
+        papers = tuple(str(p) for p in reply_list(d, "papers"))
         scope_note, exclude_note = d.get("scope_note"), d.get("exclude_note")
         return cls(
             name=str(d["name"]),

@@ -18,7 +18,7 @@ from difflib import SequenceMatcher
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
-from .papers import DocumentText
+from .papers import normalize_text
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,8 @@ MIN_SEGMENT_WORDS = 30
 MAX_SEGMENTS_KEPT = 3
 
 # apostrophes and intra-word hyphens stay inside tokens; everything else splits
-_TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
+# (normalize_text has already folded curly apostrophes and dashes to these)
+_TOKEN_RE = re.compile(r"[^\W_]+(?:['-][^\W_]+)*", re.UNICODE)
 
 
 def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
@@ -42,14 +43,13 @@ def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Normalized tokens plus their character spans in the source text.
+    """The tokens of a normalized text, in order.
 
     ``positions`` maps each token to its ascending indices. It is built on
     construction, so a stream shared by worker threads is never mutated.
     """
 
     tokens: tuple[str, ...]
-    offsets: tuple[tuple[int, int], ...]
     positions: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -60,17 +60,17 @@ class TokenStream:
 
 
 def tokenize(text: str) -> TokenStream:
-    """Split on whitespace and punctuation boundaries, lowercasing tokens."""
-    tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        tokens.append(m.group(0).lower())
-        offsets.append((m.start(), m.end()))
-    return TokenStream(tokens=tuple(tokens), offsets=tuple(offsets))
+    """Normalize the text, then split on whitespace and punctuation boundaries.
+
+    This is the one place text is normalized for matching, so a quote and
+    the document it was copied from fold quotes, dashes, compatibility
+    forms and case the same way. Pass the text as written, not normalized.
+    """
+    return TokenStream(tokens=tuple(_TOKEN_RE.findall(normalize_text(text))))
 
 
-#: A document to verify against: preprocessed, plain text, or already tokenized.
-Document = Union[DocumentText, str, TokenStream]
+#: A document to verify against: its text, or that text already tokenized.
+Document = Union[str, TokenStream]
 
 
 @dataclass(frozen=True)
@@ -271,14 +271,14 @@ def combine_score(mean_hit_coverage: float, hit_ratio: float, compact: bool) -> 
 def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
-    ``doc`` may be given already tokenized, as ``tokenize(doc.normalized)``,
-    so that a caller verifying many quotes tokenizes the document once.
-    Mean coverage averages the hit anchors only.
+    ``doc`` may be given already tokenized, as ``tokenize(doc)``, so that a
+    caller verifying many quotes tokenizes the document once. Mean coverage
+    averages the hit anchors only.
     """
     if isinstance(doc, TokenStream):
         doc_stream = doc
     else:
-        doc_stream = tokenize(doc.normalized if isinstance(doc, DocumentText) else doc)
+        doc_stream = tokenize(doc)
     quote_stream = tokenize(quote)
     anchors = segment_anchors(quote_stream)
     if not anchors or len(doc_stream) == 0:

@@ -10,6 +10,9 @@ import json
 from difflib import SequenceMatcher
 from typing import Optional
 
+from noveltycheck.papers import normalize_text
+from noveltycheck.verification import _TOKEN_RE
+
 
 # --- quality flag truth table -------------------------------------------------
 
@@ -108,6 +111,18 @@ def every_window_alignment(anchor: list[str], doc: list[str]) -> tuple[float, Op
             best = matched
             span = (s + blocks[0].b, s + blocks[-1].b + blocks[-1].size)
     return (best / m if best else 0.0), span
+
+
+# --- tokenizer reference ------------------------------------------------------
+
+
+def reference_tokens(text: str) -> list[str]:
+    """Tokens of the normalized text, each lowercased once more on its own.
+
+    ``normalize_text`` already lowercases the whole text, so the per-token
+    pass must change nothing, ``"İ"`` and final sigma included.
+    """
+    return [m.group(0).lower() for m in _TOKEN_RE.finditer(normalize_text(text))]
 
 
 # --- truncation-repair oracle ---------------------------------------------------

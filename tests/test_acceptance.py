@@ -37,11 +37,17 @@ from noveltycheck.extraction import (
     validate_contribution,
     word_count,
 )
-from noveltycheck.papers import VerificationVerdict, compute_quality_flag, preprocess_document
+from noveltycheck.papers import (
+    VerificationVerdict,
+    compute_quality_flag,
+    normalize_text,
+    preprocess_document,
+)
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.retrieval import RetryPolicy, cross_scope_dedup, filter_scope
 from noveltycheck.taxonomy import repair_taxonomy, validate_taxonomy
 from noveltycheck.verification import (
+    _TOKEN_RE,
     QuoteLocation,
     align_anchor,
     segment_anchors,
@@ -118,13 +124,14 @@ def test_criterion_3_confidence_formula_suite():
         doc = preprocess_document(
             (FIXTURES / "target_paper.txt").read_text(encoding="utf-8"), "comparison"
         )
-        stream = tokenize(doc.normalized)
+        normalized = normalize_text(doc)
+        spans = [m.span() for m in _TOKEN_RE.finditer(normalized)]
         rng = random.Random(101)
         checked = 0
         while checked < 200:
-            i = rng.randrange(len(stream) - 12)
+            i = rng.randrange(len(spans) - 12)
             j = i + rng.randint(4, 12)
-            sub = doc.normalized[stream.offsets[i][0] : stream.offsets[j - 1][1]]
+            sub = normalized[spans[i][0] : spans[j - 1][1]]
             if len(sub) < 20:
                 continue
             loc = verify_quote(sub, doc)

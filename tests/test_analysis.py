@@ -36,7 +36,7 @@ from noveltycheck.extraction import (
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.taxonomy import structural_position
-from noveltycheck.verification import QuoteLocation
+from noveltycheck.verification import QuoteLocation, tokenize
 
 CORE_TASK = CoreTask(text="methods for studying widget deformation under load")
 
@@ -49,6 +49,7 @@ TARGET_TEXT = (
     "temperature range of the device.\n"
 )
 TARGET_DOC = preprocess_document(TARGET_TEXT, "comparison")
+TARGET_TOKENS = tokenize(TARGET_DOC)
 TARGET_QUOTE = (
     "our approach measures the elastic limit of each widget assembly under "
     "cyclic load and reports the deformation profile"
@@ -232,7 +233,9 @@ class TestCompareContribution:
         candidate = make_record("Prior Widget Study", 0.9)
         candidate.abstract = "Widget bending analysis."
         llm = MockLlmClient({"default": _comparison_response("cannot_refute", "unclear")})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
+        )
         assert [e.refutation_status for e in entries] == [CANNOT_REFUTE, UNCLEAR]
         assert all(e.comparison_mode == "abstract" for e in entries)
         assert entries[0].brief_note and entries[0].refutation_evidence is None
@@ -253,7 +256,9 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
+        )
         pair = entries[0].refutation_evidence.evidence_pairs[0]
         assert entries[0].comparison_mode == "fulltext"
         assert pair.original_location.found and pair.candidate_location.found
@@ -281,17 +286,11 @@ class TestCompareContribution:
         }
         evidence = {"summary": "Same scheme.", "evidence_pairs": [pair, pair, pair]}
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
-        assert all(p.doubly_verified for p in entries[0].refutation_evidence.evidence_pairs)
-        assert sorted(tokenized) == sorted(
-            [TARGET_DOC.normalized, candidate.full_text.normalized]
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
         )
-
-        tokenized.clear()
-        given = real(TARGET_DOC.normalized)
-        again = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm, target_tokens=given)
-        assert tokenized == [candidate.full_text.normalized]
-        assert again == entries
+        assert all(p.doubly_verified for p in entries[0].refutation_evidence.evidence_pairs)
+        assert tokenized == [candidate.full_text]
 
     def test_fabricated_quote_fails_verification_then_downgrades(self):
         candidate = make_record("Prior Widget Study", 0.9)
@@ -309,7 +308,9 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
+        )
         assert not entries[0].refutation_evidence.evidence_pairs[0].doubly_verified
         downgraded = downgrade_unverified(entries)
         assert downgraded[0].refutation_status == CANNOT_REFUTE
@@ -317,7 +318,9 @@ class TestCompareContribution:
     def test_parse_failure_degrades_to_unclear(self):
         candidate = make_record("Prior Widget Study", 0.9)
         llm = MockLlmClient({"default": "utter garbage"})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
+        )
         assert [e.refutation_status for e in entries] == [UNCLEAR, UNCLEAR]
         assert all("Comparison unavailable" in e.brief_note for e in entries)
 
@@ -335,7 +338,9 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(TARGET_DOC, candidate, CLAIMS, llm)
+        entries = compare_contribution(
+            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
+        )
         pair = entries[0].refutation_evidence.evidence_pairs[0]
         assert len(pair.original_quote.split()) == 90
         assert len(pair.candidate_quote.split()) == 90
@@ -352,11 +357,15 @@ class TestCompareContribution:
             ]
         }
         first = [
-            compare_contribution(TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture))
+            compare_contribution(
+                TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture), target_tokens=TARGET_TOKENS
+            )
             for c in (a, b)
         ]
         second = [
-            compare_contribution(TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture))
+            compare_contribution(
+                TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture), target_tokens=TARGET_TOKENS
+            )
             for c in (b, a)
         ]
         assert [e.refutation_status for e in first[0]] == [e.refutation_status for e in second[1]]
@@ -494,6 +503,10 @@ SEGMENT_TEXT = (
 )
 
 
+def _detect_similarity(target_doc, candidate, llm):
+    return detect_similarity(target_doc, candidate, llm, target_tokens=tokenize(target_doc))
+
+
 class TestDetectSimilarity:
     def _candidate(self):
         candidate = make_record("Overlapping Candidate Work", 0.9)
@@ -512,7 +525,7 @@ class TestDetectSimilarity:
                  "original_text": SEGMENT_TEXT, "candidate_text": SEGMENT_TEXT,
                  "plagiarism_type": "Direct", "rationale": "verbatim"}]}}
         )
-        segments = detect_similarity(self._target_doc(), self._candidate(), llm)
+        segments = _detect_similarity(self._target_doc(), self._candidate(), llm)
         assert len(segments) == 1
         assert segments[0].verified and segments[0].segment_type == "Direct"
 
@@ -524,13 +537,13 @@ class TestDetectSimilarity:
                  "candidate_text": "words that simply do not occur in the candidate document " * 4,
                  "plagiarism_type": "Direct", "rationale": "made up"}]}}
         )
-        segments = detect_similarity(self._target_doc(), self._candidate(), llm)
+        segments = _detect_similarity(self._target_doc(), self._candidate(), llm)
         assert segments == []
 
     def test_no_full_text_returns_empty(self):
         llm = MockLlmClient({})
         candidate = make_record("Abstract Only Candidate", 0.9)
-        segments = detect_similarity(self._target_doc(), candidate, llm)
+        segments = _detect_similarity(self._target_doc(), candidate, llm)
         assert segments == []
         assert llm.calls == []
 
@@ -583,7 +596,6 @@ class TestReferencesAndAssembly:
                 ),
                 status="valid",
             ),
-            position=None,
             core_task_analysis=CoreTaskAnalysis(mode="isolated", taxonomy_path=[]),
             comparisons_by_claim=entries,
             candidate_set=candidate_set,
@@ -616,7 +628,6 @@ class TestReferencesAndAssembly:
                     ),
                     status="valid",
                 ),
-                position=None,
                 core_task_analysis=__import__("noveltycheck.analysis", fromlist=["CoreTaskAnalysis"]).CoreTaskAnalysis(
                     mode="isolated", taxonomy_path=[]
                 ),
@@ -672,7 +683,8 @@ class TestNarrativeCitations:
 NON_OBJECT_SITES = {
     "claim_comparison": (
         lambda llm: [e.brief_note for e in compare_contribution(
-            TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm)],
+            TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm,
+            target_tokens=TARGET_TOKENS)],
         "Comparison unavailable",
     ),
     "subtopic_comparison": (
@@ -711,7 +723,10 @@ def _overlap_candidate():
 
 
 def _compare_prior(llm):
-    return compare_contribution(TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm)
+    return compare_contribution(
+        TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm,
+        target_tokens=TARGET_TOKENS,
+    )
 
 
 def _segment(**fields):
@@ -731,11 +746,15 @@ def _refutation(evidence_pairs):
 _TAXONOMY_PAPERS = [make_record("Alpha Widget Paper", 0.9), make_record("Beta Widget Paper", 0.8)]
 
 
-def _taxonomy(**notes):
+def _taxonomy(**fields):
     return {"name": "Widget Survey Taxonomy", "subtopics": [
-        {"name": "Widgets", "exclude_note": "e", **notes,
-         "papers": [str(p.canonical_id) for p in _TAXONOMY_PAPERS]},
+        {"name": "Widgets", "exclude_note": "e",
+         "papers": [str(p.canonical_id) for p in _TAXONOMY_PAPERS], **fields},
     ]}
+
+
+def _contribution(**fields):
+    return {"contributions": [{"name": "Elastic limit measurement", **fields}]}
 
 
 # site -> (run, a reply with one mistyped field, the well-typed reply it must read as)
@@ -747,11 +766,11 @@ MISTYPED_FIELDS = {
         _compare_prior, _refutation(None), _refutation([]),
     ),
     "plagiarism_segments_null": (
-        lambda llm: detect_similarity(TARGET_DOC, _overlap_candidate(), llm),
+        lambda llm: _detect_similarity(TARGET_DOC, _overlap_candidate(), llm),
         {"plagiarism_segments": None}, {"plagiarism_segments": []},
     ),
     "segment_id_text": (
-        lambda llm: detect_similarity(
+        lambda llm: _detect_similarity(
             preprocess_document(f"Header.\n{SEGMENT_TEXT}\nFooter here.", "comparison"),
             _overlap_candidate(), llm,
         ),
@@ -770,6 +789,23 @@ MISTYPED_FIELDS = {
     "scope_note_number": (
         lambda llm: build_taxonomy(_TAXONOMY_PAPERS, CORE_TASK, llm),
         _taxonomy(scope_note=5), _taxonomy(),
+    ),
+    "subtopics_number": (
+        lambda llm: build_taxonomy(_TAXONOMY_PAPERS, CORE_TASK, llm),
+        {"name": "Widget Survey Taxonomy", "subtopics": 5},
+        {"name": "Widget Survey Taxonomy", "subtopics": []},
+    ),
+    "papers_text": (
+        lambda llm: build_taxonomy(_TAXONOMY_PAPERS, CORE_TASK, llm),
+        _taxonomy(papers="abc"), _taxonomy(papers=[]),
+    ),
+    "audit_flags_number": (
+        lambda llm: extract_contributions(TARGET_DOC, llm),
+        _contribution(audit_flags=5), _contribution(audit_flags=[]),
+    ),
+    "query_variants_text": (
+        lambda llm: extract_contributions(TARGET_DOC, llm),
+        _contribution(query_variants="abc"), _contribution(query_variants=[]),
     ),
     "variants_text": (
         lambda llm: expand_query_variants("original core topic phrase", llm, require_prefix=False),

@@ -22,6 +22,7 @@ from noveltycheck.papers import (
     normalize_title,
     preprocess_document,
 )
+from noveltycheck.verification import tokenize
 from oracles import ASSESSMENTS, flag_oracle
 
 
@@ -186,11 +187,11 @@ class TestPreprocessDocument:
     def test_truncates_at_references_heading(self):
         text = ("x" * 999) + "\nReferences\n[1] something"
         doc = preprocess_document(text, "extraction")
-        assert len(doc.raw) == 1000
+        assert len(doc) == 1000
 
     def test_hard_cap_at_200k(self):
         doc = preprocess_document("word " * 60_000, "extraction")
-        assert len(doc.raw) == MAX_DOCUMENT_CHARS
+        assert len(doc) == MAX_DOCUMENT_CHARS
 
     def test_comparison_removes_acknowledgements(self):
         text = (
@@ -198,28 +199,28 @@ class TestPreprocessDocument:
             "Appendix A\nMore content.\n"
         )
         doc = preprocess_document(text, "comparison")
-        assert "thank" not in doc.raw
-        assert "More content." in doc.raw
+        assert "thank" not in doc
+        assert "More content." in doc
 
     def test_extraction_keeps_acknowledgements(self):
         text = "Intro.\n\nAcknowledgements\nWe thank everyone.\n"
         doc = preprocess_document(text, "extraction")
-        assert "thank" in doc.raw
+        assert "thank" in doc
 
     def test_bibliography_and_numbered_headings_match(self):
-        assert preprocess_document("abc\n7. Bibliography\nzzz", "extraction").raw == "abc\n"
-        assert preprocess_document("abc\n# References\nzzz", "extraction").raw == "abc\n"
+        assert preprocess_document("abc\n7. Bibliography\nzzz", "extraction") == "abc\n"
+        assert preprocess_document("abc\n# References\nzzz", "extraction") == "abc\n"
 
     def test_idempotent_on_own_output(self):
         text = "Title\n\nBody text here.\nAcknowledgements\nThanks.\nReferences\n[1] x"
         once = preprocess_document(text, "comparison")
-        twice = preprocess_document(once.raw, "comparison") if once.raw else once
+        twice = preprocess_document(once, "comparison") if once else once
         assert twice == once
 
     def test_normalized_form(self):
         doc = preprocess_document("AbC   DeF\n\nGhI", "extraction")
-        assert doc.normalized == "abc def ghi"
-        assert doc.token_count == 3
+        assert doc == "AbC   DeF\n\nGhI"
+        assert tokenize(doc).tokens == ("abc", "def", "ghi")
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -221,6 +221,25 @@ class TestRunPipeline:
         assert "cannot load phase2.json" in manifest.phases["phase2"].error
         assert manifest.phases["phase3"].status == "pending"
 
+    def test_resume_over_document_objects_in_phase2_fails_phase2(
+        self, tmp_path, fixtures_dir, paper_text
+    ):
+        # a full text is stored as its preprocessed string; an object in its place is not reused
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        path = tmp_path / "phase2.json"
+        phase2 = json.loads(path.read_text())
+        papers = [u["paper"] for u in phase2["candidate_set"]["unified"]]
+        assert any(p["full_text"] is not None for p in papers)
+        for paper in papers:
+            if paper["full_text"] is not None:
+                text = paper["full_text"]
+                paper["full_text"] = {"raw": text, "normalized": text.lower(), "token_count": 1}
+        path.write_text(json.dumps(phase2))
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert manifest.phases["phase2"].status == "failed"
+        assert "cannot load phase2.json" in manifest.phases["phase2"].error
+        assert manifest.phases["phase3"].status == "pending"
+
     @pytest.mark.parametrize("phase", ["phase1", "phase2", "phase3"])
     def test_resume_over_truncated_artifact_fails_its_phase(
         self, tmp_path, fixtures_dir, paper_text, phase
@@ -320,7 +339,7 @@ class TestRunPipeline:
         manifest, calls = run_recording_llm(monkeypatch, paper_text, cfg)
         assert manifest.succeeded
         unified = json.loads((tmp_path / "phase2.json").read_text())["candidate_set"]["unified"]
-        texts = [u["paper"]["full_text"]["raw"] for u in unified if u["paper"]["full_text"]]
+        texts = [u["paper"]["full_text"] for u in unified if u["paper"]["full_text"] is not None]
         checks = [c["user"] for c in calls if c["system"] == load_prompt("similarity_detection")]
         assert len(texts) == 2
         assert len(checks) == len(texts)

@@ -134,7 +134,7 @@ class TestExecuteQueries:
         batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
         assert sorted(calls) == sorted([shared["full_text"], other["full_text"]])
         assert len(batch.results) == 6
-        assert {r.paper.full_text.raw for r in batch.results} == set(calls)
+        assert {r.paper.full_text for r in batch.results} == set(calls)
 
     def test_hit_date_inferred_from_url(self):
         hit = dict(HIT, url="https://arxiv.org/abs/2401.00001")

@@ -3,10 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import anchor_case_doc, anchor_case_quote
+from noveltycheck.papers import normalize_text, preprocess_document
 from noveltycheck.verification import (
+    _TOKEN_RE,
     Anchor,
     MIN_ANCHOR_CHARS,
     SimilaritySegment,
@@ -19,7 +21,7 @@ from noveltycheck.verification import (
     verify_quote_detailed,
     verify_segment,
 )
-from oracles import brute_force_coverage
+from oracles import brute_force_coverage, reference_tokens
 
 DOC_TEXT = (
     "the quick brown fox jumps over the lazy dog while the calm river "
@@ -40,16 +42,15 @@ class TestTokenize:
     def test_hyphenated_tokens_stay_whole(self):
         assert list(tokenize("state-of-the-art method").tokens) == ["state-of-the-art", "method"]
 
-    def test_offsets_recover_source_spans(self):
-        text = "Alpha, beta; GAMMA."
-        stream = tokenize(text)
-        for token, (start, end) in zip(stream.tokens, stream.offsets):
-            assert text[start:end].lower() == token
-
-    def test_offsets_strictly_increasing(self):
-        stream = tokenize("one two three four")
-        starts = [s for s, _ in stream.offsets]
-        assert starts == sorted(starts) and len(set(starts)) == len(starts)
+    @given(st.text())
+    @example("İ")
+    @example("ﬁ")
+    @example("’")
+    @example("–")
+    @example("Σ")
+    @example("İstanbul’s ﬁne–tuned ΟΔΟΣ Σ")
+    def test_matches_reference_tokenizer(self, text):
+        assert list(tokenize(text).tokens) == reference_tokens(text)
 
 
 class TestSegmentAnchors:
@@ -171,18 +172,28 @@ class TestVerifyQuote:
         for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
             assert verify_quote(quote, stream) == verify_quote(quote, DOC_TEXT)
 
-    def test_verbatim_substrings_of_fixture_doc(self, fixtures_dir):
-        from noveltycheck.papers import preprocess_document
+    def test_quote_copied_from_raw_text_with_typographic_characters(self):
+        raw = (
+            "Intro.\n\nThe agent’s ﬁne-grained reward model is trained end–to–end "
+            "on every benchmark we tried.\n"
+        )
+        doc = preprocess_document(raw, "comparison")
+        quote = "The agent’s ﬁne-grained reward model is trained end–to–end"
+        assert quote in doc
+        loc = verify_quote(quote, doc)
+        assert loc.found and loc.match_score == 1.0
 
+    def test_verbatim_substrings_of_fixture_doc(self, fixtures_dir):
         doc = preprocess_document(
             (fixtures_dir / "target_paper.txt").read_text(encoding="utf-8"), "comparison"
         )
-        stream = tokenize(doc.normalized)
+        normalized = normalize_text(doc)
+        spans = [m.span() for m in _TOKEN_RE.finditer(normalized)]
         rng = random.Random(19)
         for _ in range(100):
-            i = rng.randrange(len(stream) - 8)
+            i = rng.randrange(len(spans) - 8)
             j = i + rng.randint(4, 8)
-            sub = doc.normalized[stream.offsets[i][0] : stream.offsets[j - 1][1]]
+            sub = normalized[spans[i][0] : spans[j - 1][1]]
             if len(sub) < 20:
                 continue
             loc = verify_quote(sub, doc)
