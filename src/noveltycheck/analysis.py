@@ -326,11 +326,13 @@ def compare_contribution(
         note = f"Comparison unavailable: {exc}"
         return [_entry(UNCLEAR, note, None) for _ in claims]
 
+    # an item is matched to a claim by name; one whose name is no claim's
+    # stands in, by position, for the claim in its slot
+    items = reply_objects(parsed, "contribution_analyses")
+    item_names = [str(item.get("contribution_name", "")).strip().lower() for item in items]
+    claim_names = {claim.name.strip().lower() for claim in claims}
     by_name: dict[str, Mapping[str, Any]] = {}
-    ordered: list[Mapping[str, Any]] = []
-    for item in reply_objects(parsed, "contribution_analyses"):
-        ordered.append(item)
-        name = str(item.get("contribution_name", "")).strip().lower()
+    for name, item in zip(item_names, items):
         if name:
             by_name.setdefault(name, item)
 
@@ -338,8 +340,8 @@ def compare_contribution(
     entries: list[ContributionComparison] = []
     for i, claim in enumerate(claims):
         item = by_name.get(claim.name.strip().lower())
-        if item is None and i < len(ordered):
-            item = ordered[i]
+        if item is None and i < len(items) and item_names[i] not in claim_names:
+            item = items[i]
         if item is None:
             entries.append(_entry(UNCLEAR, "No analysis returned for this contribution.", None))
             continue
@@ -440,11 +442,6 @@ def compare_core_task(
             analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
         return analysis
 
-    if target.full_text is not None:
-        original_content, original_type = _content_of(target)
-    else:
-        original_content, original_type = target_doc, "fulltext"
-
     def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
         record = candidates.get(sibling_id)
         if record is None:
@@ -457,8 +454,8 @@ def compare_core_task(
             "core_task_domain": core_task.text,
             "original_paper": {
                 "title": target.title,
-                "content": original_content,
-                "content_type": original_type,
+                "content": target_doc,
+                "content_type": "fulltext",
             },
             "candidate_paper": {
                 "title": title,
@@ -884,14 +881,17 @@ def assemble_report(
     for claim in claims:
         entries = list(comparisons_by_claim.get(claim.claim_id, ()))
         examined = len(candidate_set.per_contribution.get(claim.claim_id, ()))
+        if len(entries) != examined:
+            raise AssemblyError(
+                f"statistics identity violated for {claim.claim_id}: "
+                f"{len(entries)} comparisons for {examined} candidates examined"
+            )
         can_refute = sum(1 for e in entries if e.refutation_status == CAN_REFUTE)
         stats = {
             "candidates_examined": examined,
             "can_refute": can_refute,
             "non_refutable_or_unclear": examined - can_refute,
         }
-        if stats["can_refute"] + stats["non_refutable_or_unclear"] != examined:
-            raise AssemblyError(f"statistics identity violated for {claim.claim_id}")
         contributions.append(
             ContributionAnalysisEntry(
                 claim_id=claim.claim_id,

@@ -207,10 +207,9 @@ def reply_objects(reply: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]
 
 @dataclass(frozen=True)
 class CoreTask:
-    """The 5-15 word problem phrase plus its three retrieval queries."""
+    """The 5-15 word problem phrase the core-task queries are made from."""
 
     text: str
-    query_variants: tuple[str, ...] = ()
     audit_flags: tuple[str, ...] = ()
 
 
@@ -223,25 +222,23 @@ class ContributionClaim:
     author_claim_text: str = "unknown"
     description: str = "unknown"
     source_hint: str = "unknown"
-    prior_work_query: Optional[str] = None
-    query_variants: tuple[str, ...] = ()
     audit_flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class SearchQuery:
-    query_id: str
+    query_id: str  # "<scope or claim id>:primary" or "...:variantN"
     text: str
     scope: str  # "core_task" or "contribution"
-    kind: str  # "primary" or "variant"
     contribution_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class QuerySet:
+    """Where each search query is stored: three per scope, primary first."""
+
     core_task_queries: tuple[SearchQuery, ...]
     contribution_queries: dict[str, tuple[SearchQuery, ...]]
-    warnings: tuple[str, ...] = ()
 
     def all_queries(self) -> list[SearchQuery]:
         queries = list(self.core_task_queries)
@@ -282,32 +279,12 @@ def normalize_query(text: str, *, require_prefix: bool) -> tuple[str, list[str]]
     return q, flags
 
 
-def _coerce_variants(
-    primary: str, variants: Sequence[str], *, require_prefix: bool
-) -> tuple[tuple[str, ...], list[str]]:
-    """Build the exactly-three query list: primary plus two variants."""
-    flags: list[str] = []
-    cleaned: list[str] = []
-    for v in variants:
-        if not str(v).strip():
-            continue
-        q, vflags = normalize_query(str(v), require_prefix=require_prefix)
-        flags.extend(vflags)
-        if q != primary and q not in cleaned:
-            cleaned.append(q)
-    while len(cleaned) < 2:
-        cleaned.append(primary)
-        flags.append("variant_padded_with_primary")
-    return (primary, cleaned[0], cleaned[1]), flags
-
-
 def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
     """Normalize one raw contribution object into a valid claim.
 
     Missing optional fields get the "unknown" sentinel with an audit flag;
-    over-limit fields are truncated with an audit flag; queries get the
-    prefix and 25-word rules applied. A missing or empty name rejects the
-    contribution outright. Idempotent on its own output.
+    over-limit fields are truncated with an audit flag. A missing or empty
+    name rejects the contribution outright. Idempotent on its own output.
     """
     name = str(rawfields.get("name") or "").strip()
     if not name:
@@ -338,29 +315,12 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
     if not source_hint:
         source_hint = "unknown"
         _flag("source_hint_defaulted")
-
-    prior_work_query = rawfields.get("prior_work_query")
-    variants = reply_list(rawfields, "query_variants")
-    query: Optional[str] = None
-    query_variants: tuple[str, ...] = ()
-    if prior_work_query is None and variants:
-        prior_work_query = variants[0]
-        _flag("primary_query_from_variant")
-    if prior_work_query is not None and str(prior_work_query).strip():
-        query, qflags = normalize_query(str(prior_work_query), require_prefix=True)
-        for f in qflags:
-            _flag(f)
-        query_variants, vflags = _coerce_variants(query, variants, require_prefix=True)
-        for f in vflags:
-            _flag(f)
     return ContributionClaim(
         claim_id=str(rawfields.get("claim_id") or "contribution_1"),
         name=name,
         author_claim_text=claim_text,
         description=description,
         source_hint=source_hint,
-        prior_work_query=query,
-        query_variants=query_variants,
         audit_flags=tuple(flags),
     )
 
@@ -437,7 +397,7 @@ def extract_core_task(
     if word_count(phrase) > MAX_CORE_TASK_WORDS:
         phrase = truncate_words(phrase, MAX_CORE_TASK_WORDS)
         flags.append("core_task_trimmed")
-    return CoreTask(text=phrase, query_variants=(phrase,), audit_flags=tuple(flags))
+    return CoreTask(text=phrase, audit_flags=tuple(flags))
 
 
 def extract_contributions(
@@ -488,8 +448,14 @@ def expand_query_variants(
     *,
     require_prefix: bool,
 ) -> tuple[tuple[str, ...], list[str]]:
-    """One variant-generation call, normalized to exactly three query texts."""
-    flags: list[str] = []
+    """One variant-generation call around ``primary``: exactly three normalized query texts.
+
+    This is where every query is normalized. The primary is normalized first
+    and is what the model is shown; each variant is normalized in turn and
+    dropped when it repeats the primary or an earlier variant. Fewer than two
+    variants left are padded with the primary. Every normalization is flagged.
+    """
+    primary, flags = normalize_query(primary, require_prefix=require_prefix)
     raw_variants: list[str] = []
     try:
         parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
@@ -497,15 +463,29 @@ def expand_query_variants(
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
         flags.append("variant_generation_failed")
-    queries, vflags = _coerce_variants(primary, raw_variants, require_prefix=require_prefix)
-    return queries, flags + vflags
+    variants: list[str] = []
+    for raw in raw_variants:
+        if not raw.strip():
+            continue
+        query, vflags = normalize_query(raw, require_prefix=require_prefix)
+        flags.extend(vflags)
+        if query != primary and query not in variants:
+            variants.append(query)
+    while len(variants) < 2:
+        variants.append(primary)
+        flags.append("variant_padded_with_primary")
+    return (primary, variants[0], variants[1]), flags
 
 
 def generate_primary_queries(
     claims: Sequence[ContributionClaim],
     llm: LlmClient,
 ) -> tuple[dict[str, str], list[str]]:
-    """One call producing the prior-work query for every claim id."""
+    """One call producing the raw prior-work query for every claim id.
+
+    A claim the reply misses gets a query synthesized from its description,
+    or its name, with a warning. Normalization is left to ``expand_query_variants``.
+    """
     warnings: list[str] = []
     answers: dict[str, str] = {}
     if claims:
@@ -526,76 +506,50 @@ def generate_primary_queries(
             warnings.append(f"primary query generation failed: {exc}")
     queries: dict[str, str] = {}
     for claim in claims:
-        raw_query = answers.get(claim.claim_id, "").strip()
-        if not raw_query:
-            raw_query = QUERY_PREFIX + truncate_words(
+        query = answers.get(claim.claim_id, "").strip()
+        if not query:
+            query = QUERY_PREFIX + truncate_words(
                 claim.description if claim.description != "unknown" else claim.name, 12
             )
             warnings.append(f"synthesized fallback query for {claim.claim_id}")
-        query, _ = normalize_query(raw_query, require_prefix=True)
         queries[claim.claim_id] = query
     return queries, warnings
 
 
-def assemble_query_set(
-    core: CoreTask, claims: Sequence[ContributionClaim]
-) -> QuerySet:
-    """Materialize the final query set: 3 core-task plus 3 per contribution.
-
-    Prefix and word-cap rules are re-enforced here unconditionally, so the
-    emitted queries satisfy the format invariants no matter where the input
-    texts came from.
-    """
-    warnings: list[str] = []
-    primary_text = core.query_variants[0] if core.query_variants else core.text
-    primary, pflags = normalize_query(primary_text, require_prefix=False)
-    coerced, flags = _coerce_variants(
-        primary, core.query_variants[1:], require_prefix=False
-    )
-    core_texts = list(coerced)
-    if len(core.query_variants) != 3:
-        warnings.extend(pflags + flags)
-    core_queries = tuple(
+def _search_queries(
+    texts: Sequence[str], contribution_id: Optional[str] = None
+) -> tuple[SearchQuery, ...]:
+    scope = "contribution" if contribution_id else "core_task"
+    return tuple(
         SearchQuery(
-            query_id=f"core_task:{'primary' if i == 0 else f'variant{i}'}",
+            query_id=f"{contribution_id or scope}:{'primary' if i == 0 else f'variant{i}'}",
             text=text,
-            scope="core_task",
-            kind="primary" if i == 0 else "variant",
+            scope=scope,
+            contribution_id=contribution_id,
         )
-        for i, text in enumerate(core_texts)
+        for i, text in enumerate(texts)
     )
-    contribution_queries: dict[str, tuple[SearchQuery, ...]] = {}
-    for claim in claims:
-        raw_primary = (
-            claim.prior_work_query
-            or (claim.query_variants[0] if claim.query_variants else None)
-            or (QUERY_PREFIX + truncate_words(claim.name, 12))
-        )
-        primary, _ = normalize_query(raw_primary, require_prefix=True)
-        coerced, flags = _coerce_variants(
-            primary, claim.query_variants[1:], require_prefix=True
-        )
-        texts = list(coerced)
-        if len(claim.query_variants) != 3:
-            warnings.extend(flags)
-        contribution_queries[claim.claim_id] = tuple(
-            SearchQuery(
-                query_id=f"{claim.claim_id}:{'primary' if i == 0 else f'variant{i}'}",
-                text=text,
-                scope="contribution",
-                kind="primary" if i == 0 else "variant",
-                contribution_id=claim.claim_id,
-            )
-            for i, text in enumerate(texts)
-        )
-    total = 3 + 3 * len(claims)
-    if total < 6:
-        warnings.append(f"query count {total} below the 6-12 range (no contributions)")
-    return QuerySet(
-        core_task_queries=core_queries,
-        contribution_queries=contribution_queries,
-        warnings=tuple(warnings),
+
+
+def assemble_query_set(
+    core_queries: Sequence[str], claim_queries: Mapping[str, Sequence[str]]
+) -> tuple[QuerySet, list[str]]:
+    """Wrap the query texts from ``expand_query_variants`` as the Phase II query set.
+
+    ``claim_queries`` maps each claim id to its texts, in claim order. Ids
+    follow position: the first text of a scope is its primary, the rest its
+    variants. The warning list names a total below the paper's 6-12 range.
+    """
+    query_set = QuerySet(
+        core_task_queries=_search_queries(core_queries),
+        contribution_queries={
+            cid: _search_queries(texts, cid) for cid, texts in claim_queries.items()
+        },
     )
+    warnings: list[str] = []
+    if query_set.total < 6:
+        warnings.append(f"query count {query_set.total} below the 6-12 range (no contributions)")
+    return query_set, warnings
 
 
 @dataclass
@@ -643,16 +597,14 @@ def run_extraction_phase(
             claims,
         )
         core_queries, core_flags = core_expansion.result()
-    core = replace(core, query_variants=core_queries, audit_flags=core.audit_flags + tuple(core_flags))
-    completed = [
-        replace(
-            claim,
-            prior_work_query=primaries[claim.claim_id],
-            query_variants=variants,
-            audit_flags=claim.audit_flags + tuple(vflags),
-        )
-        for claim, (variants, vflags) in zip(claims, expansions)
+    core = replace(core, audit_flags=core.audit_flags + tuple(core_flags))
+    claims = [
+        replace(claim, audit_flags=claim.audit_flags + tuple(vflags))
+        for claim, (_, vflags) in zip(claims, expansions)
     ]
-    query_set = assemble_query_set(core, completed)
-    warnings.extend(query_set.warnings)
-    return Phase1Result(core_task=core, claims=completed, query_set=query_set, warnings=warnings)
+    query_set, count_warnings = assemble_query_set(
+        core_queries,
+        {claim.claim_id: texts for claim, (texts, _) in zip(claims, expansions)},
+    )
+    warnings.extend(count_warnings)
+    return Phase1Result(core_task=core, claims=claims, query_set=query_set, warnings=warnings)

@@ -260,12 +260,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
             md.line(f"### {_cite(ref, pid)}: {title}")
             md.blank()
             for raw in raw_segments:
-                seg = (
-                    raw
-                    if isinstance(raw, SimilaritySegment)
-                    else decode(SimilaritySegment, raw)
-                )
-                _render_segment(md, seg, limit)
+                _render_segment(md, decode(SimilaritySegment, raw), limit)
             md.blank()
 
     md.line("## References")

@@ -9,6 +9,7 @@ set no matter the concurrency setting used to fetch them.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from threading import Semaphore
@@ -85,6 +86,9 @@ def _hit_to_result(
     if not hit.title or not hit.title.strip():
         logger.warning("dropping hit without a title from query %s", query.query_id)
         return None
+    if math.isnan(hit.relevance_score):
+        logger.warning("dropping hit with a NaN relevance score from query %s", query.query_id)
+        return None
     metadata = dict(hit.identifiers)
     metadata["title"] = hit.title
     canonical = canonical_id_of(metadata)
@@ -114,7 +118,7 @@ def _hit_to_result(
 
 
 def execute_queries(
-    queries: QuerySet | Sequence[SearchQuery],
+    queries: Sequence[SearchQuery],
     search: SearchClient,
     policy: RetryPolicy = RetryPolicy(),
     *,
@@ -126,7 +130,7 @@ def execute_queries(
     ``initial_delay * attempt`` between them. Failed queries are logged and
     skipped; the batch only raises when every query failed.
     """
-    query_list = queries.all_queries() if isinstance(queries, QuerySet) else list(queries)
+    query_list = list(queries)
     if not query_list:
         raise InvalidInputError("query set is empty")
 
@@ -412,7 +416,7 @@ def run_retrieval_phase(
     sleep: Callable[[float], None] = time.sleep,
 ) -> Phase2Result:
     """Execute the query set and run the full filtering pipeline."""
-    batch = execute_queries(query_set, search, policy, sleep=sleep)
+    batch = execute_queries(query_set.all_queries(), search, policy, sleep=sleep)
     core_results = [r for r in batch.results if r.scope == "core_task"]
     core_outcome = filter_scope(core_results, "core_task", topk_core, target)
 

@@ -575,14 +575,21 @@ def build_llm_fixture() -> dict:
     return {"rules": rules}
 
 
+def build_files() -> dict[str, str]:
+    """The text of each fixture file, by file name."""
+    def as_json(value: dict) -> str:
+        return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+    return {
+        "target_paper.txt": TARGET_PAPER,
+        "mock_search.json": as_json(build_search_fixture()),
+        "mock_llm.json": as_json(build_llm_fixture()),
+    }
+
+
 def main() -> None:
-    (HERE / "target_paper.txt").write_text(TARGET_PAPER, encoding="utf-8")
-    (HERE / "mock_search.json").write_text(
-        json.dumps(build_search_fixture(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (HERE / "mock_llm.json").write_text(
-        json.dumps(build_llm_fixture(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    for name, text in build_files().items():
+        (HERE / name).write_text(text, encoding="utf-8")
     print(f"target id: {TARGET_ID}")
     print("wrote target_paper.txt, mock_search.json, mock_llm.json")
 

@@ -30,13 +30,8 @@ from noveltycheck.analysis import (
     RefutationEvidence,
     downgrade_unverified,
 )
-from noveltycheck.extraction import (
-    CoreTask,
-    QUERY_PREFIX,
-    assemble_query_set,
-    validate_contribution,
-    word_count,
-)
+from noveltycheck.clients import MockLlmClient
+from noveltycheck.extraction import QUERY_PREFIX, run_extraction_phase, word_count
 from noveltycheck.papers import (
     VerificationVerdict,
     compute_quality_flag,
@@ -346,6 +341,7 @@ def test_criterion_8_query_rule_conformance():
         rng = random.Random(88)
         vocab = ["agent", "policy", "graph", "sparse", "reward", "training", "multi-step",
                  "retrieval", "alignment", "cache", "drift", "model"]
+        doc = preprocess_document("A Paper\n\nAbstract\n\nIt studies a problem.\n", "extraction")
 
         def phrase(lo, hi):
             return " ".join(rng.choices(vocab, k=rng.randint(lo, hi)))
@@ -353,31 +349,42 @@ def test_criterion_8_query_rule_conformance():
         def maybe_dirty(p):
             return (QUERY_PREFIX + p) if rng.random() < 0.3 else p
 
+        def prefixed_or_not(lo, hi):
+            return (QUERY_PREFIX if rng.random() < 0.5 else "") + phrase(lo, hi)
+
+        # dirty texts enter where the model produces them: the core phrase,
+        # the primary-query reply and each variants reply
         for _ in range(1000):
-            core_words = phrase(5, 15)
-            core = CoreTask(
-                text=core_words,
-                query_variants=(core_words, maybe_dirty(phrase(5, 20)), maybe_dirty(phrase(5, 20))),
-            )
-            claims = []
-            for i in range(rng.randint(1, 3)):
-                raw = {
-                    "claim_id": f"contribution_{i + 1}",
+            n_claims = rng.randint(1, 3)
+            contributions = [
+                {
                     "name": phrase(1, 20),
                     "author_claim_text": phrase(0, 50) if rng.random() < 0.9 else "",
                     "description": phrase(1, 70),
-                    "prior_work_query": (
-                        (QUERY_PREFIX if rng.random() < 0.5 else "") + phrase(2, 35)
-                    ),
-                    "query_variants": [
-                        (QUERY_PREFIX if rng.random() < 0.5 else "") + phrase(2, 35)
-                        for _ in range(rng.randint(0, 4))
-                    ],
                 }
-                claims.append(validate_contribution(raw))
-            query_set = assemble_query_set(core, claims)
+                for _ in range(n_claims)
+            ]
+            primaries = [
+                {"id": f"contribution_{i + 1}", "prior_work_query": prefixed_or_not(2, 35)}
+                for i in range(n_claims)
+            ]
+            variant_replies = [{"variants": [maybe_dirty(phrase(5, 20)), maybe_dirty(phrase(5, 20))]}]
+            variant_replies += [
+                {"variants": [prefixed_or_not(2, 35) for _ in range(rng.randint(0, 4))]}
+                for _ in range(n_claims)
+            ]
+            llm = MockLlmClient({"rules": [
+                {"system_contains": "extract ONE short phrase", "response": maybe_dirty(phrase(5, 15))},
+                {"system_contains": "extract the main contributions",
+                 "response": {"contributions": contributions}},
+                {"system_contains": "prior-work search queries", "response": {"queries": primaries}},
+                {"system_contains": "rewriting academic search queries",
+                 "responses": variant_replies},
+            ]})
+            phase1 = run_extraction_phase(doc, llm)
+            query_set = phase1.query_set
             assert 6 <= query_set.total <= 12
-            assert query_set.total == 3 + 3 * len(claims)
+            assert query_set.total == 3 + 3 * len(phase1.claims)
             for q in query_set.core_task_queries:
                 assert not q.text.startswith(QUERY_PREFIX)
             for group in query_set.contribution_queries.values():

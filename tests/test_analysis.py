@@ -11,6 +11,7 @@ from noveltycheck.analysis import (
     CANNOT_REFUTE,
     UNCLEAR,
     ContributionComparison,
+    CoreTaskAnalysis,
     EvidencePair,
     RefutationEvidence,
     assemble_report,
@@ -35,7 +36,7 @@ from noveltycheck.extraction import (
 )
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
-from noveltycheck.taxonomy import structural_position
+from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
 from noveltycheck.verification import QuoteLocation, tokenize
 
 CORE_TASK = CoreTask(text="methods for studying widget deformation under load")
@@ -345,6 +346,28 @@ class TestCompareContribution:
         assert len(pair.original_quote.split()) == 90
         assert len(pair.candidate_quote.split()) == 90
 
+    def test_item_named_for_another_claim_is_not_taken_by_position(self):
+        claims = [
+            ContributionClaim(claim_id="contribution_1", name="Alpha method"),
+            ContributionClaim(claim_id="contribution_2", name="Beta benchmark"),
+        ]
+
+        def judged(first_name):
+            reply = {"contribution_analyses": [
+                {"contribution_name": first_name, "refutation_status": "cannot_refute",
+                 "brief_note": "Differs."},
+            ]}
+            entries = compare_contribution(
+                TARGET_DOC, make_record("Prior Widget Study", 0.9), claims,
+                MockLlmClient({"default": reply}), target_tokens=TARGET_TOKENS,
+            )
+            return [(e.refutation_status, e.brief_note) for e in entries]
+
+        missing = (UNCLEAR, "No analysis returned for this contribution.")
+        assert judged("Beta benchmark") == [missing, (CANNOT_REFUTE, "Differs.")]
+        # a name that matches no claim still stands in for the claim in its slot
+        assert judged("Alpha approach") == [(CANNOT_REFUTE, "Differs."), missing]
+
     def test_candidate_order_isolation(self):
         a = make_record("Prior Widget Study", 0.9)
         b = make_record("Another Candidate Entirely", 0.8)
@@ -556,6 +579,43 @@ class TestReferencesAndAssembly:
         candidate_set = cross_scope_dedup(core, contrib)
         return target, candidate_set
 
+    def _assemble(self, **overrides):
+        target, candidate_set = self._setup()
+        arguments = dict(
+            target=target,
+            core_task=CORE_TASK,
+            claims=[],
+            taxonomy_outcome=RepairOutcome(taxonomy=TaxonomyNode(name="T Survey Taxonomy"),
+                                           status="valid"),
+            core_task_analysis=CoreTaskAnalysis(mode="isolated", taxonomy_path=[]),
+            comparisons_by_claim={},
+            candidate_set=candidate_set,
+            segments_by_candidate={},
+            references=build_references(target, candidate_set),
+            narrative="Two paragraphs.\n\nSecond one.",
+            overall_assessment=["p1", "p2", "p3"],
+            one_liners={},
+            generated_at="2026-01-01T00:00:00+00:00",
+            pipeline_version="0.1.0",
+        )
+        arguments.update(overrides)
+        return assemble_report(**arguments)
+
+    def _one_claim_entries(self, statuses):
+        _, candidate_set = self._setup()
+        ids = candidate_set.per_contribution["contribution_1"]
+        entries = [
+            ContributionComparison(
+                canonical_id=pid, candidate_paper_title="t", candidate_paper_url=None,
+                comparison_mode="abstract", refutation_status=status,
+                **({"refutation_evidence": RefutationEvidence("s", [_pair(True, True)])}
+                   if status == CAN_REFUTE else {"brief_note": "n"}),
+            )
+            for pid, status in zip(ids, statuses)
+        ]
+        claims = [ContributionClaim(claim_id="contribution_1", name="Only Claim")]
+        return claims, {"contribution_1": entries}
+
     def test_alias_zero_is_target_then_ascending(self):
         target, candidate_set = self._setup()
         refs = build_references(target, candidate_set)
@@ -567,46 +627,8 @@ class TestReferencesAndAssembly:
         assert derive_alias("Learning to Rank for Retrieval Systems Everywhere Now") == "Learning to Rank"
 
     def test_statistics_identity_and_unclear_counting(self):
-        target, candidate_set = self._setup()
-        refs = build_references(target, candidate_set)
-        claims = [ContributionClaim(claim_id="contribution_1", name="Only Claim")]
-        ids = candidate_set.per_contribution["contribution_1"]
-        entries = {
-            "contribution_1": [
-                ContributionComparison(
-                    canonical_id=ids[0], candidate_paper_title="t", candidate_paper_url=None,
-                    comparison_mode="abstract", refutation_status=UNCLEAR, brief_note="n",
-                ),
-                ContributionComparison(
-                    canonical_id=ids[1], candidate_paper_title="t", candidate_paper_url=None,
-                    comparison_mode="abstract", refutation_status=CAN_REFUTE,
-                    refutation_evidence=RefutationEvidence("s", [_pair(True, True)]),
-                ),
-            ]
-        }
-        from noveltycheck.analysis import CoreTaskAnalysis
-
-        report = assemble_report(
-            target=target,
-            core_task=CORE_TASK,
-            claims=claims,
-            taxonomy_outcome=__import__("noveltycheck.taxonomy", fromlist=["RepairOutcome"]).RepairOutcome(
-                taxonomy=__import__("noveltycheck.taxonomy", fromlist=["TaxonomyNode"]).TaxonomyNode(
-                    name="T Survey Taxonomy"
-                ),
-                status="valid",
-            ),
-            core_task_analysis=CoreTaskAnalysis(mode="isolated", taxonomy_path=[]),
-            comparisons_by_claim=entries,
-            candidate_set=candidate_set,
-            segments_by_candidate={},
-            references=refs,
-            narrative="Two paragraphs.\n\nSecond one.",
-            overall_assessment=["p1", "p2", "p3"],
-            one_liners={},
-            generated_at="2026-01-01T00:00:00+00:00",
-            pipeline_version="0.1.0",
-        )
+        claims, entries = self._one_claim_entries([UNCLEAR, CAN_REFUTE])
+        report = self._assemble(claims=claims, comparisons_by_claim=entries)
         stats = report.contributions[0].statistics
         assert stats == {"candidates_examined": 2, "can_refute": 1, "non_refutable_or_unclear": 1}
         payload = report.to_dict()
@@ -615,32 +637,15 @@ class TestReferencesAndAssembly:
             "core_task_comparisons", "references", "textual_similarity", "metadata",
         ]
 
+    def test_missing_comparison_breaks_statistics_identity(self):
+        # two candidates examined for the claim, one comparison entry
+        claims, entries = self._one_claim_entries([CAN_REFUTE])
+        with pytest.raises(AssemblyError, match="statistics identity"):
+            self._assemble(claims=claims, comparisons_by_claim=entries)
+
     def test_missing_module_named_in_error(self):
-        target, candidate_set = self._setup()
         with pytest.raises(AssemblyError, match="references"):
-            assemble_report(
-                target=target,
-                core_task=CORE_TASK,
-                claims=[],
-                taxonomy_outcome=__import__("noveltycheck.taxonomy", fromlist=["RepairOutcome"]).RepairOutcome(
-                    taxonomy=__import__("noveltycheck.taxonomy", fromlist=["TaxonomyNode"]).TaxonomyNode(
-                        name="T Survey Taxonomy"
-                    ),
-                    status="valid",
-                ),
-                core_task_analysis=__import__("noveltycheck.analysis", fromlist=["CoreTaskAnalysis"]).CoreTaskAnalysis(
-                    mode="isolated", taxonomy_path=[]
-                ),
-                comparisons_by_claim={},
-                candidate_set=candidate_set,
-                segments_by_candidate={},
-                references=None,
-                narrative="n",
-                overall_assessment=[],
-                one_liners={},
-                generated_at="t",
-                pipeline_version="v",
-            )
+            self._assemble(references=None)
 
 
 class TestNarrativeCitations:
@@ -802,10 +807,6 @@ MISTYPED_FIELDS = {
     "audit_flags_number": (
         lambda llm: extract_contributions(TARGET_DOC, llm),
         _contribution(audit_flags=5), _contribution(audit_flags=[]),
-    ),
-    "query_variants_text": (
-        lambda llm: extract_contributions(TARGET_DOC, llm),
-        _contribution(query_variants="abc"), _contribution(query_variants=[]),
     ),
     "variants_text": (
         lambda llm: expand_query_variants("original core topic phrase", llm, require_prefix=False),

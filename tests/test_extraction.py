@@ -11,7 +11,6 @@ from noveltycheck.codec import encode
 from noveltycheck.errors import ContributionRejected, ParseFailureError, PhaseAbortError
 from noveltycheck.extraction import (
     ContributionClaim,
-    CoreTask,
     QUERY_PREFIX,
     assemble_query_set,
     expand_query_variants,
@@ -95,19 +94,6 @@ class TestParseStructuredOutput:
 
 
 class TestValidateContribution:
-    def test_prefix_prepended(self):
-        claim = validate_contribution(
-            {"name": "RL framework", "prior_work_query": "RL frameworks for agents"}
-        )
-        assert claim.prior_work_query == "Find papers about RL frameworks for agents"
-        assert "query_prefix_added" in claim.audit_flags
-
-    def test_query_truncated_at_25_words(self):
-        long_query = QUERY_PREFIX + " ".join(f"w{i}" for i in range(30))
-        claim = validate_contribution({"name": "N", "prior_work_query": long_query})
-        assert word_count(claim.prior_work_query) == 25
-        assert claim.prior_work_query.startswith(QUERY_PREFIX)
-
     def test_missing_optional_fields_defaulted_with_flag(self):
         claim = validate_contribution({"name": "Some contribution"})
         assert claim.source_hint == "unknown"
@@ -131,34 +117,18 @@ class TestValidateContribution:
         assert word_count(claim.description) == 60
         assert "name_truncated" in claim.audit_flags
 
-    def test_variants_coerced_to_three(self):
-        claim = validate_contribution(
-            {
-                "name": "N",
-                "prior_work_query": QUERY_PREFIX + "topic one",
-                "query_variants": ["another phrasing of the topic"],
-            }
-        )
-        assert len(claim.query_variants) == 3
-        assert claim.query_variants[0] == claim.prior_work_query
-        assert all(v.startswith(QUERY_PREFIX) for v in claim.query_variants)
-
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(100):
             raw = {
                 "name": " ".join(rng.choices(["alpha", "beta", "gamma"], k=rng.randint(1, 20))),
                 "author_claim_text": " ".join(["c"] * rng.randint(0, 50)),
-                "prior_work_query": " ".join(["q"] * rng.randint(1, 30)),
-                "query_variants": [" ".join(["v"] * rng.randint(1, 30))],
             }
             once = validate_contribution(raw)
             twice = validate_contribution(encode(once))
             assert (twice.name, twice.author_claim_text, twice.description) == (
                 once.name, once.author_claim_text, once.description,
             )
-            assert twice.prior_work_query == once.prior_work_query
-            assert twice.query_variants == once.query_variants
             assert twice.audit_flags == once.audit_flags
 
 
@@ -259,63 +229,63 @@ class TestExtractContributions:
         assert any("duplicate contribution" in w for w in warnings)
 
 
-def _claim(i, query=None):
-    return ContributionClaim(
-        claim_id=f"contribution_{i}",
-        name=f"Claim {i}",
-        prior_work_query=query or (QUERY_PREFIX + f"topic number {i} details"),
-        query_variants=(
-            query or (QUERY_PREFIX + f"topic number {i} details"),
+def _claim_queries(*numbers):
+    return {
+        f"contribution_{i}": (
+            QUERY_PREFIX + f"topic number {i} details",
             QUERY_PREFIX + f"alternate phrasing {i} one",
             QUERY_PREFIX + f"alternate phrasing {i} two",
-        ),
-    )
+        )
+        for i in numbers
+    }
 
 
 class TestAssembleQuerySet:
-    CORE = CoreTask(
-        text="studying a specific problem in context",
-        query_variants=(
-            "studying a specific problem in context",
-            "examining this particular problem setting",
-            "analysis of the specific problem class",
-        ),
+    CORE = (
+        "studying a specific problem in context",
+        "examining this particular problem setting",
+        "analysis of the specific problem class",
     )
 
     def test_three_claims_give_twelve_queries(self):
-        qs = assemble_query_set(self.CORE, [_claim(1), _claim(2), _claim(3)])
-        assert qs.total == 12
+        qs, warnings = assemble_query_set(self.CORE, _claim_queries(1, 2, 3))
+        assert qs.total == 12 and warnings == []
 
     def test_one_claim_gives_six_queries(self):
-        qs = assemble_query_set(self.CORE, [_claim(1)])
-        assert qs.total == 6
+        qs, warnings = assemble_query_set(self.CORE, _claim_queries(1))
+        assert qs.total == 6 and warnings == []
 
     def test_zero_claims_gives_three_with_warning(self):
-        qs = assemble_query_set(self.CORE, [])
+        qs, warnings = assemble_query_set(self.CORE, {})
         assert qs.total == 3
-        assert any("below the 6-12 range" in w for w in qs.warnings)
+        assert any("below the 6-12 range" in w for w in warnings)
 
     def test_scope_kind_and_prefix_rules(self):
-        qs = assemble_query_set(self.CORE, [_claim(1), _claim(2)])
+        qs, _ = assemble_query_set(self.CORE, _claim_queries(1, 2))
         for q in qs.core_task_queries:
             assert q.scope == "core_task"
             assert not q.text.startswith(QUERY_PREFIX)
-        for group in qs.contribution_queries.values():
-            kinds = [q.kind for q in group]
-            assert kinds == ["primary", "variant", "variant"]
+        for cid, group in qs.contribution_queries.items():
+            roles = [q.query_id.split(":")[1] for q in group]
+            assert roles == ["primary", "variant1", "variant2"]
             for q in group:
+                assert q.contribution_id == cid
                 assert q.scope == "contribution"
                 assert q.text.startswith(QUERY_PREFIX)
                 assert word_count(q.text) <= 25
 
     def test_query_ids_are_stable(self):
-        qs = assemble_query_set(self.CORE, [_claim(1)])
+        qs, _ = assemble_query_set(self.CORE, _claim_queries(1))
         assert [q.query_id for q in qs.core_task_queries] == [
             "core_task:primary", "core_task:variant1", "core_task:variant2",
         ]
         assert [q.query_id for q in qs.contribution_queries["contribution_1"]] == [
             "contribution_1:primary", "contribution_1:variant1", "contribution_1:variant2",
         ]
+
+
+def _no_variants():
+    return MockLlmClient({"default": {"variants": []}})
 
 
 class TestQueryGeneration:
@@ -327,6 +297,25 @@ class TestQueryGeneration:
         assert queries[0] == "original core topic phrase"
         assert queries[1] == "reworded core topic phrase here"
         assert len(queries) == 3
+
+    def test_prefix_prepended(self):
+        queries, flags = expand_query_variants("RL frameworks for agents", _no_variants(),
+                                               require_prefix=True)
+        assert queries[0] == "Find papers about RL frameworks for agents"
+        assert "query_prefix_added" in flags
+
+    def test_query_truncated_at_25_words(self):
+        long_query = QUERY_PREFIX + " ".join(f"w{i}" for i in range(30))
+        queries, _ = expand_query_variants(long_query, _no_variants(), require_prefix=True)
+        assert word_count(queries[0]) == 25
+        assert queries[0].startswith(QUERY_PREFIX)
+
+    def test_variants_coerced_to_three(self):
+        llm = MockLlmClient({"default": {"variants": ["another phrasing of the topic"]}})
+        queries, _ = expand_query_variants(QUERY_PREFIX + "topic one", llm, require_prefix=True)
+        assert len(queries) == 3
+        assert queries[0] == QUERY_PREFIX + "topic one"
+        assert all(v.startswith(QUERY_PREFIX) for v in queries)
 
     def test_variant_failure_pads_with_primary(self):
         llm = MockLlmClient({"rules": [{"system_contains": "rewriting", "error": "down"}]})

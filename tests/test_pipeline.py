@@ -205,6 +205,36 @@ class TestRunPipeline:
         assert manifest.succeeded
         assert [manifest.phases[p].status for p in pipeline.PHASES] == ["completed"] * 4
 
+    def test_resume_over_query_copies_in_phase1_gives_the_goldens(
+        self, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        # phase1.json once stored each query in the core task and claims as well, with a
+        # kind per query and the warnings twice; those keys are read past on resume
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        path = tmp_path / "phase1.json"
+        phase1 = json.loads(path.read_text())
+        result = phase1["result"]
+        query_set = result["query_set"]
+        result["core_task"]["query_variants"] = [q["text"] for q in query_set["core_task_queries"]]
+        for claim in result["contributions"]:
+            texts = [q["text"] for q in query_set["contribution_queries"][claim["claim_id"]]]
+            claim["prior_work_query"], claim["query_variants"] = texts[0], texts
+        groups = [query_set["core_task_queries"], *query_set["contribution_queries"].values()]
+        for query in (q for group in groups for q in group):
+            query["kind"] = "primary" if query["query_id"].endswith(":primary") else "variant"
+        query_set["warnings"] = result["warnings"]
+        path.write_text(json.dumps(phase1))
+        for stale in [tmp_path / "phase2.json", tmp_path / "phase3.json", *tmp_path.glob("*.md")]:
+            stale.unlink()
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "skipped", "completed", "completed", "completed",
+        ]
+        for name in ("phase2.json", "phase3.json"):
+            assert (tmp_path / name).read_bytes() == (goldens_dir / name).read_bytes()
+        [md] = tmp_path.glob("*.md")
+        assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
+
     def test_resume_over_record_lists_in_phase2_fails_phase2(
         self, tmp_path, fixtures_dir, paper_text
     ):

@@ -1,5 +1,7 @@
 """Query execution fault tolerance and the multi-layer filtering pipeline."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,7 +34,7 @@ _PAPER = st.tuples(
 )
 _SCOPE = st.lists(_PAPER, max_size=6)
 
-QUERY = SearchQuery(query_id="core_task:primary", text="some query", scope="core_task", kind="primary")
+QUERY = SearchQuery(query_id="core_task:primary", text="some query", scope="core_task")
 
 HIT = {
     "title": "A Retrieved Paper",
@@ -80,7 +82,7 @@ class TestExecuteQueries:
                 }
             }
         )
-        other = SearchQuery("core_task:variant1", "other query", "core_task", "variant")
+        other = SearchQuery("core_task:variant1", "other query", "core_task")
         batch = execute_queries([QUERY, other], search, RetryPolicy(initial_delay=0.001),
                                 sleep=lambda _: None)
         assert [f.query_id for f in batch.failures] == ["core_task:primary"]
@@ -90,7 +92,7 @@ class TestExecuteQueries:
     def test_sequential_order_matches_query_order(self):
         fixture = {"queries": {f"q{i}": {"results": [dict(HIT, title=f"P{i}")]} for i in range(12)}}
         queries = [
-            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task", "variant") for i in range(12)
+            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(12)
         ]
         batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
         assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(12)]
@@ -104,7 +106,7 @@ class TestExecuteQueries:
     def test_concurrency_produces_same_results(self):
         fixture = {"queries": {f"q{i}": {"results": [dict(HIT, title=f"P{i}")]} for i in range(8)}}
         queries = [
-            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task", "variant") for i in range(8)
+            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(8)
         ]
         serial = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
         threaded = execute_queries(
@@ -129,7 +131,7 @@ class TestExecuteQueries:
         other = dict(HIT, title="Another Paper", full_text="A different body.")
         fixture = {"queries": {f"q{i}": {"results": [shared, other]} for i in range(3)}}
         queries = [
-            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task", "variant") for i in range(3)
+            SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(3)
         ]
         batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
         assert sorted(calls) == sorted([shared["full_text"], other["full_text"]])
@@ -143,6 +145,13 @@ class TestExecuteQueries:
         date = batch.results[0].paper.publication_date
         assert (date.year, date.month) == (2024, 1)
 
+    def test_nan_relevance_hit_dropped(self):
+        # the json module reads a bare NaN, so a fixture or a service reply can carry one
+        nan_hit = json.loads('{"title": "Unscored Paper", "relevance_score": NaN}')
+        search = MockSearchClient({"queries": {"some query": {"results": [nan_hit, HIT]}}})
+        batch = execute_queries([QUERY], search, RetryPolicy())
+        assert [r.paper.title for r in batch.results] == [HIT["title"]]
+
     def test_global_retry_budget_caps_total_retries(self):
         fixture = {
             "queries": {
@@ -151,8 +160,8 @@ class TestExecuteQueries:
             }
         }
         queries = [
-            SearchQuery("core_task:q0", "q0", "core_task", "variant"),
-            SearchQuery("core_task:q1", "q1", "core_task", "variant"),
+            SearchQuery("core_task:q0", "q0", "core_task"),
+            SearchQuery("core_task:q1", "q1", "core_task"),
         ]
         policy = RetryPolicy(max_query_attempts=8, initial_delay=0.001, global_max_retries=3)
         batch = execute_queries(queries, MockSearchClient(fixture), policy, sleep=lambda _: None)
