@@ -9,9 +9,9 @@ doubly-verified evidence pair.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -46,6 +46,7 @@ from .verification import (
     SimilaritySegment,
     TokenStream,
     filter_segments,
+    lazy_tokens,
     tokenize,
     verify_quote,
     verify_segment,
@@ -259,7 +260,7 @@ def _content_of(paper: PaperRecord) -> tuple[str, str]:
 def _parse_evidence(
     raw_evidence: Any,
     target_tokens: TokenStream,
-    candidate_stream: Callable[[], TokenStream],
+    candidate_tokens: Callable[[], TokenStream],
 ) -> RefutationEvidence:
     summary = ""
     pairs: list[EvidencePair] = []
@@ -276,7 +277,7 @@ def _parse_evidence(
                     candidate_paragraph_label=str(p.get("candidate_paragraph_label", "unknown")),
                     rationale=str(p.get("rationale", "")),
                     original_location=verify_quote(original_quote, target_tokens),
-                    candidate_location=verify_quote(candidate_quote, candidate_stream()),
+                    candidate_location=verify_quote(candidate_quote, candidate_tokens()),
                 )
             )
     return RefutationEvidence(summary=summary, evidence_pairs=pairs)
@@ -290,13 +291,16 @@ def compare_contribution(
     *,
     citation: Optional[str] = None,
     target_tokens: TokenStream,
+    candidate_tokens: Callable[[], TokenStream],
 ) -> list[ContributionComparison]:
     """One isolated inference call judging every claim against one candidate.
 
     Quotes are verified as soon as they are parsed, against ``target_tokens``
-    (the target document's tokens) and the candidate's content, which is
-    tokenized at most once per call. A parse failure degrades every claim's
-    entry to ``unclear`` rather than aborting the run.
+    (the target document's tokens) and ``candidate_tokens()``, the tokens of
+    the candidate's content: its full text, or its abstract without one
+    (``lazy_tokens`` of that text, called only when a quote needs it). A
+    parse failure degrades every claim's entry to ``unclear`` rather than
+    aborting the run.
     """
     candidate_text, mode = _content_of(candidate)
     cid = str(candidate.canonical_id)
@@ -336,7 +340,6 @@ def compare_contribution(
         if name:
             by_name.setdefault(name, item)
 
-    candidate_stream = functools.cache(lambda: tokenize(candidate_text))
     entries: list[ContributionComparison] = []
     for i, claim in enumerate(claims):
         item = by_name.get(claim.name.strip().lower())
@@ -350,7 +353,7 @@ def compare_contribution(
             entries.append(_entry(UNCLEAR, f"Unrecognized status {status!r}.", None))
             continue
         if status == CAN_REFUTE:
-            evidence = _parse_evidence(item.get("refutation_evidence"), target_tokens, candidate_stream)
+            evidence = _parse_evidence(item.get("refutation_evidence"), target_tokens, candidate_tokens)
             entries.append(_entry(CAN_REFUTE, None, evidence))
         else:
             note = str(item.get("brief_note") or "").strip() or "No explanation provided."
@@ -514,11 +517,13 @@ def detect_similarity(
     llm: LlmClient,
     *,
     target_tokens: TokenStream,
+    candidate_tokens: Callable[[], TokenStream],
 ) -> list[SimilaritySegment]:
     """Detect and verify overlap segments for one candidate.
 
     Segments are verified against ``target_tokens`` (the target document's
-    tokens) and the candidate's full text, tokenized at most once per call.
+    tokens) and ``candidate_tokens()``, the tokens of the candidate's full
+    text, called only when a segment needs it.
     """
     cid = str(candidate.canonical_id)
     if candidate.full_text is None:
@@ -532,7 +537,6 @@ def detect_similarity(
     except (LlmError, ParseFailureError) as exc:
         logger.warning("similarity detection failed for %s: %s", cid, exc)
         return []
-    candidate_stream = functools.cache(lambda: tokenize(candidate.full_text))
     segments: list[SimilaritySegment] = []
     for i, item in enumerate(reply_objects(parsed, "plagiarism_segments"), start=1):
         segment_id = item.get("segment_id")
@@ -544,7 +548,7 @@ def detect_similarity(
             segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
             rationale=str(item.get("rationale", "")),
         )
-        verified = verify_segment(seg, target_tokens, candidate_stream())
+        verified = verify_segment(seg, target_tokens, candidate_tokens())
         if verified.verified:
             segments.append(verified)
         else:
@@ -984,11 +988,11 @@ def run_analysis_phase(
     core_papers = [candidate_records[pid] for pid in candidate_set.core_task]
 
     # one comparison call per distinct candidate, covering every claim
-    comparison_order = list(dict.fromkeys(
+    comparison_order = dict.fromkeys(
         pid
         for claim in phase1.claims
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
-    ))
+    )
 
     with Scheduler(concurrency) as scheduler:
         taxonomy_future = scheduler.submit(
@@ -996,17 +1000,23 @@ def run_analysis_phase(
         )
         # shared read-only by the comparison and similarity tasks
         target_tokens = tokenize(target_doc)
-        comparison_futures = [
-            scheduler.submit(
-                compare_contribution, target_doc, candidate_records[pid], phase1.claims, llm,
-                citation=citations.get(pid), target_tokens=target_tokens,
+        # a candidate's two tasks share one stream and are submitted back to
+        # back, so with one worker each stream is freed before the next is made
+        comparison_futures: dict[str, Future[list[ContributionComparison]]] = {}
+        similarity_futures: dict[str, Future[list[SimilaritySegment]]] = {}
+        for pid in dict.fromkeys([*comparison_order, *candidate_records]):
+            paper = candidate_records[pid]
+            candidate_tokens = lazy_tokens(_content_of(paper)[0])
+            if pid in comparison_order:
+                comparison_futures[pid] = scheduler.submit(
+                    compare_contribution, target_doc, paper, phase1.claims, llm,
+                    citation=citations.get(pid), target_tokens=target_tokens,
+                    candidate_tokens=candidate_tokens,
+                )
+            similarity_futures[pid] = scheduler.submit(
+                detect_similarity, target_doc, paper, llm,
+                target_tokens=target_tokens, candidate_tokens=candidate_tokens,
             )
-            for pid in comparison_order
-        ]
-        similarity_futures = [
-            scheduler.submit(detect_similarity, target_doc, paper, llm, target_tokens=target_tokens)
-            for paper in candidate_records.values()
-        ]
         one_liners_future = scheduler.submit(generate_one_liners, core_papers, llm)
 
         outcome = taxonomy_future.result()
@@ -1037,10 +1047,8 @@ def run_analysis_phase(
                 isolation={"note": "No comparison: target position in taxonomy is unknown."},
                 diagnostics=["taxonomy did not place the target paper"],
             )
-        entries_by_candidate = dict(zip(comparison_order, (f.result() for f in comparison_futures)))
-        segments_by_candidate = {
-            pid: f.result() for pid, f in zip(candidate_records, similarity_futures)
-        }
+        entries_by_candidate = {pid: f.result() for pid, f in comparison_futures.items()}
+        segments_by_candidate = {pid: similarity_futures[pid].result() for pid in candidate_records}
         one_liners = one_liners_future.result()
         narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)

@@ -49,6 +49,10 @@ class SearchHit:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "SearchHit":
+        """Decode one hit; no title, or a field of the wrong type, raises."""
+        for key in ("title", "abstract", "url", "full_text"):
+            if d.get(key) is not None and not isinstance(d[key], str):
+                raise TypeError(f"{key} is a {type(d[key]).__name__}, not a string")
         verdict = None
         if d.get("verdict"):
             verdict = VerificationVerdict.from_dicts(d["verdict"])
@@ -57,7 +61,7 @@ class SearchHit:
             date = decode(PublicationDate, d["publication_date"])
         return cls(
             title=d["title"],
-            abstract=d.get("abstract", ""),
+            abstract=d.get("abstract") or "",
             url=d.get("url"),
             identifiers=dict(d.get("identifiers", {})),
             relevance_score=float(d.get("relevance_score", 0.0)),
@@ -65,6 +69,25 @@ class SearchHit:
             publication_date=date,
             full_text=d.get("full_text"),
         )
+
+
+def parse_hits(items: Any) -> list[SearchHit]:
+    """Decode one query's result list; a malformed hit is dropped with a warning.
+
+    A hit with no title or a null or non-numeric relevance score, say, must
+    not cost the query its other hits.
+    """
+    if not isinstance(items, list):
+        raise SearchError(f"search results are not a list: {type(items).__name__}")
+    hits: list[SearchHit] = []
+    for i, item in enumerate(items):
+        try:
+            if not isinstance(item, Mapping):
+                raise TypeError(f"hit is a {type(item).__name__}, not an object")
+            hits.append(SearchHit.from_dict(item))
+        except (KeyError, TypeError, ValueError) as exc:
+            logger.warning("dropping malformed search hit %d: %r", i, exc)
+    return hits
 
 
 class SearchClient(ABC):
@@ -172,13 +195,13 @@ class MockSearchClient(SearchClient):
             self.calls.append(query)
             spec = self._queries.get(query)
             if spec is None:
-                return [SearchHit.from_dict(d) for d in self._default]
+                return parse_hits(self._default)
             fail_times = int(spec.get("fail_times", 0))
             done = self._failures.get(query, 0)
             if done < fail_times:
                 self._failures[query] = done + 1
                 raise SearchError(f"mock failure {done + 1}/{fail_times} for query")
-            return [SearchHit.from_dict(d) for d in spec.get("results", [])]
+            return parse_hits(spec.get("results", []))
 
 
 # --- HTTP clients -------------------------------------------------------------
@@ -252,6 +275,6 @@ class HttpSearchClient(SearchClient):
             )
             logger.info("search request %r -> status %s", query, resp.status_code)
             resp.raise_for_status()
-            return [SearchHit.from_dict(d) for d in resp.json().get("results", [])]
+            return parse_hits(resp.json().get("results", []))
         except Exception as exc:
             raise SearchError(f"search endpoint failure: {exc}") from exc

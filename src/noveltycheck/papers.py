@@ -179,10 +179,14 @@ _CHAR_TRANSLATION = str.maketrans(
 )
 
 
+def fold_text(text: str) -> str:
+    """Apply NFKC, replace common unicode variants, and lowercase; whitespace is kept."""
+    return unicodedata.normalize("NFKC", text).translate(_CHAR_TRANSLATION).lower()
+
+
 def normalize_text(text: str) -> str:
-    """Lowercase, replace common unicode variants, and collapse whitespace."""
-    text = unicodedata.normalize("NFKC", text).translate(_CHAR_TRANSLATION)
-    return _WS_RE.sub(" ", text).strip().lower()
+    """Fold the text, then collapse whitespace runs and strip the ends."""
+    return _WS_RE.sub(" ", fold_text(text)).strip()
 
 
 def normalize_title(title: str) -> str:

@@ -10,15 +10,17 @@ exact rational form (7*c + 3*h)/10 so identity cases come out at 1.0.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .papers import normalize_text
+from .papers import fold_text
 
 logger = logging.getLogger(__name__)
 
@@ -30,14 +32,18 @@ MIN_SEGMENT_WORDS = 30
 MAX_SEGMENTS_KEPT = 3
 
 # apostrophes and intra-word hyphens stay inside tokens; everything else splits
-# (normalize_text has already folded curly apostrophes and dashes to these)
+# (fold_text has already folded curly apostrophes and dashes to these); whitespace
+# is never part of a token, so the fold need not collapse it
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['-][^\W_]+)*", re.UNICODE)
 
 
 def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
     index: dict[str, list[int]] = {}
     for i, token in enumerate(tokens):
-        index.setdefault(token, []).append(i)
+        try:
+            index[token].append(i)
+        except KeyError:
+            index[token] = [i]
     return MappingProxyType({token: tuple(p) for token, p in index.items()})
 
 
@@ -66,7 +72,26 @@ def tokenize(text: str) -> TokenStream:
     the document it was copied from fold quotes, dashes, compatibility
     forms and case the same way. Pass the text as written, not normalized.
     """
-    return TokenStream(tokens=tuple(_TOKEN_RE.findall(normalize_text(text))))
+    return TokenStream(tokens=tuple(_TOKEN_RE.findall(fold_text(text))))
+
+
+def lazy_tokens(text: str) -> Callable[[], TokenStream]:
+    """A thunk that tokenizes ``text`` on its first call and returns that stream after.
+
+    Safe to call from several worker threads: the text is tokenized once.
+    The stream lives as long as the thunk does.
+    """
+    lock = threading.Lock()
+    stream: Optional[TokenStream] = None
+
+    def tokens() -> TokenStream:
+        nonlocal stream
+        with lock:
+            if stream is None:
+                stream = tokenize(text)
+            return stream
+
+    return tokens
 
 
 #: A document to verify against: its text, or that text already tokenized.
@@ -130,6 +155,18 @@ class AnchorMatch:
         return self.coverage >= ANCHOR_HIT_THRESHOLD
 
 
+@functools.cache
+def hit_floor(anchor_len: int) -> int:
+    """Fewest matched tokens that make an anchor of ``anchor_len`` tokens a hit.
+
+    Found with the test ``AnchorMatch.is_hit`` applies, so a match count is
+    at least the floor exactly when its coverage is a hit.
+    """
+    return next(
+        k for k in range(1, anchor_len + 1) if AnchorMatch(k / anchor_len, None).is_hit
+    )
+
+
 def _matched_tokens(matcher: SequenceMatcher) -> tuple[int, Optional[tuple[int, int]]]:
     blocks = [b for b in matcher.get_matching_blocks() if b.size > 0]
     if not blocks:
@@ -154,7 +191,9 @@ def _verbatim_start(
 
 
 def align_anchor(
-    anchor: Union[Anchor, Sequence[str]], doc: Union[TokenStream, Sequence[str]]
+    anchor: Union[Anchor, Sequence[str]],
+    doc: Union[TokenStream, Sequence[str]],
+    min_matched: int = 0,
 ) -> AnchorMatch:
     """Find the document window of the anchor's length with the most matched tokens.
 
@@ -162,13 +201,19 @@ def align_anchor(
     matched anchor tokens divided by anchor length. Ties go to the leftmost
     window. The result equals a scan of every window, at every document size.
 
+    With ``min_matched`` (at most the anchor's length), a best window that
+    matches fewer tokens is not searched for: the result is then a miss,
+    ``AnchorMatch(0.0, None)``, and otherwise the same as without it.
+
     Only window starts where the set of anchor-token positions inside the
     window changes are evaluated: a position ``p`` enters at ``p - m + 1``
     and leaves at ``p + 1``, and windows holding the same positions match
     the same tokens, so the leftmost of them stands for the rest. Matched
     tokens form a common subsequence, so their count is at most the
     multiset overlap of anchor and window; a window whose overlap does not
-    beat the best count so far is skipped without running the matcher.
+    beat the best count so far is skipped without running the matcher, and
+    the count starts just under ``min_matched``. When no ``min_matched``
+    anchor-token positions fit in one window, no window is run at all.
     """
     anchor_tokens = tuple(anchor.tokens if isinstance(anchor, Anchor) else anchor)
     if isinstance(doc, TokenStream):
@@ -187,9 +232,10 @@ def align_anchor(
 
     need = Counter(anchor_tokens)
     shared = sorted(p for token in need for p in positions.get(token, ()))
-    if not shared:
-        return AnchorMatch(coverage=0.0, doc_span=None)
     window_len = min(m, n)
+    floor = max(min_matched, 1)
+    if not any(b - a < window_len for a, b in zip(shared, shared[floor - 1 :])):
+        return AnchorMatch(coverage=0.0, doc_span=None)
     last_start = n - window_len
     starts = sorted(
         {0}
@@ -200,7 +246,7 @@ def align_anchor(
     have = dict.fromkeys(need, 0)
     overlap = 0  # multiset overlap of the anchor and shared[lo:hi]
     lo = hi = 0
-    best_matched = 0
+    best_matched = floor - 1
     best_span: Optional[tuple[int, int]] = None
     matcher = SequenceMatcher(None, anchor_tokens, (), autojunk=False)
     for start in starts:
@@ -224,7 +270,7 @@ def align_anchor(
         if matched > best_matched:
             best_matched = matched
             best_span = (start + span[0], start + span[1])
-    if best_matched == 0:
+    if best_span is None:
         return AnchorMatch(coverage=0.0, doc_span=None)
     return AnchorMatch(coverage=best_matched / m, doc_span=best_span)
 
@@ -268,13 +314,7 @@ def combine_score(mean_hit_coverage: float, hit_ratio: float, compact: bool) -> 
     return score
 
 
-def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
-    """Score a quote against a document and keep the per-anchor evidence.
-
-    ``doc`` may be given already tokenized, as ``tokenize(doc)``, so that a
-    caller verifying many quotes tokenizes the document once. Mean coverage
-    averages the hit anchors only.
-    """
+def _verify(quote: str, doc: Document, hits_only: bool) -> QuoteVerification:
     if isinstance(doc, TokenStream):
         doc_stream = doc
     else:
@@ -289,10 +329,18 @@ def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
             mean_hit_coverage=0.0,
             compact=True,
         )
-    matches = tuple(align_anchor(a, doc_stream) for a in anchors)
+    matches = tuple(
+        align_anchor(a, doc_stream, hit_floor(len(a.tokens)) if hits_only else 0)
+        for a in anchors
+    )
     hits = [m for m in matches if m.is_hit]
     hit_ratio = len(hits) / len(matches)
-    mean_coverage = sum(m.coverage for m in hits) / len(hits) if hits else 0.0
+    # added left to right, not with sum(): from Python 3.12 sum() compensates
+    # rounding, which moves the last digit of some scores between versions
+    total_coverage = 0.0
+    for m in hits:
+        total_coverage += m.coverage
+    mean_coverage = total_coverage / len(hits) if hits else 0.0
     compact = _spans_compact(matches)
     score = combine_score(mean_coverage, hit_ratio, compact)
     return QuoteVerification(
@@ -304,9 +352,25 @@ def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     )
 
 
+def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
+    """Score a quote against a document and keep the per-anchor evidence.
+
+    ``doc`` may be given already tokenized, as ``tokenize(doc)``, so that a
+    caller verifying many quotes tokenizes the document once. Mean coverage
+    averages the hit anchors only. Every anchor's coverage is exact, misses
+    included.
+    """
+    return _verify(quote, doc, hits_only=False)
+
+
 def verify_quote(quote: str, doc: Document) -> QuoteLocation:
-    """Locate a quote in a document; found iff the confidence exceeds 0.6."""
-    return verify_quote_detailed(quote, doc).location
+    """Locate a quote in a document; found iff the confidence exceeds 0.6.
+
+    Equals ``verify_quote_detailed(quote, doc).location``. The score reads
+    only hit anchors, so an anchor's best window is searched for only among
+    windows that would make it a hit.
+    """
+    return _verify(quote, doc, hits_only=True).location
 
 
 # --- similarity segments --------------------------------------------------------

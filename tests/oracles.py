@@ -7,6 +7,7 @@ by importing the production code paths it validates.
 from __future__ import annotations
 
 import json
+import random
 from difflib import SequenceMatcher
 from typing import Optional
 
@@ -111,6 +112,47 @@ def every_window_alignment(anchor: list[str], doc: list[str]) -> tuple[float, Op
             best = matched
             span = (s + blocks[0].b, s + blocks[-1].b + blocks[-1].size)
     return (best / m if best else 0.0), span
+
+
+# --- quotes planted in documents ----------------------------------------------
+
+
+def noisy_copy(rng: random.Random, tokens: list[str], vocab: list[str], edits: int) -> list[str]:
+    """``tokens`` after ``edits`` random substitutions, insertions and deletions."""
+    copy = list(tokens)
+    for _ in range(edits):
+        i = rng.randrange(len(copy))
+        op = rng.random()
+        if op < 0.4:
+            copy[i] = rng.choice(vocab)
+        elif op < 0.7:
+            copy.insert(i, rng.choice(vocab))
+        elif len(copy) > 1:
+            del copy[i]
+    return copy
+
+
+def planted_quote_case(rng: random.Random) -> tuple[str, str]:
+    """A (quote, document) pair: filler text holding noisy copies of pieces of the quote.
+
+    Quote tokens come from a small vocabulary that the filler also uses now
+    and then, so anchors match partly in many places; pieces land close
+    together or far apart, and are copied with no edits up to about half
+    their length in edits, so hits, near misses and spread matches all occur.
+    """
+    vocab = [f"t{i}" for i in range(10)]
+    quote = [rng.choice(vocab) for _ in range(rng.randint(4, 40))]
+    doc = [
+        rng.choice(vocab) if rng.random() < 0.1 else f"f{rng.randrange(40)}"
+        for _ in range(rng.randint(50, 1200))
+    ]
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(quote))
+        j = rng.randint(i + 1, len(quote))
+        piece = noisy_copy(rng, quote[i:j], vocab, rng.randint(0, (j - i) // 2 + 1))
+        at = rng.randrange(len(doc))
+        doc[at:at] = piece
+    return " ".join(quote), " ".join(doc)
 
 
 # --- tokenizer reference ------------------------------------------------------

@@ -37,7 +37,7 @@ from noveltycheck.extraction import (
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
-from noveltycheck.verification import QuoteLocation, tokenize
+from noveltycheck.verification import QuoteLocation, lazy_tokens, tokenize
 
 CORE_TASK = CoreTask(text="methods for studying widget deformation under load")
 
@@ -71,6 +71,15 @@ CLAIMS = [
     ContributionClaim(claim_id="contribution_1", name="Elastic limit measurement method"),
     ContributionClaim(claim_id="contribution_2", name="Deformation benchmark"),
 ]
+
+
+def _compare(candidate, llm, claims=CLAIMS):
+    """Compare a candidate with the target, its content tokenized on first use."""
+    content = candidate.full_text if candidate.full_text is not None else candidate.abstract
+    return compare_contribution(
+        TARGET_DOC, candidate, claims, llm,
+        target_tokens=TARGET_TOKENS, candidate_tokens=lazy_tokens(content),
+    )
 
 
 def _pair(found_original=True, found_candidate=True):
@@ -234,9 +243,7 @@ class TestCompareContribution:
         candidate = make_record("Prior Widget Study", 0.9)
         candidate.abstract = "Widget bending analysis."
         llm = MockLlmClient({"default": _comparison_response("cannot_refute", "unclear")})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         assert [e.refutation_status for e in entries] == [CANNOT_REFUTE, UNCLEAR]
         assert all(e.comparison_mode == "abstract" for e in entries)
         assert entries[0].brief_note and entries[0].refutation_evidence is None
@@ -257,25 +264,23 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         pair = entries[0].refutation_evidence.evidence_pairs[0]
         assert entries[0].comparison_mode == "fulltext"
         assert pair.original_location.found and pair.candidate_location.found
         assert pair.doubly_verified
 
     def test_each_document_tokenized_at_most_once(self, monkeypatch):
-        from noveltycheck import analysis
+        from noveltycheck import verification
 
         tokenized = []
-        real = analysis.tokenize
+        real = verification.tokenize
 
         def counting(text):
             tokenized.append(text)
             return real(text)
 
-        monkeypatch.setattr(analysis, "tokenize", counting)
+        monkeypatch.setattr(verification, "tokenize", counting)
         candidate = make_record("Prior Widget Study", 0.9)
         candidate.full_text = preprocess_document(CANDIDATE_TEXT, "comparison")
         pair = {
@@ -287,11 +292,10 @@ class TestCompareContribution:
         }
         evidence = {"summary": "Same scheme.", "evidence_pairs": [pair, pair, pair]}
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         assert all(p.doubly_verified for p in entries[0].refutation_evidence.evidence_pairs)
-        assert tokenized == [candidate.full_text]
+        documents = [t for t in tokenized if t not in (TARGET_QUOTE, CANDIDATE_QUOTE)]
+        assert documents == [candidate.full_text]
 
     def test_fabricated_quote_fails_verification_then_downgrades(self):
         candidate = make_record("Prior Widget Study", 0.9)
@@ -309,9 +313,7 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         assert not entries[0].refutation_evidence.evidence_pairs[0].doubly_verified
         downgraded = downgrade_unverified(entries)
         assert downgraded[0].refutation_status == CANNOT_REFUTE
@@ -319,9 +321,7 @@ class TestCompareContribution:
     def test_parse_failure_degrades_to_unclear(self):
         candidate = make_record("Prior Widget Study", 0.9)
         llm = MockLlmClient({"default": "utter garbage"})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         assert [e.refutation_status for e in entries] == [UNCLEAR, UNCLEAR]
         assert all("Comparison unavailable" in e.brief_note for e in entries)
 
@@ -339,9 +339,7 @@ class TestCompareContribution:
             ],
         }
         llm = MockLlmClient({"default": _comparison_response("can_refute", "cannot_refute", evidence)})
-        entries = compare_contribution(
-            TARGET_DOC, candidate, CLAIMS, llm, target_tokens=TARGET_TOKENS
-        )
+        entries = _compare(candidate, llm)
         pair = entries[0].refutation_evidence.evidence_pairs[0]
         assert len(pair.original_quote.split()) == 90
         assert len(pair.candidate_quote.split()) == 90
@@ -357,9 +355,8 @@ class TestCompareContribution:
                 {"contribution_name": first_name, "refutation_status": "cannot_refute",
                  "brief_note": "Differs."},
             ]}
-            entries = compare_contribution(
-                TARGET_DOC, make_record("Prior Widget Study", 0.9), claims,
-                MockLlmClient({"default": reply}), target_tokens=TARGET_TOKENS,
+            entries = _compare(
+                make_record("Prior Widget Study", 0.9), MockLlmClient({"default": reply}), claims
             )
             return [(e.refutation_status, e.brief_note) for e in entries]
 
@@ -380,15 +377,11 @@ class TestCompareContribution:
             ]
         }
         first = [
-            compare_contribution(
-                TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture), target_tokens=TARGET_TOKENS
-            )
+            _compare(c, MockLlmClient(llm_fixture))
             for c in (a, b)
         ]
         second = [
-            compare_contribution(
-                TARGET_DOC, c, CLAIMS, MockLlmClient(llm_fixture), target_tokens=TARGET_TOKENS
-            )
+            _compare(c, MockLlmClient(llm_fixture))
             for c in (b, a)
         ]
         assert [e.refutation_status for e in first[0]] == [e.refutation_status for e in second[1]]
@@ -527,7 +520,10 @@ SEGMENT_TEXT = (
 
 
 def _detect_similarity(target_doc, candidate, llm):
-    return detect_similarity(target_doc, candidate, llm, target_tokens=tokenize(target_doc))
+    return detect_similarity(
+        target_doc, candidate, llm,
+        target_tokens=tokenize(target_doc), candidate_tokens=lazy_tokens(candidate.full_text or ""),
+    )
 
 
 class TestDetectSimilarity:
@@ -687,9 +683,7 @@ class TestNarrativeCitations:
 # each site's own parse-failure note, flag or warning
 NON_OBJECT_SITES = {
     "claim_comparison": (
-        lambda llm: [e.brief_note for e in compare_contribution(
-            TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm,
-            target_tokens=TARGET_TOKENS)],
+        lambda llm: [e.brief_note for e in _compare_prior(llm)],
         "Comparison unavailable",
     ),
     "subtopic_comparison": (
@@ -728,10 +722,7 @@ def _overlap_candidate():
 
 
 def _compare_prior(llm):
-    return compare_contribution(
-        TARGET_DOC, make_record("Prior Widget Study", 0.9), CLAIMS, llm,
-        target_tokens=TARGET_TOKENS,
-    )
+    return _compare(make_record("Prior Widget Study", 0.9), llm)
 
 
 def _segment(**fields):

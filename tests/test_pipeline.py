@@ -3,12 +3,13 @@
 import json
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from noveltycheck import pipeline
+from noveltycheck import analysis, pipeline, verification
 from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
 from noveltycheck.errors import InvalidInputError, SearchError
@@ -375,6 +376,62 @@ class TestRunPipeline:
         assert len(checks) == len(texts)
         for text in texts:
             assert sum(f"<Paper_B>\n{text}\n</Paper_B>" in user for user in checks) == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_full_text_tokenized_once(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, workers
+    ):
+        tokenized = []
+        real = verification.tokenize
+
+        def counting(text):
+            tokenized.append(text)
+            return real(text)
+
+        monkeypatch.setattr(verification, "tokenize", counting)
+        monkeypatch.setattr(analysis, "tokenize", counting)
+        cfg = make_config(
+            tmp_path, fixtures_dir,
+            retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        unified = json.loads((tmp_path / "phase2.json").read_text())["candidate_set"]["unified"]
+        texts = [u["paper"]["full_text"] for u in unified if u["paper"]["full_text"] is not None]
+        assert len(texts) == 2
+        # tokenized only when a quote is checked against it, and then once
+        assert max(tokenized.count(text) for text in texts) == 1
+
+    def test_one_candidate_stream_alive_at_a_time_with_one_worker(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        alive, peak, made = [0], [0], [0]
+
+        def released():
+            alive[0] -= 1
+
+        def tracked(text):
+            thunk = verification.lazy_tokens(text)
+            seen = []
+
+            def tokens():
+                stream = thunk()
+                if not seen:
+                    seen.append(True)
+                    made[0] += 1
+                    alive[0] += 1
+                    peak[0] = max(peak[0], alive[0])
+                    weakref.finalize(stream, released)
+                return stream
+
+            return tokens
+
+        monkeypatch.setattr(analysis, "lazy_tokens", tracked)
+        cfg = make_config(tmp_path, fixtures_dir, analysis_concurrency=1)
+        assert run_bounded(paper_text, cfg).succeeded
+        assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+        assert made[0] >= 2
+        assert peak[0] == 1
+        assert alive[0] == 0
 
     def test_paper_merged_across_scopes_compared_under_its_pool_id(
         self, tmp_path, fixtures_dir, paper_text

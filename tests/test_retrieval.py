@@ -152,6 +152,28 @@ class TestExecuteQueries:
         batch = execute_queries([QUERY], search, RetryPolicy())
         assert [r.paper.title for r in batch.results] == [HIT["title"]]
 
+    @pytest.mark.parametrize("bad_hit", [
+        {"abstract": "A hit with no title."},
+        {"title": "Unscored Paper", "relevance_score": None},
+        {"title": "Misscored Paper", "relevance_score": "high"},
+        {"title": 42},
+        {"title": "Misplaced Paper", "url": 5},
+        "not an object",
+    ])
+    def test_malformed_hit_dropped_and_good_hit_kept(self, bad_hit, caplog):
+        search = MockSearchClient({"queries": {"some query": {"results": [bad_hit, HIT]}}})
+        batch = execute_queries([QUERY], search, RetryPolicy())
+        assert [r.paper.title for r in batch.results] == [HIT["title"]]
+        assert batch.failures == []
+        assert "malformed search hit" in caplog.text
+
+    def test_null_abstract_read_as_empty(self):
+        search = MockSearchClient({"queries": {"some query": {"results": [
+            dict(HIT, abstract=None),
+        ]}}})
+        batch = execute_queries([QUERY], search, RetryPolicy())
+        assert [r.paper.abstract for r in batch.results] == [""]
+
     def test_global_retry_budget_caps_total_retries(self):
         fixture = {
             "queries": {

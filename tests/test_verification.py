@@ -3,25 +3,27 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import anchor_case_doc, anchor_case_quote
 from noveltycheck.papers import normalize_text, preprocess_document
 from noveltycheck.verification import (
     _TOKEN_RE,
     Anchor,
+    AnchorMatch,
     MIN_ANCHOR_CHARS,
     SimilaritySegment,
     align_anchor,
     combine_score,
     filter_segments,
+    hit_floor,
     segment_anchors,
     tokenize,
     verify_quote,
     verify_quote_detailed,
     verify_segment,
 )
-from oracles import brute_force_coverage, reference_tokens
+from oracles import brute_force_coverage, planted_quote_case, reference_tokens
 
 DOC_TEXT = (
     "the quick brown fox jumps over the lazy dog while the calm river "
@@ -127,6 +129,32 @@ class TestAlignAnchor:
             want = brute_force_coverage(anchor, doc)
             assert got.coverage == pytest.approx(want), (anchor, doc)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_min_matched_keeps_reaching_results_and_misses_the_rest(self, seed):
+        quote, doc = planted_quote_case(random.Random(seed))
+        stream = tokenize(doc)
+        for anchor in segment_anchors(tokenize(quote)):
+            exact = align_anchor(anchor, stream)
+            m = len(anchor.tokens)
+            for k in range(m + 1):
+                bounded = align_anchor(anchor, stream, min_matched=k)
+                if exact.coverage >= k / m:
+                    assert bounded == exact, (anchor, k)
+                else:
+                    assert bounded == AnchorMatch(coverage=0.0, doc_span=None), (anchor, k)
+
+    @pytest.mark.parametrize("m, floor", [(2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (7, 5)])
+    def test_hit_floor_boundary(self, m, floor):
+        assert hit_floor(m) == floor
+        anchor = [f"a{i}" for i in range(m)]
+        for matched, hit in ((floor, True), (floor - 1, False)):
+            doc = ["x"] * 5 + anchor[:matched] + ["y"] * (m - matched) + ["x"] * 5
+            exact = align_anchor(anchor, doc)
+            assert exact.coverage == matched / m and exact.is_hit is hit
+            bounded = align_anchor(anchor, doc, min_matched=floor)
+            assert bounded == (exact if hit else AnchorMatch(coverage=0.0, doc_span=None))
+
 
 class TestVerifyQuote:
     def test_verbatim_quote_scores_exactly_one(self):
@@ -166,6 +194,12 @@ class TestVerifyQuote:
                 loc = verify_quote(quote, doc)
                 assert loc.found == (loc.match_score > 0.6)
                 assert 0.0 <= loc.match_score <= 1.0
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_detailed_location_on_planted_copies(self, seed):
+        quote, doc = planted_quote_case(random.Random(seed))
+        assert verify_quote(quote, doc) == verify_quote_detailed(quote, doc).location
 
     def test_pretokenized_document_scores_the_same(self):
         stream = tokenize(DOC_TEXT)
