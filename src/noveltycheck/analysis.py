@@ -13,7 +13,7 @@ import logging
 import re
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
 from .codec import decode, encode
@@ -390,15 +390,15 @@ def compare_core_task(
     llm: LlmClient,
     *,
     core_task: CoreTask,
+    lane: Scheduler,
     citations: Optional[Mapping[str, str]] = None,
-    scheduler: Optional[Scheduler] = None,
 ) -> CoreTaskAnalysis:
     """Distinguish the target from its structural neighbors in the taxonomy.
 
     Sibling papers get individual distinction calls with duplicate detection
-    first, submitted to ``scheduler`` (inline without one) and collected in
-    sibling order; a lone paper in a populated parent gets one categorical
-    call; an isolated paper is logged without any model call.
+    first, submitted to the model ``lane`` and collected in sibling order; a
+    lone paper in a populated parent gets one categorical call; an isolated
+    paper is logged without any model call.
     """
     analysis = CoreTaskAnalysis(mode=position.mode, taxonomy_path=list(position.path))
     citations = citations or {}
@@ -492,7 +492,7 @@ def compare_core_task(
             brief_comparison=brief or "No comparison text returned.",
         ), diagnostic
 
-    results = (scheduler or Scheduler(1)).map(_compare_sibling, position.siblings)
+    results = lane.map(_compare_sibling, position.siblings)
     for comparison, diagnostic in results:
         if diagnostic is not None:
             analysis.diagnostics.append(diagnostic)
@@ -629,6 +629,10 @@ def strip_bad_citations(text: str, allowed: set[int]) -> str:
     return _CITATION_RE.sub(_sub, text)
 
 
+def _bad_citations(texts: Iterable[Any], allowed: set[int]) -> list[int]:
+    return sorted({i for t in texts for i in find_citation_indices(str(t)) if i not in allowed})
+
+
 def _request_prose(
     llm: LlmClient,
     name: str,
@@ -646,15 +650,13 @@ def _request_prose(
         return parsed[key]
 
     value = _once()
-    texts = value if isinstance(value, list) else [value]
-    bad = {i for t in texts for i in find_citation_indices(str(t)) if i not in allowed}
+    bad = _bad_citations(value if isinstance(value, list) else [value], allowed)
     if bad:
-        diagnostics.append(f"citations outside allowed set {sorted(bad)}; re-requesting once")
+        diagnostics.append(f"citations outside allowed set {bad}; re-requesting once")
         value = _once()
-        texts = value if isinstance(value, list) else [value]
-        bad = {i for t in texts for i in find_citation_indices(str(t)) if i not in allowed}
+        bad = _bad_citations(value if isinstance(value, list) else [value], allowed)
         if bad:
-            diagnostics.append(f"stripping residual bad citations {sorted(bad)}")
+            diagnostics.append(f"stripping residual bad citations {bad}")
             if isinstance(value, list):
                 value = [strip_bad_citations(str(t), allowed) for t in value]
             else:
@@ -966,16 +968,16 @@ def run_analysis_phase(
     target: PaperRecord,
     target_doc: str,
     llm: LlmClient,
+    lane: Scheduler,
     *,
-    concurrency: int = 1,
     generated_at: str,
     pipeline_version: str,
     artifact_filenames: Optional[Mapping[str, str]] = None,
 ) -> NoveltyReport:
     """Run all Phase III work and assemble the structured report.
 
-    Each model call is submitted once its inputs exist, at most ``concurrency``
-    at once; results are read in candidate order, never completion order.
+    Each model call is submitted to the model ``lane`` once its inputs exist;
+    results are read in candidate order, never completion order.
     """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
@@ -994,64 +996,89 @@ def run_analysis_phase(
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
     )
 
-    with Scheduler(concurrency) as scheduler:
-        taxonomy_future = scheduler.submit(
-            build_taxonomy, core_papers, phase1.core_task, llm, original=target
-        )
-        # shared read-only by the comparison and similarity tasks
-        target_tokens = tokenize(target_doc)
-        # a candidate's two tasks share one stream and are submitted back to
-        # back, so with one worker each stream is freed before the next is made
-        comparison_futures: dict[str, Future[list[ContributionComparison]]] = {}
-        similarity_futures: dict[str, Future[list[SimilaritySegment]]] = {}
-        for pid in dict.fromkeys([*comparison_order, *candidate_records]):
-            paper = candidate_records[pid]
-            candidate_tokens = lazy_tokens(_content_of(paper)[0])
-            if pid in comparison_order:
-                comparison_futures[pid] = scheduler.submit(
-                    compare_contribution, target_doc, paper, phase1.claims, llm,
-                    citation=citations.get(pid), target_tokens=target_tokens,
-                    candidate_tokens=candidate_tokens,
-                )
-            similarity_futures[pid] = scheduler.submit(
-                detect_similarity, target_doc, paper, llm,
-                target_tokens=target_tokens, candidate_tokens=candidate_tokens,
+    taxonomy_future = lane.submit(
+        build_taxonomy, core_papers, phase1.core_task, llm, original=target
+    )
+    # shared read-only by the comparison and similarity tasks
+    target_tokens = tokenize(target_doc)
+    # a candidate's two tasks share one stream and are submitted back to
+    # back, so with one worker each stream is freed before the next is made
+    comparison_futures: dict[str, Future[list[ContributionComparison]]] = {}
+    similarity_futures: dict[str, Future[list[SimilaritySegment]]] = {}
+    for pid in dict.fromkeys([*comparison_order, *candidate_records]):
+        paper = candidate_records[pid]
+        candidate_tokens = lazy_tokens(_content_of(paper)[0])
+        if pid in comparison_order:
+            comparison_futures[pid] = lane.submit(
+                compare_contribution, target_doc, paper, phase1.claims, llm,
+                citation=citations.get(pid), target_tokens=target_tokens,
+                candidate_tokens=candidate_tokens,
             )
-        one_liners_future = scheduler.submit(generate_one_liners, core_papers, llm)
+        similarity_futures[pid] = lane.submit(
+            detect_similarity, target_doc, paper, llm,
+            target_tokens=target_tokens, candidate_tokens=candidate_tokens,
+        )
+    one_liners_future = lane.submit(generate_one_liners, core_papers, llm)
 
-        outcome = taxonomy_future.result()
-        position: Optional[StructuralPosition] = None
-        try:
-            position = structural_position(outcome.taxonomy, str(target.canonical_id))
-        except InvalidInputError as exc:
-            diagnostics.append(f"structural position unavailable: {exc}")
-        narrative_future = scheduler.submit(
-            generate_narrative,
-            phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,
+    outcome = taxonomy_future.result()
+    position: Optional[StructuralPosition] = None
+    try:
+        position = structural_position(outcome.taxonomy, str(target.canonical_id))
+    except InvalidInputError as exc:
+        diagnostics.append(f"structural position unavailable: {exc}")
+    narrative_future = lane.submit(
+        generate_narrative,
+        phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,
+    )
+    if position is not None:
+        core_analysis = compare_core_task(
+            position,
+            target,
+            target_doc,
+            candidate_records,
+            llm,
+            core_task=phase1.core_task,
+            lane=lane,
+            citations=citations,
         )
-        if position is not None:
-            core_analysis = compare_core_task(
-                position,
-                target,
-                target_doc,
-                candidate_records,
-                llm,
-                core_task=phase1.core_task,
-                citations=citations,
-                scheduler=scheduler,
-            )
-        else:
-            core_analysis = CoreTaskAnalysis(
-                mode="isolated",
-                taxonomy_path=[],
-                isolation={"note": "No comparison: target position in taxonomy is unknown."},
-                diagnostics=["taxonomy did not place the target paper"],
-            )
-        entries_by_candidate = {pid: f.result() for pid, f in comparison_futures.items()}
-        segments_by_candidate = {pid: similarity_futures[pid].result() for pid in candidate_records}
-        one_liners = one_liners_future.result()
-        narrative, narrative_diag = narrative_future.result()
+    else:
+        core_analysis = CoreTaskAnalysis(
+            mode="isolated",
+            taxonomy_path=[],
+            isolation={"note": "No comparison: target position in taxonomy is unknown."},
+            diagnostics=["taxonomy did not place the target paper"],
+        )
+    entries_by_candidate = {pid: f.result() for pid, f in comparison_futures.items()}
+    segments_by_candidate = {pid: similarity_futures[pid].result() for pid in candidate_records}
+    one_liners = one_liners_future.result()
+    narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)
+
+    def _known_citations(text: str, where: str) -> str:
+        """``_request_prose``'s last step for comparison prose: strip dangling ``[n]``, note it."""
+        bad = _bad_citations([text], allowed_indices)
+        if not bad:
+            return text
+        diagnostics.append(f"stripping dangling citations {bad} from {where}")
+        return strip_bad_citations(text, allowed_indices)
+
+    for pid, entries in entries_by_candidate.items():
+        for entry in entries:
+            if entry.brief_note:
+                entry.brief_note = _known_citations(entry.brief_note, f"brief note on {pid}")
+            if entry.refutation_evidence is not None:
+                evidence = entry.refutation_evidence
+                evidence.summary = _known_citations(
+                    evidence.summary, f"refutation summary on {pid}"
+                )
+                for pair in evidence.evidence_pairs:
+                    pair.rationale = _known_citations(
+                        pair.rationale, f"evidence rationale on {pid}"
+                    )
+    for comparison in core_analysis.comparisons:
+        comparison.brief_comparison = _known_citations(
+            comparison.brief_comparison, f"sibling comparison with {comparison.canonical_id}"
+        )
 
     # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}

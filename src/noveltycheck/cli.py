@@ -57,8 +57,8 @@ def main(verbose: bool) -> None:
 @click.option("--search-endpoint", envvar="NOVELTYCHECK_SEARCH_ENDPOINT")
 @click.option("--search-api-key", envvar="NOVELTYCHECK_SEARCH_API_KEY")
 @click.option("--concurrency", type=int, default=1, show_default=True,
-              help="Most client calls in flight: model calls in extraction and "
-                   "analysis, searches in retrieval.")
+              help="Width of each client's lane: up to N model calls and up to N "
+                   "searches in flight at once. Searches start during extraction.")
 @click.option("--max-attempts", type=int, default=8, show_default=True)
 @click.option("--initial-delay", type=float, default=5.0, show_default=True)
 @click.option("--topk-core", type=int, default=50, show_default=True)

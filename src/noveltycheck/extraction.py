@@ -572,31 +572,43 @@ class Phase1Result:
 def run_extraction_phase(
     doc: str,
     llm: LlmClient,
+    lane: Scheduler,
     *,
     title: str = "",
     abstract: str = "",
-    concurrency: int = 1,
+    on_queries: Callable[[tuple[SearchQuery, ...]], None] = lambda queries: None,
+    on_calls_queued: Callable[[], Any] = lambda: None,
 ) -> Phase1Result:
-    """Run Phase I: the core-task and contribution chains side by side, then assemble."""
-    with Scheduler(concurrency) as scheduler:
-        core_future = scheduler.submit(
-            extract_core_task, doc, llm, title=title, abstract=abstract
+    """Run Phase I on the model lane: the core-task and contribution chains side by side.
+
+    Each scope's queries go to ``on_queries`` from the lane, as soon as its
+    variant call returns; they carry the ids the assembled query set gives
+    them. ``on_calls_queued`` runs once every Phase I model call is queued,
+    so the calls it submits fill the lane slots Phase I leaves idle.
+    """
+
+    def _expand(
+        primary: str, contribution_id: Optional[str] = None
+    ) -> tuple[tuple[str, ...], list[str]]:
+        texts, flags = expand_query_variants(
+            primary, llm, require_prefix=contribution_id is not None
         )
-        claims_future = scheduler.submit(extract_contributions, doc, llm, title=title)
-        core = core_future.result()
-        core_expansion = scheduler.submit(
-            expand_query_variants, core.text, llm, require_prefix=False
-        )
-        claims, warnings = claims_future.result()
-        primaries, query_warnings = scheduler.submit(generate_primary_queries, claims, llm).result()
-        warnings.extend(query_warnings)
-        expansions = scheduler.map(
-            lambda claim: expand_query_variants(
-                primaries[claim.claim_id], llm, require_prefix=True
-            ),
-            claims,
-        )
-        core_queries, core_flags = core_expansion.result()
+        on_queries(_search_queries(texts, contribution_id))
+        return texts, flags
+
+    core_future = lane.submit(extract_core_task, doc, llm, title=title, abstract=abstract)
+    claims_future = lane.submit(extract_contributions, doc, llm, title=title)
+    core = core_future.result()
+    core_expansion = lane.submit(_expand, core.text)
+    claims, warnings = claims_future.result()
+    primaries, query_warnings = lane.submit(generate_primary_queries, claims, llm).result()
+    warnings.extend(query_warnings)
+    claim_expansions = [
+        lane.submit(_expand, primaries[claim.claim_id], claim.claim_id) for claim in claims
+    ]
+    on_calls_queued()
+    expansions = [future.result() for future in claim_expansions]
+    core_queries, core_flags = core_expansion.result()
     core = replace(core, audit_flags=core.audit_flags + tuple(core_flags))
     claims = [
         replace(claim, audit_flags=claim.audit_flags + tuple(vflags))

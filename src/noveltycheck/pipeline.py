@@ -7,11 +7,13 @@ and every phase can be developed and inspected in isolation.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -31,6 +33,7 @@ from .errors import InvalidInputError, NoveltyCheckError, PhaseAbortError
 from .extraction import Phase1Result, run_extraction_phase
 from .papers import (
     PaperRecord,
+    PublicationDate,
     canonical_id_of,
     infer_publication_date,
     preprocess_document,
@@ -40,9 +43,11 @@ from .retrieval import (
     DEFAULT_TOPK_CONTRIBUTION,
     DEFAULT_TOPK_CORE,
     Phase2Result,
+    QueryRunner,
     RetryPolicy,
     run_retrieval_phase,
 )
+from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
@@ -173,18 +178,15 @@ def parse_front_matter(paper_text: str) -> tuple[str, str]:
     return title, " ".join(abstract_lines)
 
 
-def build_target_record(paper_text: str, cfg: PipelineConfig, llm: LlmClient) -> PaperRecord:
+def build_target_record(paper_text: str, cfg: PipelineConfig) -> PaperRecord:
+    """The target from its text and the knobs; its publication date is looked up on a lane."""
     title, abstract = parse_front_matter(paper_text)
     title = cfg.target_title or title or "Untitled target paper"
-    date = infer_publication_date(
-        url=cfg.target_url, front_matter=paper_text[:4000], llm=llm
-    )
     return PaperRecord(
         canonical_id=canonical_id_of({"title": title}),
         title=title,
         abstract=abstract,
         url=cfg.target_url,
-        publication_date=date,
     )
 
 
@@ -250,9 +252,12 @@ class _PhaseRunner:
 def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     """Execute Phases I-IV, persisting one artifact per phase.
 
-    On a phase failure the manifest records the error and the run stops
-    cleanly; with ``resume`` enabled a later invocation picks up after the
-    last persisted artifact.
+    The run owns one lane per client: a model lane of ``analysis_concurrency``
+    workers and a search lane of ``retry.concurrency`` workers. Phase I starts
+    each scope's searches as soon as its queries exist, and Phase II collects
+    them. On a phase failure the manifest records the error, queued calls are
+    dropped and the run stops cleanly; with ``resume`` enabled a later
+    invocation picks up after the last persisted artifact.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
@@ -267,19 +272,35 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     phase1_path = out / "phase1.json"
     phase2_path = out / "phase2.json"
     phase3_path = out / "phase3.json"
+    front = build_target_record(paper_text, cfg)
 
-    target = build_target_record(paper_text, cfg, llm)
+    search_lane = Scheduler(cfg.retry.concurrency)
+    model_lane = Scheduler(cfg.analysis_concurrency)
+    queries = QueryRunner(search, cfg.retry, search_lane, sleep=cfg.sleep)
+
+    @functools.cache
+    def _date_lookup() -> Future[Optional[PublicationDate]]:
+        """The target's date lookup, queued on the first call: Phase I's once its own are queued."""
+        return model_lane.submit(
+            infer_publication_date, url=cfg.target_url, front_matter=paper_text[:4000], llm=llm
+        )
+
+    @functools.cache
+    def _target() -> PaperRecord:
+        return replace(front, publication_date=_date_lookup().result())
 
     def _phase1() -> Phase1Result:
         doc = preprocess_document(paper_text, purpose="extraction")
         result = run_extraction_phase(
             doc,
             llm,
-            title=target.title,
-            abstract=target.abstract,
-            concurrency=cfg.analysis_concurrency,
+            model_lane,
+            title=front.title,
+            abstract=front.abstract,
+            on_queries=queries.start,
+            on_calls_queued=_date_lookup,
         )
-        _write_json(phase1_path, {"target": encode(target), "result": result.to_dict()})
+        _write_json(phase1_path, {"target": encode(_target()), "result": result.to_dict()})
         return result
 
     def _load_phase1() -> Phase1Result:
@@ -288,12 +309,10 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     def _phase2(phase1: Phase1Result) -> Phase2Result:
         result = run_retrieval_phase(
             phase1.query_set,
-            search,
-            cfg.retry,
-            target,
+            queries,
+            _target(),
             topk_core=cfg.topk_core,
             topk_contribution=cfg.topk_contribution,
-            sleep=cfg.sleep,
         )
         _write_json(phase2_path, result.to_dict())
         return result
@@ -306,10 +325,10 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         report = run_analysis_phase(
             phase1,
             phase2.candidate_set,
-            target,
+            _target(),
             target_doc,
             llm,
-            concurrency=cfg.analysis_concurrency,
+            model_lane,
             generated_at=generated_at,
             pipeline_version=__version__,
             artifact_filenames={
@@ -334,13 +353,16 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         return md_path
 
     try:
-        phase1 = runner.run("phase1", phase1_path, _phase1, load=_load_phase1)
-        phase2 = runner.run("phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2)
-        report = runner.run(
-            "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
-        )
-        md_path = out / output_filename(report)
-        runner.run("phase4", md_path, lambda: _phase4(report), load=lambda: md_path)
+        # the model lane is left first: its running tasks may still start searches
+        with search_lane, model_lane:
+            phase1 = runner.run("phase1", phase1_path, _phase1, load=_load_phase1)
+            _date_lookup()  # made even when phase 1 is reused
+            phase2 = runner.run("phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2)
+            report = runner.run(
+                "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
+            )
+            md_path = out / output_filename(report)
+            runner.run("phase4", md_path, lambda: _phase4(report), load=lambda: md_path)
     except NoveltyCheckError as exc:
         logger.error("pipeline stopped: %s", exc)
     return manifest

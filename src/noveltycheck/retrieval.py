@@ -11,9 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from threading import Semaphore
-from typing import Any, Callable, Mapping, Optional, Sequence
+from threading import Lock, Semaphore
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import SearchClient, SearchHit
 from .codec import decode, encode
@@ -117,32 +118,58 @@ def _hit_to_result(
     return RetrievalResult(paper=paper, scope=query.scope, contribution_id=query.contribution_id)
 
 
-def execute_queries(
-    queries: Sequence[SearchQuery],
-    search: SearchClient,
-    policy: RetryPolicy = RetryPolicy(),
-    *,
-    sleep: Callable[[float], None] = time.sleep,
-) -> RetrievalBatch:
-    """Run every query with bounded retries and graceful degradation.
+_Outcome = tuple[SearchQuery, Optional[list[SearchHit]], int, str]
 
-    Each query gets up to ``max_query_attempts`` tries with a backoff of
-    ``initial_delay * attempt`` between them. Failed queries are logged and
-    skipped; the batch only raises when every query failed.
+
+class QueryRunner:
+    """Starts each search query once on the search lane, and collects the outcomes.
+
+    A query is keyed by its id and its text. Each runs with up to
+    ``max_query_attempts`` tries and a backoff of ``initial_delay * attempt``
+    between them, drawing retries from one budget of ``global_max_retries``
+    shared by every query the runner starts. A task's unexpected exception
+    re-raises when its outcome is collected, not when it is started.
     """
-    query_list = list(queries)
-    if not query_list:
-        raise InvalidInputError("query set is empty")
 
-    retry_budget = Semaphore(policy.global_max_retries)
+    def __init__(
+        self,
+        search: SearchClient,
+        policy: RetryPolicy,
+        lane: Scheduler,
+        *,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        self._search = search
+        self._policy = policy
+        self._lane = lane
+        self._sleep = sleep
+        self._budget = Semaphore(policy.global_max_retries)
+        self._started: dict[tuple[str, str], Future[_Outcome]] = {}
+        self._lock = Lock()
 
-    def _run(query: SearchQuery) -> tuple[SearchQuery, list[SearchHit] | None, int, str]:
+    def start(self, queries: Iterable[SearchQuery]) -> None:
+        """Submit every query not started yet; safe to call from worker threads."""
+        with self._lock:
+            for query in queries:
+                key = (query.query_id, query.text)
+                if key not in self._started:
+                    self._started[key] = self._lane.submit(self._run, query)
+
+    def collect(self, queries: Sequence[SearchQuery]) -> list[_Outcome]:
+        """Each query's outcome in ``queries`` order, starting the ones not started yet."""
+        self.start(queries)
+        with self._lock:
+            futures = [self._started[(query.query_id, query.text)] for query in queries]
+        return [future.result() for future in futures]
+
+    def _run(self, query: SearchQuery) -> _Outcome:
+        policy = self._policy
         error = ""
         for attempt in range(1, policy.max_query_attempts + 1):
             if attempt > 1:
-                sleep(policy.initial_delay * (attempt - 1))
+                self._sleep(policy.initial_delay * (attempt - 1))
             try:
-                hits = search.search(query.text)
+                hits = self._search.search(query.text)
                 logger.info(
                     "query %s succeeded on attempt %d with %d hits",
                     query.query_id, attempt, len(hits),
@@ -151,19 +178,27 @@ def execute_queries(
             except SearchError as exc:
                 error = str(exc)
                 logger.warning("query %s attempt %d failed: %s", query.query_id, attempt, exc)
-                if attempt < policy.max_query_attempts and not retry_budget.acquire(blocking=False):
+                if attempt < policy.max_query_attempts and not self._budget.acquire(blocking=False):
                     logger.error("global retry budget exhausted; abandoning %s", query.query_id)
                     return query, None, attempt, error
         return query, None, policy.max_query_attempts, error
 
-    with Scheduler(policy.concurrency) as scheduler:
-        outcomes = scheduler.map(_run, query_list)
+
+def execute_queries(queries: Sequence[SearchQuery], runner: QueryRunner) -> RetrievalBatch:
+    """Collect every query's outcome from ``runner``, with graceful degradation.
+
+    Queries ``runner`` has not started yet are started here. Failed queries
+    are logged and skipped; the batch only raises when every query failed.
+    """
+    query_list = list(queries)
+    if not query_list:
+        raise InvalidInputError("query set is empty")
 
     results: list[RetrievalResult] = []
     failures: list[QueryFailure] = []
     documents: dict[str, str] = {}
     attempts: dict[str, int] = {}
-    for query, hits, tries, error in outcomes:
+    for query, hits, tries, error in runner.collect(query_list):
         attempts[query.query_id] = tries
         if hits is None:
             failures.append(QueryFailure(query.query_id, tries, error))
@@ -407,16 +442,14 @@ def summarize_filtering(result: Phase2Result) -> dict[str, Any]:
 
 def run_retrieval_phase(
     query_set: QuerySet,
-    search: SearchClient,
-    policy: RetryPolicy,
+    runner: QueryRunner,
     target: PaperRecord,
     *,
     topk_core: int = DEFAULT_TOPK_CORE,
     topk_contribution: int = DEFAULT_TOPK_CONTRIBUTION,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Phase2Result:
-    """Execute the query set and run the full filtering pipeline."""
-    batch = execute_queries(query_set.all_queries(), search, policy, sleep=sleep)
+    """Collect the query set's outcomes from ``runner`` and run the full filtering pipeline."""
+    batch = execute_queries(query_set.all_queries(), runner)
     core_results = [r for r in batch.results if r.scope == "core_task"]
     core_outcome = filter_scope(core_results, "core_task", topk_core, target)
 

@@ -1,12 +1,17 @@
 """One bounded, order-preserving task scheduler for every client call.
 
-Phases submit each model or search call as soon as its inputs exist and
-read the results back in their own iteration order, never in completion
-order, so artifacts are identical at any worker count.
+A run owns one scheduler per client, its lane: a model lane and a search
+lane, each N workers wide, so N model calls and N searches can be in flight
+at once. Phases submit each call as soon as its inputs exist, and searches
+start during Phase I, as soon as a scope's queries exist; Phase II collects
+them, so the manifest's phase2 ``started_at`` marks collection, not the first
+search. Results are read back in each phase's own iteration order, never in
+completion order, so artifacts are identical at any worker count.
 
 Only the orchestrating caller waits on futures; a task never waits on
-another task. A bounded pool therefore cannot deadlock, and at most
-``workers`` tasks, and so client calls, are in flight at once.
+another task, though a model task may submit to the search lane. A bounded
+pool therefore cannot deadlock, and at most ``workers`` tasks, and so client
+calls, are in flight on each lane at once.
 """
 
 from __future__ import annotations

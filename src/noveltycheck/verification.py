@@ -47,19 +47,30 @@ def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
     return MappingProxyType({token: tuple(p) for token, p in index.items()})
 
 
+_INDEX_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class TokenStream:
     """The tokens of a normalized text, in order.
 
-    ``positions`` maps each token to its ascending indices. It is built on
-    construction, so a stream shared by worker threads is never mutated.
+    ``positions`` maps each token to its ascending indices. Only a document
+    that anchors are aligned against reads it, so it is built on first read,
+    once, under a lock: a stream shared by worker threads never changes
+    after that, and a quote's stream never builds it.
     """
 
     tokens: tuple[str, ...]
-    positions: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", _token_positions(self.tokens))
+    @property
+    def positions(self) -> Mapping[str, tuple[int, ...]]:
+        index = self.__dict__.get("_positions")
+        if index is None:
+            with _INDEX_LOCK:
+                index = self.__dict__.get("_positions")
+                if index is None:
+                    index = self.__dict__["_positions"] = _token_positions(self.tokens)
+        return index
 
     def __len__(self) -> int:
         return len(self.tokens)

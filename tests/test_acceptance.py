@@ -40,6 +40,7 @@ from noveltycheck.papers import (
 )
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.retrieval import RetryPolicy, cross_scope_dedup, filter_scope
+from noveltycheck.scheduler import Scheduler
 from noveltycheck.taxonomy import repair_taxonomy, validate_taxonomy
 from noveltycheck.verification import (
     _TOKEN_RE,
@@ -381,7 +382,7 @@ def test_criterion_8_query_rule_conformance():
                 {"system_contains": "rewriting academic search queries",
                  "responses": variant_replies},
             ]})
-            phase1 = run_extraction_phase(doc, llm)
+            phase1 = run_extraction_phase(doc, llm, Scheduler(1))
             query_set = phase1.query_set
             assert 6 <= query_set.total <= 12
             assert query_set.total == 3 + 3 * len(phase1.claims)

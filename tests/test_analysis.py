@@ -36,6 +36,7 @@ from noveltycheck.extraction import (
 )
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
+from noveltycheck.scheduler import Scheduler
 from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
 from noveltycheck.verification import QuoteLocation, lazy_tokens, tokenize
 
@@ -408,7 +409,7 @@ def _compare_lone_target(llm):
     )
     position = structural_position(tree, tid)
     return compare_core_task(
-        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK
+        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK, lane=Scheduler(1)
     )
 
 
@@ -456,7 +457,7 @@ class TestCompareCoreTask:
         )
         records = {str(s.canonical_id): s for s in siblings}
         analysis = compare_core_task(
-            position, target, TARGET_DOC, records, llm, core_task=CORE_TASK
+            position, target, TARGET_DOC, records, llm, core_task=CORE_TASK, lane=Scheduler(1)
         )
         assert analysis.mode == "sibling"
         flags = {c.canonical_id: c.is_duplicate_variant for c in analysis.comparisons}
@@ -482,7 +483,9 @@ class TestCompareCoreTask:
         )
         position = structural_position(tree, tid)
         llm = MockLlmClient({})
-        analysis = compare_core_task(position, target, TARGET_DOC, {}, llm, core_task=CORE_TASK)
+        analysis = compare_core_task(
+            position, target, TARGET_DOC, {}, llm, core_task=CORE_TASK, lane=Scheduler(1)
+        )
         assert analysis.mode == "isolated"
         assert analysis.isolation is not None
         assert llm.calls == []
@@ -505,7 +508,8 @@ class TestCompareCoreTask:
         position = structural_position(tree, ids[0])
         llm = MockLlmClient({"rules": [{"system_contains": "SAME taxonomy", "error": "down"}]})
         analysis = compare_core_task(
-            position, target, TARGET_DOC, {ids[1]: sibling}, llm, core_task=CORE_TASK
+            position, target, TARGET_DOC, {ids[1]: sibling}, llm,
+            core_task=CORE_TASK, lane=Scheduler(1),
         )
         assert len(analysis.comparisons) >= 1
         assert any("Comparison unavailable" in c.brief_comparison for c in analysis.comparisons)

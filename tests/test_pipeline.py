@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from noveltycheck import analysis, pipeline, verification
 from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
-from noveltycheck.errors import InvalidInputError, SearchError
+from noveltycheck.errors import InvalidInputError, LlmError, SearchError
 from noveltycheck.extraction import QUERY_PREFIX
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
 from noveltycheck.prompts import TEMPERATURES, load_prompt
@@ -41,7 +41,7 @@ def paper_text(fixtures_dir):
 
 
 class InflightProbe:
-    """Wraps both clients and records the most calls ever in flight at once.
+    """Wraps both clients and records the most calls of each ever in flight at once.
 
     With ``barrier`` set, the core-task and contribution extraction calls
     wait on it, so both pass only when they are in flight together.
@@ -52,14 +52,14 @@ class InflightProbe:
     def __init__(self, barrier=None):
         self.barrier = barrier
         self.overlapped = 0
-        self.peak = 0
-        self._inflight = 0
+        self.peak = {"llm": 0, "search": 0}
+        self._inflight = {"llm": 0, "search": 0}
         self._lock = threading.Lock()
 
-    def call(self, fn, *args, extraction=False):
+    def call(self, client, fn, *args, extraction=False):
         with self._lock:
-            self._inflight += 1
-            self.peak = max(self.peak, self._inflight)
+            self._inflight[client] += 1
+            self.peak[client] = max(self.peak[client], self._inflight[client])
         try:
             if extraction and self.barrier is not None:
                 self.barrier.wait()
@@ -69,7 +69,7 @@ class InflightProbe:
             return fn(*args)
         finally:
             with self._lock:
-                self._inflight -= 1
+                self._inflight[client] -= 1
 
     def clients(self, llm, search):
         probe = self
@@ -78,12 +78,13 @@ class InflightProbe:
             def complete(self, system_prompt, user_prompt, temperature=0.0):
                 extraction = any(s in system_prompt for s in probe.EXTRACTIONS)
                 return probe.call(
-                    llm.complete, system_prompt, user_prompt, temperature, extraction=extraction
+                    "llm", llm.complete, system_prompt, user_prompt, temperature,
+                    extraction=extraction,
                 )
 
         class Search(SearchClient):
             def search(self, query):
-                return probe.call(search.search, query)
+                return probe.call("search", search.search, query)
 
         return Llm(), Search()
 
@@ -322,10 +323,105 @@ class TestRunPipeline:
         )
         manifest = run_bounded(paper_text, cfg)
         assert manifest.succeeded
-        assert 1 <= probe.peak <= workers
+        # one lane per client: each bounds its own calls
+        assert 1 <= probe.peak["llm"] <= cfg.analysis_concurrency
+        assert 1 <= probe.peak["search"] <= cfg.retry.concurrency
         if workers == 2:  # both extractions were in flight together
             assert probe.overlapped == 2
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
+    def test_first_search_starts_before_phase1_last_model_call_returns(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        phase1_prompts = {
+            load_prompt(name)
+            for name in ("core_task", "contribution_extraction", "primary_query", "query_variants")
+        }
+        phase1_returns, search_starts = [], []
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        search = MockSearchClient.from_file(fixtures_dir / "mock_search.json")
+
+        class SlowLlm(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                time.sleep(0.03)
+                reply = llm.complete(system_prompt, user_prompt, temperature)
+                if system_prompt in phase1_prompts:
+                    phase1_returns.append(time.perf_counter())
+                return reply
+
+        class StampedSearch(SearchClient):
+            def search(self, query):
+                search_starts.append(time.perf_counter())
+                return search.search(query)
+
+        monkeypatch.setattr(pipeline, "build_clients", lambda cfg: (SlowLlm(), StampedSearch()))
+        cfg = make_config(
+            tmp_path, fixtures_dir, retry=RetryPolicy(concurrency=2), analysis_concurrency=2
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        # the core-task searches run while the claims' variant calls are in flight
+        assert min(search_starts) < max(phase1_returns)
+
+    def test_phase1_failure_after_core_searches_started_stops_cleanly(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        searched = threading.Event()
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        search = MockSearchClient.from_file(fixtures_dir / "mock_search.json")
+
+        class ClaimsFailAfterFirstSearch(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                if system_prompt == load_prompt("contribution_extraction"):
+                    assert searched.wait(10)
+                    raise LlmError("model service unavailable")
+                return llm.complete(system_prompt, user_prompt, temperature)
+
+        class SignallingSearch(SearchClient):
+            def search(self, query):
+                searched.set()
+                return search.search(query)
+
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (ClaimsFailAfterFirstSearch(), SignallingSearch()),
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir, retry=RetryPolicy(concurrency=2), analysis_concurrency=2
+        )
+        before = set(threading.enumerate())
+        manifest = run_bounded(paper_text, cfg)
+        assert manifest.phases["phase1"].status == "failed"
+        assert "model service unavailable" in manifest.phases["phase1"].error
+        assert manifest.phases["phase2"].status == "pending"
+        assert not (tmp_path / "phase1.json").exists()
+        assert search.calls and not any(q.startswith(QUERY_PREFIX) for q in search.calls)
+        assert set(threading.enumerate()) <= before, "a lane thread outlived run_pipeline"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_raising_during_phase1_fails_phase2(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, workers
+    ):
+        during_phase1 = []
+
+        class BrokenSearch(SearchClient):
+            def search(self, query):
+                during_phase1.append(not (tmp_path / "phase1.json").exists())
+                raise RuntimeError("search client bug")
+
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (MockLlmClient.from_file(cfg.llm_fixture), BrokenSearch()),
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir,
+            retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+        )
+        manifest = run_bounded(paper_text, cfg)
+        assert during_phase1[0], "no search raised before Phase I ended"
+        assert manifest.phases["phase1"].status == "completed"
+        assert manifest.phases["phase2"].status == "failed"
+        assert manifest.phases["phase2"].error == "[phase2] RuntimeError: search client bug"
+        assert manifest.phases["phase3"].status == "pending"
 
     @pytest.mark.parametrize("failure", ["core_task_too_short", "search_always_raises"])
     def test_failed_phase_recorded_at_concurrency_4(
@@ -432,6 +528,35 @@ class TestRunPipeline:
         assert made[0] >= 2
         assert peak[0] == 1
         assert alive[0] == 0
+
+    def test_dangling_citation_in_comparison_prose_stripped_and_rendered(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        fixture = (fixtures_dir / "mock_llm.json").read_text()
+        for old, new in (
+            ("Predictive Eviction [7] already", "Predictive Eviction [99] already"),
+            ("furthest predicted reuse distance.", "furthest predicted reuse distance [98]."),
+            ("A trace generator, not an eviction policy.", "A trace generator [97]."),
+            ("while Foreseer[1] ranks", "while Foreseer[96] ranks"),
+        ):
+            assert fixture.count(old) == 1
+            fixture = fixture.replace(old, new)
+        llm = MockLlmClient(json.loads(fixture))
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (llm, MockSearchClient.from_file(cfg.search_fixture)),
+        )
+        manifest = run_bounded(paper_text, make_config(tmp_path, fixtures_dir))
+        assert manifest.succeeded, manifest.failure_log
+        report = next(tmp_path.glob("*.md")).read_text()
+        assert "Predictive Eviction  already" in report
+        warnings = json.loads((tmp_path / "phase3.json").read_text())["metadata"]["warnings"]
+        stripped = [w for w in warnings if w.startswith("stripping dangling citations")]
+        assert len(stripped) == 4
+        for index, where in ((99, "refutation summary"), (98, "evidence rationale"),
+                             (97, "brief note"), (96, "sibling comparison")):
+            assert f"[{index}]" not in report
+            assert any(f"[{index}] from {where}" in w for w in stripped)
 
     def test_paper_merged_across_scopes_compared_under_its_pool_id(
         self, tmp_path, fixtures_dir, paper_text

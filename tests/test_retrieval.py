@@ -1,6 +1,9 @@
 """Query execution fault tolerance and the multi-layer filtering pipeline."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,11 +22,13 @@ from noveltycheck.errors import InvalidInputError, RetrievalEmptyError
 from noveltycheck.extraction import SearchQuery
 from noveltycheck.papers import CanonicalId, IdScheme, PublicationDate, QualityFlag
 from noveltycheck.retrieval import (
+    QueryRunner,
     RetryPolicy,
     cross_scope_dedup,
     execute_queries,
     filter_scope,
 )
+from noveltycheck.scheduler import Scheduler
 
 # Small pools, so ids and titles collide within and across scopes, and a
 # record found by title can carry a better id than the entry it joins.
@@ -58,13 +63,19 @@ class TestRetryPolicy:
             RetryPolicy(max_query_attempts=0)
 
 
+def execute(queries, search, policy=RetryPolicy(), *, sleep=time.sleep):
+    """``execute_queries`` through a new runner on a search lane of ``policy.concurrency``."""
+    with Scheduler(policy.concurrency) as lane:
+        return execute_queries(queries, QueryRunner(search, policy, lane, sleep=sleep))
+
+
 class TestExecuteQueries:
     def test_two_failures_then_success_logs_three_attempts(self):
         search = MockSearchClient(
             {"queries": {"some query": {"results": [HIT], "fail_times": 2}}}
         )
         delays = []
-        batch = execute_queries(
+        batch = execute(
             [QUERY], search, RetryPolicy(initial_delay=1.0), sleep=delays.append
         )
         assert batch.attempts_by_query["core_task:primary"] == 3
@@ -83,8 +94,8 @@ class TestExecuteQueries:
             }
         )
         other = SearchQuery("core_task:variant1", "other query", "core_task")
-        batch = execute_queries([QUERY, other], search, RetryPolicy(initial_delay=0.001),
-                                sleep=lambda _: None)
+        batch = execute([QUERY, other], search, RetryPolicy(initial_delay=0.001),
+                        sleep=lambda _: None)
         assert [f.query_id for f in batch.failures] == ["core_task:primary"]
         assert batch.failures[0].attempts == 8
         assert len(batch.results) == 1
@@ -94,22 +105,22 @@ class TestExecuteQueries:
         queries = [
             SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(12)
         ]
-        batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
+        batch = execute(queries, MockSearchClient(fixture), RetryPolicy())
         assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(12)]
 
     def test_all_failed_raises_retrieval_empty(self):
         search = MockSearchClient({"queries": {"some query": {"fail_times": 99}}})
         with pytest.raises(RetrievalEmptyError):
-            execute_queries([QUERY], search, RetryPolicy(max_query_attempts=2),
-                            sleep=lambda _: None)
+            execute([QUERY], search, RetryPolicy(max_query_attempts=2),
+                    sleep=lambda _: None)
 
     def test_concurrency_produces_same_results(self):
         fixture = {"queries": {f"q{i}": {"results": [dict(HIT, title=f"P{i}")]} for i in range(8)}}
         queries = [
             SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(8)
         ]
-        serial = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
-        threaded = execute_queries(
+        serial = execute(queries, MockSearchClient(fixture), RetryPolicy())
+        threaded = execute(
             queries, MockSearchClient(fixture), RetryPolicy(concurrency=4)
         )
         serial_keys = [(r.paper.title, str(r.paper.canonical_id)) for r in serial.results]
@@ -133,7 +144,7 @@ class TestExecuteQueries:
         queries = [
             SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(3)
         ]
-        batch = execute_queries(queries, MockSearchClient(fixture), RetryPolicy())
+        batch = execute(queries, MockSearchClient(fixture), RetryPolicy())
         assert sorted(calls) == sorted([shared["full_text"], other["full_text"]])
         assert len(batch.results) == 6
         assert {r.paper.full_text for r in batch.results} == set(calls)
@@ -141,7 +152,7 @@ class TestExecuteQueries:
     def test_hit_date_inferred_from_url(self):
         hit = dict(HIT, url="https://arxiv.org/abs/2401.00001")
         search = MockSearchClient({"queries": {"some query": {"results": [hit]}}})
-        batch = execute_queries([QUERY], search, RetryPolicy())
+        batch = execute([QUERY], search, RetryPolicy())
         date = batch.results[0].paper.publication_date
         assert (date.year, date.month) == (2024, 1)
 
@@ -149,7 +160,7 @@ class TestExecuteQueries:
         # the json module reads a bare NaN, so a fixture or a service reply can carry one
         nan_hit = json.loads('{"title": "Unscored Paper", "relevance_score": NaN}')
         search = MockSearchClient({"queries": {"some query": {"results": [nan_hit, HIT]}}})
-        batch = execute_queries([QUERY], search, RetryPolicy())
+        batch = execute([QUERY], search, RetryPolicy())
         assert [r.paper.title for r in batch.results] == [HIT["title"]]
 
     @pytest.mark.parametrize("bad_hit", [
@@ -162,7 +173,7 @@ class TestExecuteQueries:
     ])
     def test_malformed_hit_dropped_and_good_hit_kept(self, bad_hit, caplog):
         search = MockSearchClient({"queries": {"some query": {"results": [bad_hit, HIT]}}})
-        batch = execute_queries([QUERY], search, RetryPolicy())
+        batch = execute([QUERY], search, RetryPolicy())
         assert [r.paper.title for r in batch.results] == [HIT["title"]]
         assert batch.failures == []
         assert "malformed search hit" in caplog.text
@@ -171,7 +182,7 @@ class TestExecuteQueries:
         search = MockSearchClient({"queries": {"some query": {"results": [
             dict(HIT, abstract=None),
         ]}}})
-        batch = execute_queries([QUERY], search, RetryPolicy())
+        batch = execute([QUERY], search, RetryPolicy())
         assert [r.paper.abstract for r in batch.results] == [""]
 
     def test_global_retry_budget_caps_total_retries(self):
@@ -186,11 +197,78 @@ class TestExecuteQueries:
             SearchQuery("core_task:q1", "q1", "core_task"),
         ]
         policy = RetryPolicy(max_query_attempts=8, initial_delay=0.001, global_max_retries=3)
-        batch = execute_queries(queries, MockSearchClient(fixture), policy, sleep=lambda _: None)
+        batch = execute(queries, MockSearchClient(fixture), policy, sleep=lambda _: None)
         # q0 burns the 3-retry session budget and is abandoned early
         assert batch.failures[0].query_id == "core_task:q0"
         assert batch.failures[0].attempts == 4
         assert len(batch.results) == 1
+
+
+    def test_started_query_searched_once_and_collected_in_query_order(self):
+        fixture = {"queries": {f"q{i}": {"results": [dict(HIT, title=f"P{i}")]} for i in range(3)}}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(3)]
+        search = MockSearchClient(fixture)
+        with Scheduler(2) as lane:
+            runner = QueryRunner(search, RetryPolicy(), lane)
+            runner.start(queries[2:])
+            runner.start(queries[2:])
+            batch = execute_queries(queries, runner)
+        assert sorted(search.calls) == ["q0", "q1", "q2"]
+        assert [r.paper.title for r in batch.results] == ["P0", "P1", "P2"]
+
+    def test_same_text_under_another_id_is_its_own_search(self):
+        search = MockSearchClient({"queries": {"some query": {"results": [HIT]}}})
+        padded = SearchQuery("core_task:variant2", QUERY.text, "core_task")
+        batch = execute([QUERY, padded], search)
+        assert search.calls == ["some query", "some query"]
+        assert batch.attempts_by_query == {"core_task:primary": 1, "core_task:variant2": 1}
+
+    def test_one_retry_budget_across_starts(self):
+        fixture = {"queries": {f"q{i}": {"results": [HIT], "fail_times": 2} for i in range(2)}}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(2)]
+        policy = RetryPolicy(initial_delay=0.001, global_max_retries=3)
+        with Scheduler(1) as lane:
+            runner = QueryRunner(MockSearchClient(fixture), policy, lane, sleep=lambda _: None)
+            runner.start(queries[:1])
+            batch = execute_queries(queries, runner)
+        # q0 spends two of the three retries, so q1 is abandoned on its second failure
+        assert batch.attempts_by_query == {"core_task:q0": 3, "core_task:q1": 2}
+        assert [f.query_id for f in batch.failures] == ["core_task:q1"]
+
+    def test_concurrent_starts_search_each_query_once(self):
+        fixture = {"queries": {f"q{i}": {"results": [dict(HIT, title=f"P{i}")]} for i in range(20)}}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(20)]
+        search = MockSearchClient(fixture)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Scheduler(4) as lane:
+                runner = QueryRunner(search, RetryPolicy(), lane)
+                starters = [
+                    threading.Thread(target=runner.start, args=(queries[i % 3 :],))
+                    for i in range(8)
+                ]
+                for starter in starters:
+                    starter.start()
+                for starter in starters:
+                    starter.join(10)
+                assert not any(starter.is_alive() for starter in starters)
+                batch = execute_queries(queries, runner)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(search.calls) == sorted(q.text for q in queries)
+        assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(20)]
+
+    def test_unexpected_error_raised_at_collection(self):
+        class Broken(MockSearchClient):
+            def search(self, query):
+                raise RuntimeError("client bug")
+
+        with Scheduler(1) as lane:
+            runner = QueryRunner(Broken({}), RetryPolicy(), lane)
+            runner.start([QUERY])
+            with pytest.raises(RuntimeError, match="client bug"):
+                execute_queries([QUERY], runner)
 
 
 class TestFilterScope:

@@ -1,6 +1,8 @@
 """Anchor alignment, quote scoring, and similarity segment verification."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -205,6 +207,54 @@ class TestVerifyQuote:
         stream = tokenize(DOC_TEXT)
         for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
             assert verify_quote(quote, stream) == verify_quote(quote, DOC_TEXT)
+
+    def test_only_the_document_stream_builds_a_position_index(self, monkeypatch):
+        from noveltycheck import verification
+
+        indexed = []
+        real = verification._token_positions
+
+        def counting(tokens):
+            indexed.append(tuple(tokens))
+            return real(tokens)
+
+        monkeypatch.setattr(verification, "_token_positions", counting)
+        stream = tokenize(DOC_TEXT)
+        assert indexed == []
+        for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
+            verify_quote(quote, stream)
+        assert indexed == [stream.tokens]
+        the = tuple(i for i, token in enumerate(stream.tokens) if token == "the")
+        assert len(the) == 4 and stream.positions["the"] == the
+
+    def test_shared_document_index_built_once_across_threads(self, monkeypatch):
+        from noveltycheck import verification
+
+        indexed = []
+        real = verification._token_positions
+
+        def counting(tokens):
+            indexed.append(1)
+            return real(tokens)
+
+        monkeypatch.setattr(verification, "_token_positions", counting)
+        stream = tokenize(DOC_TEXT * 50)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [
+                threading.Thread(target=lambda: seen.append(stream.positions)) for _ in range(8)
+            ]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(indexed) == 1
+        assert len(seen) == 8 and all(index is seen[0] for index in seen)
 
     def test_quote_copied_from_raw_text_with_typographic_characters(self):
         raw = (
