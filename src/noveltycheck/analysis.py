@@ -13,7 +13,7 @@ import logging
 import re
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
 from .codec import decode, encode
@@ -24,6 +24,7 @@ from .extraction import (
     Phase1Result,
     ask,
     parse_structured_output,
+    reply_list,
     reply_objects,
     truncate_words,
     word_count,
@@ -42,12 +43,10 @@ from .taxonomy import (
     taxonomy_content_hash,
 )
 from .verification import (
+    Document,
     QuoteLocation,
     SimilaritySegment,
-    TokenStream,
     filter_segments,
-    lazy_tokens,
-    tokenize,
     verify_quote,
     verify_segment,
 )
@@ -258,9 +257,7 @@ def _content_of(paper: PaperRecord) -> tuple[str, str]:
 
 
 def _parse_evidence(
-    raw_evidence: Any,
-    target_tokens: TokenStream,
-    candidate_tokens: Callable[[], TokenStream],
+    raw_evidence: Any, target_doc: Document, candidate_doc: Document
 ) -> RefutationEvidence:
     summary = ""
     pairs: list[EvidencePair] = []
@@ -276,33 +273,30 @@ def _parse_evidence(
                     candidate_quote=candidate_quote,
                     candidate_paragraph_label=str(p.get("candidate_paragraph_label", "unknown")),
                     rationale=str(p.get("rationale", "")),
-                    original_location=verify_quote(original_quote, target_tokens),
-                    candidate_location=verify_quote(candidate_quote, candidate_tokens()),
+                    original_location=verify_quote(original_quote, target_doc),
+                    candidate_location=verify_quote(candidate_quote, candidate_doc),
                 )
             )
     return RefutationEvidence(summary=summary, evidence_pairs=pairs)
 
 
 def compare_contribution(
-    target_doc: str,
+    target_doc: Document,
     candidate: PaperRecord,
+    candidate_doc: Document,
     claims: Sequence[ContributionClaim],
     llm: LlmClient,
     *,
     citation: Optional[str] = None,
-    target_tokens: TokenStream,
-    candidate_tokens: Callable[[], TokenStream],
 ) -> list[ContributionComparison]:
     """One isolated inference call judging every claim against one candidate.
 
-    Quotes are verified as soon as they are parsed, against ``target_tokens``
-    (the target document's tokens) and ``candidate_tokens()``, the tokens of
-    the candidate's content: its full text, or its abstract without one
-    (``lazy_tokens`` of that text, called only when a quote needs it). A
-    parse failure degrades every claim's entry to ``unclear`` rather than
-    aborting the run.
+    ``candidate_doc`` holds the candidate's content: its full text, or its
+    abstract without one. Both documents are shown to the model, and quotes
+    are verified against them as soon as they are parsed. A parse failure
+    degrades every claim's entry to ``unclear`` rather than aborting the run.
     """
-    candidate_text, mode = _content_of(candidate)
+    mode = _content_of(candidate)[1]
     cid = str(candidate.canonical_id)
 
     def _entry(status: str, note: Optional[str], evidence: Optional[RefutationEvidence]) -> ContributionComparison:
@@ -321,8 +315,8 @@ def compare_contribution(
         citation=f" ({citation})" if citation else "",
         n=len(claims),
         contributions=_format_claims(claims),
-        original=target_doc,
-        candidate=candidate_text,
+        original=target_doc.text,
+        candidate=candidate_doc.text,
     )
     try:
         parsed = ask(llm, "claim_comparison", user).value
@@ -353,7 +347,7 @@ def compare_contribution(
             entries.append(_entry(UNCLEAR, f"Unrecognized status {status!r}.", None))
             continue
         if status == CAN_REFUTE:
-            evidence = _parse_evidence(item.get("refutation_evidence"), target_tokens, candidate_tokens)
+            evidence = _parse_evidence(item.get("refutation_evidence"), target_doc, candidate_doc)
             entries.append(_entry(CAN_REFUTE, None, evidence))
         else:
             note = str(item.get("brief_note") or "").strip() or "No explanation provided."
@@ -440,9 +434,18 @@ def compare_core_task(
             ],
         }
         try:
-            analysis.subtopic_summary = ask(llm, "subtopic_comparison", payload).value
+            reply = ask(llm, "subtopic_comparison", payload).value
         except (LlmError, ParseFailureError) as exc:
             analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
+            return analysis
+        overall = reply.get("overall")
+        analysis.subtopic_summary = {
+            "overall": overall if isinstance(overall, str) else "",
+            **{
+                key: [item for item in reply_list(reply, key) if isinstance(item, str)]
+                for key in ("similarities", "differences")
+            },
+        }
         return analysis
 
     def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
@@ -512,26 +515,21 @@ _SIMILARITY_USER_TMPL = (
 
 
 def detect_similarity(
-    target_doc: str,
+    target_doc: Document,
     candidate: PaperRecord,
+    candidate_doc: Document,
     llm: LlmClient,
-    *,
-    target_tokens: TokenStream,
-    candidate_tokens: Callable[[], TokenStream],
 ) -> list[SimilaritySegment]:
     """Detect and verify overlap segments for one candidate.
 
-    Segments are verified against ``target_tokens`` (the target document's
-    tokens) and ``candidate_tokens()``, the tokens of the candidate's full
-    text, called only when a segment needs it.
+    ``candidate_doc`` holds the candidate's full text; a candidate without
+    one is skipped.
     """
     cid = str(candidate.canonical_id)
     if candidate.full_text is None:
         logger.info("similarity detection skipped for %s: no full text", cid)
         return []
-    user = _SIMILARITY_USER_TMPL.format(
-        paper_a=target_doc, paper_b=candidate.full_text
-    )
+    user = _SIMILARITY_USER_TMPL.format(paper_a=target_doc.text, paper_b=candidate_doc.text)
     try:
         parsed = ask(llm, "similarity_detection", user).value
     except (LlmError, ParseFailureError) as exc:
@@ -548,7 +546,7 @@ def detect_similarity(
             segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
             rationale=str(item.get("rationale", "")),
         )
-        verified = verify_segment(seg, target_tokens, candidate_tokens())
+        verified = verify_segment(seg, target_doc, candidate_doc)
         if verified.verified:
             segments.append(verified)
         else:
@@ -1000,23 +998,21 @@ def run_analysis_phase(
         build_taxonomy, core_papers, phase1.core_task, llm, original=target
     )
     # shared read-only by the comparison and similarity tasks
-    target_tokens = tokenize(target_doc)
-    # a candidate's two tasks share one stream and are submitted back to
-    # back, so with one worker each stream is freed before the next is made
+    target_document = Document(target_doc)
+    # a candidate's two tasks share one document and are submitted back to
+    # back, so with one worker each is freed before the next is tokenized
     comparison_futures: dict[str, Future[list[ContributionComparison]]] = {}
     similarity_futures: dict[str, Future[list[SimilaritySegment]]] = {}
     for pid in dict.fromkeys([*comparison_order, *candidate_records]):
         paper = candidate_records[pid]
-        candidate_tokens = lazy_tokens(_content_of(paper)[0])
+        candidate_doc = Document(_content_of(paper)[0])
         if pid in comparison_order:
             comparison_futures[pid] = lane.submit(
-                compare_contribution, target_doc, paper, phase1.claims, llm,
-                citation=citations.get(pid), target_tokens=target_tokens,
-                candidate_tokens=candidate_tokens,
+                compare_contribution, target_document, paper, candidate_doc, phase1.claims,
+                llm, citation=citations.get(pid),
             )
         similarity_futures[pid] = lane.submit(
-            detect_similarity, target_doc, paper, llm,
-            target_tokens=target_tokens, candidate_tokens=candidate_tokens,
+            detect_similarity, target_document, paper, candidate_doc, llm
         )
     one_liners_future = lane.submit(generate_one_liners, core_papers, llm)
 
@@ -1079,6 +1075,11 @@ def run_analysis_phase(
         comparison.brief_comparison = _known_citations(
             comparison.brief_comparison, f"sibling comparison with {comparison.canonical_id}"
         )
+    summary = core_analysis.subtopic_summary
+    if summary is not None:
+        summary["overall"] = _known_citations(summary["overall"], "subtopic summary")
+        for key in ("similarities", "differences"):
+            summary[key] = [_known_citations(item, f"subtopic {key}") for item in summary[key]]
 
     # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}

@@ -17,7 +17,7 @@ from .pipeline import PipelineConfig, run_pipeline
 from .render import RenderConfig, output_filename, render_markdown
 from .retrieval import RetryPolicy
 from .taxonomy import TaxonomyNode, validate_taxonomy
-from .verification import verify_quote_detailed
+from .verification import Document, verify_quote_detailed
 
 
 def _exit_on_error(command):
@@ -133,7 +133,7 @@ def run(
 def verify_quote_cmd(quote: str, doc_path: Path) -> None:
     """Check whether a quote can be verified in a document."""
     doc = preprocess_document(doc_path.read_text(encoding="utf-8"), purpose="comparison")
-    result = verify_quote_detailed(quote, doc)
+    result = verify_quote_detailed(quote, Document(doc))
     click.echo(
         json.dumps(
             {

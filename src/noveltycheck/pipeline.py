@@ -11,7 +11,6 @@ import functools
 import json
 import logging
 import os
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -77,7 +76,8 @@ class PipelineConfig:
     target_url: Optional[str] = None
     emit_pdf: bool = False
     quote_truncation_limit: int = 90
-    sleep: Callable[[float], None] = time.sleep
+    # the backoff wait between search attempts; by default one that a failed run cuts short
+    sleep: Optional[Callable[[float], object]] = None
 
     def validate(self) -> None:
         if self.analysis_concurrency < 1:
@@ -256,8 +256,9 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     workers and a search lane of ``retry.concurrency`` workers. Phase I starts
     each scope's searches as soon as its queries exist, and Phase II collects
     them. On a phase failure the manifest records the error, queued calls are
-    dropped and the run stops cleanly; with ``resume`` enabled a later
-    invocation picks up after the last persisted artifact.
+    dropped, searches waiting to retry give up, and the run stops cleanly;
+    with ``resume`` enabled a later invocation picks up after the last
+    persisted artifact.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
@@ -355,14 +356,20 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     try:
         # the model lane is left first: its running tasks may still start searches
         with search_lane, model_lane:
-            phase1 = runner.run("phase1", phase1_path, _phase1, load=_load_phase1)
-            _date_lookup()  # made even when phase 1 is reused
-            phase2 = runner.run("phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2)
-            report = runner.run(
-                "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
-            )
-            md_path = out / output_filename(report)
-            runner.run("phase4", md_path, lambda: _phase4(report), load=lambda: md_path)
+            try:
+                phase1 = runner.run("phase1", phase1_path, _phase1, load=_load_phase1)
+                _date_lookup()  # made even when phase 1 is reused
+                phase2 = runner.run(
+                    "phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2
+                )
+                report = runner.run(
+                    "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
+                )
+                md_path = out / output_filename(report)
+                runner.run("phase4", md_path, lambda: _phase4(report), load=lambda: md_path)
+            except NoveltyCheckError:
+                queries.stop()
+                raise
     except NoveltyCheckError as exc:
         logger.error("pipeline stopped: %s", exc)
     return manifest

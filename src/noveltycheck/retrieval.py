@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from threading import Lock, Semaphore
+from threading import Event, Lock, Semaphore
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import SearchClient, SearchHit
@@ -129,6 +128,9 @@ class QueryRunner:
     between them, drawing retries from one budget of ``global_max_retries``
     shared by every query the runner starts. A task's unexpected exception
     re-raises when its outcome is collected, not when it is started.
+
+    After ``stop`` no query makes another attempt, and a backoff wait ends
+    at once unless ``sleep`` replaces it.
     """
 
     def __init__(
@@ -137,12 +139,13 @@ class QueryRunner:
         policy: RetryPolicy,
         lane: Scheduler,
         *,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Optional[Callable[[float], object]] = None,
     ) -> None:
         self._search = search
         self._policy = policy
         self._lane = lane
-        self._sleep = sleep
+        self._stopped = Event()
+        self._sleep = sleep or self._stopped.wait
         self._budget = Semaphore(policy.global_max_retries)
         self._started: dict[tuple[str, str], Future[_Outcome]] = {}
         self._lock = Lock()
@@ -162,12 +165,18 @@ class QueryRunner:
             futures = [self._started[(query.query_id, query.text)] for query in queries]
         return [future.result() for future in futures]
 
+    def stop(self) -> None:
+        """Give up every query: no further attempts, and backoff waits end now."""
+        self._stopped.set()
+
     def _run(self, query: SearchQuery) -> _Outcome:
         policy = self._policy
         error = ""
         for attempt in range(1, policy.max_query_attempts + 1):
             if attempt > 1:
                 self._sleep(policy.initial_delay * (attempt - 1))
+            if self._stopped.is_set():
+                return query, None, attempt - 1, error or "search stopped"
             try:
                 hits = self._search.search(query.text)
                 logger.info(

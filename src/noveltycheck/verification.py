@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .papers import fold_text
 
@@ -47,66 +47,45 @@ def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
     return MappingProxyType({token: tuple(p) for token, p in index.items()})
 
 
-_INDEX_LOCK = threading.Lock()
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """The tokens of a normalized text, in order.
-
-    ``positions`` maps each token to its ascending indices. Only a document
-    that anchors are aligned against reads it, so it is built on first read,
-    once, under a lock: a stream shared by worker threads never changes
-    after that, and a quote's stream never builds it.
-    """
-
-    tokens: tuple[str, ...]
-
-    @property
-    def positions(self) -> Mapping[str, tuple[int, ...]]:
-        index = self.__dict__.get("_positions")
-        if index is None:
-            with _INDEX_LOCK:
-                index = self.__dict__.get("_positions")
-                if index is None:
-                    index = self.__dict__["_positions"] = _token_positions(self.tokens)
-        return index
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def tokenize(text: str) -> TokenStream:
+def tokenize(text: str) -> tuple[str, ...]:
     """Normalize the text, then split on whitespace and punctuation boundaries.
 
     This is the one place text is normalized for matching, so a quote and
     the document it was copied from fold quotes, dashes, compatibility
     forms and case the same way. Pass the text as written, not normalized.
     """
-    return TokenStream(tokens=tuple(_TOKEN_RE.findall(fold_text(text))))
+    return tuple(_TOKEN_RE.findall(fold_text(text)))
 
 
-def lazy_tokens(text: str) -> Callable[[], TokenStream]:
-    """A thunk that tokenizes ``text`` on its first call and returns that stream after.
+class Document:
+    """A text that quotes are verified against.
 
-    Safe to call from several worker threads: the text is tokenized once.
-    The stream lives as long as the thunk does.
+    ``tokens`` and ``positions``, which maps each token to its ascending
+    indices, are built together the first time either is read, once, under
+    this document's own lock: a document shared by worker threads is
+    tokenized once and never changes after that. A document made but never
+    searched is never tokenized.
     """
-    lock = threading.Lock()
-    stream: Optional[TokenStream] = None
 
-    def tokens() -> TokenStream:
-        nonlocal stream
-        with lock:
-            if stream is None:
-                stream = tokenize(text)
-            return stream
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._lock = threading.Lock()
+        self._built: Optional[tuple[tuple[str, ...], Mapping[str, tuple[int, ...]]]] = None
 
-    return tokens
+    def _build(self) -> tuple[tuple[str, ...], Mapping[str, tuple[int, ...]]]:
+        with self._lock:
+            if self._built is None:
+                tokens = tokenize(self.text)
+                self._built = (tokens, _token_positions(tokens))
+            return self._built
 
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return self._build()[0]
 
-#: A document to verify against: its text, or that text already tokenized.
-Document = Union[str, TokenStream]
+    @property
+    def positions(self) -> Mapping[str, tuple[int, ...]]:
+        return self._build()[1]
 
 
 @dataclass(frozen=True)
@@ -121,7 +100,7 @@ class Anchor:
         return len(" ".join(self.tokens))
 
 
-def segment_anchors(quote: TokenStream) -> list[Anchor]:
+def segment_anchors(quote: Sequence[str]) -> list[Anchor]:
     """Greedy left-to-right segmentation into anchors of >= 20 characters.
 
     A short final remainder merges into the previous anchor; a quote under
@@ -132,7 +111,7 @@ def segment_anchors(quote: TokenStream) -> list[Anchor]:
     current: list[str] = []
     current_start = 0
     current_len = 0
-    for i, token in enumerate(quote.tokens):
+    for i, token in enumerate(quote):
         if not current:
             current_start = i
             current_len = len(token)
@@ -202,9 +181,7 @@ def _verbatim_start(
 
 
 def align_anchor(
-    anchor: Union[Anchor, Sequence[str]],
-    doc: Union[TokenStream, Sequence[str]],
-    min_matched: int = 0,
+    anchor_tokens: Sequence[str], doc: Document, min_matched: int = 0
 ) -> AnchorMatch:
     """Find the document window of the anchor's length with the most matched tokens.
 
@@ -226,13 +203,8 @@ def align_anchor(
     the count starts just under ``min_matched``. When no ``min_matched``
     anchor-token positions fit in one window, no window is run at all.
     """
-    anchor_tokens = tuple(anchor.tokens if isinstance(anchor, Anchor) else anchor)
-    if isinstance(doc, TokenStream):
-        doc_tokens = doc.tokens
-        positions = doc.positions
-    else:
-        doc_tokens = tuple(doc)
-        positions = _token_positions(doc_tokens)
+    anchor_tokens = tuple(anchor_tokens)
+    doc_tokens, positions = doc.tokens, doc.positions
     m, n = len(anchor_tokens), len(doc_tokens)
     if m == 0 or n == 0:
         return AnchorMatch(coverage=0.0, doc_span=None)
@@ -326,13 +298,8 @@ def combine_score(mean_hit_coverage: float, hit_ratio: float, compact: bool) -> 
 
 
 def _verify(quote: str, doc: Document, hits_only: bool) -> QuoteVerification:
-    if isinstance(doc, TokenStream):
-        doc_stream = doc
-    else:
-        doc_stream = tokenize(doc)
-    quote_stream = tokenize(quote)
-    anchors = segment_anchors(quote_stream)
-    if not anchors or len(doc_stream) == 0:
+    anchors = segment_anchors(tokenize(quote))
+    if not anchors or not doc.tokens:
         return QuoteVerification(
             location=QuoteLocation(found=False, match_score=0.0),
             anchor_matches=(),
@@ -341,7 +308,7 @@ def _verify(quote: str, doc: Document, hits_only: bool) -> QuoteVerification:
             compact=True,
         )
     matches = tuple(
-        align_anchor(a, doc_stream, hit_floor(len(a.tokens)) if hits_only else 0)
+        align_anchor(a.tokens, doc, hit_floor(len(a.tokens)) if hits_only else 0)
         for a in anchors
     )
     hits = [m for m in matches if m.is_hit]
@@ -366,8 +333,8 @@ def _verify(quote: str, doc: Document, hits_only: bool) -> QuoteVerification:
 def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
-    ``doc`` may be given already tokenized, as ``tokenize(doc)``, so that a
-    caller verifying many quotes tokenizes the document once. Mean coverage
+    A caller verifying many quotes against one text passes one ``Document``
+    for it, so the text is tokenized and indexed once. Mean coverage
     averages the hit anchors only. Every anchor's coverage is exact, misses
     included.
     """

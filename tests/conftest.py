@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from noveltycheck.papers import (
     CanonicalId,
@@ -16,6 +18,12 @@ from noveltycheck.papers import (
 )
 from noveltycheck.retrieval import RetrievalResult
 from noveltycheck.taxonomy import TaxonomyNode
+from noveltycheck.verification import Document
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure prints the
+# blob that replays it with @reproduce_failure
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -146,14 +154,14 @@ def anchor_case_quote() -> str:
     return " ".join(CASE_ANCHOR_1 + CASE_ANCHOR_2 + CASE_ANCHOR_3 + CASE_ANCHOR_4)
 
 
-def anchor_case_doc(compact: bool) -> str:
+def anchor_case_doc(compact: bool) -> Document:
     half_match = ["alpha", "bravo", "zulux", "yanke"]
     if compact:
         tokens = CASE_ANCHOR_1 + CASE_ANCHOR_2 + half_match + ["endcap"]
     else:
         filler = [f"pad{i:04d}" for i in range(310)]
         tokens = CASE_ANCHOR_1 + filler + CASE_ANCHOR_2 + half_match
-    return " ".join(tokens)
+    return Document(" ".join(tokens))
 
 
 # --- random taxonomy construction ---------------------------------------------------

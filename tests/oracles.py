@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 import random
 from difflib import SequenceMatcher
-from typing import Optional
+from typing import Optional, Sequence
 
 from noveltycheck.papers import normalize_text
-from noveltycheck.verification import _TOKEN_RE
+from noveltycheck.verification import _TOKEN_RE, Document
 
 
 # --- quality flag truth table -------------------------------------------------
@@ -70,6 +70,13 @@ def matched_token_count(a: list[str], b: list[str]) -> int:
             stack.append((alo, i, blo, j))
             stack.append((i + k, ahi, j + k, bhi))
     return total
+
+
+def token_document(tokens: Sequence[str]) -> Document:
+    """The document whose tokens are exactly ``tokens``, words the tokenizer keeps whole."""
+    doc = Document(" ".join(tokens))
+    assert doc.tokens == tuple(tokens), tokens
+    return doc
 
 
 def brute_force_coverage(anchor: list[str], doc: list[str]) -> float:

@@ -44,6 +44,7 @@ from noveltycheck.scheduler import Scheduler
 from noveltycheck.taxonomy import repair_taxonomy, validate_taxonomy
 from noveltycheck.verification import (
     _TOKEN_RE,
+    Document,
     QuoteLocation,
     align_anchor,
     segment_anchors,
@@ -51,7 +52,13 @@ from noveltycheck.verification import (
     verify_quote,
     verify_quote_detailed,
 )
-from oracles import ASSESSMENTS, brute_force_coverage, every_window_alignment, flag_oracle
+from oracles import (
+    ASSESSMENTS,
+    brute_force_coverage,
+    every_window_alignment,
+    flag_oracle,
+    token_document,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -117,10 +124,10 @@ def test_criterion_2_filtering_progression_reproduction():
 def test_criterion_3_confidence_formula_suite():
     with criterion(3, "confidence formula and alignment oracle agreement", 30.0):
         # (a) token-boundary verbatim substrings of the fixture document score 1.0
-        doc = preprocess_document(
+        doc = Document(preprocess_document(
             (FIXTURES / "target_paper.txt").read_text(encoding="utf-8"), "comparison"
-        )
-        normalized = normalize_text(doc)
+        ))
+        normalized = normalize_text(doc.text)
         spans = [m.span() for m in _TOKEN_RE.finditer(normalized)]
         rng = random.Random(101)
         checked = 0
@@ -161,8 +168,9 @@ def test_criterion_3_confidence_formula_suite():
             else:
                 quote_tokens = [rng.choice(vocab) for _ in range(qlen)]
             anchors = segment_anchors(tokenize(" ".join(quote_tokens)))
+            doc = token_document(doc_tokens)
             for anchor in anchors:
-                got = align_anchor(anchor, doc_tokens)
+                got = align_anchor(anchor.tokens, doc)
                 oracle_cov = brute_force_coverage(list(anchor.tokens), doc_tokens)
                 assert got.coverage == oracle_cov, (anchor.tokens, doc_tokens)
 
@@ -186,8 +194,9 @@ def test_criterion_3_confidence_formula_suite():
                         del copy[i]
                 doc_tokens[at : at + len(copy)] = copy
                 anchors.append(anchor)
+            doc = token_document(doc_tokens)
             for anchor in anchors:
-                got = align_anchor(anchor, doc_tokens)
+                got = align_anchor(anchor, doc)
                 want = every_window_alignment(anchor, doc_tokens)
                 assert (got.coverage, got.doc_span) == want, (anchor, want)
 
@@ -284,20 +293,20 @@ def test_criterion_6_similarity_gate():
             ), text
 
         s29, text29 = seg(29)
-        verified29 = verify_segment(s29, text29, text29)
+        verified29 = verify_segment(s29, Document(text29), Document(text29))
         assert not verified29.verified
         assert verified29.original_location.found and verified29.candidate_location.found
 
         s30, text30 = seg(30)
         doc_a = "leading content before the overlap. " + text30 + " trailing words."
         doc_b = "other framing text here. " + text30 + " closing remarks."
-        verified30 = verify_segment(s30, doc_a, doc_b)
+        verified30 = verify_segment(s30, Document(doc_a), Document(doc_b))
         assert verified30.verified
 
         segments = []
         for sid, words in enumerate((80, 60, 45, 33, 31), start=1):
             s, text = seg(words, sid)
-            segments.append(verify_segment(s, text, text))
+            segments.append(verify_segment(s, Document(text), Document(text)))
         assert all(s.verified for s in segments[:3])
         kept = filter_segments([s for s in segments if s.verified])
         assert [s.min_word_count for s in kept] == [80, 60, 45]

@@ -38,7 +38,7 @@ from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.scheduler import Scheduler
 from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
-from noveltycheck.verification import QuoteLocation, lazy_tokens, tokenize
+from noveltycheck.verification import Document, QuoteLocation
 
 CORE_TASK = CoreTask(text="methods for studying widget deformation under load")
 
@@ -51,7 +51,6 @@ TARGET_TEXT = (
     "temperature range of the device.\n"
 )
 TARGET_DOC = preprocess_document(TARGET_TEXT, "comparison")
-TARGET_TOKENS = tokenize(TARGET_DOC)
 TARGET_QUOTE = (
     "our approach measures the elastic limit of each widget assembly under "
     "cyclic load and reports the deformation profile"
@@ -75,12 +74,9 @@ CLAIMS = [
 
 
 def _compare(candidate, llm, claims=CLAIMS):
-    """Compare a candidate with the target, its content tokenized on first use."""
+    """Compare a candidate's content (full text, else abstract) with the target."""
     content = candidate.full_text if candidate.full_text is not None else candidate.abstract
-    return compare_contribution(
-        TARGET_DOC, candidate, claims, llm,
-        target_tokens=TARGET_TOKENS, candidate_tokens=lazy_tokens(content),
-    )
+    return compare_contribution(Document(TARGET_DOC), candidate, Document(content), claims, llm)
 
 
 def _pair(found_original=True, found_candidate=True):
@@ -296,7 +292,7 @@ class TestCompareContribution:
         entries = _compare(candidate, llm)
         assert all(p.doubly_verified for p in entries[0].refutation_evidence.evidence_pairs)
         documents = [t for t in tokenized if t not in (TARGET_QUOTE, CANDIDATE_QUOTE)]
-        assert documents == [candidate.full_text]
+        assert sorted(documents) == sorted([TARGET_DOC, candidate.full_text])
 
     def test_fabricated_quote_fails_verification_then_downgrades(self):
         candidate = make_record("Prior Widget Study", 0.9)
@@ -524,10 +520,8 @@ SEGMENT_TEXT = (
 
 
 def _detect_similarity(target_doc, candidate, llm):
-    return detect_similarity(
-        target_doc, candidate, llm,
-        target_tokens=tokenize(target_doc), candidate_tokens=lazy_tokens(candidate.full_text or ""),
-    )
+    content = candidate.full_text if candidate.full_text is not None else candidate.abstract
+    return detect_similarity(Document(target_doc), candidate, Document(content), llm)
 
 
 class TestDetectSimilarity:

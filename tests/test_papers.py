@@ -220,7 +220,7 @@ class TestPreprocessDocument:
     def test_normalized_form(self):
         doc = preprocess_document("AbC   DeF\n\nGhI", "extraction")
         assert doc == "AbC   DeF\n\nGhI"
-        assert tokenize(doc).tokens == ("abc", "def", "ghi")
+        assert tokenize(doc) == ("abc", "def", "ghi")
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

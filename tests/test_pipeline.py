@@ -1,6 +1,8 @@
 """End-to-end pipeline runs, artifacts, resumability, and the CLI."""
 
+import copy
 import json
+import tempfile
 import threading
 import time
 import weakref
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from noveltycheck import analysis, pipeline, verification
 from noveltycheck.cli import main as cli_main
@@ -397,6 +400,36 @@ class TestRunPipeline:
         assert search.calls and not any(q.startswith(QUERY_PREFIX) for q in search.calls)
         assert set(threading.enumerate()) <= before, "a lane thread outlived run_pipeline"
 
+    def test_phase1_failure_cuts_short_the_search_backoff(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        failed_at = []
+
+        class ClaimsFailLate(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                if system_prompt == load_prompt("contribution_extraction"):
+                    time.sleep(0.15)  # by now the core-task searches wait to retry
+                    failed_at.append(time.monotonic())
+                    raise LlmError("model service unavailable")
+                return llm.complete(system_prompt, user_prompt, temperature)
+
+        monkeypatch.setattr(
+            pipeline, "build_clients", lambda cfg: (ClaimsFailLate(), AlwaysFailingSearch())
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir, analysis_concurrency=2,
+            retry=RetryPolicy(max_query_attempts=4, initial_delay=0.2, concurrency=2),
+        )
+        before = set(threading.enumerate())
+        manifest = run_bounded(paper_text, cfg)
+        returned_at = time.monotonic()
+        assert manifest.phases["phase1"].status == "failed"
+        assert "model service unavailable" in manifest.phases["phase1"].error
+        # without the stop signal the searches slept 0.2 + 0.4 + 0.6 s more
+        assert returned_at - failed_at[-1] < 0.3
+        assert set(threading.enumerate()) <= before, "a lane thread outlived run_pipeline"
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_search_raising_during_phase1_fails_phase2(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text, workers
@@ -485,7 +518,6 @@ class TestRunPipeline:
             return real(text)
 
         monkeypatch.setattr(verification, "tokenize", counting)
-        monkeypatch.setattr(analysis, "tokenize", counting)
         cfg = make_config(
             tmp_path, fixtures_dir,
             retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
@@ -497,37 +529,33 @@ class TestRunPipeline:
         # tokenized only when a quote is checked against it, and then once
         assert max(tokenized.count(text) for text in texts) == 1
 
-    def test_one_candidate_stream_alive_at_a_time_with_one_worker(
+    def test_one_candidate_document_alive_at_a_time_with_one_worker(
         self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
     ):
-        alive, peak, made = [0], [0], [0]
+        target, tokenized, peak, made = [], weakref.WeakSet(), [0], [0]
 
-        def released():
-            alive[0] -= 1
+        class TrackedDocument(verification.Document):
+            """Counts candidate documents alive once tokenized; the first made is the target."""
 
-        def tracked(text):
-            thunk = verification.lazy_tokens(text)
-            seen = []
+            def __init__(self, text):
+                super().__init__(text)
+                if not target:
+                    target.append(weakref.ref(self))
 
-            def tokens():
-                stream = thunk()
-                if not seen:
-                    seen.append(True)
+            def _build(self):
+                if self is not target[0]() and self not in tokenized:
+                    tokenized.add(self)
                     made[0] += 1
-                    alive[0] += 1
-                    peak[0] = max(peak[0], alive[0])
-                    weakref.finalize(stream, released)
-                return stream
+                    peak[0] = max(peak[0], len(tokenized))
+                return super()._build()
 
-            return tokens
-
-        monkeypatch.setattr(analysis, "lazy_tokens", tracked)
+        monkeypatch.setattr(analysis, "Document", TrackedDocument)
         cfg = make_config(tmp_path, fixtures_dir, analysis_concurrency=1)
         assert run_bounded(paper_text, cfg).succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
         assert made[0] >= 2
         assert peak[0] == 1
-        assert alive[0] == 0
+        assert len(tokenized) == 0
 
     def test_dangling_citation_in_comparison_prose_stripped_and_rendered(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text
@@ -557,6 +585,58 @@ class TestRunPipeline:
                              (97, "brief note"), (96, "sibling comparison")):
             assert f"[{index}]" not in report
             assert any(f"[{index}] from {where}" in w for w in stripped)
+
+    @pytest.mark.parametrize("reply, summary, stripped", [
+        (
+            {"overall": "Close to Foreseer [99].", "similarities": ["Both learn [1][98]."],
+             "differences": ["Drift [97]."]},
+            {"overall": "Close to Foreseer .", "similarities": ["Both learn [1]."],
+             "differences": ["Drift ."]},
+            ["[99] from subtopic summary", "[98] from subtopic similarities",
+             "[97] from subtopic differences"],
+        ),
+        (
+            {"overall": "Close to Foreseer [1].", "similarities": 5,
+             "differences": [None, 3, "Drift [0]."]},
+            {"overall": "Close to Foreseer [1].", "similarities": [], "differences": ["Drift [0]."]},
+            [],
+        ),
+        (
+            {"overall": None, "similarities": ["Both learn."], "differences": "Drift."},
+            {"overall": "", "similarities": ["Both learn."], "differences": []},
+            [],
+        ),
+    ], ids=["dangling", "mistyped", "null"])
+    def test_mistyped_or_dangling_subtopic_summary_still_renders(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, reply, summary, stripped
+    ):
+        fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
+        [taxonomy] = [
+            rule["response"] for rule in fixture["rules"]
+            if rule.get("system_contains") == "rigorous academic taxonomies"
+        ]
+        # the target alone in its leaf, beside a populated one: subtopic_siblings mode
+        reuse, learned = taxonomy["subtopics"][0]["subtopics"]
+        learned["papers"] += reuse["papers"][1:]
+        del reuse["papers"][1:]
+        fixture["rules"].insert(0, {"system_contains": "against sibling subtopics", "response": reply})
+        llm = MockLlmClient(fixture)
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (llm, MockSearchClient.from_file(cfg.search_fixture)),
+        )
+        manifest = run_bounded(paper_text, make_config(tmp_path, fixtures_dir))
+        assert manifest.succeeded, manifest.failure_log
+        report = json.loads((tmp_path / "phase3.json").read_text())
+        assert report["core_task_comparisons"]["mode"] == "subtopic_siblings"
+        assert report["core_task_comparisons"]["subtopic_summary"] == summary
+        warnings = [w for w in report["metadata"]["warnings"] if w.startswith("stripping dangling")]
+        assert [w.split("citations ")[1] for w in warnings] == stripped
+        section = next(tmp_path.glob("*.md")).read_text().split("## Core Task Comparisons")[1]
+        section = section.split("## Contribution Analysis")[0]
+        assert "None" not in section
+        for line in [summary["overall"], *summary["similarities"], *summary["differences"]]:
+            assert line in section
 
     def test_paper_merged_across_scopes_compared_under_its_pool_id(
         self, tmp_path, fixtures_dir, paper_text
@@ -828,3 +908,53 @@ class TestCli:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["found"] is True and payload["match_score"] == 1.0
+
+
+# --- hostile-model oracle -------------------------------------------------------
+
+FIXTURES_DIR = Path(__file__).parent / "fixtures"
+MOCK_LLM = json.loads((FIXTURES_DIR / "mock_llm.json").read_text())
+HOSTILE_LEAVES = [None, 0, float("nan"), "x", [], {}, [None]]
+
+
+def _leaf_paths(value, path=()):
+    """The path to every value in a JSON document that holds no other value."""
+    if isinstance(value, (dict, list)) and value:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaf_paths(item, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def hostile_fixtures(draw):
+    """The bundled model fixture with one reply changed: one leaf swapped, or the text cut short."""
+    fixture = copy.deepcopy(MOCK_LLM)
+    rule = draw(st.sampled_from(fixture["rules"]))
+    if draw(st.booleans()):
+        text = MockLlmClient._render(rule["response"])
+        rule["response"] = text[: draw(st.integers(0, len(text) - 1))]
+        return fixture
+    *path, last = ("response", *draw(st.sampled_from(list(_leaf_paths(rule["response"])))))
+    node = rule
+    for key in path:
+        node = node[key]
+    node[last] = draw(st.sampled_from(HOSTILE_LEAVES))
+    return fixture
+
+
+@settings(max_examples=50, deadline=None)
+@given(fixture=hostile_fixtures())
+def test_hostile_model_reply_fails_cleanly_or_renders(fixture):
+    paper_text = (FIXTURES_DIR / "target_paper.txt").read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        llm_fixture = Path(tmp) / "mock_llm.json"
+        llm_fixture.write_text(json.dumps(fixture))
+        cfg = make_config(Path(tmp) / "out", FIXTURES_DIR, llm_fixture=llm_fixture)
+        manifest = run_bounded(paper_text, cfg)
+    phases = manifest.phases
+    for name, status in phases.items():
+        if status.status == "failed":
+            assert status.error and f"{name}: {status.error}" in manifest.failure_log
+    if phases["phase3"].status == "completed":
+        assert phases["phase4"].status == "completed", manifest.failure_log

@@ -68,6 +68,36 @@ class TestRenderMarkdown:
         for prev, nxt in zip(depths, depths[1:]):
             assert nxt <= prev + 1
 
+    @staticmethod
+    def _core_task_section(rendered):
+        return rendered.split("## Core Task Comparisons\n")[1].split("## Contribution Analysis")[0]
+
+    def test_subtopic_summary_rendered(self, report):
+        cta = report.core_task_comparisons
+        cta.mode, cta.comparisons = "subtopic_siblings", []
+        cta.subtopic_summary = {
+            "overall": "Close to Foreseer [1].",
+            "similarities": ["Both learn from access history [1]."],
+            "differences": [],
+        }
+        path = " > ".join(cta.taxonomy_path)
+        assert self._core_task_section(render_markdown(report)) == (
+            f"\n**Taxonomy position:** {path}\n\nClose to Foreseer [1].\n\n"
+            "**Similarities:**\n- Both learn from access history [1].\n\n"
+        )
+        cta.subtopic_summary["differences"] = ["Only one of them [42]."]
+        with pytest.raises(RenderError, match="dangling citation index 42 in differences"):
+            render_markdown(report)
+
+    @pytest.mark.parametrize("isolation, note", [
+        ({"note": "No comparison: alone in its leaf."}, "No comparison: alone in its leaf."),
+        (None, "No comparison: the paper has no immediate semantic neighbors."),
+    ])
+    def test_isolated_target_rendered_with_its_note(self, report, isolation, note):
+        cta = report.core_task_comparisons
+        cta.mode, cta.comparisons, cta.taxonomy_path, cta.isolation = "isolated", [], [], isolation
+        assert self._core_task_section(render_markdown(report)) == f"\n{note}\n\n"
+
     def test_needs_review_banner(self, report):
         report.core_task_survey["taxonomy_status"] = "needs_review"
         rendered = render_markdown(report)

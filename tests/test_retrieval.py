@@ -259,6 +259,31 @@ class TestExecuteQueries:
         assert sorted(search.calls) == sorted(q.text for q in queries)
         assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(20)]
 
+    def test_stopped_runner_makes_no_further_attempt(self):
+        search = MockSearchClient({"queries": {"some query": {"results": [HIT], "fail_times": 99}}})
+        delays = []
+        with Scheduler(1) as lane:
+            runner = QueryRunner(search, RetryPolicy(), lane, sleep=delays.append)
+            runner.stop()
+            assert runner.collect([QUERY]) == [(QUERY, None, 0, "search stopped")]
+        assert search.calls == [] and delays == []
+
+    def test_stop_ends_a_running_backoff_wait_at_once(self):
+        search = MockSearchClient({"queries": {"some query": {"results": [HIT], "fail_times": 99}}})
+        with Scheduler(2) as lane:
+            runner = QueryRunner(search, RetryPolicy(max_query_attempts=2, initial_delay=2.0), lane)
+            runner.start([QUERY])
+            deadline = time.monotonic() + 10
+            while not search.calls and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert search.calls, "the first attempt never ran"
+            stopped_at = time.monotonic()
+            runner.stop()
+            with pytest.raises(RetrievalEmptyError):
+                execute_queries([QUERY], runner)
+        assert time.monotonic() - stopped_at < 1.0
+        assert search.calls == ["some query"]
+
     def test_unexpected_error_raised_at_collection(self):
         class Broken(MockSearchClient):
             def search(self, query):
@@ -395,6 +420,22 @@ class TestCrossScopeDedup:
         # scope included although its own record arrived with the arXiv id
         assert candidate_set.core_task == ["doi:10.5/zz"]
         assert candidate_set.per_contribution == {"contribution_1": ["doi:10.5/zz"]}
+
+    def test_later_duplicates_fill_only_missing_fields(self):
+        core = [make_record("Shared Work", 0.9)]
+        first = make_record("Shared Work", 0.8, url="https://a.example/1", date=PublicationDate(2023))
+        first.full_text = "The first full text."
+        second = make_record("shared  work.", 0.7, url="https://b.example/2", date=PublicationDate(2021))
+        second.full_text = "The second full text."
+        candidate_set = cross_scope_dedup(core, {"contribution_1": [first], "contribution_2": [second]})
+        [unified] = candidate_set.unified
+        assert unified.paper is core[0]
+        assert unified.paper.url == "https://a.example/1"
+        assert unified.paper.publication_date == PublicationDate(2023)
+        assert unified.paper.full_text == "The first full text."
+        assert unified.provenance == [
+            "core_task", "contribution:contribution_1", "contribution:contribution_2",
+        ]
 
     @given(core=_SCOPE, per=st.lists(_SCOPE, max_size=3))
     def test_unified_ids_pairwise_distinct(self, core, per):

@@ -11,8 +11,8 @@ from conftest import anchor_case_doc, anchor_case_quote
 from noveltycheck.papers import normalize_text, preprocess_document
 from noveltycheck.verification import (
     _TOKEN_RE,
-    Anchor,
     AnchorMatch,
+    Document,
     MIN_ANCHOR_CHARS,
     SimilaritySegment,
     align_anchor,
@@ -25,26 +25,27 @@ from noveltycheck.verification import (
     verify_quote_detailed,
     verify_segment,
 )
-from oracles import brute_force_coverage, planted_quote_case, reference_tokens
+from oracles import brute_force_coverage, planted_quote_case, reference_tokens, token_document
 
 DOC_TEXT = (
     "the quick brown fox jumps over the lazy dog while the calm river "
     "carries seven wooden boats toward the distant harbor gates"
 )
+DOC = Document(DOC_TEXT)
 
 
 class TestTokenize:
     def test_punctuation_boundaries_keep_apostrophes(self):
-        assert list(tokenize("The Agent's reward!").tokens) == ["the", "agent's", "reward"]
+        assert list(tokenize("The Agent's reward!")) == ["the", "agent's", "reward"]
 
     def test_empty_text(self):
         assert len(tokenize("")) == 0
 
     def test_whitespace_runs(self):
-        assert list(tokenize("A  B").tokens) == ["a", "b"]
+        assert list(tokenize("A  B")) == ["a", "b"]
 
     def test_hyphenated_tokens_stay_whole(self):
-        assert list(tokenize("state-of-the-art method").tokens) == ["state-of-the-art", "method"]
+        assert list(tokenize("state-of-the-art method")) == ["state-of-the-art", "method"]
 
     @given(st.text())
     @example("İ")
@@ -54,7 +55,7 @@ class TestTokenize:
     @example("Σ")
     @example("İstanbul’s ﬁne–tuned ΟΔΟΣ Σ")
     def test_matches_reference_tokenizer(self, text):
-        assert list(tokenize(text).tokens) == reference_tokens(text)
+        assert list(tokenize(text)) == reference_tokens(text)
 
 
 class TestSegmentAnchors:
@@ -76,10 +77,10 @@ class TestSegmentAnchors:
                 "".join(rng.choices("abcdefgh", k=rng.randint(1, 12)))
                 for _ in range(rng.randint(1, 40))
             ]
-            stream = tokenize(" ".join(tokens))
-            anchors = segment_anchors(stream)
+            quote = tokenize(" ".join(tokens))
+            anchors = segment_anchors(quote)
             flattened = [t for a in anchors for t in a.tokens]
-            assert flattened == list(stream.tokens)
+            assert flattened == list(quote)
 
     def test_tail_merges_into_previous_anchor(self):
         # 20-char group followed by a 3-char remainder
@@ -89,26 +90,24 @@ class TestSegmentAnchors:
 
 class TestAlignAnchor:
     def test_verbatim_anchor_full_coverage(self):
-        doc = tokenize(DOC_TEXT)
-        match = align_anchor(["calm", "river", "carries"], doc)
+        match = align_anchor(["calm", "river", "carries"], DOC)
         assert match.coverage == 1.0 and match.is_hit
         assert match.doc_span is not None
 
     def test_disjoint_anchor_zero_coverage(self):
-        doc = tokenize(DOC_TEXT)
-        match = align_anchor(["xylophone", "quartz", "nebula"], doc)
+        match = align_anchor(["xylophone", "quartz", "nebula"], DOC)
         assert match.coverage == 0.0 and match.doc_span is None and not match.is_hit
 
     def test_seven_of_ten_tokens_matched(self):
         anchor = [f"tok{i:02d}" for i in range(10)]
         doc = ["aaaa", "bbbb", "cccc"] + anchor[:7] + ["dddd", "eeee", "ffff"]
-        match = align_anchor(anchor, doc)
+        match = align_anchor(anchor, token_document(doc))
         assert match.coverage == pytest.approx(0.7)
         # cross-checked against the brute-force all-window oracle
         assert brute_force_coverage(anchor, doc) == pytest.approx(0.7)
 
     def test_doc_shorter_than_anchor(self):
-        match = align_anchor(["a", "b", "c", "d"], ["a", "b"])
+        match = align_anchor(["a", "b", "c", "d"], token_document(["a", "b"]))
         assert match.coverage == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n", [500, 4200])
@@ -116,7 +115,7 @@ class TestAlignAnchor:
         anchor = ["t7", "t0", "t7", "t1", "t4", "t2", "t5"]
         doc = [f"f{i % 50}" for i in range(n)]
         doc[300:309] = ["t0", "t7", "t1", "t0", "t9", "t4", "t2", "t10", "t5"]
-        match = align_anchor(anchor, doc)
+        match = align_anchor(anchor, token_document(doc))
         assert match.coverage == pytest.approx(5 / 7)
         assert match.doc_span == (300, 307)
         assert match.is_hit
@@ -127,7 +126,7 @@ class TestAlignAnchor:
         for _ in range(150):
             doc = [rng.choice(vocab) for _ in range(rng.randint(5, 120))]
             anchor = [rng.choice(vocab) for _ in range(rng.randint(2, 12))]
-            got = align_anchor(anchor, doc)
+            got = align_anchor(anchor, token_document(doc))
             want = brute_force_coverage(anchor, doc)
             assert got.coverage == pytest.approx(want), (anchor, doc)
 
@@ -135,12 +134,12 @@ class TestAlignAnchor:
     @settings(max_examples=150, deadline=None)
     def test_min_matched_keeps_reaching_results_and_misses_the_rest(self, seed):
         quote, doc = planted_quote_case(random.Random(seed))
-        stream = tokenize(doc)
+        document = Document(doc)
         for anchor in segment_anchors(tokenize(quote)):
-            exact = align_anchor(anchor, stream)
+            exact = align_anchor(anchor.tokens, document)
             m = len(anchor.tokens)
             for k in range(m + 1):
-                bounded = align_anchor(anchor, stream, min_matched=k)
+                bounded = align_anchor(anchor.tokens, document, min_matched=k)
                 if exact.coverage >= k / m:
                     assert bounded == exact, (anchor, k)
                 else:
@@ -151,7 +150,7 @@ class TestAlignAnchor:
         assert hit_floor(m) == floor
         anchor = [f"a{i}" for i in range(m)]
         for matched, hit in ((floor, True), (floor - 1, False)):
-            doc = ["x"] * 5 + anchor[:matched] + ["y"] * (m - matched) + ["x"] * 5
+            doc = token_document(["x"] * 5 + anchor[:matched] + ["y"] * (m - matched) + ["x"] * 5)
             exact = align_anchor(anchor, doc)
             assert exact.coverage == matched / m and exact.is_hit is hit
             bounded = align_anchor(anchor, doc, min_matched=floor)
@@ -161,11 +160,11 @@ class TestAlignAnchor:
 class TestVerifyQuote:
     def test_verbatim_quote_scores_exactly_one(self):
         quote = "the calm river carries seven wooden boats toward the distant harbor"
-        loc = verify_quote(quote, DOC_TEXT)
+        loc = verify_quote(quote, DOC)
         assert loc.found and loc.match_score == 1.0
 
     def test_token_disjoint_quote_scores_zero(self):
-        loc = verify_quote("xylophone quartz nebula cascade window", DOC_TEXT)
+        loc = verify_quote("xylophone quartz nebula cascade window", DOC)
         assert not loc.found and loc.match_score == 0.0
 
     def test_hand_computed_compact_case(self):
@@ -187,11 +186,11 @@ class TestVerifyQuote:
         assert spread.location.match_score == 0.5 * compact.location.match_score
 
     def test_empty_quote_not_found(self):
-        loc = verify_quote("", DOC_TEXT)
+        loc = verify_quote("", DOC)
         assert not loc.found and loc.match_score == 0.0
 
     def test_found_iff_score_above_threshold(self):
-        for doc in (DOC_TEXT, anchor_case_doc(True), anchor_case_doc(False)):
+        for doc in (DOC, anchor_case_doc(True), anchor_case_doc(False)):
             for quote in (anchor_case_quote(), DOC_TEXT[:40], "unrelated words entirely"):
                 loc = verify_quote(quote, doc)
                 assert loc.found == (loc.match_score > 0.6)
@@ -200,15 +199,17 @@ class TestVerifyQuote:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_equals_detailed_location_on_planted_copies(self, seed):
-        quote, doc = planted_quote_case(random.Random(seed))
+        quote, text = planted_quote_case(random.Random(seed))
+        doc = Document(text)
         assert verify_quote(quote, doc) == verify_quote_detailed(quote, doc).location
 
     def test_pretokenized_document_scores_the_same(self):
-        stream = tokenize(DOC_TEXT)
+        shared = Document(DOC_TEXT)
+        assert shared.tokens == tokenize(DOC_TEXT)
         for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
-            assert verify_quote(quote, stream) == verify_quote(quote, DOC_TEXT)
+            assert verify_quote(quote, shared) == verify_quote(quote, Document(DOC_TEXT))
 
-    def test_only_the_document_stream_builds_a_position_index(self, monkeypatch):
+    def test_only_the_document_builds_a_position_index(self, monkeypatch):
         from noveltycheck import verification
 
         indexed = []
@@ -219,32 +220,41 @@ class TestVerifyQuote:
             return real(tokens)
 
         monkeypatch.setattr(verification, "_token_positions", counting)
-        stream = tokenize(DOC_TEXT)
+        doc = Document(DOC_TEXT)
         assert indexed == []
         for quote in (anchor_case_quote(), DOC_TEXT[:40], "the calm river carries nine boats"):
-            verify_quote(quote, stream)
-        assert indexed == [stream.tokens]
-        the = tuple(i for i, token in enumerate(stream.tokens) if token == "the")
-        assert len(the) == 4 and stream.positions["the"] == the
+            verify_quote(quote, doc)
+        assert indexed == [doc.tokens]
+        the = tuple(i for i, token in enumerate(doc.tokens) if token == "the")
+        assert len(the) == 4 and doc.positions["the"] == the
 
     def test_shared_document_index_built_once_across_threads(self, monkeypatch):
         from noveltycheck import verification
 
-        indexed = []
-        real = verification._token_positions
+        tokenized, indexed = [], []
+        tokenize_real, index_real = verification.tokenize, verification._token_positions
 
-        def counting(tokens):
+        def counting_tokenize(text):
+            tokenized.append(1)
+            return tokenize_real(text)
+
+        def counting_index(tokens):
             indexed.append(1)
-            return real(tokens)
+            return index_real(tokens)
 
-        monkeypatch.setattr(verification, "_token_positions", counting)
-        stream = tokenize(DOC_TEXT * 50)
+        monkeypatch.setattr(verification, "tokenize", counting_tokenize)
+        monkeypatch.setattr(verification, "_token_positions", counting_index)
+        doc = Document(DOC_TEXT * 50)
         seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             readers = [
-                threading.Thread(target=lambda: seen.append(stream.positions)) for _ in range(8)
+                threading.Thread(
+                    target=lambda i: seen.append((i, doc.positions if i % 2 else doc.tokens)),
+                    args=(i,),
+                )
+                for i in range(8)
             ]
             for reader in readers:
                 reader.start()
@@ -253,8 +263,9 @@ class TestVerifyQuote:
         finally:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers)
-        assert len(indexed) == 1
-        assert len(seen) == 8 and all(index is seen[0] for index in seen)
+        assert len(tokenized) == 1 and len(indexed) == 1
+        assert len(seen) == 8
+        assert all(got is (doc.positions if i % 2 else doc.tokens) for i, got in seen)
 
     def test_quote_copied_from_raw_text_with_typographic_characters(self):
         raw = (
@@ -264,14 +275,14 @@ class TestVerifyQuote:
         doc = preprocess_document(raw, "comparison")
         quote = "The agent’s ﬁne-grained reward model is trained end–to–end"
         assert quote in doc
-        loc = verify_quote(quote, doc)
+        loc = verify_quote(quote, Document(doc))
         assert loc.found and loc.match_score == 1.0
 
     def test_verbatim_substrings_of_fixture_doc(self, fixtures_dir):
-        doc = preprocess_document(
+        doc = Document(preprocess_document(
             (fixtures_dir / "target_paper.txt").read_text(encoding="utf-8"), "comparison"
-        )
-        normalized = normalize_text(doc)
+        ))
+        normalized = normalize_text(doc.text)
         spans = [m.span() for m in _TOKEN_RE.finditer(normalized)]
         rng = random.Random(19)
         for _ in range(100):
@@ -337,23 +348,23 @@ class TestVerifySegment:
     def test_35_word_verbatim_overlap_verified(self):
         seg = verify_segment(
             _segment(self.PASSAGE_35, self.PASSAGE_35),
-            "intro. " + self.PASSAGE_35 + " more text.",
-            "other paper text. " + self.PASSAGE_35 + " trailing words.",
+            Document("intro. " + self.PASSAGE_35 + " more text."),
+            Document("other paper text. " + self.PASSAGE_35 + " trailing words."),
         )
         assert seg.verified
         assert seg.original_location.found and seg.candidate_location.found
 
     def test_29_word_overlap_rejected(self):
         words = " ".join(f"word{i:02d}" for i in range(29))
-        seg = verify_segment(_segment(words, words), words, words)
+        seg = verify_segment(_segment(words, words), Document(words), Document(words))
         assert seg.min_word_count == 29
         assert not seg.verified
 
     def test_candidate_side_failure_rejects(self):
         seg = verify_segment(
             _segment(self.PASSAGE_35, self.PASSAGE_35),
-            self.PASSAGE_35,
-            "entirely different content with no overlap at all in this document",
+            Document(self.PASSAGE_35),
+            Document("entirely different content with no overlap at all in this document"),
         )
         assert not seg.verified
 
@@ -361,8 +372,8 @@ class TestVerifySegment:
         rng = random.Random(23)
         vocab = [f"tok{i:02d}" for i in range(60)]
         for _ in range(30):
-            text_a = " ".join(rng.choices(vocab, k=60))
-            text_b = " ".join(rng.choices(vocab, k=60))
+            text_a = Document(" ".join(rng.choices(vocab, k=60)))
+            text_b = Document(" ".join(rng.choices(vocab, k=60)))
             quote_a = " ".join(rng.choices(vocab, k=rng.randint(25, 40)))
             quote_b = " ".join(rng.choices(vocab, k=rng.randint(25, 40)))
             forward = verify_segment(_segment(quote_a, quote_b), text_a, text_b)
