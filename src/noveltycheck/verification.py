@@ -2,10 +2,13 @@
 
 A quote is split into anchors of at least 20 characters. Each anchor is
 aligned against same-length windows of the document; its coverage is the
-fraction of anchor tokens matched in the best window. The quote's
-confidence combines mean hit coverage and hit ratio, halved when the
-matched anchors are spread more than 300 tokens apart. Scores use the
-exact rational form (7*c + 3*h)/10 so identity cases come out at 1.0.
+fraction of anchor tokens matched in the best window. A verbatim anchor is
+found by probing its rarest token; otherwise only windows holding one of
+its rarest tokens are aligned, enough of them that no better window lies
+elsewhere. The quote's confidence combines mean hit coverage and hit
+ratio, halved when the matched anchors are spread more than 300 tokens
+apart. Scores use the exact rational form (7*c + 3*h)/10 so identity cases
+come out at 1.0.
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:['-][^\W_]+)*", re.UNICODE)
 
 def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
     index: dict[str, list[int]] = {}
+    add = index.setdefault
     for i, token in enumerate(tokens):
-        try:
-            index[token].append(i)
-        except KeyError:
-            index[token] = [i]
+        add(token, []).append(i)
     return MappingProxyType({token: tuple(p) for token, p in index.items()})
 
 
@@ -193,15 +194,15 @@ def align_anchor(
     matches fewer tokens is not searched for: the result is then a miss,
     ``AnchorMatch(0.0, None)``, and otherwise the same as without it.
 
-    Only window starts where the set of anchor-token positions inside the
-    window changes are evaluated: a position ``p`` enters at ``p - m + 1``
-    and leaves at ``p + 1``, and windows holding the same positions match
-    the same tokens, so the leftmost of them stands for the rest. Matched
-    tokens form a common subsequence, so their count is at most the
-    multiset overlap of anchor and window; a window whose overlap does not
-    beat the best count so far is skipped without running the matcher, and
-    the count starts just under ``min_matched``. When no ``min_matched``
-    anchor-token positions fit in one window, no window is run at all.
+    A window matching ``floor = max(min_matched, 1)`` tokens misses at most
+    ``m - floor`` of the anchor's ``m`` tokens, so it holds a position of
+    one of the ``m - floor + 1`` rarest (counted with repeats); only windows
+    around those positions are candidates. A start whose window holds the
+    same anchor-token positions as the start before it matches the same
+    tokens and is skipped. Matched tokens form a common subsequence, so
+    their count is at most the multiset overlap of anchor and window; the
+    matcher runs only where that overlap beats the best count so far, which
+    starts just under ``floor``.
     """
     anchor_tokens = tuple(anchor_tokens)
     doc_tokens, positions = doc.tokens, doc.positions
@@ -213,46 +214,35 @@ def align_anchor(
     if start is not None:
         return AnchorMatch(coverage=1.0, doc_span=(start, start + m))
 
-    need = Counter(anchor_tokens)
-    shared = sorted(p for token in need for p in positions.get(token, ()))
     window_len = min(m, n)
     floor = max(min_matched, 1)
-    if not any(b - a < window_len for a, b in zip(shared, shared[floor - 1 :])):
-        return AnchorMatch(coverage=0.0, doc_span=None)
+    need = Counter(anchor_tokens)
+    rarest = sorted(anchor_tokens, key=lambda token: len(positions.get(token, ())))
+    probes = sorted({p for token in rarest[: m - floor + 1] for p in positions.get(token, ())})
     last_start = n - window_len
-    starts = sorted(
-        {0}
-        | {p - window_len + 1 for p in shared if p >= window_len}
-        | {p + 1 for p in shared if p < last_start}
-    )
-
-    have = dict.fromkeys(need, 0)
-    overlap = 0  # multiset overlap of the anchor and shared[lo:hi]
-    lo = hi = 0
     best_matched = floor - 1
     best_span: Optional[tuple[int, int]] = None
     matcher = SequenceMatcher(None, anchor_tokens, (), autojunk=False)
-    for start in starts:
-        end = start + window_len
-        while hi < len(shared) and shared[hi] < end:
-            token = doc_tokens[shared[hi]]
-            have[token] += 1
-            if have[token] <= need[token]:
-                overlap += 1
-            hi += 1
-        while lo < hi and shared[lo] < start:
-            token = doc_tokens[shared[lo]]
-            if have[token] <= need[token]:
-                overlap -= 1
-            have[token] -= 1
-            lo += 1
-        if overlap <= best_matched:
-            continue
-        matcher.set_seq2(doc_tokens[start:end])
-        matched, span = _matched_tokens(matcher)
-        if matched > best_matched:
-            best_matched = matched
-            best_span = (start + span[0], start + span[1])
+    previous = -2  # the last candidate start so far
+    for p in probes:
+        for start in range(max(p - window_len + 1, previous + 1, 0), min(p, last_start) + 1):
+            end = start + window_len
+            same = (
+                start - 1 == previous
+                and doc_tokens[start - 1] not in need
+                and doc_tokens[end - 1] not in need
+            )
+            previous = start
+            if same:
+                continue
+            window = doc_tokens[start:end]
+            if sum(min(window.count(t), c) for t, c in need.items()) <= best_matched:
+                continue
+            matcher.set_seq2(window)
+            matched, span = _matched_tokens(matcher)
+            if matched > best_matched:
+                best_matched = matched
+                best_span = (start + span[0], start + span[1])
     if best_span is None:
         return AnchorMatch(coverage=0.0, doc_span=None)
     return AnchorMatch(coverage=best_matched / m, doc_span=best_span)
@@ -279,9 +269,11 @@ class QuoteVerification:
 
 def _spans_compact(matches: Sequence[AnchorMatch]) -> bool:
     spans = sorted(m.doc_span for m in matches if m.is_hit and m.doc_span is not None)
-    for prev, nxt in zip(spans, spans[1:]):
-        if nxt[0] - prev[1] > MAX_COMPACT_GAP:
+    reach = spans[0][1] if spans else 0  # the furthest end so far
+    for start, end in spans:
+        if start - reach > MAX_COMPACT_GAP:
             return False
+        reach = max(reach, end)
     return True
 
 

@@ -25,13 +25,23 @@ from noveltycheck.verification import (
     verify_quote_detailed,
     verify_segment,
 )
-from oracles import brute_force_coverage, planted_quote_case, reference_tokens, token_document
+from oracles import (
+    brute_force_coverage,
+    every_window_alignment,
+    planted_quote_case,
+    reference_tokens,
+    token_document,
+)
 
 DOC_TEXT = (
     "the quick brown fox jumps over the lazy dog while the calm river "
     "carries seven wooden boats toward the distant harbor gates"
 )
 DOC = Document(DOC_TEXT)
+
+# a few very common tokens, then equally rare ones: a Zipf-like document vocabulary
+SKEWED_VOCAB = ["the"] * 12 + ["of"] * 6 + ["and"] * 3 + [f"w{i}" for i in range(8)]
+ABSENT = ["x0", "x1"]  # anchor tokens no document holds
 
 
 class TestTokenize:
@@ -145,6 +155,25 @@ class TestAlignAnchor:
                 else:
                     assert bounded == AnchorMatch(coverage=0.0, doc_span=None), (anchor, k)
 
+    @given(
+        st.lists(st.sampled_from(SKEWED_VOCAB), min_size=1, max_size=60),
+        st.lists(st.sampled_from(SKEWED_VOCAB + ABSENT), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(["the", "w1"], ["w1", "the", "of", "w2"])  # document shorter than the anchor
+    @example(["w1", "the", "w2", "the", "w1", "w2"], ["w2", "w1", "the", "w2"])  # rarity ties
+    @example(  # the best window starts where an anchor token leaves the one before
+        ["the", "the", "of", "the", "the", "of", "and", "the", "and", "of", "of", "the"],
+        ["the", "the", "the", "the", "the", "of"],
+    )
+    def test_every_min_matched_agrees_with_every_window_oracle(self, doc_tokens, anchor):
+        coverage, span = every_window_alignment(anchor, doc_tokens)
+        best = round(coverage * len(anchor))
+        doc = token_document(doc_tokens)
+        for k in range(len(anchor) + 1):
+            want = AnchorMatch(coverage, span) if best >= k else AnchorMatch(0.0, None)
+            assert align_anchor(anchor, doc, min_matched=k) == want, k
+
     @pytest.mark.parametrize("m, floor", [(2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (7, 5)])
     def test_hit_floor_boundary(self, m, floor):
         assert hit_floor(m) == floor
@@ -184,6 +213,17 @@ class TestVerifyQuote:
         compact = verify_quote_detailed(anchor_case_quote(), anchor_case_doc(compact=True))
         spread = verify_quote_detailed(anchor_case_quote(), anchor_case_doc(compact=False))
         assert spread.location.match_score == 0.5 * compact.location.match_score
+
+    def test_span_nested_in_an_earlier_one_keeps_the_quote_compact(self):
+        # spans (0, 3), (1, 2), (303, 304): the gap after the furthest end is 300
+        y, z, b = "y" * 22, "z" * 22, "b" * 16
+        filler = [f"pad{i:04d}" for i in range(300)]
+        doc = Document(" ".join(["aa", y, b] + filler + [z]))
+        detail = verify_quote_detailed(" ".join(["aa", "xx", b, y, z]), doc)
+        assert [m.doc_span for m in detail.anchor_matches] == [(0, 3), (1, 2), (303, 304)]
+        assert detail.compact
+        assert detail.location.match_score == pytest.approx(0.7 * 8 / 9 + 0.3, abs=1e-9)
+        assert detail.location.found
 
     def test_empty_quote_not_found(self):
         loc = verify_quote("", DOC)
