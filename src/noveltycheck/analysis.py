@@ -13,11 +13,11 @@ import logging
 import re
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
 from .codec import decode, encode
-from .errors import AssemblyError, InvalidInputError, LlmError, ParseFailureError
+from .errors import AssemblyError, InvalidInputError, LlmError, ParseFailureError, RenderError
 from .extraction import (
     ContributionClaim,
     CoreTask,
@@ -25,7 +25,7 @@ from .extraction import (
     ask,
     parse_structured_output,
     reply_list,
-    reply_objects,
+    reply_text,
     truncate_words,
     word_count,
 )
@@ -259,25 +259,22 @@ def _content_of(paper: PaperRecord) -> tuple[str, str]:
 def _parse_evidence(
     raw_evidence: Any, target_doc: Document, candidate_doc: Document
 ) -> RefutationEvidence:
-    summary = ""
     pairs: list[EvidencePair] = []
-    if isinstance(raw_evidence, Mapping):
-        summary = str(raw_evidence.get("summary", ""))
-        for p in reply_objects(raw_evidence, "evidence_pairs"):
-            original_quote = _cap_quote(str(p.get("original_quote", "")))
-            candidate_quote = _cap_quote(str(p.get("candidate_quote", "")))
-            pairs.append(
-                EvidencePair(
-                    original_quote=original_quote,
-                    original_paragraph_label=str(p.get("original_paragraph_label", "unknown")),
-                    candidate_quote=candidate_quote,
-                    candidate_paragraph_label=str(p.get("candidate_paragraph_label", "unknown")),
-                    rationale=str(p.get("rationale", "")),
-                    original_location=verify_quote(original_quote, target_doc),
-                    candidate_location=verify_quote(candidate_quote, candidate_doc),
-                )
+    for p in reply_list(raw_evidence, "evidence_pairs", Mapping):
+        original_quote = _cap_quote(reply_text(p, "original_quote"))
+        candidate_quote = _cap_quote(reply_text(p, "candidate_quote"))
+        pairs.append(
+            EvidencePair(
+                original_quote=original_quote,
+                original_paragraph_label=reply_text(p, "original_paragraph_label", "unknown"),
+                candidate_quote=candidate_quote,
+                candidate_paragraph_label=reply_text(p, "candidate_paragraph_label", "unknown"),
+                rationale=reply_text(p, "rationale"),
+                original_location=verify_quote(original_quote, target_doc),
+                candidate_location=verify_quote(candidate_quote, candidate_doc),
             )
-    return RefutationEvidence(summary=summary, evidence_pairs=pairs)
+        )
+    return RefutationEvidence(summary=reply_text(raw_evidence, "summary"), evidence_pairs=pairs)
 
 
 def compare_contribution(
@@ -326,8 +323,8 @@ def compare_contribution(
 
     # an item is matched to a claim by name; one whose name is no claim's
     # stands in, by position, for the claim in its slot
-    items = reply_objects(parsed, "contribution_analyses")
-    item_names = [str(item.get("contribution_name", "")).strip().lower() for item in items]
+    items = reply_list(parsed, "contribution_analyses", Mapping)
+    item_names = [reply_text(item, "contribution_name").strip().lower() for item in items]
     claim_names = {claim.name.strip().lower() for claim in claims}
     by_name: dict[str, Mapping[str, Any]] = {}
     for name, item in zip(item_names, items):
@@ -342,7 +339,7 @@ def compare_contribution(
         if item is None:
             entries.append(_entry(UNCLEAR, "No analysis returned for this contribution.", None))
             continue
-        status = str(item.get("refutation_status", "")).strip()
+        status = reply_text(item, "refutation_status").strip()
         if status not in _STATUSES:
             entries.append(_entry(UNCLEAR, f"Unrecognized status {status!r}.", None))
             continue
@@ -350,7 +347,7 @@ def compare_contribution(
             evidence = _parse_evidence(item.get("refutation_evidence"), target_doc, candidate_doc)
             entries.append(_entry(CAN_REFUTE, None, evidence))
         else:
-            note = str(item.get("brief_note") or "").strip() or "No explanation provided."
+            note = reply_text(item, "brief_note").strip() or "No explanation provided."
             entries.append(_entry(status, note, None))
     return entries
 
@@ -438,13 +435,9 @@ def compare_core_task(
         except (LlmError, ParseFailureError) as exc:
             analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
             return analysis
-        overall = reply.get("overall")
         analysis.subtopic_summary = {
-            "overall": overall if isinstance(overall, str) else "",
-            **{
-                key: [item for item in reply_list(reply, key) if isinstance(item, str)]
-                for key in ("similarities", "differences")
-            },
+            "overall": reply_text(reply, "overall"),
+            **{key: reply_list(reply, key, str) for key in ("similarities", "differences")},
         }
         return analysis
 
@@ -480,8 +473,8 @@ def compare_core_task(
         mode = "fulltext" if record.full_text is not None else "abstract_fallback"
         try:
             parsed = ask(llm, "sibling_distinction", payload).value
-            duplicate = bool(parsed.get("is_duplicate_variant", False))
-            brief = str(parsed.get("brief_comparison", "")).strip()
+            duplicate = parsed.get("is_duplicate_variant") is True
+            brief = reply_text(parsed, "brief_comparison").strip()
             diagnostic = None
         except (LlmError, ParseFailureError) as exc:
             duplicate, brief = False, f"Comparison unavailable: {exc}"
@@ -536,15 +529,15 @@ def detect_similarity(
         logger.warning("similarity detection failed for %s: %s", cid, exc)
         return []
     segments: list[SimilaritySegment] = []
-    for i, item in enumerate(reply_objects(parsed, "plagiarism_segments"), start=1):
-        segment_id = item.get("segment_id")
+    # a segment is numbered by its place in the reply, whatever id the model gave it
+    for i, item in enumerate(reply_list(parsed, "plagiarism_segments", Mapping), start=1):
         seg = SimilaritySegment(
-            segment_id=segment_id if isinstance(segment_id, int) else i,
-            location=str(item.get("location", "unknown")) or "unknown",
-            original_text=str(item.get("original_text", "")),
-            candidate_text=str(item.get("candidate_text", "")),
-            segment_type=str(item.get("plagiarism_type", item.get("type", "Direct"))),
-            rationale=str(item.get("rationale", "")),
+            segment_id=i,
+            location=reply_text(item, "location") or "unknown",
+            original_text=reply_text(item, "original_text"),
+            candidate_text=reply_text(item, "candidate_text"),
+            segment_type=reply_text(item, "plagiarism_type", reply_text(item, "type", "Direct")),
+            rationale=reply_text(item, "rationale"),
         )
         verified = verify_segment(seg, target_doc, candidate_doc)
         if verified.verified:
@@ -616,10 +609,6 @@ def build_references(target: PaperRecord, candidate_set: CandidateSet) -> list[R
 _CITATION_RE = re.compile(r"\[(\d+)\]")
 
 
-def find_citation_indices(text: str) -> list[int]:
-    return [int(m.group(1)) for m in _CITATION_RE.finditer(text)]
-
-
 def strip_bad_citations(text: str, allowed: set[int]) -> str:
     def _sub(m: re.Match) -> str:
         return m.group(0) if int(m.group(1)) in allowed else ""
@@ -627,8 +616,9 @@ def strip_bad_citations(text: str, allowed: set[int]) -> str:
     return _CITATION_RE.sub(_sub, text)
 
 
-def _bad_citations(texts: Iterable[Any], allowed: set[int]) -> list[int]:
-    return sorted({i for t in texts for i in find_citation_indices(str(t)) if i not in allowed})
+def _bad_citations(texts: Iterable[str], allowed: set[int]) -> list[int]:
+    cited = {int(m.group(1)) for t in texts for m in _CITATION_RE.finditer(t)}
+    return sorted(cited - allowed)
 
 
 def _request_prose(
@@ -637,29 +627,30 @@ def _request_prose(
     payload: Mapping[str, Any],
     key: str,
     allowed: set[int],
-) -> tuple[Any, list[str]]:
-    """Call, validate citations, re-request once, then strip mechanically."""
+) -> tuple[list[str], list[str]]:
+    """Call, validate citations, re-request once, then strip mechanically.
+
+    ``key`` holds a string or a list of strings; a reply without text fails the parse.
+    """
     diagnostics: list[str] = []
 
-    def _once() -> Any:
-        parsed = ask(llm, name, payload).value
-        if key not in parsed:
-            raise ParseFailureError(f"missing key {key!r} in response", str(parsed))
-        return parsed[key]
+    def _once() -> list[str]:
+        reply = ask(llm, name, payload).value
+        texts = reply_list(reply, key, str) or [reply_text(reply, key)]
+        if not any(texts):
+            raise ParseFailureError(f"no text under key {key!r} in response", str(reply))
+        return texts
 
-    value = _once()
-    bad = _bad_citations(value if isinstance(value, list) else [value], allowed)
+    texts = _once()
+    bad = _bad_citations(texts, allowed)
     if bad:
         diagnostics.append(f"citations outside allowed set {bad}; re-requesting once")
-        value = _once()
-        bad = _bad_citations(value if isinstance(value, list) else [value], allowed)
+        texts = _once()
+        bad = _bad_citations(texts, allowed)
         if bad:
             diagnostics.append(f"stripping residual bad citations {bad}")
-            if isinstance(value, list):
-                value = [strip_bad_citations(str(t), allowed) for t in value]
-            else:
-                value = strip_bad_citations(str(value), allowed)
-    return value, diagnostics
+            texts = [strip_bad_citations(t, allowed) for t in texts]
+    return texts, diagnostics
 
 
 def generate_narrative(
@@ -693,14 +684,14 @@ def generate_narrative(
         "allowed_citation_indices": sorted(allowed_indices),
     }
     try:
-        value, diagnostics = _request_prose(
+        paragraphs, diagnostics = _request_prose(
             llm,
             "narrative_synthesis",
             payload,
             "narrative",
             allowed_indices,
         )
-        return str(value), diagnostics
+        return "\n\n".join(paragraphs), diagnostics
     except (LlmError, ParseFailureError) as exc:
         return "Narrative unavailable.", [f"narrative generation failed: {exc}"]
 
@@ -733,15 +724,13 @@ def generate_overall_assessment(
         "allowed_citation_indices": sorted(allowed_indices),
     }
     try:
-        value, diagnostics = _request_prose(
+        return _request_prose(
             llm,
             "overall_assessment",
             payload,
             "paragraphs",
             allowed_indices,
         )
-        paragraphs = [str(p) for p in value] if isinstance(value, list) else [str(value)]
-        return paragraphs, diagnostics
     except (LlmError, ParseFailureError) as exc:
         return ["Overall assessment unavailable."], [f"assessment generation failed: {exc}"]
 
@@ -763,11 +752,10 @@ def generate_one_liners(
     except (LlmError, ParseFailureError) as exc:
         logger.warning("one-liner generation failed: %s", exc)
         return {}
-    out: dict[str, str] = {}
-    for item in reply_objects(parsed, "items"):
-        if item.get("paper_id"):
-            out[str(item["paper_id"])] = str(item.get("brief_one_liner", ""))
-    return out
+    return {
+        reply_text(item, "paper_id"): reply_text(item, "brief_one_liner")
+        for item in reply_list(parsed, "items", Mapping)
+    }
 
 
 # --- report assembly ---------------------------------------------------------------
@@ -822,6 +810,47 @@ class NoveltyReport:
         return decode(cls, d)
 
 
+def strip_dangling_citations(
+    report: NoveltyReport, on_dangling: Callable[[str, list[int]], None]
+) -> None:
+    """Strip each ``[n]`` naming no reference from the prose render prints, after calling
+    ``on_dangling(where, indices)``; raise RenderError for a prose field that is not text."""
+    allowed = {r.index for r in report.references}
+
+    def fix(text: Any, where: str) -> str:
+        if not isinstance(text, str):
+            raise RenderError(f"{where} is not text")
+        bad = _bad_citations([text], allowed)
+        if bad:
+            on_dangling(where, bad)
+        return strip_bad_citations(text, allowed)
+
+    survey = report.core_task_survey
+    survey["narrative"] = fix(survey.get("narrative"), "narrative")
+    cta = report.core_task_comparisons
+    if cta.mode == "sibling":
+        for comparison in cta.comparisons:
+            comparison.brief_comparison = fix(
+                comparison.brief_comparison, f"sibling comparison with {comparison.canonical_id}"
+            )
+    elif cta.mode == "subtopic_siblings" and cta.subtopic_summary:
+        summary = cta.subtopic_summary
+        summary["overall"] = fix(summary.get("overall"), "subtopic summary")
+        for key in ("similarities", "differences"):
+            summary[key] = [fix(t, f"subtopic {key}") for t in reply_list(summary, key)]
+    report.overall_assessment[:] = [fix(p, "overall assessment") for p in report.overall_assessment]
+    for contribution in report.contributions:
+        for entry in contribution.comparisons:
+            pid = entry.canonical_id
+            evidence = entry.refutation_evidence
+            if entry.refutation_status == CAN_REFUTE and evidence is not None:
+                evidence.summary = fix(evidence.summary, f"refutation summary on {pid}")
+                for pair in evidence.evidence_pairs:
+                    pair.rationale = fix(pair.rationale, f"evidence rationale on {pid}")
+            elif entry.brief_note:
+                entry.brief_note = fix(entry.brief_note, f"brief note on {pid}")
+
+
 def assemble_report(
     *,
     target: PaperRecord,
@@ -843,9 +872,10 @@ def assemble_report(
 ) -> NoveltyReport:
     """Build the seven-module report and check its internal consistency.
 
-    The downgrade pass must already have run on the comparison entries.
-    Raises AssemblyError when a required module is missing or the statistics
-    identity does not hold.
+    The downgrade pass must already have run on the comparison entries. A
+    ``[n]`` that names no reference is stripped from the prose, with one
+    warning per field. Raises AssemblyError when a required
+    module is missing or the statistics identity does not hold.
     """
     modules = {
         "original_paper": target,
@@ -938,7 +968,7 @@ def assemble_report(
         "warnings": list(diagnostics),
     }
 
-    return NoveltyReport(
+    report = NoveltyReport(
         original_paper={
             "canonical_id": target_id,
             "title": target.title,
@@ -955,6 +985,20 @@ def assemble_report(
         textual_similarity=textual_similarity,
         metadata=metadata,
     )
+    def _warn(where: str, bad: list[int]) -> None:
+        metadata["warnings"].append(f"stripping dangling citations {bad} from {where}")
+
+    strip_dangling_citations(report, _warn)
+    return report
+
+
+def check_renderable(report: NoveltyReport) -> None:
+    """Raise RenderError for a prose field render prints that is not text or cites no reference."""
+
+    def _reject(where: str, bad: list[int]) -> None:
+        raise RenderError(f"dangling citation index {bad[0]} in {where}")
+
+    strip_dangling_citations(report, _reject)
 
 
 # --- phase orchestration ---------------------------------------------------------
@@ -1049,37 +1093,6 @@ def run_analysis_phase(
     one_liners = one_liners_future.result()
     narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)
-
-    def _known_citations(text: str, where: str) -> str:
-        """``_request_prose``'s last step for comparison prose: strip dangling ``[n]``, note it."""
-        bad = _bad_citations([text], allowed_indices)
-        if not bad:
-            return text
-        diagnostics.append(f"stripping dangling citations {bad} from {where}")
-        return strip_bad_citations(text, allowed_indices)
-
-    for pid, entries in entries_by_candidate.items():
-        for entry in entries:
-            if entry.brief_note:
-                entry.brief_note = _known_citations(entry.brief_note, f"brief note on {pid}")
-            if entry.refutation_evidence is not None:
-                evidence = entry.refutation_evidence
-                evidence.summary = _known_citations(
-                    evidence.summary, f"refutation summary on {pid}"
-                )
-                for pair in evidence.evidence_pairs:
-                    pair.rationale = _known_citations(
-                        pair.rationale, f"evidence rationale on {pid}"
-                    )
-    for comparison in core_analysis.comparisons:
-        comparison.brief_comparison = _known_citations(
-            comparison.brief_comparison, f"sibling comparison with {comparison.canonical_id}"
-        )
-    summary = core_analysis.subtopic_summary
-    if summary is not None:
-        summary["overall"] = _known_citations(summary["overall"], "subtopic summary")
-        for key in ("similarities", "differences"):
-            summary[key] = [_known_citations(item, f"subtopic {key}") for item in summary[key]]
 
     # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}

@@ -191,15 +191,16 @@ def ask(llm: LlmClient, name: str, user: Any) -> ParsedOutput:
     return parsed
 
 
-def reply_list(reply: Mapping[str, Any], key: str) -> list[Any]:
-    """The list under ``key``; a missing, null or non-list value reads as empty."""
-    items = reply.get(key)
-    return items if isinstance(items, list) else []
+def reply_list(reply: Any, key: str, kind: type = object) -> list[Any]:
+    """The ``kind`` items listed under ``key``; a missing, null or non-list value reads as empty."""
+    items = reply.get(key) if isinstance(reply, Mapping) else None
+    return [item for item in items if isinstance(item, kind)] if isinstance(items, list) else []
 
 
-def reply_objects(reply: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-    """The objects listed under ``key``, non-object items skipped."""
-    return [item for item in reply_list(reply, key) if isinstance(item, Mapping)]
+def reply_text(reply: Any, key: str, default: Optional[str] = "") -> Optional[str]:
+    """The string under ``key``; anything else reads as ``default``, as does a non-object reply."""
+    value = reply.get(key) if isinstance(reply, Mapping) else None
+    return value if isinstance(value, str) else default
 
 
 # --- domain types -------------------------------------------------------------
@@ -259,7 +260,7 @@ class QuerySet:
 def normalize_query(text: str, *, require_prefix: bool) -> tuple[str, list[str]]:
     """Enforce the search-prefix and 25-word rules on one query string."""
     flags: list[str] = []
-    q = " ".join(str(text).split())
+    q = " ".join(text.split())
     if require_prefix:
         if not q.startswith(QUERY_PREFIX):
             stripped = re.sub(r"^find papers about\s+", "", q, flags=re.IGNORECASE)
@@ -286,10 +287,10 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
     over-limit fields are truncated with an audit flag. A missing or empty
     name rejects the contribution outright. Idempotent on its own output.
     """
-    name = str(rawfields.get("name") or "").strip()
+    name = reply_text(rawfields, "name").strip()
     if not name:
         raise ContributionRejected("contribution is missing a name")
-    flags: list[str] = list(reply_list(rawfields, "audit_flags"))
+    flags: list[str] = reply_list(rawfields, "audit_flags", str)
 
     def _flag(f: str) -> None:
         if f not in flags:
@@ -299,24 +300,21 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
         name = truncate_words(name, MAX_NAME_WORDS)
         _flag("name_truncated")
 
-    def _text_field(key: str, limit: int) -> str:
-        value = str(rawfields.get(key) or "").strip()
+    def _text_field(key: str, limit: Optional[int] = None) -> str:
+        value = reply_text(rawfields, key).strip()
         if not value:
             _flag(f"{key}_defaulted")
             return "unknown"
-        if word_count(value) > limit:
+        if limit is not None and word_count(value) > limit:
             _flag(f"{key}_truncated")
             return truncate_words(value, limit)
         return value
 
     claim_text = _text_field("author_claim_text", MAX_CLAIM_WORDS)
     description = _text_field("description", MAX_DESCRIPTION_WORDS)
-    source_hint = str(rawfields.get("source_hint") or "").strip()
-    if not source_hint:
-        source_hint = "unknown"
-        _flag("source_hint_defaulted")
+    source_hint = _text_field("source_hint")
     return ContributionClaim(
-        claim_id=str(rawfields.get("claim_id") or "contribution_1"),
+        claim_id=reply_text(rawfields, "claim_id") or "contribution_1",
         name=name,
         author_claim_text=claim_text,
         description=description,
@@ -422,7 +420,7 @@ def extract_contributions(
         warnings.append(f"contribution extraction needed fallback parse: {parsed.fallback}")
     claims: list[ContributionClaim] = []
     seen_names: set[str] = set()
-    for item in reply_objects(parsed.value, "contributions"):
+    for item in reply_list(parsed.value, "contributions", Mapping):
         try:
             claim = validate_contribution(item)
         except ContributionRejected as exc:
@@ -459,7 +457,7 @@ def expand_query_variants(
     raw_variants: list[str] = []
     try:
         parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
-        raw_variants = [str(v) for v in reply_list(parsed.value, "variants")]
+        raw_variants = reply_list(parsed.value, "variants", str)
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
         flags.append("variant_generation_failed")
@@ -499,9 +497,8 @@ def generate_primary_queries(
             )
         user = "Generate one query per claim for the following claims:\n" + "\n".join(sections)
         try:
-            for entry in reply_objects(ask(llm, "primary_query", user).value, "queries"):
-                if "id" in entry:
-                    answers[str(entry["id"])] = str(entry.get("prior_work_query", ""))
+            for entry in reply_list(ask(llm, "primary_query", user).value, "queries", Mapping):
+                answers[reply_text(entry, "id")] = reply_text(entry, "prior_work_query")
         except (LlmError, ParseFailureError) as exc:
             warnings.append(f"primary query generation failed: {exc}")
     queries: dict[str, str] = {}

@@ -80,8 +80,10 @@ class PipelineConfig:
     sleep: Optional[Callable[[float], object]] = None
 
     def validate(self) -> None:
-        if self.analysis_concurrency < 1:
-            raise InvalidInputError("analysis_concurrency must be at least 1")
+        for name in ("analysis_concurrency", "topk_core", "topk_contribution"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be at least 1")
+        RenderConfig(quote_truncation_limit=self.quote_truncation_limit)
         if self.mock:
             if not self.llm_fixture or not self.search_fixture:
                 raise InvalidInputError("mock mode requires fixture paths for both clients")

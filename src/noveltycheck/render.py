@@ -20,10 +20,11 @@ from .analysis import (
     ContributionComparison,
     NoveltyReport,
     ReportReference,
-    find_citation_indices,
+    check_renderable,
 )
 from .codec import decode
 from .errors import InvalidInputError, RenderError
+from .taxonomy import TaxonomyNode
 from .verification import SimilaritySegment
 
 logger = logging.getLogger(__name__)
@@ -43,13 +44,6 @@ def _truncate_quote(text: str, limit: int) -> str:
     if len(words) <= limit:
         return text
     return " ".join(words[:limit]) + "…"
-
-
-def _check_citations(text: str, indices: set[int], where: str) -> str:
-    for idx in find_citation_indices(text):
-        if idx not in indices:
-            raise RenderError(f"dangling citation index {idx} in {where}")
-    return text
 
 
 class _MarkdownBuilder:
@@ -75,20 +69,19 @@ def _cite(ref: Optional[ReportReference], fallback: str) -> str:
 
 def _render_taxonomy(
     md: _MarkdownBuilder,
-    node: Mapping[str, Any],
+    node: TaxonomyNode,
     refs_by_id: Mapping[str, ReportReference],
     depth: int = 0,
 ) -> None:
     indent = "  " * depth
-    scope = node.get("scope_note")
-    label = f"**{node['name']}**"
-    if scope:
-        label += f" · {scope}"
+    label = f"**{node.name}**"
+    if node.scope_note:
+        label += f" · {node.scope_note}"
     md.line(f"{indent}- {label}")
-    for pid in node.get("papers", ()):
+    for pid in node.papers:
         ref = refs_by_id.get(pid)
         md.line(f"{indent}  - {_cite(ref, pid)}" + (f": {ref.title}" if ref else ""))
-    for child in node.get("subtopics", ()):
+    for child in node.subtopics:
         _render_taxonomy(md, child, refs_by_id, depth + 1)
 
 
@@ -116,7 +109,6 @@ def _render_comparison_entry(
     md: _MarkdownBuilder,
     entry: ContributionComparison,
     refs_by_id: Mapping[str, ReportReference],
-    indices: set[int],
     limit: int,
 ) -> None:
     ref = refs_by_id.get(entry.canonical_id)
@@ -124,13 +116,9 @@ def _render_comparison_entry(
     md.blank()
     md.line(f"- **Status:** `{entry.refutation_status}` ({entry.comparison_mode} comparison)")
     if entry.refutation_status == CAN_REFUTE and entry.refutation_evidence is not None:
-        summary = _check_citations(
-            entry.refutation_evidence.summary, indices, "refutation summary"
-        )
-        md.line(f"- **Summary:** {summary}")
+        md.line(f"- **Summary:** {entry.refutation_evidence.summary}")
         for i, pair in enumerate(entry.refutation_evidence.evidence_pairs, start=1):
-            rationale = _check_citations(pair.rationale, indices, "evidence rationale")
-            md.line(f"- **Evidence {i}:** {rationale}")
+            md.line(f"- **Evidence {i}:** {pair.rationale}")
             md.line(
                 f"  > Target ({pair.original_paragraph_label}; {_score(pair.original_location)}): "
                 f"\"{_truncate_quote(pair.original_quote, limit)}\""
@@ -140,16 +128,21 @@ def _render_comparison_entry(
                 f"\"{_truncate_quote(pair.candidate_quote, limit)}\""
             )
     elif entry.brief_note:
-        md.line(f"- **Note:** {_check_citations(entry.brief_note, indices, 'brief note')}")
+        md.line(f"- **Note:** {entry.brief_note}")
     for seg in entry.similarity_segments:
         _render_segment(md, seg, limit)
     md.blank()
 
 
 def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -> str:
-    """Render the full report; byte-deterministic for a fixed report and config."""
+    """Render the full report; byte-deterministic for a fixed report and config.
+
+    Raises RenderError or InvalidInputError for a report it cannot render.
+    """
+    check_renderable(report)
+    survey = report.core_task_survey
+    taxonomy = TaxonomyNode.from_dict(survey.get("taxonomy", {"name": "Survey Taxonomy"}))
     refs_by_id = {r.canonical_id: r for r in report.references}
-    indices = {r.index for r in report.references}
     limit = cfg.quote_truncation_limit
     md = _MarkdownBuilder()
 
@@ -164,7 +157,6 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     md.line(f"**Pipeline version:** {meta.get('pipeline_version', 'unknown')}")
     md.blank()
 
-    survey = report.core_task_survey
     md.line("## Core Task Survey")
     md.blank()
     md.line(f"**Core task:** {survey.get('core_task', '')}")
@@ -174,12 +166,11 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     if survey.get("taxonomy_status") == "needs_review":
         md.line("> Note: this taxonomy failed validation after repair (needs_review).")
         md.blank()
-    _render_taxonomy(md, survey.get("taxonomy", {"name": "Survey Taxonomy"}), refs_by_id)
+    _render_taxonomy(md, taxonomy, refs_by_id)
     md.blank()
     md.line("### Narrative")
     md.blank()
-    narrative = _check_citations(survey.get("narrative", ""), indices, "narrative")
-    for paragraph in narrative.split("\n\n"):
+    for paragraph in survey["narrative"].split("\n\n"):
         md.line(paragraph.strip())
         md.blank()
 
@@ -198,22 +189,19 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
                 f"- **Duplicate variant:** {'yes' if entry.is_duplicate_variant else 'no'}"
                 f" ({entry.comparison_mode} comparison)"
             )
-            comparison = _check_citations(entry.brief_comparison, indices, "sibling comparison")
-            md.line(f"- {comparison}")
+            md.line(f"- {entry.brief_comparison}")
             for seg in entry.similarity_segments:
                 _render_segment(md, seg, limit)
             md.blank()
     elif cta.mode == "subtopic_siblings" and cta.subtopic_summary:
         summary = cta.subtopic_summary
-        overall = _check_citations(str(summary.get("overall", "")), indices, "subtopic summary")
-        md.line(overall)
+        md.line(summary["overall"])
         md.blank()
         for key, heading in (("similarities", "Similarities"), ("differences", "Differences")):
-            items = summary.get(key) or []
-            if items:
+            if summary[key]:
                 md.line(f"**{heading}:**")
-                for item in items:
-                    md.line(f"- {_check_citations(str(item), indices, key)}")
+                for item in summary[key]:
+                    md.line(f"- {item}")
                 md.blank()
     else:
         note = (cta.isolation or {}).get(
@@ -227,7 +215,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     md.line("### Overall Assessment")
     md.blank()
     for paragraph in report.overall_assessment:
-        md.line(_check_citations(paragraph, indices, "overall assessment"))
+        md.line(paragraph)
         md.blank()
     for i, contribution in enumerate(report.contributions, start=1):
         md.line(f"### Contribution {i}: {contribution.name}")
@@ -244,7 +232,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
         )
         md.blank()
         for entry in contribution.comparisons:
-            _render_comparison_entry(md, entry, refs_by_id, indices, limit)
+            _render_comparison_entry(md, entry, refs_by_id, limit)
 
     md.line("## Textual Similarity")
     md.blank()

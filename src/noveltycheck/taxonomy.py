@@ -17,7 +17,7 @@ from typing import Any, Iterator, Mapping, Optional
 
 from .clients import LlmClient
 from .errors import InvalidInputError, LlmError, ParseFailureError
-from .extraction import ask, reply_list, word_count
+from .extraction import ask, reply_list, reply_text, word_count
 from .papers import PaperRecord
 
 logger = logging.getLogger(__name__)
@@ -66,17 +66,15 @@ class TaxonomyNode:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TaxonomyNode":
-        if not isinstance(d, Mapping) or "name" not in d:
+        name = reply_text(d, "name", None)
+        if name is None:
             raise InvalidInputError("taxonomy node must be an object with a name")
-        subtopics = tuple(cls.from_dict(c) for c in reply_list(d, "subtopics"))
-        papers = tuple(str(p) for p in reply_list(d, "papers"))
-        scope_note, exclude_note = d.get("scope_note"), d.get("exclude_note")
         return cls(
-            name=str(d["name"]),
-            scope_note=scope_note if isinstance(scope_note, str) else None,
-            exclude_note=exclude_note if isinstance(exclude_note, str) else None,
-            subtopics=subtopics,
-            papers=papers,
+            name=name,
+            scope_note=reply_text(d, "scope_note", None),
+            exclude_note=reply_text(d, "exclude_note", None),
+            subtopics=tuple(cls.from_dict(c) for c in reply_list(d, "subtopics")),
+            papers=tuple(reply_list(d, "papers", str)),
         )
 
 

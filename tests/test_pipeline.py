@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import tempfile
 import threading
 import time
@@ -118,6 +119,23 @@ def run_recording_llm(monkeypatch, paper_text, cfg):
         lambda cfg: (llm, MockSearchClient.from_file(cfg.search_fixture)),
     )
     return run_bounded(paper_text, cfg), llm.calls
+
+
+def run_with_llm_fixture(monkeypatch, tmp_path, fixtures_dir, paper_text, fixture):
+    """Run the bundled paper with ``fixture`` as the model's replies.
+
+    Returns the Markdown report and the search queries sent.
+    """
+    llm = MockLlmClient(fixture)
+    search = MockSearchClient.from_file(fixtures_dir / "mock_search.json")
+    monkeypatch.setattr(pipeline, "build_clients", lambda cfg: (llm, search))
+    manifest = run_bounded(paper_text, make_config(tmp_path, fixtures_dir))
+    assert manifest.succeeded, manifest.failure_log
+    return next(tmp_path.glob("*.md")).read_text(), search.calls
+
+
+# what str() makes of a null or NaN reply field
+LEAKED_WORD = re.compile(r"\b(?:None|nan)\b")
 
 
 class AlwaysFailingSearch(SearchClient):
@@ -577,14 +595,21 @@ class TestRunPipeline:
         manifest = run_bounded(paper_text, make_config(tmp_path, fixtures_dir))
         assert manifest.succeeded, manifest.failure_log
         report = next(tmp_path.glob("*.md")).read_text()
-        assert "Predictive Eviction  already" in report
-        warnings = json.loads((tmp_path / "phase3.json").read_text())["metadata"]["warnings"]
+        phase3 = json.loads((tmp_path / "phase3.json").read_text())
+        warnings = phase3["metadata"]["warnings"]
         stripped = [w for w in warnings if w.startswith("stripping dangling citations")]
-        assert len(stripped) == 4
-        for index, where in ((99, "refutation summary"), (98, "evidence rationale"),
-                             (97, "brief note"), (96, "sibling comparison")):
+        # one warning per stripped field, and only for fields the report holds
+        assert len(stripped) == 3
+        for index, where, text in (
+            (99, "refutation summary", "Predictive Eviction  already"),
+            (98, "evidence rationale", "furthest predicted reuse distance ."),
+            (96, "sibling comparison", "while Foreseer ranks"),
+        ):
             assert f"[{index}]" not in report
+            assert text in report
             assert any(f"[{index}] from {where}" in w for w in stripped)
+        # the [97] note answers for a claim the candidate is not compared against
+        assert "A trace generator" not in json.dumps(phase3)
 
     @pytest.mark.parametrize("reply, summary, stripped", [
         (
@@ -637,6 +662,42 @@ class TestRunPipeline:
         assert "None" not in section
         for line in [summary["overall"], *summary["similarities"], *summary["differences"]]:
             assert line in section
+
+    @pytest.mark.parametrize("system, user, path, value", [
+        ("comparative reviewer", "Predictive Eviction",
+         ("contribution_analyses", 0, "refutation_evidence", "evidence_pairs", 0, "rationale"),
+         None),
+        ("prior-work search queries", None, ("queries", 0, "prior_work_query"), None),
+        ("rewriting academic search queries", "adaptive cache", ("variants", 0), None),
+        ("survey-style narrative", None, ("narrative",), None),
+        ("Originality / Novelty", None, ("paragraphs",), None),
+        ("SAME taxonomy category", "Foreseer", ("is_duplicate_variant",), "false"),
+        ("extract the main contributions", None, ("contributions", 0, "source_hint"),
+         float("nan")),
+        ("plagiarism detection system", "the foretell", ("plagiarism_segments", 0,
+                                                         "plagiarism_type"), None),
+    ], ids=["rationale_null", "prior_work_query_null", "variant_null", "narrative_null",
+            "paragraphs_null", "is_duplicate_variant_text", "source_hint_nan",
+            "plagiarism_type_null"])
+    def test_mistyped_reply_field_never_reaches_a_search_or_the_report(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, system, user, path, value
+    ):
+        fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
+        [rule] = [
+            rule for rule in fixture["rules"]
+            if rule.get("system_contains") == system
+            and (user is None or rule.get("user_contains", "").startswith(user))
+        ]
+        *path, last = ("response", *path)
+        node = rule
+        for key in path:
+            node = node[key]
+        node[last] = value
+        report, searches = run_with_llm_fixture(monkeypatch, tmp_path, fixtures_dir, paper_text,
+                                                fixture)
+        assert LEAKED_WORD.findall(report) == []
+        assert [q for q in searches if LEAKED_WORD.search(q)] == []
+        assert report.count("**Duplicate variant:** yes") == 1
 
     def test_paper_merged_across_scopes_compared_under_its_pool_id(
         self, tmp_path, fixtures_dir, paper_text
@@ -705,6 +766,28 @@ class TestRunPipeline:
             cfg.validate()
         with pytest.raises(InvalidInputError):
             run_pipeline(paper_text, cfg)
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("topk_core", -1, "topk_core"),
+        ("topk_core", 0, "topk_core"),
+        ("topk_contribution", 0, "topk_contribution"),
+        ("quote_truncation_limit", 10, "quote truncation limit"),
+    ], ids=["topk_core_negative", "topk_core_zero", "topk_contribution_zero", "quote_limit_10"])
+    def test_setting_out_of_range_rejected_before_any_model_call(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, setting, value, message
+    ):
+        cfg = make_config(tmp_path, fixtures_dir, **{setting: value})
+        with pytest.raises(InvalidInputError, match=message):
+            cfg.validate()
+        llm = MockLlmClient.from_file(cfg.llm_fixture)
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (llm, MockSearchClient.from_file(cfg.search_fixture)),
+        )
+        with pytest.raises(InvalidInputError, match=message):
+            run_pipeline(paper_text, cfg)
+        assert llm.calls == []
         assert not (tmp_path / "manifest.json").exists()
 
     def test_mock_mode_requires_fixtures(self, tmp_path):
@@ -837,14 +920,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         [
-            "render_cut_json", "render_missing_out_dir", "taxonomy_missing_name",
-            "quote_empty_doc", "run_not_utf8",
+            "render_cut_json", "render_missing_out_dir", "render_empty_taxonomy",
+            "render_null_narrative", "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8",
         ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
         path = tmp_path / "input"
         if case == "render_cut_json":
             path.write_bytes((goldens_dir / "phase3.json").read_bytes()[:300])
+            args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case in ("render_empty_taxonomy", "render_null_narrative"):
+            report = json.loads((goldens_dir / "phase3.json").read_text())
+            key, value = ("taxonomy", {}) if case == "render_empty_taxonomy" else ("narrative", None)
+            report["core_task_survey"][key] = value
+            path.write_text(json.dumps(report))
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
         elif case == "render_missing_out_dir":
             args = ["render", "--input", str(goldens_dir / "phase3.json"),
@@ -947,14 +1036,17 @@ def hostile_fixtures(draw):
 @given(fixture=hostile_fixtures())
 def test_hostile_model_reply_fails_cleanly_or_renders(fixture):
     paper_text = (FIXTURES_DIR / "target_paper.txt").read_text(encoding="utf-8")
-    with tempfile.TemporaryDirectory() as tmp:
-        llm_fixture = Path(tmp) / "mock_llm.json"
-        llm_fixture.write_text(json.dumps(fixture))
-        cfg = make_config(Path(tmp) / "out", FIXTURES_DIR, llm_fixture=llm_fixture)
-        manifest = run_bounded(paper_text, cfg)
+    search = MockSearchClient.from_file(FIXTURES_DIR / "mock_search.json")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "build_clients", lambda cfg: (MockLlmClient(fixture), search))
+        out = Path(tmp) / "out"
+        manifest = run_bounded(paper_text, make_config(out, FIXTURES_DIR))
+        reports = [path.read_text() for path in out.glob("*.md")]
     phases = manifest.phases
     for name, status in phases.items():
         if status.status == "failed":
             assert status.error and f"{name}: {status.error}" in manifest.failure_log
     if phases["phase3"].status == "completed":
         assert phases["phase4"].status == "completed", manifest.failure_log
+    assert [LEAKED_WORD.findall(report) for report in reports if LEAKED_WORD.search(report)] == []
+    assert [q for q in search.calls if LEAKED_WORD.search(q)] == []

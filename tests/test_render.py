@@ -86,7 +86,7 @@ class TestRenderMarkdown:
             "**Similarities:**\n- Both learn from access history [1].\n\n"
         )
         cta.subtopic_summary["differences"] = ["Only one of them [42]."]
-        with pytest.raises(RenderError, match="dangling citation index 42 in differences"):
+        with pytest.raises(RenderError, match="dangling citation index 42 in subtopic differences"):
             render_markdown(report)
 
     @pytest.mark.parametrize("isolation, note", [
