@@ -29,7 +29,7 @@ from .extraction import (
     truncate_words,
     word_count,
 )
-from .papers import PaperRecord
+from .papers import PaperRecord, PublicationDate
 from .prompts import complete
 from .retrieval import CandidateSet
 from .scheduler import Scheduler
@@ -356,12 +356,29 @@ def compare_contribution(
 
 
 @dataclass
+class SubtopicSummary:
+    """The one categorical comparison of a lone target against its sibling subtopics."""
+
+    overall: str
+    similarities: list[str]
+    differences: list[str]
+
+
+@dataclass
+class Isolation:
+    """Why a target has no core-task comparison, and the leaf it sits in if any."""
+
+    note: str
+    leaf: Optional[str] = None
+
+
+@dataclass
 class CoreTaskAnalysis:
     mode: str
     taxonomy_path: list[str]
     comparisons: list[CoreTaskComparison] = field(default_factory=list)
-    subtopic_summary: Optional[dict[str, Any]] = None
-    isolation: Optional[dict[str, Any]] = None
+    subtopic_summary: Optional[SubtopicSummary] = None
+    isolation: Optional[Isolation] = None
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -395,10 +412,10 @@ def compare_core_task(
     citations = citations or {}
 
     if position.mode == "isolated":
-        analysis.isolation = {
-            "note": "No comparison: the paper has no immediate semantic neighbors.",
-            "leaf": position.path[-1] if position.path else None,
-        }
+        analysis.isolation = Isolation(
+            note="No comparison: the paper has no immediate semantic neighbors.",
+            leaf=position.path[-1] if position.path else None,
+        )
         return analysis
 
     if position.mode == "subtopic_siblings":
@@ -435,10 +452,11 @@ def compare_core_task(
         except (LlmError, ParseFailureError) as exc:
             analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
             return analysis
-        analysis.subtopic_summary = {
-            "overall": reply_text(reply, "overall"),
-            **{key: reply_list(reply, key, str) for key in ("similarities", "differences")},
-        }
+        analysis.subtopic_summary = SubtopicSummary(
+            overall=reply_text(reply, "overall"),
+            similarities=reply_list(reply, "similarities", str),
+            differences=reply_list(reply, "differences", str),
+        )
         return analysis
 
     def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
@@ -762,6 +780,15 @@ def generate_one_liners(
 
 
 @dataclass
+class ClaimStatistics:
+    """How many candidates one claim was compared against, split by refutation status."""
+
+    candidates_examined: int = 0
+    can_refute: int = 0
+    non_refutable_or_unclear: int = 0
+
+
+@dataclass
 class ContributionAnalysisEntry:
     """One claim with its statistics and per-candidate comparisons."""
 
@@ -770,7 +797,7 @@ class ContributionAnalysisEntry:
     author_claim_text: str = "unknown"
     description: str = "unknown"
     source_hint: str = "unknown"
-    statistics: dict[str, int] = field(default_factory=dict)
+    statistics: ClaimStatistics = field(default_factory=ClaimStatistics)
     comparisons: list[ContributionComparison] = field(default_factory=list)
 
 
@@ -783,16 +810,62 @@ class ContributionAnalysis:
 
 
 @dataclass
+class OriginalPaper:
+    """The report's record of the target paper."""
+
+    canonical_id: str
+    title: str
+    abstract: str
+    url: Optional[str]
+    publication_date: Optional[PublicationDate]
+
+
+@dataclass
+class CoreTaskSurvey:
+    """The taxonomy of the core-task candidates and the narrative written over it."""
+
+    core_task: str
+    # TaxonomyNode.to_dict form: notes and papers are present or absent by node kind
+    taxonomy: dict[str, Any]
+    taxonomy_status: str
+    taxonomy_content_hash: str
+    narrative: str
+    # an entry holds "one_liner" only when one exists; a declared field would write null
+    papers_index: list[dict[str, Any]]
+    diagnostics: list[str]
+
+
+@dataclass
+class TextualSimilarity:
+    """The verified overlap segments of every candidate that has any."""
+
+    total_segments: int
+    candidates_with_overlap: list[str]
+    segments_by_candidate: dict[str, list[SimilaritySegment]]
+
+
+@dataclass
+class ReportMetadata:
+    """When and by which version the report was made, and the warnings raised on the way."""
+
+    generated_at: str
+    pipeline_version: str
+    component_flags: dict[str, str]
+    artifact_filenames: dict[str, str]
+    warnings: list[str]
+
+
+@dataclass
 class NoveltyReport:
     """The complete seven-module analysis output consumed by the renderer."""
 
-    original_paper: dict[str, Any]
-    core_task_survey: dict[str, Any]
+    original_paper: OriginalPaper
+    core_task_survey: CoreTaskSurvey
     contribution_analysis: ContributionAnalysis
     core_task_comparisons: CoreTaskAnalysis
     references: list[ReportReference]
-    textual_similarity: dict[str, Any]
-    metadata: dict[str, Any]
+    textual_similarity: TextualSimilarity
+    metadata: ReportMetadata
 
     @property
     def overall_assessment(self) -> list[str]:
@@ -814,30 +887,28 @@ def strip_dangling_citations(
     report: NoveltyReport, on_dangling: Callable[[str, list[int]], None]
 ) -> None:
     """Strip each ``[n]`` naming no reference from the prose render prints, after calling
-    ``on_dangling(where, indices)``; raise RenderError for a prose field that is not text."""
+    ``on_dangling(where, indices)``."""
     allowed = {r.index for r in report.references}
 
-    def fix(text: Any, where: str) -> str:
-        if not isinstance(text, str):
-            raise RenderError(f"{where} is not text")
+    def fix(text: str, where: str) -> str:
         bad = _bad_citations([text], allowed)
         if bad:
             on_dangling(where, bad)
         return strip_bad_citations(text, allowed)
 
     survey = report.core_task_survey
-    survey["narrative"] = fix(survey.get("narrative"), "narrative")
+    survey.narrative = fix(survey.narrative, "narrative")
     cta = report.core_task_comparisons
     if cta.mode == "sibling":
         for comparison in cta.comparisons:
             comparison.brief_comparison = fix(
                 comparison.brief_comparison, f"sibling comparison with {comparison.canonical_id}"
             )
-    elif cta.mode == "subtopic_siblings" and cta.subtopic_summary:
+    elif cta.mode == "subtopic_siblings" and cta.subtopic_summary is not None:
         summary = cta.subtopic_summary
-        summary["overall"] = fix(summary.get("overall"), "subtopic summary")
-        for key in ("similarities", "differences"):
-            summary[key] = [fix(t, f"subtopic {key}") for t in reply_list(summary, key)]
+        summary.overall = fix(summary.overall, "subtopic summary")
+        summary.similarities = [fix(t, "subtopic similarities") for t in summary.similarities]
+        summary.differences = [fix(t, "subtopic differences") for t in summary.differences]
     report.overall_assessment[:] = [fix(p, "overall assessment") for p in report.overall_assessment]
     for contribution in report.contributions:
         for entry in contribution.comparisons:
@@ -921,11 +992,11 @@ def assemble_report(
                 f"{len(entries)} comparisons for {examined} candidates examined"
             )
         can_refute = sum(1 for e in entries if e.refutation_status == CAN_REFUTE)
-        stats = {
-            "candidates_examined": examined,
-            "can_refute": can_refute,
-            "non_refutable_or_unclear": examined - can_refute,
-        }
+        stats = ClaimStatistics(
+            candidates_examined=examined,
+            can_refute=can_refute,
+            non_refutable_or_unclear=examined - can_refute,
+        )
         contributions.append(
             ContributionAnalysisEntry(
                 claim_id=claim.claim_id,
@@ -938,62 +1009,52 @@ def assemble_report(
             )
         )
 
-    total_segments = sum(len(v) for v in segments_by_candidate.values())
-    textual_similarity = {
-        "total_segments": total_segments,
-        "candidates_with_overlap": [k for k, v in segments_by_candidate.items() if v],
-        "segments_by_candidate": {
-            k: [encode(s) for s in v] for k, v in segments_by_candidate.items() if v
-        },
-    }
-
-    survey = {
-        "core_task": core_task.text,
-        "taxonomy": taxonomy_outcome.taxonomy.to_dict(),
-        "taxonomy_status": taxonomy_outcome.status,
-        "taxonomy_content_hash": taxonomy_content_hash(taxonomy_outcome.taxonomy),
-        "narrative": narrative,
-        "papers_index": papers_index,
-        "diagnostics": list(taxonomy_outcome.diagnostics),
-    }
-
-    metadata = {
-        "generated_at": generated_at,
-        "pipeline_version": pipeline_version,
-        "component_flags": {
-            "taxonomy_status": taxonomy_outcome.status,
-            "core_task_comparison_mode": core_task_analysis.mode,
-        },
-        "artifact_filenames": dict(artifact_filenames or {}),
-        "warnings": list(diagnostics),
-    }
-
     report = NoveltyReport(
-        original_paper={
-            "canonical_id": target_id,
-            "title": target.title,
-            "abstract": target.abstract,
-            "url": target.url,
-            "publication_date": encode(target.publication_date)
-            if target.publication_date
-            else None,
-        },
-        core_task_survey=survey,
+        original_paper=OriginalPaper(
+            canonical_id=target_id,
+            title=target.title,
+            abstract=target.abstract,
+            url=target.url,
+            publication_date=target.publication_date,
+        ),
+        core_task_survey=CoreTaskSurvey(
+            core_task=core_task.text,
+            taxonomy=taxonomy_outcome.taxonomy.to_dict(),
+            taxonomy_status=taxonomy_outcome.status,
+            taxonomy_content_hash=taxonomy_content_hash(taxonomy_outcome.taxonomy),
+            narrative=narrative,
+            papers_index=papers_index,
+            diagnostics=list(taxonomy_outcome.diagnostics),
+        ),
         contribution_analysis=ContributionAnalysis(list(overall_assessment), contributions),
         core_task_comparisons=core_task_analysis,
         references=list(references),
-        textual_similarity=textual_similarity,
-        metadata=metadata,
+        textual_similarity=TextualSimilarity(
+            total_segments=sum(len(v) for v in segments_by_candidate.values()),
+            candidates_with_overlap=[k for k, v in segments_by_candidate.items() if v],
+            segments_by_candidate={k: list(v) for k, v in segments_by_candidate.items() if v},
+        ),
+        metadata=ReportMetadata(
+            generated_at=generated_at,
+            pipeline_version=pipeline_version,
+            component_flags={
+                "taxonomy_status": taxonomy_outcome.status,
+                "core_task_comparison_mode": core_task_analysis.mode,
+            },
+            artifact_filenames=dict(artifact_filenames or {}),
+            warnings=list(diagnostics),
+        ),
     )
+
     def _warn(where: str, bad: list[int]) -> None:
-        metadata["warnings"].append(f"stripping dangling citations {bad} from {where}")
+        report.metadata.warnings.append(f"stripping dangling citations {bad} from {where}")
 
     strip_dangling_citations(report, _warn)
     return report
 
 
 def check_renderable(report: NoveltyReport) -> None:
-    """Raise RenderError for a prose field render prints that is not text or cites no reference."""
+    """Raise RenderError for a prose field render prints that cites no reference."""
 
     def _reject(where: str, bad: list[int]) -> None:
         raise RenderError(f"dangling citation index {bad[0]} in {where}")
@@ -1085,7 +1146,7 @@ def run_analysis_phase(
         core_analysis = CoreTaskAnalysis(
             mode="isolated",
             taxonomy_path=[],
-            isolation={"note": "No comparison: target position in taxonomy is unknown."},
+            isolation=Isolation(note="No comparison: target position in taxonomy is unknown."),
             diagnostics=["taxonomy did not place the target paper"],
         )
     entries_by_candidate = {pid: f.result() for pid, f in comparison_futures.items()}

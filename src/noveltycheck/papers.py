@@ -153,8 +153,6 @@ class PaperRecord:
     full_text: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.full_text is not None and not isinstance(self.full_text, str):
-            raise InvalidInputError("paper full_text must be a string")
         if not self.title or not self.title.strip():
             raise InvalidInputError("paper title must be non-empty")
         if self.relevance_score is not None and not 0.0 <= self.relevance_score <= 1.0:

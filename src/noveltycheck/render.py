@@ -13,7 +13,7 @@ import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
 
 from .analysis import (
     CAN_REFUTE,
@@ -22,7 +22,6 @@ from .analysis import (
     ReportReference,
     check_renderable,
 )
-from .codec import decode
 from .errors import InvalidInputError, RenderError
 from .taxonomy import TaxonomyNode
 from .verification import SimilaritySegment
@@ -141,7 +140,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     """
     check_renderable(report)
     survey = report.core_task_survey
-    taxonomy = TaxonomyNode.from_dict(survey.get("taxonomy", {"name": "Survey Taxonomy"}))
+    taxonomy = TaxonomyNode.from_dict(survey.taxonomy)
     refs_by_id = {r.canonical_id: r for r in report.references}
     limit = cfg.quote_truncation_limit
     md = _MarkdownBuilder()
@@ -150,27 +149,27 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     meta = report.metadata
     md.line("# Novelty Analysis Report")
     md.blank()
-    md.line(f"**Paper:** {original.get('title', 'unknown')}")
-    md.line(f"**Canonical ID:** `{original.get('canonical_id', 'unknown')}`")
-    md.line(f"**URL:** {original.get('url') or 'n/a'}")
-    md.line(f"**Generated:** {meta.get('generated_at', 'unknown')}")
-    md.line(f"**Pipeline version:** {meta.get('pipeline_version', 'unknown')}")
+    md.line(f"**Paper:** {original.title}")
+    md.line(f"**Canonical ID:** `{original.canonical_id}`")
+    md.line(f"**URL:** {original.url or 'n/a'}")
+    md.line(f"**Generated:** {meta.generated_at}")
+    md.line(f"**Pipeline version:** {meta.pipeline_version}")
     md.blank()
 
     md.line("## Core Task Survey")
     md.blank()
-    md.line(f"**Core task:** {survey.get('core_task', '')}")
+    md.line(f"**Core task:** {survey.core_task}")
     md.blank()
     md.line("### Taxonomy")
     md.blank()
-    if survey.get("taxonomy_status") == "needs_review":
+    if survey.taxonomy_status == "needs_review":
         md.line("> Note: this taxonomy failed validation after repair (needs_review).")
         md.blank()
     _render_taxonomy(md, taxonomy, refs_by_id)
     md.blank()
     md.line("### Narrative")
     md.blank()
-    for paragraph in survey["narrative"].split("\n\n"):
+    for paragraph in survey.narrative.split("\n\n"):
         md.line(paragraph.strip())
         md.blank()
 
@@ -193,21 +192,21 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
             for seg in entry.similarity_segments:
                 _render_segment(md, seg, limit)
             md.blank()
-    elif cta.mode == "subtopic_siblings" and cta.subtopic_summary:
+    elif cta.mode == "subtopic_siblings" and cta.subtopic_summary is not None:
         summary = cta.subtopic_summary
-        md.line(summary["overall"])
+        md.line(summary.overall)
         md.blank()
-        for key, heading in (("similarities", "Similarities"), ("differences", "Differences")):
-            if summary[key]:
+        for heading, items in (
+            ("Similarities", summary.similarities), ("Differences", summary.differences)
+        ):
+            if items:
                 md.line(f"**{heading}:**")
-                for item in summary[key]:
+                for item in items:
                     md.line(f"- {item}")
                 md.blank()
     else:
-        note = (cta.isolation or {}).get(
-            "note", "No comparison: the paper has no immediate semantic neighbors."
-        )
-        md.line(note)
+        default = "No comparison: the paper has no immediate semantic neighbors."
+        md.line(cta.isolation.note if cta.isolation is not None else default)
         md.blank()
 
     md.line("## Contribution Analysis")
@@ -226,9 +225,9 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
         )
         stats = contribution.statistics
         md.line(
-            f"**Statistics:** {stats.get('candidates_examined', 0)} candidates examined; "
-            f"{stats.get('can_refute', 0)} can refute; "
-            f"{stats.get('non_refutable_or_unclear', 0)} cannot refute or unclear."
+            f"**Statistics:** {stats.candidates_examined} candidates examined; "
+            f"{stats.can_refute} can refute; "
+            f"{stats.non_refutable_or_unclear} cannot refute or unclear."
         )
         md.blank()
         for entry in contribution.comparisons:
@@ -237,18 +236,17 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     md.line("## Textual Similarity")
     md.blank()
     similarity = report.textual_similarity
-    segments_by_candidate: Mapping[str, Any] = similarity.get("segments_by_candidate", {})
-    if not similarity.get("total_segments"):
+    if not similarity.total_segments:
         md.line("No verified similarity segments were found.")
         md.blank()
     else:
-        for pid, raw_segments in segments_by_candidate.items():
+        for pid, segments in similarity.segments_by_candidate.items():
             ref = refs_by_id.get(pid)
             title = ref.title if ref else pid
             md.line(f"### {_cite(ref, pid)}: {title}")
             md.blank()
-            for raw in raw_segments:
-                _render_segment(md, decode(SimilaritySegment, raw), limit)
+            for seg in segments:
+                _render_segment(md, seg, limit)
             md.blank()
 
     md.line("## References")
@@ -266,10 +264,8 @@ _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 def output_filename(report: NoveltyReport, extension: str = "md") -> str:
     """Deterministic, filesystem-safe name derived from report metadata."""
-    cid = report.original_paper.get("canonical_id", "unknown")
-    version = report.metadata.get("pipeline_version", "0")
-    safe_cid = _UNSAFE_RE.sub("-", str(cid)).strip("-")
-    safe_version = _UNSAFE_RE.sub("-", str(version)).strip("-")
+    safe_cid = _UNSAFE_RE.sub("-", report.original_paper.canonical_id).strip("-")
+    safe_version = _UNSAFE_RE.sub("-", report.metadata.pipeline_version).strip("-")
     return f"novelty_report_{safe_cid}_v{safe_version}.{extension}"
 
 

@@ -336,7 +336,7 @@ class CandidateSet:
     def __post_init__(self) -> None:
         known = {str(uc.paper.canonical_id) for uc in self.unified}
         for ids in (self.core_task, *self.per_contribution.values()):
-            if not all(isinstance(pid, str) and pid in known for pid in ids):
+            if not all(pid in known for pid in ids):
                 raise InvalidInputError("per-scope lists must hold ids of unified candidates")
 
 

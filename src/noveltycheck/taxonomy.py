@@ -58,7 +58,7 @@ class TaxonomyNode:
                 out["exclude_note"] = self.exclude_note
         if self.subtopics:
             out["subtopics"] = [c.to_dict(is_root=False) for c in self.subtopics]
-        elif not is_root:
+        elif not is_root or self.papers:
             out["papers"] = list(self.papers)
         else:
             out["subtopics"] = []

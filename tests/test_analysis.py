@@ -10,6 +10,7 @@ from noveltycheck.analysis import (
     CAN_REFUTE,
     CANNOT_REFUTE,
     UNCLEAR,
+    ClaimStatistics,
     ContributionComparison,
     CoreTaskAnalysis,
     EvidencePair,
@@ -493,7 +494,7 @@ class TestCompareCoreTask:
         )
         analysis = _compare_lone_target(llm)
         assert analysis.mode == "subtopic_siblings"
-        assert analysis.subtopic_summary["overall"] == "Related but distinct."
+        assert analysis.subtopic_summary.overall == "Related but distinct."
         assert len(llm.calls) == 1
 
     def test_sibling_failure_degrades_to_diagnostic_entry(self):
@@ -624,7 +625,7 @@ class TestReferencesAndAssembly:
         claims, entries = self._one_claim_entries([UNCLEAR, CAN_REFUTE])
         report = self._assemble(claims=claims, comparisons_by_claim=entries)
         stats = report.contributions[0].statistics
-        assert stats == {"candidates_examined": 2, "can_refute": 1, "non_refutable_or_unclear": 1}
+        assert stats == ClaimStatistics(candidates_examined=2, can_refute=1, non_refutable_or_unclear=1)
         payload = report.to_dict()
         assert list(payload.keys()) == [
             "original_paper", "core_task_survey", "contribution_analysis",

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from noveltycheck.analysis import CoreTaskAnalysis, NoveltyReport
+from noveltycheck.analysis import CoreTaskAnalysis, NoveltyReport, ReportMetadata, ReportReference
 from noveltycheck.codec import decode, encode
 from noveltycheck.errors import InvalidInputError
-from noveltycheck.extraction import ContributionClaim, Phase1Result
+from noveltycheck.extraction import ContributionClaim, CoreTask, Phase1Result
 from noveltycheck.papers import PaperRecord
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.retrieval import Phase2Result
+from noveltycheck.verification import QuoteLocation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -86,7 +87,7 @@ def test_zero_survives_in_optional_float():
     [
         (lambda d: d["references"][0].pop("title"), r"ReportReference: missing required key 'title'"),
         (lambda d: d.pop("contribution_analysis"), r"NoveltyReport: .*'contribution_analysis'"),
-        (lambda d: d.update(references=None), r"malformed NoveltyReport"),
+        (lambda d: d.update(references=None), r"NoveltyReport: key 'references' is null"),
     ],
     ids=["nested", "top_level", "null_list"],
 )
@@ -95,3 +96,58 @@ def test_malformed_report_raises_invalid_input(artifacts, edit, message):
     edit(data)
     with pytest.raises(InvalidInputError, match=message):
         decode(NoveltyReport, data)
+
+
+REFERENCE = {
+    "index": 1, "alias": "A", "canonical_id": "arxiv:1", "title": "T", "url": None,
+    "year": 2024, "is_original": False,
+}
+METADATA = {
+    "generated_at": "now", "pipeline_version": "0.1.0", "component_flags": {},
+    "artifact_filenames": {"phase1": "phase1.json"}, "warnings": [],
+}
+PAPER = {"canonical_id": "doi:10.1/x", "title": "T"}
+ISOLATED = {"mode": "isolated", "taxonomy_path": []}
+
+
+@pytest.mark.parametrize(
+    "cls, data, key",
+    [
+        (ReportReference, {**REFERENCE, "title": 5}, "title"),
+        (ReportReference, {**REFERENCE, "url": ["u"]}, "url"),
+        (ReportReference, {**REFERENCE, "index": "1"}, "index"),
+        (ReportReference, {**REFERENCE, "index": True}, "index"),
+        (ReportReference, {**REFERENCE, "year": 2024.5}, "year"),
+        (ReportReference, {**REFERENCE, "is_original": 0}, "is_original"),
+        (QuoteLocation, {"found": True, "match_score": "0.5"}, "match_score"),
+        (QuoteLocation, {"found": True, "match_score": False}, "match_score"),
+        (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": "abc"}, "taxonomy_path"),
+        (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": {}}, "taxonomy_path"),
+        (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": ["a", None]}, "taxonomy_path"),
+        (CoreTaskAnalysis, {**ISOLATED, "comparisons": [[]]}, "comparisons"),
+        (CoreTask, {"text": "t", "audit_flags": "abc"}, "audit_flags"),
+        (ReportMetadata, {**METADATA, "artifact_filenames": []}, "artifact_filenames"),
+        (ReportMetadata, {**METADATA, "artifact_filenames": {"phase1": 1}}, "artifact_filenames"),
+        (CoreTaskAnalysis, {**ISOLATED, "isolation": "alone"}, "isolation"),
+        (PaperRecord, {**PAPER, "canonical_id": 5}, "canonical_id"),
+        (PaperRecord, {**PAPER, "quality_flag": 1}, "quality_flag"),
+    ],
+    ids=[
+        "str", "optional_str", "int", "int_rejects_bool", "optional_int_rejects_float", "bool",
+        "float", "float_rejects_bool", "list_rejects_string", "list_rejects_object", "list_item",
+        "dataclass_item", "tuple", "dict_rejects_array", "dict_value", "dataclass", "canonical_id",
+        "enum",
+    ],
+)
+def test_mistyped_value_raises_naming_class_and_key(cls, data, key):
+    with pytest.raises(InvalidInputError, match=rf"^{cls.__name__}: key '{key}' "):
+        decode(cls, data)
+
+
+def test_float_field_takes_an_integer():
+    assert decode(QuoteLocation, {"found": True, "match_score": 1}).match_score == 1
+
+
+def test_optional_fields_take_null():
+    reference = decode(ReportReference, {**REFERENCE, "url": None, "year": None})
+    assert reference.url is None and reference.year is None

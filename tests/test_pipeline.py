@@ -699,6 +699,25 @@ class TestRunPipeline:
         assert [q for q in searches if LEAKED_WORD.search(q)] == []
         assert report.count("**Duplicate variant:** yes") == 1
 
+    def test_taxonomy_with_every_paper_on_its_root_renders_them(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
+        [taxonomy] = [
+            rule["response"] for rule in fixture["rules"]
+            if rule.get("system_contains") == "rigorous academic taxonomies"
+        ]
+        ids = [pid for branch in taxonomy["subtopics"] for leaf in branch["subtopics"]
+               for pid in leaf["papers"]]
+        taxonomy["papers"] = ids
+        del taxonomy["subtopics"]
+        report, _ = run_with_llm_fixture(monkeypatch, tmp_path, fixtures_dir, paper_text, fixture)
+        stored = json.loads((tmp_path / "phase3.json").read_text())["core_task_survey"]
+        assert stored["taxonomy"]["papers"] == ids
+        section = report.split("### Taxonomy")[1].split("### Narrative")[0]
+        cited = re.findall(r"^  - .* \[(\d+)\]: ", section, flags=re.MULTILINE)
+        assert cited == [str(i) for i in range(len(ids))]
+
     def test_paper_merged_across_scopes_compared_under_its_pool_id(
         self, tmp_path, fixtures_dir, paper_text
     ):
@@ -921,7 +940,8 @@ class TestCli:
         "case",
         [
             "render_cut_json", "render_missing_out_dir", "render_empty_taxonomy",
-            "render_null_narrative", "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8",
+            "render_null_narrative", "render_null_quote", "taxonomy_missing_name",
+            "quote_empty_doc", "run_not_utf8",
         ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
@@ -933,6 +953,12 @@ class TestCli:
             report = json.loads((goldens_dir / "phase3.json").read_text())
             key, value = ("taxonomy", {}) if case == "render_empty_taxonomy" else ("narrative", None)
             report["core_task_survey"][key] = value
+            path.write_text(json.dumps(report))
+            args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case == "render_null_quote":
+            report = json.loads((goldens_dir / "phase3.json").read_text())
+            entry = report["contribution_analysis"]["contributions"][0]["comparisons"][0]
+            entry["refutation_evidence"]["evidence_pairs"][0]["original_quote"] = None
             path.write_text(json.dumps(report))
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
         elif case == "render_missing_out_dir":
@@ -1050,3 +1076,36 @@ def test_hostile_model_reply_fails_cleanly_or_renders(fixture):
         assert phases["phase4"].status == "completed", manifest.failure_log
     assert [LEAKED_WORD.findall(report) for report in reports if LEAKED_WORD.search(report)] == []
     assert [q for q in search.calls if LEAKED_WORD.search(q)] == []
+
+
+# --- hostile-artifact oracle ----------------------------------------------------
+
+GOLDEN_PHASE3 = json.loads((Path(__file__).parent / "goldens" / "phase3.json").read_text())
+GOLDEN_PHASE3_LEAVES = list(_leaf_paths(GOLDEN_PHASE3))
+
+
+@st.composite
+def hostile_reports(draw):
+    """The golden phase3.json with one leaf swapped for a hostile value."""
+    report = copy.deepcopy(GOLDEN_PHASE3)
+    *path, last = draw(st.sampled_from(GOLDEN_PHASE3_LEAVES))
+    node = report
+    for key in path:
+        node = node[key]
+    node[last] = draw(st.sampled_from(HOSTILE_LEAVES))
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=hostile_reports())
+def test_hostile_artifact_renders_or_prints_one_error_line(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "phase3.json"
+        path.write_text(json.dumps(report))
+        args = ["render", "--input", str(path), "--out", str(Path(tmp) / "report.md")]
+        result = CliRunner().invoke(cli_main, args)
+    if result.exit_code == 0:
+        assert result.exception is None
+    else:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1

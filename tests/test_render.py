@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from noveltycheck.analysis import NoveltyReport
+from noveltycheck.analysis import Isolation, NoveltyReport, SubtopicSummary, TextualSimilarity
 from noveltycheck.errors import InvalidInputError, RenderError
 from noveltycheck.render import RenderConfig, output_filename, render_markdown
 
@@ -34,9 +34,9 @@ class TestRenderMarkdown:
         assert len(quoted.strip('"').rstrip("…").split()) == 90
 
     def test_empty_similarity_module_states_absence(self, report):
-        report.textual_similarity = {
-            "total_segments": 0, "candidates_with_overlap": [], "segments_by_candidate": {},
-        }
+        report.textual_similarity = TextualSimilarity(
+            total_segments=0, candidates_with_overlap=[], segments_by_candidate={},
+        )
         rendered = render_markdown(report)
         assert "No verified similarity segments were found." in rendered
 
@@ -75,22 +75,22 @@ class TestRenderMarkdown:
     def test_subtopic_summary_rendered(self, report):
         cta = report.core_task_comparisons
         cta.mode, cta.comparisons = "subtopic_siblings", []
-        cta.subtopic_summary = {
-            "overall": "Close to Foreseer [1].",
-            "similarities": ["Both learn from access history [1]."],
-            "differences": [],
-        }
+        cta.subtopic_summary = SubtopicSummary(
+            overall="Close to Foreseer [1].",
+            similarities=["Both learn from access history [1]."],
+            differences=[],
+        )
         path = " > ".join(cta.taxonomy_path)
         assert self._core_task_section(render_markdown(report)) == (
             f"\n**Taxonomy position:** {path}\n\nClose to Foreseer [1].\n\n"
             "**Similarities:**\n- Both learn from access history [1].\n\n"
         )
-        cta.subtopic_summary["differences"] = ["Only one of them [42]."]
+        cta.subtopic_summary.differences = ["Only one of them [42]."]
         with pytest.raises(RenderError, match="dangling citation index 42 in subtopic differences"):
             render_markdown(report)
 
     @pytest.mark.parametrize("isolation, note", [
-        ({"note": "No comparison: alone in its leaf."}, "No comparison: alone in its leaf."),
+        (Isolation(note="No comparison: alone in its leaf."), "No comparison: alone in its leaf."),
         (None, "No comparison: the paper has no immediate semantic neighbors."),
     ])
     def test_isolated_target_rendered_with_its_note(self, report, isolation, note):
@@ -99,7 +99,7 @@ class TestRenderMarkdown:
         assert self._core_task_section(render_markdown(report)) == f"\n{note}\n\n"
 
     def test_needs_review_banner(self, report):
-        report.core_task_survey["taxonomy_status"] = "needs_review"
+        report.core_task_survey.taxonomy_status = "needs_review"
         rendered = render_markdown(report)
         assert "needs_review" in rendered
 
@@ -116,11 +116,11 @@ class TestOutputFilename:
 
     def test_version_changes_name(self, report):
         first = output_filename(report)
-        report.metadata["pipeline_version"] = "9.9.9"
+        report.metadata.pipeline_version = "9.9.9"
         assert output_filename(report) != first
 
     def test_unsafe_characters_sanitized(self, report):
-        report.original_paper["canonical_id"] = "doi:10.1145/foo/bar baz"
+        report.original_paper.canonical_id = "doi:10.1145/foo/bar baz"
         name = output_filename(report)
         assert "/" not in name and " " not in name
         assert name.endswith(".md")

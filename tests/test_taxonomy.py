@@ -429,3 +429,13 @@ class TestRepairTaxonomy:
         assert a == taxonomy_content_hash(simple_tree())
         other = TaxonomyNode(name="Other Survey Taxonomy", subtopics=simple_tree().subtopics)
         assert a != taxonomy_content_hash(other)
+
+
+class TestDictForm:
+    @pytest.mark.parametrize("tree", [
+        simple_tree(),
+        TaxonomyNode(name="R Survey Taxonomy", papers=("a", "b")),
+        TaxonomyNode(name="Empty Survey Taxonomy"),
+    ], ids=["nested", "papers_on_root", "empty_root"])
+    def test_round_trip_keeps_every_paper(self, tree):
+        assert TaxonomyNode.from_dict(tree.to_dict()) == tree
