@@ -1065,6 +1065,40 @@ def check_renderable(report: NoveltyReport) -> None:
 # --- phase orchestration ---------------------------------------------------------
 
 
+@dataclass
+class CoreScopeCalls:
+    """Phase III's two calls that read only the core scope, and the inputs they were given.
+
+    The taxonomy and the one-liners need only the core papers, the core task
+    and the target, so a run can start them once Phase II has filtered its
+    core scope, while the contribution searches are still out.
+    """
+
+    inputs: tuple[list[PaperRecord], CoreTask, PaperRecord]
+    taxonomy: Future[RepairOutcome]
+    one_liners: Future[dict[str, str]]
+
+
+def start_core_scope_calls(
+    core_papers: Sequence[PaperRecord],
+    core_task: CoreTask,
+    target: PaperRecord,
+    llm: LlmClient,
+    lane: Scheduler,
+) -> CoreScopeCalls:
+    """Submit the taxonomy and one-liner calls on a snapshot of ``core_papers``.
+
+    The snapshot keeps the inputs fixed while cross-scope dedup goes on
+    upgrading the records themselves.
+    """
+    papers = [replace(paper) for paper in core_papers]
+    return CoreScopeCalls(
+        inputs=(papers, core_task, target),
+        taxonomy=lane.submit(build_taxonomy, papers, core_task, llm, original=target),
+        one_liners=lane.submit(generate_one_liners, papers, llm),
+    )
+
+
 def run_analysis_phase(
     phase1: Phase1Result,
     candidate_set: CandidateSet,
@@ -1076,11 +1110,14 @@ def run_analysis_phase(
     generated_at: str,
     pipeline_version: str,
     artifact_filenames: Optional[Mapping[str, str]] = None,
+    early: Optional[CoreScopeCalls] = None,
 ) -> NoveltyReport:
     """Run all Phase III work and assemble the structured report.
 
     Each model call is submitted to the model ``lane`` once its inputs exist;
-    results are read in candidate order, never completion order.
+    results are read in candidate order, never completion order. The
+    ``early`` core-scope calls are taken when their inputs equal this
+    phase's; otherwise they are discarded and made again.
     """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
@@ -1099,9 +1136,14 @@ def run_analysis_phase(
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
     )
 
-    taxonomy_future = lane.submit(
-        build_taxonomy, core_papers, phase1.core_task, llm, original=target
-    )
+    core_calls = early
+    if core_calls is not None and core_calls.inputs != (core_papers, phase1.core_task, target):
+        logger.info(
+            "core scope changed after filtering; early taxonomy and one-liner calls discarded"
+        )
+        core_calls = None
+    if core_calls is None:
+        core_calls = start_core_scope_calls(core_papers, phase1.core_task, target, llm, lane)
     # shared read-only by the comparison and similarity tasks
     target_document = Document(target_doc)
     # a candidate's two tasks share one document and are submitted back to
@@ -1119,9 +1161,8 @@ def run_analysis_phase(
         similarity_futures[pid] = lane.submit(
             detect_similarity, target_document, paper, candidate_doc, llm
         )
-    one_liners_future = lane.submit(generate_one_liners, core_papers, llm)
 
-    outcome = taxonomy_future.result()
+    outcome = core_calls.taxonomy.result()
     position: Optional[StructuralPosition] = None
     try:
         position = structural_position(outcome.taxonomy, str(target.canonical_id))
@@ -1151,7 +1192,7 @@ def run_analysis_phase(
         )
     entries_by_candidate = {pid: f.result() for pid, f in comparison_futures.items()}
     segments_by_candidate = {pid: similarity_futures[pid].result() for pid in candidate_records}
-    one_liners = one_liners_future.result()
+    one_liners = core_calls.one_liners.result()
     narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)
 

@@ -18,15 +18,16 @@ Decoding checks the JSON type of every value, container items included, and
 a value of the wrong type raises ``InvalidInputError`` naming the class and
 key: a ``str``, ``int`` or ``bool`` field takes only its own type (so an
 ``int`` field does not take ``true``), a ``float`` field also takes an
-integer, an ``Optional`` field also takes ``null``, list and tuple fields
-take only an array, and dict and dataclass fields only an object. ``Any``
-takes every value.
+integer but not NaN or an infinity, an ``Optional`` field also takes
+``null``, list and tuple fields take only an array, and dict and dataclass
+fields only an object. ``Any`` takes every value.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from enum import Enum
@@ -77,7 +78,9 @@ def _decode(cls: type[T], data: Mapping[str, Any]) -> T:
         if key in data:
             value = data[key]
             # JSON values have exact types, so this also keeps true/false out of int fields
-            if kinds is not None and type(value) not in kinds:
+            if kinds is not None and (
+                type(value) not in kinds or (type(value) is float and not math.isfinite(value))
+            ):
                 raise InvalidInputError(f"{cls.__name__}: key {key!r} is {_mismatch(value, kinds)}")
             if dec is not None:
                 try:
@@ -131,6 +134,8 @@ def _converters(tp: Any) -> tuple[Convert, Convert, Kinds]:
 
 def _mismatch(value: Any, kinds: tuple[type, ...]) -> str:
     """``<what value is>, not <what kinds allow>``, in JSON terms."""
+    if type(value) is float and float in kinds:
+        return f"{value}, not a finite number"
     # a number field's int kind is named by its float kind
     expected = [_JSON_NAMES.get(k, k.__name__) for k in kinds if k is not int or float not in kinds]
     return f"{_JSON_NAMES.get(type(value), type(value).__name__)}, not {' or '.join(expected)}"
@@ -139,7 +144,7 @@ def _mismatch(value: Any, kinds: tuple[type, ...]) -> str:
 def _check_items(values: Iterable[Any], kinds: Kinds) -> None:
     if kinds is not None:
         for v in values:
-            if type(v) not in kinds:
+            if type(v) not in kinds or (type(v) is float and not math.isfinite(v)):
                 raise _MistypedItem(_mismatch(v, kinds))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from . import __version__
-from .analysis import NoveltyReport, run_analysis_phase
+from .analysis import CoreScopeCalls, NoveltyReport, run_analysis_phase, start_core_scope_calls
 from .clients import (
     HttpLlmClient,
     HttpSearchClient,
@@ -76,7 +76,8 @@ class PipelineConfig:
     target_url: Optional[str] = None
     emit_pdf: bool = False
     quote_truncation_limit: int = 90
-    # the backoff wait between search attempts; by default one that a failed run cuts short
+    # the backoff wait between search attempts, made off the search lane's workers;
+    # by default one that a failed run cuts short
     sleep: Optional[Callable[[float], object]] = None
 
     def validate(self) -> None:
@@ -145,7 +146,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def _read_json(path: Path) -> Any:
@@ -257,10 +258,11 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     The run owns one lane per client: a model lane of ``analysis_concurrency``
     workers and a search lane of ``retry.concurrency`` workers. Phase I starts
     each scope's searches as soon as its queries exist, and Phase II collects
-    them. On a phase failure the manifest records the error, queued calls are
-    dropped, searches waiting to retry give up, and the run stops cleanly;
-    with ``resume`` enabled a later invocation picks up after the last
-    persisted artifact.
+    them; once it has filtered the core scope, Phase III's taxonomy and
+    one-liner calls start on the model lane. On a phase failure the manifest
+    records the error, queued calls are dropped, searches waiting to retry
+    give up, and the run stops cleanly; with ``resume`` enabled a later
+    invocation picks up after the last persisted artifact.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
@@ -309,6 +311,9 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     def _load_phase1() -> Phase1Result:
         return Phase1Result.from_dict(_read_json(phase1_path)["result"])
 
+    # Phase III's core-scope calls, started by a Phase II computed in this run
+    early: list[CoreScopeCalls] = []
+
     def _phase2(phase1: Phase1Result) -> Phase2Result:
         result = run_retrieval_phase(
             phase1.query_set,
@@ -316,6 +321,9 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             _target(),
             topk_core=cfg.topk_core,
             topk_contribution=cfg.topk_contribution,
+            on_core_selected=lambda core: early.append(
+                start_core_scope_calls(core, phase1.core_task, _target(), llm, model_lane)
+            ),
         )
         _write_json(phase2_path, result.to_dict())
         return result
@@ -339,6 +347,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
                 "phase2": phase2_path.name,
                 "phase3": phase3_path.name,
             },
+            early=early[0] if early else None,
         )
         _write_json(phase3_path, report.to_dict())
         return report

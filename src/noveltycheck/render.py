@@ -236,7 +236,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     md.line("## Textual Similarity")
     md.blank()
     similarity = report.textual_similarity
-    if not similarity.total_segments:
+    if not any(similarity.segments_by_candidate.values()):
         md.line("No verified similarity segments were found.")
         md.blank()
     else:

@@ -8,6 +8,7 @@ set no matter the concurrency setting used to fetch them.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import Future
@@ -126,8 +127,11 @@ class QueryRunner:
     A query is keyed by its id and its text. Each runs with up to
     ``max_query_attempts`` tries and a backoff of ``initial_delay * attempt``
     between them, drawing retries from one budget of ``global_max_retries``
-    shared by every query the runner starts. A task's unexpected exception
-    re-raises when its outcome is collected, not when it is started.
+    shared by every query the runner starts. Each try is one lane task, and a
+    backoff holds no lane worker: a failed try's task ends, and the next try
+    is submitted to the lane once its backoff is over, so queued searches run
+    meanwhile. A task's unexpected exception re-raises when its outcome is
+    collected, not when it is started.
 
     After ``stop`` no query makes another attempt, and a backoff wait ends
     at once unless ``sleep`` replaces it.
@@ -156,7 +160,9 @@ class QueryRunner:
             for query in queries:
                 key = (query.query_id, query.text)
                 if key not in self._started:
-                    self._started[key] = self._lane.submit(self._run, query)
+                    outcome: Future[_Outcome] = Future()
+                    self._started[key] = outcome
+                    self._lane.submit(self._attempt, query, 1, "", outcome)
 
     def collect(self, queries: Sequence[SearchQuery]) -> list[_Outcome]:
         """Each query's outcome in ``queries`` order, starting the ones not started yet."""
@@ -169,35 +175,48 @@ class QueryRunner:
         """Give up every query: no further attempts, and backoff waits end now."""
         self._stopped.set()
 
-    def _run(self, query: SearchQuery) -> _Outcome:
+    def _attempt(self, query: SearchQuery, attempt: int, error: str, outcome: Future) -> None:
+        """Try ``query`` once; settle ``outcome``, or resubmit the next try after its backoff."""
         policy = self._policy
-        error = ""
-        for attempt in range(1, policy.max_query_attempts + 1):
-            if attempt > 1:
-                self._sleep(policy.initial_delay * (attempt - 1))
-            if self._stopped.is_set():
-                return query, None, attempt - 1, error or "search stopped"
-            try:
-                hits = self._search.search(query.text)
-                logger.info(
-                    "query %s succeeded on attempt %d with %d hits",
-                    query.query_id, attempt, len(hits),
-                )
-                return query, hits, attempt, ""
-            except SearchError as exc:
-                error = str(exc)
-                logger.warning("query %s attempt %d failed: %s", query.query_id, attempt, exc)
-                if attempt < policy.max_query_attempts and not self._budget.acquire(blocking=False):
-                    logger.error("global retry budget exhausted; abandoning %s", query.query_id)
-                    return query, None, attempt, error
-        return query, None, policy.max_query_attempts, error
+        if self._stopped.is_set():
+            outcome.set_result((query, None, attempt - 1, error or "search stopped"))
+            return
+        try:
+            hits = self._search.search(query.text)
+        except SearchError as exc:
+            error = str(exc)
+            logger.warning("query %s attempt %d failed: %s", query.query_id, attempt, exc)
+            if attempt == policy.max_query_attempts:
+                outcome.set_result((query, None, attempt, error))
+            elif not self._budget.acquire(blocking=False):
+                logger.error("global retry budget exhausted; abandoning %s", query.query_id)
+                outcome.set_result((query, None, attempt, error))
+            else:
+                backoff = functools.partial(self._sleep, policy.initial_delay * attempt)
+                self._lane.submit_after(backoff, self._attempt, query, attempt + 1, error, outcome)
+            return
+        except Exception as exc:
+            outcome.set_exception(exc)
+            return
+        logger.info(
+            "query %s succeeded on attempt %d with %d hits", query.query_id, attempt, len(hits)
+        )
+        outcome.set_result((query, hits, attempt, ""))
 
 
-def execute_queries(queries: Sequence[SearchQuery], runner: QueryRunner) -> RetrievalBatch:
+def execute_queries(
+    queries: Sequence[SearchQuery],
+    runner: QueryRunner,
+    *,
+    on_core_collected: Optional[Callable[[list[RetrievalResult]], object]] = None,
+) -> RetrievalBatch:
     """Collect every query's outcome from ``runner``, with graceful degradation.
 
     Queries ``runner`` has not started yet are started here. Failed queries
     are logged and skipped; the batch only raises when every query failed.
+    Outcomes are collected in query order; once the last core-scope query's
+    is in, ``on_core_collected`` gets the core-scope results, before the
+    outcomes after it are waited on.
     """
     query_list = list(queries)
     if not query_list:
@@ -207,15 +226,24 @@ def execute_queries(queries: Sequence[SearchQuery], runner: QueryRunner) -> Retr
     failures: list[QueryFailure] = []
     documents: dict[str, str] = {}
     attempts: dict[str, int] = {}
-    for query, hits, tries, error in runner.collect(query_list):
-        attempts[query.query_id] = tries
-        if hits is None:
-            failures.append(QueryFailure(query.query_id, tries, error))
-            continue
-        for hit in hits:
-            result = _hit_to_result(hit, query, documents)
-            if result is not None:
-                results.append(result)
+    core_end = 1 + max((i for i, q in enumerate(query_list) if q.scope == "core_task"), default=-1)
+
+    def _collect(part: list[SearchQuery]) -> None:
+        for query, hits, tries, error in runner.collect(part):
+            attempts[query.query_id] = tries
+            if hits is None:
+                failures.append(QueryFailure(query.query_id, tries, error))
+                continue
+            for hit in hits:
+                result = _hit_to_result(hit, query, documents)
+                if result is not None:
+                    results.append(result)
+
+    runner.start(query_list)
+    _collect(query_list[:core_end])
+    if on_core_collected is not None:
+        on_core_collected([r for r in results if r.scope == "core_task"])
+    _collect(query_list[core_end:])
     if not results and len(failures) == len(query_list):
         raise RetrievalEmptyError()
     return RetrievalBatch(results=results, failures=failures, attempts_by_query=attempts)
@@ -456,11 +484,24 @@ def run_retrieval_phase(
     *,
     topk_core: int = DEFAULT_TOPK_CORE,
     topk_contribution: int = DEFAULT_TOPK_CONTRIBUTION,
+    on_core_selected: Optional[Callable[[list[PaperRecord]], object]] = None,
 ) -> Phase2Result:
-    """Collect the query set's outcomes from ``runner`` and run the full filtering pipeline."""
-    batch = execute_queries(query_set.all_queries(), runner)
-    core_results = [r for r in batch.results if r.scope == "core_task"]
-    core_outcome = filter_scope(core_results, "core_task", topk_core, target)
+    """Collect the query set's outcomes from ``runner`` and run the full filtering pipeline.
+
+    The core scope is filtered as soon as its outcomes are in, and its
+    selection goes to ``on_core_selected`` before the contribution scopes'
+    outcomes are waited on. Cross-scope dedup may still upgrade those records
+    in place afterwards.
+    """
+    core: list[FilterOutcome] = []
+
+    def _core_collected(results: list[RetrievalResult]) -> None:
+        core.append(filter_scope(results, "core_task", topk_core, target))
+        if on_core_selected is not None:
+            on_core_selected(core[0].selected)
+
+    batch = execute_queries(query_set.all_queries(), runner, on_core_collected=_core_collected)
+    core_outcome = core[0]
 
     per_contribution: dict[str, list[PaperRecord]] = {}
     contribution_stats: dict[str, FilterStats] = {}

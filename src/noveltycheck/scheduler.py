@@ -11,16 +11,23 @@ completion order, so artifacts are identical at any worker count.
 Only the orchestrating caller waits on futures; a task never waits on
 another task, though a model task may submit to the search lane. A bounded
 pool therefore cannot deadlock, and at most ``workers`` tasks, and so client
-calls, are in flight on each lane at once.
+calls, are in flight on each lane at once. A wait before a task, such as a
+search's retry backoff, holds no worker either: ``submit_after`` waits on a
+thread of its own and submits the task when the wait is over, so queued
+tasks run meanwhile.
 """
 
 from __future__ import annotations
 
+import logging
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+logger = logging.getLogger(__name__)
 
 
 class Scheduler:
@@ -28,19 +35,23 @@ class Scheduler:
 
     With one worker (or fewer) every task runs inline at submission and
     returns a completed future; no thread is started. Use it as a context
-    manager: leaving the block waits for running tasks, and on an exception
-    drops queued tasks whose results nobody will read.
+    manager: leaving the block waits for running tasks and pending waits, and
+    on an exception drops queued tasks whose results nobody will read.
     """
 
     def __init__(self, workers: int) -> None:
         self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        self._waits: list[threading.Thread] = []
+        self._lock = threading.Lock()
 
     def __enter__(self) -> "Scheduler":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._pool is not None:
+            self._join_waits()
             self._pool.shutdown(wait=True, cancel_futures=exc_type is not None)
+            self._join_waits()  # those a task started while the pool shut down
 
     def submit(self, fn: Callable[..., R], /, *args: Any, **kwargs: Any) -> "Future[R]":
         """Start ``fn(*args, **kwargs)``; its exception re-raises at ``.result()``."""
@@ -52,6 +63,40 @@ class Scheduler:
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+    def submit_after(
+        self, wait: Callable[[], object], fn: Callable[..., object], /, *args: Any
+    ) -> None:
+        """Start ``fn(*args)`` once ``wait()`` returns, holding no worker while it waits.
+
+        With workers, ``wait`` runs on a thread of its own, and ``fn`` is
+        dropped if the lane has closed by then. Inline, both run on the
+        calling thread. Nobody reads ``fn``'s result, so it must report its
+        outcome itself.
+        """
+        if self._pool is None:
+            wait()
+            self.submit(fn, *args)
+            return
+        pool = self._pool
+
+        def later() -> None:
+            wait()
+            try:
+                pool.submit(fn, *args)
+            except RuntimeError:  # the lane closed while we waited
+                logger.debug("lane closed; dropped a delayed task")
+
+        with self._lock:
+            self._waits = [thread for thread in self._waits if thread.is_alive()]
+            self._waits.append(threading.Thread(target=later, name="lane-wait", daemon=True))
+            self._waits[-1].start()
+
+    def _join_waits(self) -> None:
+        with self._lock:
+            waits, self._waits = self._waits, []
+        for thread in waits:
+            thread.join()
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Submit ``fn`` over every item at once; results in ``items`` order."""

@@ -121,6 +121,9 @@ ISOLATED = {"mode": "isolated", "taxonomy_path": []}
         (ReportReference, {**REFERENCE, "is_original": 0}, "is_original"),
         (QuoteLocation, {"found": True, "match_score": "0.5"}, "match_score"),
         (QuoteLocation, {"found": True, "match_score": False}, "match_score"),
+        (QuoteLocation, {"found": True, "match_score": float("nan")}, "match_score"),
+        (QuoteLocation, {"found": True, "match_score": float("inf")}, "match_score"),
+        (PaperRecord, {**PAPER, "relevance_score": float("-inf")}, "relevance_score"),
         (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": "abc"}, "taxonomy_path"),
         (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": {}}, "taxonomy_path"),
         (CoreTaskAnalysis, {**ISOLATED, "taxonomy_path": ["a", None]}, "taxonomy_path"),
@@ -134,7 +137,8 @@ ISOLATED = {"mode": "isolated", "taxonomy_path": []}
     ],
     ids=[
         "str", "optional_str", "int", "int_rejects_bool", "optional_int_rejects_float", "bool",
-        "float", "float_rejects_bool", "list_rejects_string", "list_rejects_object", "list_item",
+        "float", "float_rejects_bool", "float_rejects_nan", "float_rejects_infinity",
+        "optional_float_rejects_minus_infinity", "list_rejects_string", "list_rejects_object", "list_item",
         "dataclass_item", "tuple", "dict_rejects_array", "dict_value", "dataclass", "canonical_id",
         "enum",
     ],

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 import re
 import tempfile
 import threading
@@ -741,6 +742,75 @@ class TestRunPipeline:
         assert entry["canonical_id"] in {r["canonical_id"] for r in report["references"]}
         assert entry["comparison_mode"] == "fulltext"
 
+    def test_core_scope_calls_start_while_contribution_searches_are_out(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        taxonomy_prompt = load_prompt("taxonomy_construction")
+        taxonomy_seen = threading.Event()
+        held = []
+
+        class WatchedLlm(MockLlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                if system_prompt == taxonomy_prompt:
+                    taxonomy_seen.set()
+                return super().complete(system_prompt, user_prompt, temperature)
+
+        class HeldSearch(MockSearchClient):
+            def search(self, query):
+                if query.startswith(QUERY_PREFIX):
+                    held.append(taxonomy_seen.wait(5))
+                return super().search(query)
+
+        llm = WatchedLlm.from_file(fixtures_dir / "mock_llm.json")
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (llm, HeldSearch.from_file(cfg.search_fixture)),
+        )
+        # wider than the contribution searches, so a held one never keeps a core one waiting
+        cfg = make_config(
+            tmp_path, fixtures_dir, retry=RetryPolicy(concurrency=8), analysis_concurrency=4
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        assert held and all(held), "a contribution search ran out its wait for the taxonomy call"
+        assert llm.call_count(taxonomy_prompt) == 1
+        assert llm.call_count(load_prompt("one_liner")) == 1
+        for name in ("phase2.json", "phase3.json"):
+            assert (tmp_path / name).read_bytes() == (goldens_dir / name).read_bytes()
+        md = next(tmp_path.glob("*.md"))
+        assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
+
+    def test_core_record_upgraded_by_a_contribution_hit_discards_the_early_calls(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, caplog
+    ):
+        # Foreseer's contribution-scope hits carry a DOI, so dedup upgrades its core record
+        search_fixture = json.loads((fixtures_dir / "mock_search.json").read_text())
+        for query, spec in search_fixture["queries"].items():
+            for hit in spec.get("results", []):
+                if hit["title"].startswith("Foreseer") and query.startswith(QUERY_PREFIX):
+                    hit["identifiers"]["doi"] = "10.5555/foreseer"
+        patched = tmp_path / "search_with_doi.json"
+        patched.write_text(json.dumps(search_fixture))
+        taxonomy_prompt = load_prompt("taxonomy_construction")
+        caplog.set_level(logging.INFO, logger="noveltycheck.analysis")
+        outputs = []
+        for workers in (1, 4):
+            out = tmp_path / f"out{workers}"
+            cfg = make_config(
+                out, fixtures_dir, search_fixture=patched,
+                retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+            )
+            caplog.clear()
+            manifest, calls = run_recording_llm(monkeypatch, paper_text, cfg)
+            assert manifest.succeeded, manifest.failure_log
+            assert "early taxonomy and one-liner calls discarded" in caplog.text
+            # the early call saw the core record as filtered, Phase III's own the upgraded one
+            payloads = [c["user"] for c in calls if c["system"] == taxonomy_prompt]
+            assert sorted("doi:10.5555/foreseer" in p for p in payloads) == [False, True]
+            outputs.append([
+                (out / name).read_bytes() for name in ("phase2.json", "phase3.json")
+            ] + [next(out.glob("*.md")).read_bytes()])
+        assert outputs[0] == outputs[1]
+
     def test_sampling_temperature_per_prompt(self, monkeypatch, tmp_path, fixtures_dir, paper_text):
         # without a URL the target's publication date is asked of the model too
         manifest, calls = run_recording_llm(
@@ -940,8 +1010,8 @@ class TestCli:
         "case",
         [
             "render_cut_json", "render_missing_out_dir", "render_empty_taxonomy",
-            "render_null_narrative", "render_null_quote", "taxonomy_missing_name",
-            "quote_empty_doc", "run_not_utf8",
+            "render_null_narrative", "render_null_quote", "render_nan_score",
+            "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8",
         ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
@@ -955,10 +1025,14 @@ class TestCli:
             report["core_task_survey"][key] = value
             path.write_text(json.dumps(report))
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
-        elif case == "render_null_quote":
+        elif case in ("render_null_quote", "render_nan_score"):
             report = json.loads((goldens_dir / "phase3.json").read_text())
             entry = report["contribution_analysis"]["contributions"][0]["comparisons"][0]
-            entry["refutation_evidence"]["evidence_pairs"][0]["original_quote"] = None
+            pair = entry["refutation_evidence"]["evidence_pairs"][0]
+            if case == "render_null_quote":
+                pair["original_quote"] = None
+            else:  # json.dumps writes a bare NaN, and json.loads reads it back
+                pair["original_location"]["match_score"] = float("nan")
             path.write_text(json.dumps(report))
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
         elif case == "render_missing_out_dir":

@@ -1,13 +1,14 @@
 """Deterministic Markdown rendering of the analysis report."""
 
 import json
+import os
 import re
 
 import pytest
 
 from noveltycheck.analysis import Isolation, NoveltyReport, SubtopicSummary, TextualSimilarity
 from noveltycheck.errors import InvalidInputError, RenderError
-from noveltycheck.render import RenderConfig, output_filename, render_markdown
+from noveltycheck.render import RenderConfig, output_filename, render_markdown, render_pdf
 
 
 @pytest.fixture
@@ -39,6 +40,10 @@ class TestRenderMarkdown:
         )
         rendered = render_markdown(report)
         assert "No verified similarity segments were found." in rendered
+
+    def test_segments_rendered_whatever_the_stored_count(self, report, goldens_dir):
+        report.textual_similarity.total_segments = 0
+        assert render_markdown(report) == (goldens_dir / "report.md").read_text()
 
     def test_dangling_citation_raises_with_index(self, report):
         report.overall_assessment.append("An invented citation Ghost[42] appears here.")
@@ -124,3 +129,33 @@ class TestOutputFilename:
         name = output_filename(report)
         assert "/" not in name and " " not in name
         assert name.endswith(".md")
+
+
+class TestRenderPdf:
+    @pytest.fixture
+    def pandoc(self, tmp_path, monkeypatch):
+        """Puts a ``pandoc`` running the given shell body first on ``PATH``."""
+
+        def install(body):
+            bin_dir = tmp_path / "bin"
+            bin_dir.mkdir()
+            script = bin_dir / "pandoc"
+            script.write_text(f"#!/bin/sh\n{body}\n")
+            script.chmod(0o755)
+            monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+
+        return install
+
+    def test_succeeding_pandoc_returns_the_pdf_path(self, pandoc, tmp_path):
+        pandoc('[ "$2" = -o ] && printf "%s" "$1" > "$3"')
+        md = tmp_path / "report.md"
+        md.write_text("# Report\n")
+        assert render_pdf(md) == tmp_path / "report.pdf"
+        assert (tmp_path / "report.pdf").read_text() == str(md)
+
+    def test_failing_pandoc_raises_render_error(self, pandoc, tmp_path):
+        pandoc('echo "pandoc: no LaTeX engine" >&2; exit 43')
+        md = tmp_path / "report.md"
+        md.write_text("# Report\n")
+        with pytest.raises(RenderError, match="pdf conversion failed"):
+            render_pdf(md)

@@ -259,6 +259,23 @@ class TestExecuteQueries:
         assert sorted(search.calls) == sorted(q.text for q in queries)
         assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(20)]
 
+    def test_concurrent_retries_draw_the_budget_exactly(self):
+        fixture = {"queries": {f"q{i}": {"results": [HIT], "fail_times": 2} for i in range(20)}}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(20)]
+        search = MockSearchClient(fixture)
+        policy = RetryPolicy(initial_delay=0.001, global_max_retries=25, concurrency=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Scheduler(policy.concurrency) as lane:
+                batch = execute_queries(queries, QueryRunner(search, policy, lane))
+        finally:
+            sys.setswitchinterval(interval)
+        # 40 retries are wanted and 25 granted, each one more search
+        assert sum(a - 1 for a in batch.attempts_by_query.values()) == 25
+        assert len(search.calls) == 20 + 25
+        assert len(batch.results) + len(batch.failures) == 20
+
     def test_stopped_runner_makes_no_further_attempt(self):
         search = MockSearchClient({"queries": {"some query": {"results": [HIT], "fail_times": 99}}})
         delays = []
@@ -283,6 +300,35 @@ class TestExecuteQueries:
                 execute_queries([QUERY], runner)
         assert time.monotonic() - stopped_at < 1.0
         assert search.calls == ["some query"]
+
+    def test_search_in_backoff_holds_no_lane_worker(self):
+        fixture = {"queries": {
+            f"q{i}": {"results": [dict(HIT, title=f"P{i}")], "fail_times": int(i < 2)}
+            for i in range(3)
+        }}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(3)]
+        third_searched, released = threading.Event(), threading.Event()
+
+        class Watched(MockSearchClient):
+            def search(self, query):
+                if query == "q2":
+                    third_searched.set()
+                return super().search(query)
+
+        with Scheduler(2) as lane:
+            runner = QueryRunner(
+                Watched(fixture), RetryPolicy(), lane, sleep=lambda _: released.wait(10)
+            )
+            try:
+                runner.start(queries)
+                # both workers' queries are waiting out a backoff, and the third still runs
+                ran_during_backoffs = third_searched.wait(5)
+            finally:
+                released.set()
+            batch = execute_queries(queries, runner)
+        assert ran_during_backoffs
+        assert batch.attempts_by_query == {"core_task:q0": 2, "core_task:q1": 2, "core_task:q2": 1}
+        assert [r.paper.title for r in batch.results] == ["P0", "P1", "P2"]
 
     def test_unexpected_error_raised_at_collection(self):
         class Broken(MockSearchClient):

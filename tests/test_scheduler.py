@@ -48,3 +48,25 @@ def test_task_exception_reraises_at_result(workers):
         assert passing.result(timeout=10) == 3
         with pytest.raises(ValueError, match="item 2"):
             scheduler.map(lambda i: boom(f"item {i}") if i >= 2 else i, range(4))
+
+
+def test_delayed_tasks_hold_no_worker_and_run_before_the_lane_closes():
+    released = threading.Event()
+    ran = []
+    before = set(threading.enumerate())
+    with Scheduler(2) as scheduler:
+        for i in range(3):
+            scheduler.submit_after(lambda: released.wait(10), ran.append, i)
+        # three waits are pending on a two-worker lane, and its workers still take tasks
+        assert scheduler.map(lambda i: i * i, range(4)) == [0, 1, 4, 9]
+        assert ran == []
+        released.set()
+    assert sorted(ran) == [0, 1, 2]
+    assert set(threading.enumerate()) <= before, "a wait or worker thread outlived the lane"
+
+
+def test_one_worker_runs_a_delayed_task_inline_after_its_wait():
+    order = []
+    with Scheduler(1) as scheduler:
+        scheduler.submit_after(lambda: order.append("wait"), order.append, "task")
+        assert order == ["wait", "task"]
