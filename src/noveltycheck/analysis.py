@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
@@ -32,7 +32,7 @@ from .extraction import (
 from .papers import PaperRecord, PublicationDate
 from .prompts import complete
 from .retrieval import CandidateSet
-from .scheduler import Scheduler
+from .scheduler import LaneClosedError, Scheduler
 from .taxonomy import (
     RepairOutcome,
     StructuralPosition,
@@ -390,7 +390,19 @@ def _paper_count(node: TaxonomyNode) -> int:
     return sum(len(leaf.papers) for leaf in node.iter_leaves())
 
 
-def compare_core_task(
+@dataclass
+class CoreTaskCalls:
+    """A started core-task comparison: the target's position and its model calls.
+
+    Each call returns its result (a sibling's comparison, or the subtopic
+    summary) or None, and a diagnostic or None.
+    """
+
+    position: StructuralPosition
+    calls: list[Future[tuple[Any, Optional[str]]]] = field(default_factory=list)
+
+
+def start_core_task_comparison(
     position: StructuralPosition,
     target: PaperRecord,
     target_doc: str,
@@ -400,23 +412,16 @@ def compare_core_task(
     core_task: CoreTask,
     lane: Scheduler,
     citations: Optional[Mapping[str, str]] = None,
-) -> CoreTaskAnalysis:
-    """Distinguish the target from its structural neighbors in the taxonomy.
+) -> CoreTaskCalls:
+    """Submit the calls distinguishing the target from its structural neighbors.
 
     Sibling papers get individual distinction calls with duplicate detection
-    first, submitted to the model ``lane`` and collected in sibling order; a
-    lone paper in a populated parent gets one categorical call; an isolated
-    paper is logged without any model call.
+    first, submitted to the model ``lane`` in sibling order; a lone paper in
+    a populated parent gets one categorical call; an isolated paper gets
+    none. Submits and never waits; ``compare_core_task`` collects.
     """
-    analysis = CoreTaskAnalysis(mode=position.mode, taxonomy_path=list(position.path))
     citations = citations or {}
-
-    if position.mode == "isolated":
-        analysis.isolation = Isolation(
-            note="No comparison: the paper has no immediate semantic neighbors.",
-            leaf=position.path[-1] if position.path else None,
-        )
-        return analysis
+    started = CoreTaskCalls(position)
 
     if position.mode == "subtopic_siblings":
         payload = {
@@ -447,17 +452,20 @@ def compare_core_task(
                 for node in position.sibling_subtopics
             ],
         }
-        try:
-            reply = ask(llm, "subtopic_comparison", payload).value
-        except (LlmError, ParseFailureError) as exc:
-            analysis.diagnostics.append(f"subtopic comparison failed: {exc}")
-            return analysis
-        analysis.subtopic_summary = SubtopicSummary(
-            overall=reply_text(reply, "overall"),
-            similarities=reply_list(reply, "similarities", str),
-            differences=reply_list(reply, "differences", str),
-        )
-        return analysis
+
+        def _compare_subtopics() -> tuple[Optional[SubtopicSummary], Optional[str]]:
+            try:
+                reply = ask(llm, "subtopic_comparison", payload).value
+            except (LlmError, ParseFailureError) as exc:
+                return None, f"subtopic comparison failed: {exc}"
+            return SubtopicSummary(
+                overall=reply_text(reply, "overall"),
+                similarities=reply_list(reply, "similarities", str),
+                differences=reply_list(reply, "differences", str),
+            ), None
+
+        started.calls.append(lane.submit(_compare_subtopics))
+        return started
 
     def _compare_sibling(sibling_id: str) -> tuple[Optional[CoreTaskComparison], Optional[str]]:
         record = candidates.get(sibling_id)
@@ -506,12 +514,30 @@ def compare_core_task(
             brief_comparison=brief or "No comparison text returned.",
         ), diagnostic
 
-    results = lane.map(_compare_sibling, position.siblings)
-    for comparison, diagnostic in results:
+    # an isolated target has no siblings
+    started.calls.extend(lane.submit(_compare_sibling, pid) for pid in position.siblings)
+    return started
+
+
+def compare_core_task(started: CoreTaskCalls) -> CoreTaskAnalysis:
+    """Collect a started core-task comparison, reading its calls in sibling order."""
+    position = started.position
+    analysis = CoreTaskAnalysis(mode=position.mode, taxonomy_path=list(position.path))
+    if position.mode == "isolated":
+        analysis.isolation = Isolation(
+            note="No comparison: the paper has no immediate semantic neighbors.",
+            leaf=position.path[-1] if position.path else None,
+        )
+    for call in started.calls:
+        result, diagnostic = call.result()
         if diagnostic is not None:
             analysis.diagnostics.append(diagnostic)
-        if comparison is not None:
-            analysis.comparisons.append(comparison)
+        if result is None:
+            continue
+        if position.mode == "subtopic_siblings":
+            analysis.subtopic_summary = result
+        else:
+            analysis.comparisons.append(result)
     return analysis
 
 
@@ -1065,38 +1091,106 @@ def check_renderable(report: NoveltyReport) -> None:
 # --- phase orchestration ---------------------------------------------------------
 
 
+def citations_of(references: Sequence[ReportReference]) -> dict[str, str]:
+    """Each paper's in-text citation, ``alias[index]``, by canonical id."""
+    return {r.canonical_id: f"{r.alias}[{r.index}]" for r in references}
+
+
+@dataclass
+class CoreScope:
+    """What Phase III's core-scope calls read."""
+
+    papers: list[PaperRecord]
+    core_task: CoreTask
+    target: PaperRecord
+    target_doc: str
+    # each core paper's record and citation, by id
+    cited: dict[str, tuple[PaperRecord, Optional[str]]]
+
+    @classmethod
+    def of(
+        cls,
+        papers: list[PaperRecord],
+        core_task: CoreTask,
+        target: PaperRecord,
+        target_doc: str,
+        citations: Mapping[str, str],
+    ) -> "CoreScope":
+        cited = {str(p.canonical_id): (p, citations.get(str(p.canonical_id))) for p in papers}
+        return cls(papers, core_task, target, target_doc, cited)
+
+
 @dataclass
 class CoreScopeCalls:
-    """Phase III's two calls that read only the core scope, and the inputs they were given.
+    """Phase III's calls that read only the core scope, and the scope they were given.
 
     The taxonomy and the one-liners need only the core papers, the core task
     and the target, so a run can start them once Phase II has filtered its
-    core scope, while the contribution searches are still out.
+    core scope, while the contribution searches are still out. The core-task
+    comparison needs the target's text and the taxonomy's position of the
+    target as well, so it starts when the taxonomy returns. ``comparison``
+    always settles: to the started comparison; to None when none was started
+    because the taxonomy did not place the target or the lane closed; or to
+    the error that kept it from starting, a failed taxonomy's included.
     """
 
-    inputs: tuple[list[PaperRecord], CoreTask, PaperRecord]
+    scope: CoreScope
     taxonomy: Future[RepairOutcome]
     one_liners: Future[dict[str, str]]
+    comparison: Future[Optional[CoreTaskCalls]]
 
 
 def start_core_scope_calls(
     core_papers: Sequence[PaperRecord],
     core_task: CoreTask,
     target: PaperRecord,
+    target_doc: str,
+    citations: Mapping[str, str],
     llm: LlmClient,
     lane: Scheduler,
 ) -> CoreScopeCalls:
-    """Submit the taxonomy and one-liner calls on a snapshot of ``core_papers``.
+    """Submit the taxonomy and one-liner calls on a snapshot of ``core_papers``, and
+    the core-task comparison when the taxonomy returns.
 
     The snapshot keeps the inputs fixed while cross-scope dedup goes on
-    upgrading the records themselves.
+    upgrading the records themselves; ``citations`` must hold each core
+    paper's citation as the report's references will give it. Submits and
+    never waits: the comparison is submitted by the taxonomy call's
+    done-callback.
     """
     papers = [replace(paper) for paper in core_papers]
-    return CoreScopeCalls(
-        inputs=(papers, core_task, target),
-        taxonomy=lane.submit(build_taxonomy, papers, core_task, llm, original=target),
-        one_liners=lane.submit(generate_one_liners, papers, llm),
-    )
+    scope = CoreScope.of(papers, core_task, target, target_doc, citations)
+    records = {str(paper.canonical_id): paper for paper in papers}
+    taxonomy = lane.submit(build_taxonomy, papers, core_task, llm, original=target)
+    one_liners = lane.submit(generate_one_liners, papers, llm)
+    comparison: Future[Optional[CoreTaskCalls]] = Future()
+
+    def _start_comparison(done: Future[RepairOutcome]) -> None:
+        if done.cancelled():  # dropped as the lane closed
+            comparison.set_result(None)
+            return
+        try:
+            position = structural_position(done.result().taxonomy, str(target.canonical_id))
+        except InvalidInputError:  # the taxonomy did not place the target
+            comparison.set_result(None)
+            return
+        except Exception as exc:
+            comparison.set_exception(exc)
+            return
+        try:
+            started = start_core_task_comparison(
+                position, target, target_doc, records, llm,
+                core_task=core_task, lane=lane, citations=citations,
+            )
+        except LaneClosedError:
+            started = None
+        except Exception as exc:
+            comparison.set_exception(exc)
+            return
+        comparison.set_result(started)
+
+    taxonomy.add_done_callback(_start_comparison)
+    return CoreScopeCalls(scope, taxonomy, one_liners, comparison)
 
 
 def run_analysis_phase(
@@ -1121,7 +1215,7 @@ def run_analysis_phase(
     """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
-    citations = {r.canonical_id: f"{r.alias}[{r.index}]" for r in references}
+    citations = citations_of(references)
     allowed_indices = {r.index for r in references}
     core_ids = set(candidate_set.core_task)
     taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
@@ -1136,14 +1230,20 @@ def run_analysis_phase(
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
     )
 
+    scope = CoreScope.of(core_papers, phase1.core_task, target, target_doc, citations)
     core_calls = early
-    if core_calls is not None and core_calls.inputs != (core_papers, phase1.core_task, target):
-        logger.info(
-            "core scope changed after filtering; early taxonomy and one-liner calls discarded"
-        )
-        core_calls = None
+    if core_calls is not None:
+        changed = [
+            f.name for f in fields(CoreScope)
+            if getattr(core_calls.scope, f.name) != getattr(scope, f.name)
+        ]
+        if changed:
+            logger.info("early core-scope calls discarded: %s changed", ", ".join(changed))
+            core_calls = None
     if core_calls is None:
-        core_calls = start_core_scope_calls(core_papers, phase1.core_task, target, llm, lane)
+        core_calls = start_core_scope_calls(
+            core_papers, phase1.core_task, target, target_doc, citations, llm, lane
+        )
     # shared read-only by the comparison and similarity tasks
     target_document = Document(target_doc)
     # a candidate's two tasks share one document and are submitted back to
@@ -1172,17 +1272,9 @@ def run_analysis_phase(
         generate_narrative,
         phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,
     )
-    if position is not None:
-        core_analysis = compare_core_task(
-            position,
-            target,
-            target_doc,
-            candidate_records,
-            llm,
-            core_task=phase1.core_task,
-            lane=lane,
-            citations=citations,
-        )
+    started = core_calls.comparison.result()
+    if started is not None:
+        core_analysis = compare_core_task(started)
     else:
         core_analysis = CoreTaskAnalysis(
             mode="isolated",

@@ -18,7 +18,14 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from . import __version__
-from .analysis import CoreScopeCalls, NoveltyReport, run_analysis_phase, start_core_scope_calls
+from .analysis import (
+    CoreScopeCalls,
+    NoveltyReport,
+    build_references,
+    citations_of,
+    run_analysis_phase,
+    start_core_scope_calls,
+)
 from .clients import (
     HttpLlmClient,
     HttpSearchClient,
@@ -44,6 +51,7 @@ from .retrieval import (
     Phase2Result,
     QueryRunner,
     RetryPolicy,
+    cross_scope_dedup,
     run_retrieval_phase,
 )
 from .scheduler import Scheduler
@@ -259,7 +267,8 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     workers and a search lane of ``retry.concurrency`` workers. Phase I starts
     each scope's searches as soon as its queries exist, and Phase II collects
     them; once it has filtered the core scope, Phase III's taxonomy and
-    one-liner calls start on the model lane. On a phase failure the manifest
+    one-liner calls start on the model lane, and the core-task comparison
+    once the taxonomy returns. On a phase failure the manifest
     records the error, queued calls are dropped, searches waiting to retry
     give up, and the run stops cleanly; with ``resume`` enabled a later
     invocation picks up after the last persisted artifact.
@@ -294,6 +303,11 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     def _target() -> PaperRecord:
         return replace(front, publication_date=_date_lookup().result())
 
+    @functools.cache
+    def _target_doc() -> str:
+        """The target's text as the comparison calls show it."""
+        return preprocess_document(paper_text, purpose="comparison")
+
     def _phase1() -> Phase1Result:
         doc = preprocess_document(paper_text, purpose="extraction")
         result = run_extraction_phase(
@@ -314,6 +328,15 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     # Phase III's core-scope calls, started by a Phase II computed in this run
     early: list[CoreScopeCalls] = []
 
+    def _start_early(phase1: Phase1Result, core: list[PaperRecord]) -> None:
+        # the core papers enter dedup's pool first, so their citations depend
+        # on them alone and a pool of copies of them gives the report's
+        pool = cross_scope_dedup([replace(paper) for paper in core], {})
+        citations = citations_of(build_references(_target(), pool))
+        early.append(start_core_scope_calls(
+            core, phase1.core_task, _target(), _target_doc(), citations, llm, model_lane
+        ))
+
     def _phase2(phase1: Phase1Result) -> Phase2Result:
         result = run_retrieval_phase(
             phase1.query_set,
@@ -321,9 +344,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             _target(),
             topk_core=cfg.topk_core,
             topk_contribution=cfg.topk_contribution,
-            on_core_selected=lambda core: early.append(
-                start_core_scope_calls(core, phase1.core_task, _target(), llm, model_lane)
-            ),
+            on_core_selected=functools.partial(_start_early, phase1),
         )
         _write_json(phase2_path, result.to_dict())
         return result
@@ -332,12 +353,11 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         return Phase2Result.from_dict(_read_json(phase2_path))
 
     def _phase3(phase1: Phase1Result, phase2: Phase2Result) -> NoveltyReport:
-        target_doc = preprocess_document(paper_text, purpose="comparison")
         report = run_analysis_phase(
             phase1,
             phase2.candidate_set,
             _target(),
-            target_doc,
+            _target_doc(),
             llm,
             model_lane,
             generated_at=generated_at,

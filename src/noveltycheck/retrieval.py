@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from threading import Event, Lock, Semaphore
@@ -119,6 +120,8 @@ def _hit_to_result(
 
 
 _Outcome = tuple[SearchQuery, Optional[list[SearchHit]], int, str]
+# one try of a query: the query, its attempt number, the last error, its outcome
+_Try = tuple[SearchQuery, int, str, "Future[_Outcome]"]
 
 
 class QueryRunner:
@@ -127,11 +130,13 @@ class QueryRunner:
     A query is keyed by its id and its text. Each runs with up to
     ``max_query_attempts`` tries and a backoff of ``initial_delay * attempt``
     between them, drawing retries from one budget of ``global_max_retries``
-    shared by every query the runner starts. Each try is one lane task, and a
-    backoff holds no lane worker: a failed try's task ends, and the next try
-    is submitted to the lane once its backoff is over, so queued searches run
-    meanwhile. A task's unexpected exception re-raises when its outcome is
-    collected, not when it is started.
+    shared by every query the runner starts. Tries wait in two queues: retries
+    whose backoff is over, and first tries. Each lane task makes the next try,
+    a due retry before a first try, so a query that failed once is not kept
+    waiting behind searches queued while it backed off. A backoff holds no
+    lane worker: it waits off the lane, then queues its retry as due and
+    submits one more lane task. A task's unexpected exception, or one raised
+    by the backoff wait, re-raises when the query's outcome is collected.
 
     After ``stop`` no query makes another attempt, and a backoff wait ends
     at once unless ``sleep`` replaces it.
@@ -152,17 +157,24 @@ class QueryRunner:
         self._sleep = sleep or self._stopped.wait
         self._budget = Semaphore(policy.global_max_retries)
         self._started: dict[tuple[str, str], Future[_Outcome]] = {}
+        self._due: deque[_Try] = deque()
+        self._first: deque[_Try] = deque()
         self._lock = Lock()
 
     def start(self, queries: Iterable[SearchQuery]) -> None:
-        """Submit every query not started yet; safe to call from worker threads."""
+        """Queue every query not started yet; safe to call from worker threads."""
+        queued = 0
         with self._lock:
             for query in queries:
                 key = (query.query_id, query.text)
                 if key not in self._started:
                     outcome: Future[_Outcome] = Future()
                     self._started[key] = outcome
-                    self._lane.submit(self._attempt, query, 1, "", outcome)
+                    self._first.append((query, 1, "", outcome))
+                    queued += 1
+        # submitted unlocked: an inline lane runs the task, which takes the lock, here
+        for _ in range(queued):
+            self._lane.submit(self._next_try)
 
     def collect(self, queries: Sequence[SearchQuery]) -> list[_Outcome]:
         """Each query's outcome in ``queries`` order, starting the ones not started yet."""
@@ -175,8 +187,18 @@ class QueryRunner:
         """Give up every query: no further attempts, and backoff waits end now."""
         self._stopped.set()
 
+    def _next_try(self) -> None:
+        """One lane task: make the next try, a due retry before a first try.
+
+        Every try is queued before the task that makes it is submitted, and
+        each task makes one, so a task never finds both queues empty.
+        """
+        with self._lock:
+            tried = (self._due or self._first).popleft()
+        self._attempt(*tried)
+
     def _attempt(self, query: SearchQuery, attempt: int, error: str, outcome: Future) -> None:
-        """Try ``query`` once; settle ``outcome``, or resubmit the next try after its backoff."""
+        """Try ``query`` once; settle ``outcome``, or queue the next try after its backoff."""
         policy = self._policy
         if self._stopped.is_set():
             outcome.set_result((query, None, attempt - 1, error or "search stopped"))
@@ -192,8 +214,11 @@ class QueryRunner:
                 logger.error("global retry budget exhausted; abandoning %s", query.query_id)
                 outcome.set_result((query, None, attempt, error))
             else:
-                backoff = functools.partial(self._sleep, policy.initial_delay * attempt)
-                self._lane.submit_after(backoff, self._attempt, query, attempt + 1, error, outcome)
+                retry: _Try = (query, attempt + 1, error, outcome)
+                self._lane.submit_after(
+                    functools.partial(self._back_off, policy.initial_delay * attempt, retry),
+                    self._next_try,
+                )
             return
         except Exception as exc:
             outcome.set_exception(exc)
@@ -202,6 +227,16 @@ class QueryRunner:
             "query %s succeeded on attempt %d with %d hits", query.query_id, attempt, len(hits)
         )
         outcome.set_result((query, hits, attempt, ""))
+
+    def _back_off(self, delay: float, retry: _Try) -> None:
+        """Wait ``delay``, then queue ``retry`` as due; a failed wait settles its outcome."""
+        try:
+            self._sleep(delay)
+        except BaseException as exc:
+            retry[3].set_exception(exc)
+            raise
+        with self._lock:
+            self._due.append(retry)
 
 
 def execute_queries(
@@ -392,15 +427,12 @@ def cross_scope_dedup(
 
     def _insert(paper: PaperRecord, provenance: str) -> int:
         """Merge ``paper`` into the pool; return the position of its entry."""
-        hit = None
-        for key in _keys(paper):
-            if key in index:
-                hit = index[key]
-                break
+        keys = _keys(paper)
+        hit = next((index[key] for key in keys if key in index), None)
         if hit is None:
             pos = len(unified)
             unified.append(UnifiedCandidate(paper=paper, provenance=[provenance]))
-            for key in _keys(paper):
+            for key in keys:
                 index[key] = pos
             return pos
         existing = unified[hit]
@@ -415,7 +447,7 @@ def cross_scope_dedup(
             existing.paper.publication_date = paper.publication_date
         if existing.paper.full_text is None and paper.full_text is not None:
             existing.paper.full_text = paper.full_text
-        for key in _keys(paper):
+        for key in keys:
             index.setdefault(key, hit)
         return hit
 

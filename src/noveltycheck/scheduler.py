@@ -9,12 +9,16 @@ search. Results are read back in each phase's own iteration order, never in
 completion order, so artifacts are identical at any worker count.
 
 Only the orchestrating caller waits on futures; a task never waits on
-another task, though a model task may submit to the search lane. A bounded
-pool therefore cannot deadlock, and at most ``workers`` tasks, and so client
-calls, are in flight on each lane at once. A wait before a task, such as a
-search's retry backoff, holds no worker either: ``submit_after`` waits on a
-thread of its own and submits the task when the wait is over, so queued
-tasks run meanwhile.
+another task, though a model task may submit to the search lane. A future's
+done-callback may submit too, and never waits either: the early taxonomy's
+starts the core-task comparison on the worker that ran it (inline, at once).
+A bounded pool therefore cannot deadlock, and at most ``workers`` tasks, and
+so client calls, are in flight on each lane at once. A wait before a task,
+such as a search's retry backoff, holds no worker either: ``submit_after``
+waits on a thread of its own and submits the task when the wait is over, so
+queued tasks run meanwhile. The lane runs tasks first in, first out; a
+caller that wants some work to go first keeps its own queues and has each
+task take the next item, as the search runner does with due retries.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, TypeVar
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 logger = logging.getLogger(__name__)
+
+
+class LaneClosedError(RuntimeError):
+    """A task was submitted after its lane shut down."""
 
 
 class Scheduler:
@@ -54,9 +61,15 @@ class Scheduler:
             self._join_waits()  # those a task started while the pool shut down
 
     def submit(self, fn: Callable[..., R], /, *args: Any, **kwargs: Any) -> "Future[R]":
-        """Start ``fn(*args, **kwargs)``; its exception re-raises at ``.result()``."""
+        """Start ``fn(*args, **kwargs)``; its exception re-raises at ``.result()``.
+
+        Raises ``LaneClosedError`` once the lane has shut down.
+        """
         if self._pool is not None:
-            return self._pool.submit(fn, *args, **kwargs)
+            try:
+                return self._pool.submit(fn, *args, **kwargs)
+            except RuntimeError as exc:  # the pool refuses tasks once shut down
+                raise LaneClosedError(str(exc)) from exc
         future: Future[R] = Future()
         try:
             future.set_result(fn(*args, **kwargs))
@@ -71,22 +84,25 @@ class Scheduler:
 
         With workers, ``wait`` runs on a thread of its own, and ``fn`` is
         dropped if the lane has closed by then. Inline, both run on the
-        calling thread. Nobody reads ``fn``'s result, so it must report its
-        outcome itself.
+        calling thread. If ``wait`` raises, ``fn`` is dropped too, and the
+        exception is only logged. Nobody reads ``fn``'s result, so ``wait``
+        and ``fn`` must report their outcome themselves.
         """
-        if self._pool is None:
-            wait()
-            self.submit(fn, *args)
-            return
-        pool = self._pool
 
         def later() -> None:
-            wait()
             try:
-                pool.submit(fn, *args)
-            except RuntimeError:  # the lane closed while we waited
+                wait()
+            except Exception:
+                logger.warning("a wait before a task raised; dropped the task", exc_info=True)
+                return
+            try:
+                self.submit(fn, *args)
+            except LaneClosedError:  # the lane closed while we waited
                 logger.debug("lane closed; dropped a delayed task")
 
+        if self._pool is None:
+            later()
+            return
         with self._lock:
             self._waits = [thread for thread in self._waits if thread.is_alive()]
             self._waits.append(threading.Thread(target=later, name="lane-wait", daemon=True))
@@ -97,8 +113,3 @@ class Scheduler:
             waits, self._waits = self._waits, []
         for thread in waits:
             thread.join()
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Submit ``fn`` over every item at once; results in ``items`` order."""
-        futures = [self.submit(fn, item) for item in items]
-        return [future.result() for future in futures]

@@ -25,6 +25,8 @@ from noveltycheck.analysis import (
     downgrade_unverified,
     generate_narrative,
     generate_one_liners,
+    start_core_scope_calls,
+    start_core_task_comparison,
 )
 from noveltycheck.clients import MockLlmClient
 from noveltycheck.errors import AssemblyError, InvalidInputError
@@ -37,7 +39,7 @@ from noveltycheck.extraction import (
 )
 from noveltycheck.papers import preprocess_document
 from noveltycheck.retrieval import cross_scope_dedup
-from noveltycheck.scheduler import Scheduler
+from noveltycheck.scheduler import LaneClosedError, Scheduler
 from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
 from noveltycheck.verification import Document, QuoteLocation
 
@@ -215,6 +217,61 @@ class TestBuildTaxonomy:
     def test_requires_two_candidates(self):
         with pytest.raises(InvalidInputError):
             build_taxonomy(self.CANDS[:1], CORE_TASK, MockLlmClient({}))
+
+
+class ClosingLane(Scheduler):
+    """An inline lane that shuts down after ``open`` submissions."""
+
+    def __init__(self, open):
+        super().__init__(1)
+        self.open = open
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.open == 0:
+            raise LaneClosedError("cannot schedule new futures after shutdown")
+        self.open -= 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestStartCoreScopeCalls:
+    CANDS = TestBuildTaxonomy.CANDS
+    TARGET = make_record("The Target Paper Of Record")
+
+    def _start(self, llm, lane):
+        return start_core_scope_calls(
+            self.CANDS, CORE_TASK, self.TARGET, TARGET_DOC, {}, llm, lane
+        )
+
+    def test_comparison_starts_when_the_taxonomy_returns(self):
+        ids = [str(self.TARGET.canonical_id)] + TestBuildTaxonomy.IDS
+        llm = MockLlmClient({"rules": [
+            {"system_contains": "rigorous academic taxonomies", "response": _tax_payload(ids)},
+            {"system_contains": "SAME taxonomy category",
+             "response": {"is_duplicate_variant": False, "brief_comparison": "Differs."}},
+        ]})
+        calls = self._start(llm, Scheduler(1))
+        started = calls.comparison.result(timeout=0)
+        # the target shares Leaf A with the first candidate
+        assert started.position.siblings == (ids[1],)
+        [comparison] = compare_core_task(started).comparisons
+        assert comparison.brief_comparison == "Differs."
+
+    def test_lane_closed_before_the_comparison_settles_it_as_not_started(self):
+        ids = [str(self.TARGET.canonical_id)] + TestBuildTaxonomy.IDS
+        llm = MockLlmClient({"default": _tax_payload(ids)})
+        # the taxonomy and one-liner calls get in, the sibling call does not
+        calls = self._start(llm, ClosingLane(open=2))
+        assert calls.taxonomy.result(timeout=0).status == "valid"
+        assert calls.comparison.result(timeout=0) is None
+
+    def test_unexpected_taxonomy_error_reaches_the_comparison(self):
+        class BrokenLlm(MockLlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                raise RuntimeError("client bug")
+
+        calls = self._start(BrokenLlm({}), Scheduler(1))
+        with pytest.raises(RuntimeError, match="client bug"):
+            calls.comparison.result(timeout=0)
 
 
 def _comparison_response(status1, status2, evidence=None):
@@ -405,9 +462,9 @@ def _compare_lone_target(llm):
         }
     )
     position = structural_position(tree, tid)
-    return compare_core_task(
+    return compare_core_task(start_core_task_comparison(
         position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK, lane=Scheduler(1)
-    )
+    ))
 
 
 class TestCompareCoreTask:
@@ -453,9 +510,9 @@ class TestCompareCoreTask:
             }
         )
         records = {str(s.canonical_id): s for s in siblings}
-        analysis = compare_core_task(
+        analysis = compare_core_task(start_core_task_comparison(
             position, target, TARGET_DOC, records, llm, core_task=CORE_TASK, lane=Scheduler(1)
-        )
+        ))
         assert analysis.mode == "sibling"
         flags = {c.canonical_id: c.is_duplicate_variant for c in analysis.comparisons}
         assert flags[str(siblings[0].canonical_id)] is False
@@ -480,9 +537,9 @@ class TestCompareCoreTask:
         )
         position = structural_position(tree, tid)
         llm = MockLlmClient({})
-        analysis = compare_core_task(
+        analysis = compare_core_task(start_core_task_comparison(
             position, target, TARGET_DOC, {}, llm, core_task=CORE_TASK, lane=Scheduler(1)
-        )
+        ))
         assert analysis.mode == "isolated"
         assert analysis.isolation is not None
         assert llm.calls == []
@@ -504,10 +561,10 @@ class TestCompareCoreTask:
         tree = self._position(ids + ["x:1", "x:2"])
         position = structural_position(tree, ids[0])
         llm = MockLlmClient({"rules": [{"system_contains": "SAME taxonomy", "error": "down"}]})
-        analysis = compare_core_task(
+        analysis = compare_core_task(start_core_task_comparison(
             position, target, TARGET_DOC, {ids[1]: sibling}, llm,
             core_task=CORE_TASK, lane=Scheduler(1),
-        )
+        ))
         assert len(analysis.comparisons) >= 1
         assert any("Comparison unavailable" in c.brief_comparison for c in analysis.comparisons)
         assert analysis.diagnostics

@@ -6,7 +6,9 @@ clients and with ``sleep`` stubbed out, then compares the sha256 of
 ``phase1/2/3.json`` and of the Markdown report with
 ``tests/goldens/paper_scale.json``. The digest of the generated inputs is
 pinned too, so a generator change is reported as such rather than as a
-change in the program's output.
+change in the program's output. Each case also makes as many model calls
+per prompt at four workers as at one, so no call started early is discarded
+or made twice.
 
 A failing case prints the digests it computed, for refreshing the golden
 file after an intended change.
@@ -14,6 +16,7 @@ file after an intended change.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import importlib.util
 import json
@@ -21,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from noveltycheck import pipeline
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
+from noveltycheck.prompts import TEMPERATURES, load_prompt
 from noveltycheck.retrieval import RetryPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,7 +90,9 @@ def _run(inputs: Path, out: Path, settings: dict, workers: int) -> dict[str, str
 
 
 @pytest.mark.parametrize("workload,seed", CASES, ids=[f"{w}-{s}" for w, s in CASES])
-def test_paper_scale_outputs_match_digests(generator, golden, tmp_path, workload, seed):
+def test_paper_scale_outputs_match_digests(
+    generator, golden, tmp_path, monkeypatch, workload, seed
+):
     key = f"{workload}-{seed}"
     inputs_digest, settings = _write_inputs(generator, workload, seed, tmp_path / "inputs")
     expected = golden[key]
@@ -93,8 +100,23 @@ def test_paper_scale_outputs_match_digests(generator, golden, tmp_path, workload
         f"perfbench/workload.py generated different {key} inputs: the generator changed, "
         "not the program; refresh tests/goldens/paper_scale.json for the new inputs"
     )
+    built = []
+    build_clients = pipeline.build_clients
+
+    def recording_build_clients(cfg):
+        built.append(build_clients(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_clients", recording_build_clients)
+    prompt_names = {load_prompt(name): name for name in TEMPERATURES}
+    calls_per_prompt = []
     for workers in WORKERS:
         digests = _run(tmp_path / "inputs", tmp_path / f"out{workers}", settings, workers)
         assert digests == expected["outputs"], (
             f"{key} outputs differ at {workers} workers: {json.dumps(digests, indent=2)}"
         )
+        llm = built[-1][0]
+        calls_per_prompt.append(collections.Counter(prompt_names[c["system"]] for c in llm.calls))
+    assert calls_per_prompt[1] == calls_per_prompt[0], (
+        f"{key} model calls per prompt differ between {WORKERS[0]} and {WORKERS[1]} workers"
+    )

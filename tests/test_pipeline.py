@@ -1,9 +1,11 @@
 """End-to-end pipeline runs, artifacts, resumability, and the CLI."""
 
+import collections
 import copy
 import json
 import logging
 import re
+import shutil
 import tempfile
 import threading
 import time
@@ -133,6 +135,51 @@ def run_with_llm_fixture(monkeypatch, tmp_path, fixtures_dir, paper_text, fixtur
     manifest = run_bounded(paper_text, make_config(tmp_path, fixtures_dir))
     assert manifest.succeeded, manifest.failure_log
     return next(tmp_path.glob("*.md")).read_text(), search.calls
+
+
+# every prompt Phase III may send; a run resumed after Phase II sends no other
+PHASE3_PROMPTS = (
+    "taxonomy_construction", "taxonomy_repair", "one_liner", "sibling_distinction",
+    "subtopic_comparison", "claim_comparison", "similarity_detection",
+    "narrative_synthesis", "overall_assessment",
+)
+
+
+def phase3_calls_per_prompt(calls):
+    names = {load_prompt(name): name for name in TEMPERATURES}
+    sent = collections.Counter(names[c["system"]] for c in calls)
+    return {name: sent[name] for name in PHASE3_PROMPTS}
+
+
+def run_then_resume(monkeypatch, tmp_path, fixtures_dir, paper_text, llm_fixture, search_fixture,
+                    workers):
+    """Run, then resume over its phase1.json and phase2.json, so nothing starts early.
+
+    Returns, for each run, phase3.json, the Markdown report and the model calls made.
+    """
+    runs = []
+    for resume in (False, True):
+        out = tmp_path / ("resumed" if resume else "run")
+        out.mkdir()
+        if resume:
+            for name in ("phase1.json", "phase2.json"):
+                shutil.copyfile(tmp_path / "run" / name, out / name)
+        llm = MockLlmClient(llm_fixture)
+        monkeypatch.setattr(
+            pipeline, "build_clients", lambda cfg: (llm, MockSearchClient(search_fixture))
+        )
+        cfg = make_config(
+            out, fixtures_dir, resume=resume,
+            retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+        )
+        manifest = run_bounded(paper_text, cfg)
+        assert manifest.succeeded, manifest.failure_log
+        assert manifest.phases["phase2"].status == ("skipped" if resume else "completed")
+        if resume:
+            assert len(llm.calls) == sum(phase3_calls_per_prompt(llm.calls).values())
+        md = next(out.glob("*.md")).read_bytes()
+        runs.append(((out / "phase3.json").read_bytes(), md, llm.calls))
+    return runs
 
 
 # what str() makes of a null or NaN reply field
@@ -779,37 +826,163 @@ class TestRunPipeline:
         md = next(tmp_path.glob("*.md"))
         assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
 
-    def test_core_record_upgraded_by_a_contribution_hit_discards_the_early_calls(
-        self, monkeypatch, tmp_path, fixtures_dir, paper_text, caplog
+    @pytest.mark.parametrize("change", ["contribution_hit_upgrade", "within_core_title_merge"])
+    def test_core_paper_changed_after_the_early_start_makes_the_calls_again(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, caplog, change
     ):
-        # Foreseer's contribution-scope hits carry a DOI, so dedup upgrades its core record
-        search_fixture = json.loads((fixtures_dir / "mock_search.json").read_text())
-        for query, spec in search_fixture["queries"].items():
-            for hit in spec.get("results", []):
-                if hit["title"].startswith("Foreseer") and query.startswith(QUERY_PREFIX):
-                    hit["identifiers"]["doi"] = "10.5555/foreseer"
-        patched = tmp_path / "search_with_doi.json"
-        patched.write_text(json.dumps(search_fixture))
+        search = json.loads((fixtures_dir / "mock_search.json").read_text())
+        queries = search["queries"]
+        if change == "contribution_hit_upgrade":
+            # Foreseer's contribution-scope hits carry a DOI, so dedup upgrades its core record
+            for query, spec in queries.items():
+                for hit in spec.get("results", []):
+                    if hit["title"].startswith("Foreseer") and query.startswith(QUERY_PREFIX):
+                        hit["identifiers"]["doi"] = "10.5555/foreseer"
+            # the early taxonomy call sees the core record as filtered, the one made again
+            # sees it upgraded
+            seen = [False, True]
+            marker = "doi:10.5555/foreseer"
+        else:
+            # a second core hit titled as Foreseer, under another id, merges into it
+            [foreseer] = [
+                hit for hit in queries["learned cache replacement under changing access patterns"]
+                ["results"] if hit["title"].startswith("Foreseer")
+            ]
+            copy_hit = dict(foreseer, identifiers={"openreview_id": "foreseer-copy"})
+            queries["adaptive eviction strategies for storage caches with workload drift"][
+                "results"
+            ].append(copy_hit)
+            seen = [True, False]
+            marker = "openreview:foreseer-copy"
+        llm_fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
         taxonomy_prompt = load_prompt("taxonomy_construction")
         caplog.set_level(logging.INFO, logger="noveltycheck.analysis")
+        # the discarded start's calls: the taxonomy (with a repair round for the merged
+        # copy), the one-liners and one distinction per sibling it placed the target beside
+        extra = {"taxonomy_construction": 1, "one_liner": 1, "sibling_distinction": 2}
+        if change == "within_core_title_merge":
+            extra["taxonomy_repair"] = 1
         outputs = []
         for workers in (1, 4):
-            out = tmp_path / f"out{workers}"
-            cfg = make_config(
-                out, fixtures_dir, search_fixture=patched,
-                retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
-            )
+            out = tmp_path / f"workers{workers}"
+            out.mkdir()
             caplog.clear()
-            manifest, calls = run_recording_llm(monkeypatch, paper_text, cfg)
-            assert manifest.succeeded, manifest.failure_log
-            assert "early taxonomy and one-liner calls discarded" in caplog.text
-            # the early call saw the core record as filtered, Phase III's own the upgraded one
+            (early, early_md, calls), (resumed, resumed_md, resumed_calls) = run_then_resume(
+                monkeypatch, out, fixtures_dir, paper_text, llm_fixture, search, workers
+            )
+            assert "early core-scope calls discarded: papers, cited changed" in caplog.text
             payloads = [c["user"] for c in calls if c["system"] == taxonomy_prompt]
-            assert sorted("doi:10.5555/foreseer" in p for p in payloads) == [False, True]
-            outputs.append([
-                (out / name).read_bytes() for name in ("phase2.json", "phase3.json")
-            ] + [next(out.glob("*.md")).read_bytes()])
+            assert [marker in p for p in payloads] == seen
+            assert (early, early_md) == (resumed, resumed_md)
+            early_calls = phase3_calls_per_prompt(calls)
+            resumed_calls = phase3_calls_per_prompt(resumed_calls)
+            assert {name: early_calls[name] - resumed_calls[name] for name in PHASE3_PROMPTS} == {
+                name: extra.get(name, 0) for name in PHASE3_PROMPTS
+            }
+            outputs.append(((out / "run" / "phase2.json").read_bytes(), early, early_md))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["sibling", "subtopic_siblings", "isolated", "unplaced"])
+    def test_core_task_comparison_started_early_equals_a_resumed_run(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, mode, workers
+    ):
+        fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
+        [taxonomy] = [
+            rule["response"] for rule in fixture["rules"]
+            if rule.get("system_contains") == "rigorous academic taxonomies"
+        ]
+        reuse, learned = taxonomy["subtopics"][0]["subtopics"]
+        target = reuse["papers"][0]
+        if mode == "subtopic_siblings":  # alone in its leaf, beside a populated leaf
+            learned["papers"] += reuse["papers"][1:]
+            reuse["papers"] = [target]
+            fixture["rules"].append({
+                "system_contains": "sibling subtopics",
+                "response": {
+                    "overall": "The leaf predicts reuse distance; its neighbor learns by trial.",
+                    "similarities": ["learned eviction"],
+                    "differences": ["supervised reuse prediction"],
+                },
+            })
+        elif mode == "isolated":  # alone in a branch of its own
+            reuse["papers"].remove(target)
+            notes = {"scope_note": "Drift-aware policies.", "exclude_note": "Static policies."}
+            taxonomy["subtopics"].append({
+                "name": "Drift-Aware Eviction", **notes,
+                "subtopics": [{"name": "Drift-Aware Policies", **notes, "papers": [target]}],
+            })
+        elif mode == "unplaced":  # nowhere, so its position is unknown
+            reuse["papers"].remove(target)
+        search = json.loads((fixtures_dir / "mock_search.json").read_text())
+        (early, early_md, calls), (resumed, resumed_md, resumed_calls) = run_then_resume(
+            monkeypatch, tmp_path, fixtures_dir, paper_text, fixture, search, workers
+        )
+        stored = json.loads(early)["core_task_comparisons"]
+        assert stored["mode"] == ("isolated" if mode == "unplaced" else mode)
+        if mode == "unplaced":
+            assert stored["isolation"]["note"].endswith("target position in taxonomy is unknown.")
+        assert (early, early_md) == (resumed, resumed_md)
+        assert phase3_calls_per_prompt(calls) == phase3_calls_per_prompt(resumed_calls)
+
+    def test_sibling_calls_start_before_the_last_contribution_search_returns(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        sibling_prompt = load_prompt("sibling_distinction")
+        sibling_seen = threading.Event()
+        # the last variant of the last claim's queries
+        last = "Find papers about benchmark suites for storage cache eviction strategies"
+        held = []
+
+        class WatchedLlm(MockLlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                if system_prompt == sibling_prompt:
+                    sibling_seen.set()
+                return super().complete(system_prompt, user_prompt, temperature)
+
+        class HeldSearch(MockSearchClient):
+            def search(self, query):
+                if query == last:
+                    held.append(sibling_seen.wait(5))
+                return super().search(query)
+
+        llm = WatchedLlm.from_file(fixtures_dir / "mock_llm.json")
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (llm, HeldSearch.from_file(cfg.search_fixture)),
+        )
+        cfg = make_config(
+            tmp_path, fixtures_dir, retry=RetryPolicy(concurrency=2), analysis_concurrency=2
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        assert held == [True], "the last contribution search ran out its wait for a sibling call"
+        assert llm.call_count(sibling_prompt) == 2
+        for name in ("phase2.json", "phase3.json"):
+            assert (tmp_path / name).read_bytes() == (goldens_dir / name).read_bytes()
+
+    def test_raising_backoff_wait_fails_phase2(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        search = json.loads((fixtures_dir / "mock_search.json").read_text())
+        search["queries"]["learned cache replacement under changing access patterns"][
+            "fail_times"
+        ] = 1
+        patched = tmp_path / "search_failing_once.json"
+        patched.write_text(json.dumps(search))
+
+        def broken_sleep(_):
+            raise RuntimeError("backoff broke")
+
+        cfg = make_config(
+            tmp_path / "out", fixtures_dir, search_fixture=patched, sleep=broken_sleep,
+            retry=RetryPolicy(concurrency=2), analysis_concurrency=2,
+        )
+        manifest = run_bounded(paper_text, cfg, timeout=10)
+        assert manifest.phases["phase1"].status == "completed"
+        assert manifest.phases["phase2"].status == "failed"
+        assert manifest.phases["phase2"].error == "[phase2] RuntimeError: backoff broke"
+        on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert on_disk["phases"]["phase2"]["status"] == "failed"
 
     def test_sampling_temperature_per_prompt(self, monkeypatch, tmp_path, fixtures_dir, paper_text):
         # without a URL the target's publication date is asked of the model too

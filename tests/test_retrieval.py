@@ -330,6 +330,76 @@ class TestExecuteQueries:
         assert batch.attempts_by_query == {"core_task:q0": 2, "core_task:q1": 2, "core_task:q2": 1}
         assert [r.paper.title for r in batch.results] == ["P0", "P1", "P2"]
 
+    def test_due_retry_runs_before_queued_first_tries(self):
+        fixture = {"queries": {
+            f"q{i}": {"results": [dict(HIT, title=f"P{i}")], "fail_times": int(i == 0)}
+            for i in range(5)
+        }}
+        queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(5)]
+        gates = {"q1": threading.Event(), "q2": threading.Event()}
+        all_queued, q2_searched = threading.Event(), threading.Event()
+        order = []
+
+        class Gated(MockSearchClient):
+            def search(self, query):
+                order.append(query)
+                if order == ["q0"]:  # fail only once every first try is queued
+                    all_queued.wait(10)
+                if query == "q2":
+                    q2_searched.set()
+                if query in gates:
+                    gates[query].wait(10)
+                return super().search(query)
+
+        def backoffs_running():
+            return any(t.name == "lane-wait" for t in threading.enumerate())
+
+        with Scheduler(2) as lane:
+            runner = QueryRunner(Gated(fixture), RetryPolicy(), lane, sleep=lambda _: None)
+            try:
+                runner.start(queries)
+                all_queued.set()
+                # q1 and q2 hold both workers, q3 and q4 are queued, and q0's retry gets due
+                assert q2_searched.wait(5)
+                deadline = time.monotonic() + 5
+                while backoffs_running() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert not backoffs_running()
+                gates["q1"].set()
+            finally:
+                for gate in gates.values():
+                    gate.set()
+            batch = execute_queries(queries, runner)
+        retried_at = order.index("q0", 1)
+        assert retried_at < order.index("q3"), order
+        assert batch.attempts_by_query["core_task:q0"] == 2
+        assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(5)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_backoff_wait_settles_the_outcome(self, workers):
+        search = MockSearchClient({"queries": {"some query": {"results": [HIT], "fail_times": 1}}})
+
+        def broken_sleep(_):
+            raise RuntimeError("backoff broke")
+
+        collected = {}
+
+        def collect(runner):
+            try:
+                collected["outcomes"] = runner.collect([QUERY])
+            except Exception as exc:
+                collected["error"] = exc
+
+        with Scheduler(workers) as lane:
+            runner = QueryRunner(search, RetryPolicy(), lane, sleep=broken_sleep)
+            collector = threading.Thread(target=collect, args=(runner,), daemon=True)
+            collector.start()
+            collector.join(3)
+        assert not collector.is_alive(), "the query's outcome never settled"
+        assert isinstance(collected.get("error"), RuntimeError)
+        assert str(collected["error"]) == "backoff broke"
+        assert search.calls == ["some query"]
+
     def test_unexpected_error_raised_at_collection(self):
         class Broken(MockSearchClient):
             def search(self, query):

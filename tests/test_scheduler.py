@@ -1,21 +1,10 @@
 """The bounded, order-preserving task scheduler behind every client call."""
 
 import threading
-import time
 
 import pytest
 
-from noveltycheck.scheduler import Scheduler
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_map_preserves_order(workers):
-    def slow_first(i):
-        time.sleep(0.002 * (8 - i))  # later items finish first on a pool
-        return i * i
-
-    with Scheduler(workers) as scheduler:
-        assert scheduler.map(slow_first, range(8)) == [i * i for i in range(8)]
+from noveltycheck.scheduler import LaneClosedError, Scheduler
 
 
 def test_one_worker_runs_inline_in_submission_order():
@@ -46,8 +35,6 @@ def test_task_exception_reraises_at_result(workers):
         with pytest.raises(ValueError, match="task failed"):
             failing.result(timeout=10)
         assert passing.result(timeout=10) == 3
-        with pytest.raises(ValueError, match="item 2"):
-            scheduler.map(lambda i: boom(f"item {i}") if i >= 2 else i, range(4))
 
 
 def test_delayed_tasks_hold_no_worker_and_run_before_the_lane_closes():
@@ -58,7 +45,8 @@ def test_delayed_tasks_hold_no_worker_and_run_before_the_lane_closes():
         for i in range(3):
             scheduler.submit_after(lambda: released.wait(10), ran.append, i)
         # three waits are pending on a two-worker lane, and its workers still take tasks
-        assert scheduler.map(lambda i: i * i, range(4)) == [0, 1, 4, 9]
+        squares = [scheduler.submit(lambda i: i * i, i) for i in range(4)]
+        assert [square.result(timeout=10) for square in squares] == [0, 1, 4, 9]
         assert ran == []
         released.set()
     assert sorted(ran) == [0, 1, 2]
@@ -70,3 +58,10 @@ def test_one_worker_runs_a_delayed_task_inline_after_its_wait():
     with Scheduler(1) as scheduler:
         scheduler.submit_after(lambda: order.append("wait"), order.append, "task")
         assert order == ["wait", "task"]
+
+
+def test_submit_after_the_lane_closed_raises_lane_closed():
+    with Scheduler(2) as scheduler:
+        pass
+    with pytest.raises(LaneClosedError):
+        scheduler.submit(len, "abc")
