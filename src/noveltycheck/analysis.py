@@ -103,7 +103,6 @@ class ContributionComparison:
     refutation_status: str
     refutation_evidence: Optional[RefutationEvidence] = None
     brief_note: Optional[str] = None
-    similarity_segments: list[SimilaritySegment] = field(default_factory=list)
 
 
 @dataclass(kw_only=True)
@@ -117,7 +116,6 @@ class CoreTaskComparison:
     comparison_mode: str  # "fulltext" or "abstract_fallback"
     is_duplicate_variant: bool
     brief_comparison: str
-    similarity_segments: list[SimilaritySegment] = field(default_factory=list)
 
 
 DOWNGRADE_NOTE = (
@@ -805,25 +803,20 @@ def generate_one_liners(
 # --- report assembly ---------------------------------------------------------------
 
 
-@dataclass
-class ClaimStatistics:
-    """How many candidates one claim was compared against, split by refutation status."""
-
-    candidates_examined: int = 0
-    can_refute: int = 0
-    non_refutable_or_unclear: int = 0
+def claim_counts(comparisons: Sequence[ContributionComparison]) -> tuple[int, int]:
+    """How many candidates one claim was compared against, and how many of them can refute it."""
+    return len(comparisons), sum(1 for e in comparisons if e.refutation_status == CAN_REFUTE)
 
 
 @dataclass
 class ContributionAnalysisEntry:
-    """One claim with its statistics and per-candidate comparisons."""
+    """One claim with its per-candidate comparisons."""
 
     claim_id: str
     name: str
     author_claim_text: str = "unknown"
     description: str = "unknown"
     source_hint: str = "unknown"
-    statistics: ClaimStatistics = field(default_factory=ClaimStatistics)
     comparisons: list[ContributionComparison] = field(default_factory=list)
 
 
@@ -863,10 +856,9 @@ class CoreTaskSurvey:
 
 @dataclass
 class TextualSimilarity:
-    """The verified overlap segments of every candidate that has any."""
+    """The verified overlap segments of every candidate that has any; the one place a
+    segment is stored."""
 
-    total_segments: int
-    candidates_with_overlap: list[str]
     segments_by_candidate: dict[str, list[SimilaritySegment]]
 
 
@@ -876,7 +868,6 @@ class ReportMetadata:
 
     generated_at: str
     pipeline_version: str
-    component_flags: dict[str, str]
     artifact_filenames: dict[str, str]
     warnings: list[str]
 
@@ -1017,12 +1008,6 @@ def assemble_report(
                 f"statistics identity violated for {claim.claim_id}: "
                 f"{len(entries)} comparisons for {examined} candidates examined"
             )
-        can_refute = sum(1 for e in entries if e.refutation_status == CAN_REFUTE)
-        stats = ClaimStatistics(
-            candidates_examined=examined,
-            can_refute=can_refute,
-            non_refutable_or_unclear=examined - can_refute,
-        )
         contributions.append(
             ContributionAnalysisEntry(
                 claim_id=claim.claim_id,
@@ -1030,7 +1015,6 @@ def assemble_report(
                 author_claim_text=claim.author_claim_text,
                 description=claim.description,
                 source_hint=claim.source_hint,
-                statistics=stats,
                 comparisons=entries,
             )
         )
@@ -1056,17 +1040,11 @@ def assemble_report(
         core_task_comparisons=core_task_analysis,
         references=list(references),
         textual_similarity=TextualSimilarity(
-            total_segments=sum(len(v) for v in segments_by_candidate.values()),
-            candidates_with_overlap=[k for k, v in segments_by_candidate.items() if v],
             segments_by_candidate={k: list(v) for k, v in segments_by_candidate.items() if v},
         ),
         metadata=ReportMetadata(
             generated_at=generated_at,
             pipeline_version=pipeline_version,
-            component_flags={
-                "taxonomy_status": taxonomy_outcome.status,
-                "core_task_comparison_mode": core_task_analysis.mode,
-            },
             artifact_filenames=dict(artifact_filenames or {}),
             warnings=list(diagnostics),
         ),
@@ -1080,7 +1058,15 @@ def assemble_report(
 
 
 def check_renderable(report: NoveltyReport) -> None:
-    """Raise RenderError for a prose field render prints that cites no reference."""
+    """Raise RenderError for a references list that repeats an index or a canonical id,
+    or for a prose field render prints that cites no reference."""
+    for key in ("index", "canonical_id"):
+        seen: set[Any] = set()
+        for ref in report.references:
+            value = getattr(ref, key)
+            if value in seen:
+                raise RenderError(f"references repeat {key} {value!r}")
+            seen.add(value)
 
     def _reject(where: str, bad: list[int]) -> None:
         raise RenderError(f"dangling citation index {bad[0]} in {where}")
@@ -1288,35 +1274,17 @@ def run_analysis_phase(
     narrative, narrative_diag = narrative_future.result()
     diagnostics.extend(narrative_diag)
 
-    # merge similarity results and apply the downgrade policy, in that order
     all_entries: dict[str, list[ContributionComparison]] = {}
+    stats_payload: list[dict[str, Any]] = []
     for idx, claim in enumerate(phase1.claims):
-        entries: list[ContributionComparison] = []
-        for pid in candidate_set.per_contribution.get(claim.claim_id, ()):
-            entry = replace(
-                entries_by_candidate[pid][idx],
-                similarity_segments=list(segments_by_candidate.get(pid, [])),
-            )
-            entries.append(entry)
-        all_entries[claim.claim_id] = downgrade_unverified(entries)
-
-    for comparison in core_analysis.comparisons:
-        comparison.similarity_segments = list(
-            segments_by_candidate.get(comparison.canonical_id, [])
+        all_entries[claim.claim_id] = downgrade_unverified([
+            entries_by_candidate[pid][idx]
+            for pid in candidate_set.per_contribution.get(claim.claim_id, ())
+        ])
+        examined, can_refute = claim_counts(all_entries[claim.claim_id])
+        stats_payload.append(
+            {"name": claim.name, "candidates_examined": examined, "can_refute_count": can_refute}
         )
-
-    stats_payload = [
-        {
-            "name": claim.name,
-            "candidates_examined": len(candidate_set.per_contribution.get(claim.claim_id, ())),
-            "can_refute_count": sum(
-                1
-                for e in all_entries.get(claim.claim_id, ())
-                if e.refutation_status == CAN_REFUTE
-            ),
-        }
-        for claim in phase1.claims
-    ]
     assessment, assessment_diag = generate_overall_assessment(
         target,
         outcome.taxonomy,

@@ -13,7 +13,7 @@ import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .analysis import (
     CAN_REFUTE,
@@ -21,6 +21,7 @@ from .analysis import (
     NoveltyReport,
     ReportReference,
     check_renderable,
+    claim_counts,
 )
 from .errors import InvalidInputError, RenderError
 from .taxonomy import TaxonomyNode
@@ -108,6 +109,7 @@ def _render_comparison_entry(
     md: _MarkdownBuilder,
     entry: ContributionComparison,
     refs_by_id: Mapping[str, ReportReference],
+    segments: Sequence[SimilaritySegment],
     limit: int,
 ) -> None:
     ref = refs_by_id.get(entry.canonical_id)
@@ -128,7 +130,7 @@ def _render_comparison_entry(
             )
     elif entry.brief_note:
         md.line(f"- **Note:** {entry.brief_note}")
-    for seg in entry.similarity_segments:
+    for seg in segments:
         _render_segment(md, seg, limit)
     md.blank()
 
@@ -142,6 +144,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     survey = report.core_task_survey
     taxonomy = TaxonomyNode.from_dict(survey.taxonomy)
     refs_by_id = {r.canonical_id: r for r in report.references}
+    segments_by_id = report.textual_similarity.segments_by_candidate
     limit = cfg.quote_truncation_limit
     md = _MarkdownBuilder()
 
@@ -189,7 +192,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
                 f" ({entry.comparison_mode} comparison)"
             )
             md.line(f"- {entry.brief_comparison}")
-            for seg in entry.similarity_segments:
+            for seg in segments_by_id.get(entry.canonical_id, ()):
                 _render_segment(md, seg, limit)
             md.blank()
     elif cta.mode == "subtopic_siblings" and cta.subtopic_summary is not None:
@@ -223,24 +226,23 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
             f"**Author claim:** \"{contribution.author_claim_text}\""
             f" ({contribution.source_hint})"
         )
-        stats = contribution.statistics
+        examined, can_refute = claim_counts(contribution.comparisons)
         md.line(
-            f"**Statistics:** {stats.candidates_examined} candidates examined; "
-            f"{stats.can_refute} can refute; "
-            f"{stats.non_refutable_or_unclear} cannot refute or unclear."
+            f"**Statistics:** {examined} candidates examined; {can_refute} can refute; "
+            f"{examined - can_refute} cannot refute or unclear."
         )
         md.blank()
         for entry in contribution.comparisons:
-            _render_comparison_entry(md, entry, refs_by_id, limit)
+            segments = segments_by_id.get(entry.canonical_id, ())
+            _render_comparison_entry(md, entry, refs_by_id, segments, limit)
 
     md.line("## Textual Similarity")
     md.blank()
-    similarity = report.textual_similarity
-    if not any(similarity.segments_by_candidate.values()):
+    if not any(segments_by_id.values()):
         md.line("No verified similarity segments were found.")
         md.blank()
     else:
-        for pid, segments in similarity.segments_by_candidate.items():
+        for pid, segments in segments_by_id.items():
             ref = refs_by_id.get(pid)
             title = ref.title if ref else pid
             md.line(f"### {_cite(ref, pid)}: {title}")

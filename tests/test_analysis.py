@@ -10,7 +10,6 @@ from noveltycheck.analysis import (
     CAN_REFUTE,
     CANNOT_REFUTE,
     UNCLEAR,
-    ClaimStatistics,
     ContributionComparison,
     CoreTaskAnalysis,
     EvidencePair,
@@ -18,6 +17,7 @@ from noveltycheck.analysis import (
     assemble_report,
     build_references,
     build_taxonomy,
+    claim_counts,
     compare_contribution,
     compare_core_task,
     derive_alias,
@@ -38,6 +38,7 @@ from noveltycheck.extraction import (
     generate_primary_queries,
 )
 from noveltycheck.papers import preprocess_document
+from noveltycheck.render import render_markdown
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.scheduler import LaneClosedError, Scheduler
 from noveltycheck.taxonomy import RepairOutcome, TaxonomyNode, structural_position
@@ -681,8 +682,11 @@ class TestReferencesAndAssembly:
     def test_statistics_identity_and_unclear_counting(self):
         claims, entries = self._one_claim_entries([UNCLEAR, CAN_REFUTE])
         report = self._assemble(claims=claims, comparisons_by_claim=entries)
-        stats = report.contributions[0].statistics
-        assert stats == ClaimStatistics(candidates_examined=2, can_refute=1, non_refutable_or_unclear=1)
+        assert claim_counts(report.contributions[0].comparisons) == (2, 1)
+        assert (
+            "**Statistics:** 2 candidates examined; 1 can refute; 1 cannot refute or unclear."
+            in render_markdown(report).splitlines()
+        )
         payload = report.to_dict()
         assert list(payload.keys()) == [
             "original_paper", "core_task_survey", "contribution_analysis",

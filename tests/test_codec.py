@@ -103,7 +103,7 @@ REFERENCE = {
     "year": 2024, "is_original": False,
 }
 METADATA = {
-    "generated_at": "now", "pipeline_version": "0.1.0", "component_flags": {},
+    "generated_at": "now", "pipeline_version": "0.1.0",
     "artifact_filenames": {"phase1": "phase1.json"}, "warnings": [],
 }
 PAPER = {"canonical_id": "doi:10.1/x", "title": "T"}

@@ -1092,6 +1092,33 @@ class TestRunPipeline:
         assert report["contribution_analysis"]["contributions"] == []
 
 
+def old_layout(report):
+    """``report`` as phase3.json stored it while each comparison entry held its
+    candidate's segments as well, and counts were stored beside the lists they count."""
+    report = copy.deepcopy(report)
+    segments = report["textual_similarity"]["segments_by_candidate"]
+    cta = report["core_task_comparisons"]
+    entries = list(cta["comparisons"])
+    for contribution in report["contribution_analysis"]["contributions"]:
+        comparisons = contribution["comparisons"]
+        refuting = sum(e["refutation_status"] == "can_refute" for e in comparisons)
+        contribution["statistics"] = {
+            "candidates_examined": len(comparisons),
+            "can_refute": refuting,
+            "non_refutable_or_unclear": len(comparisons) - refuting,
+        }
+        entries += comparisons
+    for entry in entries:
+        entry["similarity_segments"] = segments.get(entry["canonical_id"], [])
+    report["textual_similarity"]["total_segments"] = sum(map(len, segments.values()))
+    report["textual_similarity"]["candidates_with_overlap"] = list(segments)
+    report["metadata"]["component_flags"] = {
+        "taxonomy_status": report["core_task_survey"]["taxonomy_status"],
+        "core_task_comparison_mode": cta["mode"],
+    }
+    return report
+
+
 class TestCli:
     def test_render_from_phase3_json(self, tmp_path, goldens_dir):
         runner = CliRunner()
@@ -1102,6 +1129,29 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (goldens_dir / "report.md").read_bytes()
+
+    def test_old_layout_phase3_renders_the_golden_report(self, tmp_path, fixtures_dir, goldens_dir):
+        # keys a class no longer declares are read past, by render and on resume
+        run = [
+            "run", "--input", str(fixtures_dir / "target_paper.txt"), "--out-dir", str(tmp_path),
+            "--mock", "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
+            "--search-fixture", str(fixtures_dir / "mock_search.json"),
+            "--url", TARGET_URL, "--timestamp", TIMESTAMP,
+        ]
+        assert CliRunner().invoke(cli_main, run).exit_code == 0
+        phase3 = tmp_path / "phase3.json"
+        phase3.write_text(json.dumps(old_layout(json.loads(phase3.read_text()))))
+        [md] = tmp_path.glob("*.md")
+        md.unlink()
+        result = CliRunner().invoke(cli_main, [*run, "--resume"])
+        assert result.exit_code == 0, result.output
+        assert "phase3: skipped" in result.output
+        golden = (goldens_dir / "report.md").read_bytes()
+        assert md.read_bytes() == golden
+        out = tmp_path / "rendered.md"
+        result = CliRunner().invoke(cli_main, ["render", "--input", str(phase3), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == golden
 
     def test_validate_taxonomy_invalid_exits_one(self, tmp_path):
         tax = {
@@ -1329,10 +1379,11 @@ def test_hostile_model_reply_fails_cleanly_or_renders(fixture):
 
 GOLDEN_PHASE3 = json.loads((Path(__file__).parent / "goldens" / "phase3.json").read_text())
 GOLDEN_PHASE3_LEAVES = list(_leaf_paths(GOLDEN_PHASE3))
+MISSING_ID = "arxiv:0000.00000"  # named by no reference
 
 
 @st.composite
-def hostile_reports(draw):
+def leaf_swaps(draw):
     """The golden phase3.json with one leaf swapped for a hostile value."""
     report = copy.deepcopy(GOLDEN_PHASE3)
     *path, last = draw(st.sampled_from(GOLDEN_PHASE3_LEAVES))
@@ -1340,19 +1391,52 @@ def hostile_reports(draw):
     for key in path:
         node = node[key]
     node[last] = draw(st.sampled_from(HOSTILE_LEAVES))
-    return report
+    return report, False
 
 
-@settings(max_examples=300, deadline=None)
-@given(report=hostile_reports())
-def test_hostile_artifact_renders_or_prints_one_error_line(report):
+@st.composite
+def relational_mutations(draw):
+    """The golden phase3.json with one relation between its parts broken.
+
+    True when render must reject it: a repeated reference would make every
+    citation of that index or id name one paper while the list shows two.
+    """
+    report = copy.deepcopy(GOLDEN_PHASE3)
+    claims = [c["comparisons"] for c in report["contribution_analysis"]["contributions"]]
+    segments = report["textual_similarity"]["segments_by_candidate"]
+    references = report["references"]
+    kind = draw(st.sampled_from(["comparison", "segments", "reference", "duplicate"]))
+    if kind == "comparison":  # a comparison moved under an id missing from references
+        lists = [*claims, report["core_task_comparisons"]["comparisons"]]
+        draw(st.sampled_from([e for each in lists for e in each]))["canonical_id"] = MISSING_ID
+    elif kind == "segments":  # a segment list moved under an id missing from references
+        segments[MISSING_ID] = segments.pop(draw(st.sampled_from(sorted(segments))))
+    elif kind == "reference":  # one reference repeats another's index or canonical id
+        key = draw(st.sampled_from(["index", "canonical_id"]))
+        source, target = draw(
+            st.lists(st.sampled_from(range(len(references))), min_size=2, max_size=2, unique=True)
+        )
+        references[target][key] = references[source][key]
+        return report, True
+    else:  # a comparison entry duplicated within a claim
+        entries = draw(st.sampled_from([c for c in claims if c]))
+        copied = copy.deepcopy(draw(st.sampled_from(entries)))
+        entries.insert(draw(st.integers(0, len(entries))), copied)
+    return report, False
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.one_of(leaf_swaps(), relational_mutations()))
+def test_hostile_artifact_renders_or_prints_one_error_line(case):
+    report, must_reject = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "phase3.json"
         path.write_text(json.dumps(report))
         args = ["render", "--input", str(path), "--out", str(Path(tmp) / "report.md")]
         result = CliRunner().invoke(cli_main, args)
-    if result.exit_code == 0:
+    if result.exit_code == 0 and not must_reject:
         assert result.exception is None
     else:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
         assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+        assert not must_reject or "references repeat" in result.output, result.output

@@ -1,5 +1,6 @@
 """Deterministic Markdown rendering of the analysis report."""
 
+import dataclasses
 import json
 import os
 import re
@@ -35,15 +36,16 @@ class TestRenderMarkdown:
         assert len(quoted.strip('"').rstrip("…").split()) == 90
 
     def test_empty_similarity_module_states_absence(self, report):
-        report.textual_similarity = TextualSimilarity(
-            total_segments=0, candidates_with_overlap=[], segments_by_candidate={},
-        )
+        report.textual_similarity = TextualSimilarity(segments_by_candidate={})
         rendered = render_markdown(report)
         assert "No verified similarity segments were found." in rendered
 
-    def test_segments_rendered_whatever_the_stored_count(self, report, goldens_dir):
-        report.textual_similarity.total_segments = 0
-        assert render_markdown(report) == (goldens_dir / "report.md").read_text()
+    @pytest.mark.parametrize("key", ["index", "canonical_id"])
+    def test_repeated_reference_raises_naming_the_value(self, report, key):
+        value = getattr(report.references[1], key)
+        report.references[2] = dataclasses.replace(report.references[2], **{key: value})
+        with pytest.raises(RenderError, match=re.escape(f"references repeat {key} {value!r}")):
+            render_markdown(report)
 
     def test_dangling_citation_raises_with_index(self, report):
         report.overall_assessment.append("An invented citation Ghost[42] appears here.")
