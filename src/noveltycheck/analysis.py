@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Future
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import LlmClient
@@ -1084,99 +1085,103 @@ def citations_of(references: Sequence[ReportReference]) -> dict[str, str]:
 
 @dataclass
 class CoreScope:
-    """What Phase III's core-scope calls read."""
+    """What Phase III's core-scope calls read, as one candidate pool gives it."""
 
-    papers: list[PaperRecord]
+    # the core papers in rank order, each with its citation in the report
+    core: list[tuple[PaperRecord, str]]
     core_task: CoreTask
     target: PaperRecord
     target_doc: str
-    # each core paper's record and citation, by id
-    cited: dict[str, tuple[PaperRecord, Optional[str]]]
 
     @classmethod
     def of(
-        cls,
-        papers: list[PaperRecord],
-        core_task: CoreTask,
-        target: PaperRecord,
-        target_doc: str,
-        citations: Mapping[str, str],
+        cls, candidate_set: CandidateSet, core_task: CoreTask, target: PaperRecord, target_doc: str
     ) -> "CoreScope":
-        cited = {str(p.canonical_id): (p, citations.get(str(p.canonical_id))) for p in papers}
-        return cls(papers, core_task, target, target_doc, cited)
+        citations = citations_of(build_references(target, candidate_set))
+        records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
+        core = [(records[pid], citations[pid]) for pid in candidate_set.core_task]
+        return cls(core, core_task, target, target_doc)
+
+    def changes(self, other: "CoreScope") -> list[str]:
+        """The ids of the core records that differ from ``other``'s, rank by rank and
+        with their citations, then the names of the other inputs that differ."""
+        ids = dict.fromkeys(
+            str(paper.canonical_id)
+            for mine, theirs in zip_longest(self.core, other.core)
+            if mine != theirs
+            for paper, _ in filter(None, (mine, theirs))
+        )
+        names = [name for name in ("core_task", "target", "target_doc")
+                 if getattr(self, name) != getattr(other, name)]
+        return [*ids, *names]
+
+
+def _taxonomy_then_comparison(
+    scope: CoreScope, llm: LlmClient, lane: Scheduler
+) -> tuple[RepairOutcome, Optional[CoreTaskCalls]]:
+    """Build the taxonomy, then submit the core-task comparison's calls without waiting;
+    the comparison is None when the taxonomy did not place the target or the lane closed."""
+    records = {str(paper.canonical_id): paper for paper, _ in scope.core}
+    outcome = build_taxonomy(list(records.values()), scope.core_task, llm, original=scope.target)
+    try:
+        position = structural_position(outcome.taxonomy, str(scope.target.canonical_id))
+        started = start_core_task_comparison(
+            position, scope.target, scope.target_doc, records, llm, core_task=scope.core_task,
+            lane=lane,
+            citations={str(paper.canonical_id): citation for paper, citation in scope.core},
+        )
+    except (InvalidInputError, LaneClosedError):
+        return outcome, None
+    return outcome, started
 
 
 @dataclass
 class CoreScopeCalls:
     """Phase III's calls that read only the core scope, and the scope they were given.
 
-    The taxonomy and the one-liners need only the core papers, the core task
-    and the target, so a run can start them once Phase II has filtered its
-    core scope, while the contribution searches are still out. The core-task
-    comparison needs the target's text and the taxonomy's position of the
-    target as well, so it starts when the taxonomy returns. ``comparison``
-    always settles: to the started comparison; to None when none was started
-    because the taxonomy did not place the target or the lane closed; or to
-    the error that kept it from starting, a failed taxonomy's included.
+    A run can start them once Phase II has filtered its core scope, while the
+    contribution searches are still out. ``taxonomy`` is one lane task: it
+    builds the taxonomy, submits the core-task comparison's calls, and
+    returns both, the comparison None when none was started.
     """
 
     scope: CoreScope
-    taxonomy: Future[RepairOutcome]
+    taxonomy: Future[tuple[RepairOutcome, Optional[CoreTaskCalls]]]
     one_liners: Future[dict[str, str]]
-    comparison: Future[Optional[CoreTaskCalls]]
+
+    def cancel(self) -> None:
+        """Cancel the calls not begun: the taxonomy task and the one-liners if
+        still queued, and the comparison's calls once the taxonomy task returns."""
+
+        def _cancel_comparison(taxonomy: Future) -> None:
+            if taxonomy.exception() is not None:
+                return
+            _, started = taxonomy.result()
+            for call in started.calls if started is not None else ():
+                call.cancel()
+
+        self.one_liners.cancel()
+        if not self.taxonomy.cancel():
+            self.taxonomy.add_done_callback(_cancel_comparison)
 
 
 def start_core_scope_calls(
-    core_papers: Sequence[PaperRecord],
+    candidate_set: CandidateSet,
     core_task: CoreTask,
     target: PaperRecord,
     target_doc: str,
-    citations: Mapping[str, str],
     llm: LlmClient,
     lane: Scheduler,
 ) -> CoreScopeCalls:
-    """Submit the taxonomy and one-liner calls on a snapshot of ``core_papers``, and
-    the core-task comparison when the taxonomy returns.
+    """Submit the taxonomy task and the one-liner call on the core scope of ``candidate_set``.
 
-    The snapshot keeps the inputs fixed while cross-scope dedup goes on
-    upgrading the records themselves; ``citations`` must hold each core
-    paper's citation as the report's references will give it. Submits and
-    never waits: the comparison is submitted by the taxonomy call's
-    done-callback.
+    A pool of copies keeps the inputs fixed while cross-scope dedup goes on
+    upgrading the records themselves. Submits and never waits.
     """
-    papers = [replace(paper) for paper in core_papers]
-    scope = CoreScope.of(papers, core_task, target, target_doc, citations)
-    records = {str(paper.canonical_id): paper for paper in papers}
-    taxonomy = lane.submit(build_taxonomy, papers, core_task, llm, original=target)
-    one_liners = lane.submit(generate_one_liners, papers, llm)
-    comparison: Future[Optional[CoreTaskCalls]] = Future()
-
-    def _start_comparison(done: Future[RepairOutcome]) -> None:
-        if done.cancelled():  # dropped as the lane closed
-            comparison.set_result(None)
-            return
-        try:
-            position = structural_position(done.result().taxonomy, str(target.canonical_id))
-        except InvalidInputError:  # the taxonomy did not place the target
-            comparison.set_result(None)
-            return
-        except Exception as exc:
-            comparison.set_exception(exc)
-            return
-        try:
-            started = start_core_task_comparison(
-                position, target, target_doc, records, llm,
-                core_task=core_task, lane=lane, citations=citations,
-            )
-        except LaneClosedError:
-            started = None
-        except Exception as exc:
-            comparison.set_exception(exc)
-            return
-        comparison.set_result(started)
-
-    taxonomy.add_done_callback(_start_comparison)
-    return CoreScopeCalls(scope, taxonomy, one_liners, comparison)
+    scope = CoreScope.of(candidate_set, core_task, target, target_doc)
+    taxonomy = lane.submit(_taxonomy_then_comparison, scope, llm, lane)
+    one_liners = lane.submit(generate_one_liners, [paper for paper, _ in scope.core], llm)
+    return CoreScopeCalls(scope, taxonomy, one_liners)
 
 
 def run_analysis_phase(
@@ -1196,8 +1201,9 @@ def run_analysis_phase(
 
     Each model call is submitted to the model ``lane`` once its inputs exist;
     results are read in candidate order, never completion order. The
-    ``early`` core-scope calls are taken when their inputs equal this
-    phase's; otherwise they are discarded and made again.
+    ``early`` core-scope calls are taken when the core scope they were
+    derived from equals the one ``candidate_set`` gives; otherwise those of
+    their calls that have not begun are cancelled, and all are made again.
     """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
@@ -1207,7 +1213,6 @@ def run_analysis_phase(
     taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
 
     candidate_records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
-    core_papers = [candidate_records[pid] for pid in candidate_set.core_task]
 
     # one comparison call per distinct candidate, covering every claim
     comparison_order = dict.fromkeys(
@@ -1216,19 +1221,18 @@ def run_analysis_phase(
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
     )
 
-    scope = CoreScope.of(core_papers, phase1.core_task, target, target_doc, citations)
     core_calls = early
     if core_calls is not None:
-        changed = [
-            f.name for f in fields(CoreScope)
-            if getattr(core_calls.scope, f.name) != getattr(scope, f.name)
-        ]
+        changed = core_calls.scope.changes(
+            CoreScope.of(candidate_set, phase1.core_task, target, target_doc)
+        )
         if changed:
             logger.info("early core-scope calls discarded: %s changed", ", ".join(changed))
+            core_calls.cancel()
             core_calls = None
     if core_calls is None:
         core_calls = start_core_scope_calls(
-            core_papers, phase1.core_task, target, target_doc, citations, llm, lane
+            candidate_set, phase1.core_task, target, target_doc, llm, lane
         )
     # shared read-only by the comparison and similarity tasks
     target_document = Document(target_doc)
@@ -1248,7 +1252,7 @@ def run_analysis_phase(
             detect_similarity, target_document, paper, candidate_doc, llm
         )
 
-    outcome = core_calls.taxonomy.result()
+    outcome, started = core_calls.taxonomy.result()
     position: Optional[StructuralPosition] = None
     try:
         position = structural_position(outcome.taxonomy, str(target.canonical_id))
@@ -1258,7 +1262,6 @@ def run_analysis_phase(
         generate_narrative,
         phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,
     )
-    started = core_calls.comparison.result()
     if started is not None:
         core_analysis = compare_core_task(started)
     else:

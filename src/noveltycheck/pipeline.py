@@ -18,14 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from . import __version__
-from .analysis import (
-    CoreScopeCalls,
-    NoveltyReport,
-    build_references,
-    citations_of,
-    run_analysis_phase,
-    start_core_scope_calls,
-)
+from .analysis import CoreScopeCalls, NoveltyReport, run_analysis_phase, start_core_scope_calls
 from .clients import (
     HttpLlmClient,
     HttpSearchClient,
@@ -266,12 +259,14 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     The run owns one lane per client: a model lane of ``analysis_concurrency``
     workers and a search lane of ``retry.concurrency`` workers. Phase I starts
     each scope's searches as soon as its queries exist, and Phase II collects
-    them; once it has filtered the core scope, Phase III's taxonomy and
-    one-liner calls start on the model lane, and the core-task comparison
-    once the taxonomy returns. On a phase failure the manifest
-    records the error, queued calls are dropped, searches waiting to retry
-    give up, and the run stops cleanly; with ``resume`` enabled a later
-    invocation picks up after the last persisted artifact.
+    them. Once it has filtered the core scope, Phase III's core-scope calls
+    start on the model lane over a deduplicated pool of copies of the core
+    papers: the one-liners, and the taxonomy task, which submits the
+    core-task comparison's calls once the taxonomy is built. On a phase
+    failure the manifest records the error, queued calls are dropped,
+    searches waiting to retry give up, and the run stops cleanly; with
+    ``resume`` enabled a later invocation picks up after the last persisted
+    artifact.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
@@ -329,12 +324,12 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     early: list[CoreScopeCalls] = []
 
     def _start_early(phase1: Phase1Result, core: list[PaperRecord]) -> None:
-        # the core papers enter dedup's pool first, so their citations depend
-        # on them alone and a pool of copies of them gives the report's
+        # a pool of copies, as dedup goes on upgrading the records themselves;
+        # the core papers enter the final pool first too, so their citations
+        # here are the report's
         pool = cross_scope_dedup([replace(paper) for paper in core], {})
-        citations = citations_of(build_references(_target(), pool))
         early.append(start_core_scope_calls(
-            core, phase1.core_task, _target(), _target_doc(), citations, llm, model_lane
+            pool, phase1.core_task, _target(), _target_doc(), llm, model_lane
         ))
 
     def _phase2(phase1: Phase1Result) -> Phase2Result:

@@ -9,16 +9,16 @@ search. Results are read back in each phase's own iteration order, never in
 completion order, so artifacts are identical at any worker count.
 
 Only the orchestrating caller waits on futures; a task never waits on
-another task, though a model task may submit to the search lane. A future's
-done-callback may submit too, and never waits either: the early taxonomy's
-starts the core-task comparison on the worker that ran it (inline, at once).
-A bounded pool therefore cannot deadlock, and at most ``workers`` tasks, and
-so client calls, are in flight on each lane at once. A wait before a task,
-such as a search's retry backoff, holds no worker either: ``submit_after``
-waits on a thread of its own and submits the task when the wait is over, so
-queued tasks run meanwhile. The lane runs tasks first in, first out; a
-caller that wants some work to go first keeps its own queues and has each
-task take the next item, as the search runner does with due retries.
+another task. A task may submit to its own lane and never waits: the
+taxonomy task submits the core-task comparison's calls, and a model task may
+submit to the search lane too. A bounded pool therefore cannot deadlock, and
+at most ``workers`` tasks, and so client calls, are in flight on each lane
+at once. A wait before a task, such as a search's retry backoff, holds no
+worker either: ``submit_after`` waits on a thread of its own and submits the
+task when the wait is over, so queued tasks run meanwhile. The lane runs
+tasks first in, first out; a caller that wants some work to go first keeps
+its own queues and has each task take the next item, as the search runner
+does with due retries.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -220,59 +221,93 @@ class TestBuildTaxonomy:
             build_taxonomy(self.CANDS[:1], CORE_TASK, MockLlmClient({}))
 
 
-class ClosingLane(Scheduler):
-    """An inline lane that shuts down after ``open`` submissions."""
+class HeldLane(Scheduler):
+    """A lane that holds its tasks until ``run_held``, and raises ``refusal`` once it is set."""
 
-    def __init__(self, open):
+    def __init__(self):
         super().__init__(1)
-        self.open = open
+        self.held = []
+        self.refusal = None
 
     def submit(self, fn, /, *args, **kwargs):
-        if self.open == 0:
-            raise LaneClosedError("cannot schedule new futures after shutdown")
-        self.open -= 1
-        return super().submit(fn, *args, **kwargs)
+        if self.refusal is not None:
+            raise self.refusal
+        future = Future()
+        self.held.append((future, lambda: fn(*args, **kwargs)))
+        return future
+
+    def run_held(self, count=None):
+        for _ in range(len(self.held) if count is None else count):
+            future, task = self.held.pop(0)
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(task())
+                except Exception as exc:
+                    future.set_exception(exc)
 
 
 class TestStartCoreScopeCalls:
-    CANDS = TestBuildTaxonomy.CANDS
     TARGET = make_record("The Target Paper Of Record")
+    IDS = [str(TARGET.canonical_id)] + TestBuildTaxonomy.IDS
+    TAXONOMY_RULE = {"system_contains": "rigorous academic taxonomies",
+                     "response": _tax_payload(IDS)}
+    SIBLING_RULE = {"system_contains": "SAME taxonomy category",
+                    "response": {"is_duplicate_variant": False, "brief_comparison": "Differs."}}
 
     def _start(self, llm, lane):
-        return start_core_scope_calls(
-            self.CANDS, CORE_TASK, self.TARGET, TARGET_DOC, {}, llm, lane
-        )
+        pool = cross_scope_dedup(TestBuildTaxonomy.CANDS, {})
+        return start_core_scope_calls(pool, CORE_TASK, self.TARGET, TARGET_DOC, llm, lane)
 
     def test_comparison_starts_when_the_taxonomy_returns(self):
-        ids = [str(self.TARGET.canonical_id)] + TestBuildTaxonomy.IDS
-        llm = MockLlmClient({"rules": [
-            {"system_contains": "rigorous academic taxonomies", "response": _tax_payload(ids)},
-            {"system_contains": "SAME taxonomy category",
-             "response": {"is_duplicate_variant": False, "brief_comparison": "Differs."}},
-        ]})
+        llm = MockLlmClient({"rules": [self.TAXONOMY_RULE, self.SIBLING_RULE]})
         calls = self._start(llm, Scheduler(1))
-        started = calls.comparison.result(timeout=0)
-        # the target shares Leaf A with the first candidate
-        assert started.position.siblings == (ids[1],)
+        outcome, started = calls.taxonomy.result(timeout=0)
+        assert outcome.status == "valid"
+        # the target shares Leaf A with the first candidate, cited as the pool indexes it
+        assert started.position.siblings == (self.IDS[1],)
+        [sibling_call] = [c["user"] for c in llm.calls if "SAME taxonomy" in c["system"]]
+        assert "Candidate 0 (Candidate 0[1])" in sibling_call
         [comparison] = compare_core_task(started).comparisons
         assert comparison.brief_comparison == "Differs."
 
-    def test_lane_closed_before_the_comparison_settles_it_as_not_started(self):
-        ids = [str(self.TARGET.canonical_id)] + TestBuildTaxonomy.IDS
-        llm = MockLlmClient({"default": _tax_payload(ids)})
-        # the taxonomy and one-liner calls get in, the sibling call does not
-        calls = self._start(llm, ClosingLane(open=2))
-        assert calls.taxonomy.result(timeout=0).status == "valid"
-        assert calls.comparison.result(timeout=0) is None
+    def test_lane_closed_before_the_sibling_call_leaves_the_comparison_unstarted(self):
+        lane = HeldLane()
+        calls = self._start(MockLlmClient({"rules": [self.TAXONOMY_RULE]}), lane)
+        lane.refusal = LaneClosedError("cannot schedule new futures after shutdown")
+        lane.run_held()
+        outcome, started = calls.taxonomy.result(timeout=0)
+        assert outcome.status == "valid"
+        assert started is None
 
-    def test_unexpected_taxonomy_error_reaches_the_comparison(self):
+    @pytest.mark.parametrize("where", ["taxonomy_call", "sibling_submit"])
+    def test_unexpected_error_surfaces(self, where):
         class BrokenLlm(MockLlmClient):
             def complete(self, system_prompt, user_prompt, temperature=0.0):
-                raise RuntimeError("client bug")
+                raise RuntimeError("bug")
 
-        calls = self._start(BrokenLlm({}), Scheduler(1))
-        with pytest.raises(RuntimeError, match="client bug"):
-            calls.comparison.result(timeout=0)
+        lane = HeldLane()
+        if where == "taxonomy_call":
+            calls = self._start(BrokenLlm({}), lane)
+        else:
+            calls = self._start(MockLlmClient({"rules": [self.TAXONOMY_RULE]}), lane)
+            lane.refusal = RuntimeError("bug")
+        lane.run_held()
+        # never read as a taxonomy that did not place the target
+        with pytest.raises(RuntimeError, match="bug"):
+            calls.taxonomy.result(timeout=0)
+
+    @pytest.mark.parametrize("ran", [0, 1])
+    def test_cancel_drops_the_calls_not_begun(self, ran):
+        llm = MockLlmClient({"rules": [self.TAXONOMY_RULE, self.SIBLING_RULE]})
+        lane = HeldLane()
+        calls = self._start(llm, lane)
+        lane.run_held(ran)  # the taxonomy task, which queues the sibling call
+        calls.cancel()
+        lane.run_held()
+        assert calls.one_liners.cancelled()
+        assert calls.taxonomy.cancelled() == (ran == 0)
+        # only a taxonomy task that had begun made its call; no sibling call was made
+        assert len(llm.calls) == llm.call_count("rigorous academic taxonomies") == ran
 
 
 def _comparison_response(status1, status2, evidence=None):

@@ -152,7 +152,7 @@ def phase3_calls_per_prompt(calls):
 
 
 def run_then_resume(monkeypatch, tmp_path, fixtures_dir, paper_text, llm_fixture, search_fixture,
-                    workers):
+                    workers, llm_class=MockLlmClient, search_class=MockSearchClient):
     """Run, then resume over its phase1.json and phase2.json, so nothing starts early.
 
     Returns, for each run, phase3.json, the Markdown report and the model calls made.
@@ -164,9 +164,9 @@ def run_then_resume(monkeypatch, tmp_path, fixtures_dir, paper_text, llm_fixture
         if resume:
             for name in ("phase1.json", "phase2.json"):
                 shutil.copyfile(tmp_path / "run" / name, out / name)
-        llm = MockLlmClient(llm_fixture)
+        llm = llm_class(llm_fixture)
         monkeypatch.setattr(
-            pipeline, "build_clients", lambda cfg: (llm, MockSearchClient(search_fixture))
+            pipeline, "build_clients", lambda cfg: (llm, search_class(search_fixture))
         )
         cfg = make_config(
             out, fixtures_dir, resume=resume,
@@ -181,6 +181,19 @@ def run_then_resume(monkeypatch, tmp_path, fixtures_dir, paper_text, llm_fixture
         runs.append(((out / "phase3.json").read_bytes(), md, llm.calls))
     return runs
 
+
+def foreseer_doi_on_contribution_hits(search_fixture):
+    """Give Foreseer's contribution-scope hits a DOI, so that cross-scope dedup
+    upgrades its core record after the core scope is filtered."""
+    for query, spec in search_fixture["queries"].items():
+        for hit in spec.get("results", []):
+            if hit["title"].startswith("Foreseer") and query.startswith(QUERY_PREFIX):
+                hit["identifiers"]["doi"] = "10.5555/foreseer"
+    return search_fixture
+
+
+# the last variant of the last claim's queries in the bundled fixture
+LAST_QUERY = "Find papers about benchmark suites for storage cache eviction strategies"
 
 # what str() makes of a null or NaN reply field
 LEAKED_WORD = re.compile(r"\b(?:None|nan)\b")
@@ -827,23 +840,24 @@ class TestRunPipeline:
         assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
 
     @pytest.mark.parametrize("change", ["contribution_hit_upgrade", "within_core_title_merge"])
-    def test_core_paper_changed_after_the_early_start_makes_the_calls_again(
+    def test_early_calls_made_again_only_when_a_core_record_changed(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text, caplog, change
     ):
         search = json.loads((fixtures_dir / "mock_search.json").read_text())
-        queries = search["queries"]
         if change == "contribution_hit_upgrade":
-            # Foreseer's contribution-scope hits carry a DOI, so dedup upgrades its core record
-            for query, spec in queries.items():
-                for hit in spec.get("results", []):
-                    if hit["title"].startswith("Foreseer") and query.startswith(QUERY_PREFIX):
-                        hit["identifiers"]["doi"] = "10.5555/foreseer"
+            foreseer_doi_on_contribution_hits(search)
             # the early taxonomy call sees the core record as filtered, the one made again
             # sees it upgraded
             seen = [False, True]
             marker = "doi:10.5555/foreseer"
+            discards = [f"early core-scope calls discarded: arxiv:2401.11111, {marker} changed"]
+            # the discarded start's calls: the taxonomy, the one-liners and one distinction
+            # per sibling it placed the target beside
+            extra = {"taxonomy_construction": 1, "one_liner": 1, "sibling_distinction": 2}
         else:
-            # a second core hit titled as Foreseer, under another id, merges into it
+            # a second core hit titled as Foreseer, under another id, merges into it in the
+            # pool the early start reads too
+            queries = search["queries"]
             [foreseer] = [
                 hit for hit in queries["learned cache replacement under changing access patterns"]
                 ["results"] if hit["title"].startswith("Foreseer")
@@ -852,25 +866,44 @@ class TestRunPipeline:
             queries["adaptive eviction strategies for storage caches with workload drift"][
                 "results"
             ].append(copy_hit)
-            seen = [True, False]
+            seen = [False]
             marker = "openreview:foreseer-copy"
+            discards = []
+            extra = {}
         llm_fixture = json.loads((fixtures_dir / "mock_llm.json").read_text())
         taxonomy_prompt = load_prompt("taxonomy_construction")
+        sibling_prompt = load_prompt("sibling_distinction")
         caplog.set_level(logging.INFO, logger="noveltycheck.analysis")
-        # the discarded start's calls: the taxonomy (with a repair round for the merged
-        # copy), the one-liners and one distinction per sibling it placed the target beside
-        extra = {"taxonomy_construction": 1, "one_liner": 1, "sibling_distinction": 2}
-        if change == "within_core_title_merge":
-            extra["taxonomy_repair"] = 1
         outputs = []
         for workers in (1, 4):
             out = tmp_path / f"workers{workers}"
             out.mkdir()
             caplog.clear()
+            siblings_sent = threading.Semaphore(0)
+            held = []
+
+            class WatchedLlm(MockLlmClient):
+                def complete(self, system_prompt, user_prompt, temperature=0.0):
+                    if system_prompt == sibling_prompt:
+                        siblings_sent.release()
+                    return super().complete(system_prompt, user_prompt, temperature)
+
+            class HeldSearch(MockSearchClient):
+                # with workers, the last search waits for the early start's two sibling
+                # calls, so that every early call has begun before Phase III can discard it
+                def search(self, query):
+                    if query == LAST_QUERY and workers > 1:
+                        held.append(all(siblings_sent.acquire(timeout=5) for _ in range(2)))
+                    return super().search(query)
+
             (early, early_md, calls), (resumed, resumed_md, resumed_calls) = run_then_resume(
-                monkeypatch, out, fixtures_dir, paper_text, llm_fixture, search, workers
+                monkeypatch, out, fixtures_dir, paper_text, llm_fixture, search, workers,
+                llm_class=WatchedLlm, search_class=HeldSearch,
             )
-            assert "early core-scope calls discarded: papers, cited changed" in caplog.text
+            assert held == ([True] if workers > 1 else [])
+            assert [r.getMessage() for r in caplog.records if "discarded" in r.getMessage()] == (
+                discards
+            )
             payloads = [c["user"] for c in calls if c["system"] == taxonomy_prompt]
             assert [marker in p for p in payloads] == seen
             assert (early, early_md) == (resumed, resumed_md)
@@ -881,6 +914,49 @@ class TestRunPipeline:
             }
             outputs.append(((out / "run" / "phase2.json").read_bytes(), early, early_md))
         assert outputs[0] == outputs[1]
+
+    def test_discarded_early_start_sends_no_sibling_call(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        search = tmp_path / "search_with_doi.json"
+        search.write_text(json.dumps(foreseer_doi_on_contribution_hits(
+            json.loads((fixtures_dir / "mock_search.json").read_text())
+        )))
+        taxonomy_prompt = load_prompt("taxonomy_construction")
+        early_begun, remade = threading.Event(), threading.Event()
+        held = []
+
+        class HeldLlm(MockLlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                if system_prompt == taxonomy_prompt:
+                    if "doi:10.5555/foreseer" in user_prompt:  # made again after the discard
+                        remade.set()
+                    else:  # the early call returns only once its start is discarded
+                        early_begun.set()
+                        held.append(remade.wait(5))
+                return super().complete(system_prompt, user_prompt, temperature)
+
+        class HeldSearch(MockSearchClient):
+            # so that Phase III cannot discard the early start before its taxonomy call begins
+            def search(self, query):
+                if query == LAST_QUERY:
+                    held.append(early_begun.wait(5))
+                return super().search(query)
+
+        llm = HeldLlm.from_file(fixtures_dir / "mock_llm.json")
+        monkeypatch.setattr(
+            pipeline, "build_clients", lambda cfg: (llm, HeldSearch.from_file(search))
+        )
+        cfg = make_config(
+            tmp_path / "out", fixtures_dir, search_fixture=search,
+            retry=RetryPolicy(concurrency=2), analysis_concurrency=2,
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        assert held == [True, True], "a wait for the other call ran out"
+        assert llm.call_count(taxonomy_prompt) == 2
+        # the start made again places the target beside one sibling; the discarded
+        # start, beside two, must have sent no call for them
+        assert llm.call_count(load_prompt("sibling_distinction")) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", ["sibling", "subtopic_siblings", "isolated", "unplaced"])
@@ -930,8 +1006,6 @@ class TestRunPipeline:
     ):
         sibling_prompt = load_prompt("sibling_distinction")
         sibling_seen = threading.Event()
-        # the last variant of the last claim's queries
-        last = "Find papers about benchmark suites for storage cache eviction strategies"
         held = []
 
         class WatchedLlm(MockLlmClient):
@@ -942,7 +1016,7 @@ class TestRunPipeline:
 
         class HeldSearch(MockSearchClient):
             def search(self, query):
-                if query == last:
+                if query == LAST_QUERY:
                     held.append(sibling_seen.wait(5))
                 return super().search(query)
 
