@@ -633,8 +633,7 @@ def build_references(target: PaperRecord, candidate_set: CandidateSet) -> list[R
             is_original=True,
         )
     ]
-    for i, uc in enumerate(candidate_set.unified, start=1):
-        paper = uc.paper
+    for i, paper in enumerate(candidate_set.unified, start=1):
         refs.append(
             ReportReference(
                 index=i,
@@ -981,7 +980,7 @@ def assemble_report(
 
     ref_by_id = {r.canonical_id: r for r in references}
     rank_by_id = {pid: i for i, pid in enumerate(candidate_set.core_task, start=1)}
-    records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
+    records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
 
     papers_index: list[dict[str, Any]] = []
     target_id = str(target.canonical_id)
@@ -1098,7 +1097,7 @@ class CoreScope:
         cls, candidate_set: CandidateSet, core_task: CoreTask, target: PaperRecord, target_doc: str
     ) -> "CoreScope":
         citations = citations_of(build_references(target, candidate_set))
-        records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
+        records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
         core = [(records[pid], citations[pid]) for pid in candidate_set.core_task]
         return cls(core, core_task, target, target_doc)
 
@@ -1175,8 +1174,7 @@ def start_core_scope_calls(
 ) -> CoreScopeCalls:
     """Submit the taxonomy task and the one-liner call on the core scope of ``candidate_set``.
 
-    A pool of copies keeps the inputs fixed while cross-scope dedup goes on
-    upgrading the records themselves. Submits and never waits.
+    Submits and never waits.
     """
     scope = CoreScope.of(candidate_set, core_task, target, target_doc)
     taxonomy = lane.submit(_taxonomy_then_comparison, scope, llm, lane)
@@ -1212,7 +1210,7 @@ def run_analysis_phase(
     core_ids = set(candidate_set.core_task)
     taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
 
-    candidate_records = {str(uc.paper.canonical_id): uc.paper for uc in candidate_set.unified}
+    candidate_records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
 
     # one comparison call per distinct candidate, covering every claim
     comparison_order = dict.fromkeys(

@@ -13,6 +13,7 @@ import string
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from hashlib import md5
 from typing import Any, Mapping, Optional, Sequence, TYPE_CHECKING
 
@@ -139,7 +140,7 @@ class PublicationDate:
         return self.earliest() > other.latest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PaperRecord:
     """A target or retrieved paper with identity, metadata, and text."""
 
@@ -158,6 +159,7 @@ class PaperRecord:
         if self.relevance_score is not None and not 0.0 <= self.relevance_score <= 1.0:
             raise InvalidInputError(f"relevance score out of [0,1]: {self.relevance_score}")
 
+    @cached_property
     def title_hash(self) -> str:
         return md5(normalize_title(self.title).encode("utf-8")).hexdigest()
 

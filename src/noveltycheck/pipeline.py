@@ -41,10 +41,10 @@ from .render import RenderConfig, output_filename, render_markdown, render_pdf
 from .retrieval import (
     DEFAULT_TOPK_CONTRIBUTION,
     DEFAULT_TOPK_CORE,
+    CandidateSet,
     Phase2Result,
     QueryRunner,
     RetryPolicy,
-    cross_scope_dedup,
     run_retrieval_phase,
 )
 from .scheduler import Scheduler
@@ -260,8 +260,8 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     workers and a search lane of ``retry.concurrency`` workers. Phase I starts
     each scope's searches as soon as its queries exist, and Phase II collects
     them. Once it has filtered the core scope, Phase III's core-scope calls
-    start on the model lane over a deduplicated pool of copies of the core
-    papers: the one-liners, and the taxonomy task, which submits the
+    start on the model lane over the core scope's own deduplicated pool:
+    the one-liners, and the taxonomy task, which submits the
     core-task comparison's calls once the taxonomy is built. On a phase
     failure the manifest records the error, queued calls are dropped,
     searches waiting to retry give up, and the run stops cleanly; with
@@ -323,11 +323,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     # Phase III's core-scope calls, started by a Phase II computed in this run
     early: list[CoreScopeCalls] = []
 
-    def _start_early(phase1: Phase1Result, core: list[PaperRecord]) -> None:
-        # a pool of copies, as dedup goes on upgrading the records themselves;
-        # the core papers enter the final pool first too, so their citations
-        # here are the report's
-        pool = cross_scope_dedup([replace(paper) for paper in core], {})
+    def _start_early(phase1: Phase1Result, pool: CandidateSet) -> None:
         early.append(start_core_scope_calls(
             pool, phase1.core_task, _target(), _target_doc(), llm, model_lane
         ))

@@ -13,7 +13,7 @@ import logging
 import math
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from threading import Event, Lock, Semaphore
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -30,7 +30,6 @@ from .papers import (
     canonical_id_of,
     compute_quality_flag,
     infer_publication_date,
-    normalize_title,
     preprocess_document,
 )
 from .scheduler import Scheduler
@@ -309,7 +308,7 @@ def _is_self_reference(paper: PaperRecord, target: PaperRecord) -> bool:
         return True
     if paper.url and target.url and paper.url == target.url:
         return True
-    return normalize_title(paper.title) == normalize_title(target.title)
+    return paper.title_hash == target.title_hash
 
 
 def filter_scope(
@@ -377,28 +376,27 @@ def filter_scope(
 
 
 @dataclass
-class UnifiedCandidate:
-    paper: PaperRecord
-    provenance: list[str]
-
-
-@dataclass
 class CandidateSet:
     """The deduplicated candidate pool, and each scope's Top-K as ids into it.
 
-    ``unified`` is the only place a paper record lives. ``core_task`` and
-    each ``per_contribution`` list hold the ids of the unified entries their
-    scope's records merged into, in rank order, each id at most once.
+    ``unified`` is the only place a paper record lives, each canonical id at
+    most once. ``core_task`` and each ``per_contribution`` list hold the ids
+    of the unified entries their scope's records merged into, in rank order,
+    each id at most once; which scopes selected a paper is read from them.
     """
 
     core_task: list[str]
     per_contribution: dict[str, list[str]]
-    unified: list[UnifiedCandidate]
+    unified: list[PaperRecord]
     stats: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        known = {str(uc.paper.canonical_id) for uc in self.unified}
+        known = {str(paper.canonical_id) for paper in self.unified}
+        if len(known) != len(self.unified):
+            raise InvalidInputError("unified candidates must not repeat a canonical id")
         for ids in (self.core_task, *self.per_contribution.values()):
+            if len(set(ids)) != len(ids):
+                raise InvalidInputError("per-scope lists must not repeat an id")
             if not all(pid in known for pid in ids):
                 raise InvalidInputError("per-scope lists must hold ids of unified candidates")
 
@@ -414,52 +412,45 @@ def cross_scope_dedup(
     """Merge the per-scope Top-K lists into one deduplicated candidate pool.
 
     Two records are the same work when their canonical ids match or their
-    normalized titles hash identically. On a collision the core-task
-    instance wins and its identity is upgraded to the higher-priority
-    identifier scheme seen on either side. Each scope's list comes back as
+    normalized titles hash identically. On a collision the pool keeps the
+    first record seen, core scope first, with the higher-priority identifier
+    scheme seen on either side, and takes the url, date and full text from
+    the later record only where its own are missing. The merged entry is a
+    new record: the inputs are never changed. Each scope's list comes back as
     the ids of the entries its records merged into.
     """
-    unified: list[UnifiedCandidate] = []
+    unified: list[PaperRecord] = []
     index: dict[str, int] = {}
 
-    def _keys(paper: PaperRecord) -> list[str]:
-        return [str(paper.canonical_id), f"title:{paper.title_hash()}"]
-
-    def _insert(paper: PaperRecord, provenance: str) -> int:
+    def _insert(paper: PaperRecord) -> int:
         """Merge ``paper`` into the pool; return the position of its entry."""
-        keys = _keys(paper)
+        keys = [str(paper.canonical_id), f"title:{paper.title_hash}"]
         hit = next((index[key] for key in keys if key in index), None)
         if hit is None:
-            pos = len(unified)
-            unified.append(UnifiedCandidate(paper=paper, provenance=[provenance]))
-            for key in keys:
-                index[key] = pos
-            return pos
-        existing = unified[hit]
-        if provenance not in existing.provenance:
-            existing.provenance.append(provenance)
-        upgraded = _better_id(existing.paper.canonical_id, paper.canonical_id)
-        if upgraded != existing.paper.canonical_id:
-            existing.paper.canonical_id = upgraded
-        if existing.paper.url is None and paper.url is not None:
-            existing.paper.url = paper.url
-        if existing.paper.publication_date is None and paper.publication_date is not None:
-            existing.paper.publication_date = paper.publication_date
-        if existing.paper.full_text is None and paper.full_text is not None:
-            existing.paper.full_text = paper.full_text
+            hit = len(unified)
+            unified.append(paper)
+        else:
+            kept = unified[hit]
+            missing = {
+                name: getattr(paper, name)
+                for name in ("url", "publication_date", "full_text")
+                if getattr(kept, name) is None
+            }
+            unified[hit] = replace(
+                kept, canonical_id=_better_id(kept.canonical_id, paper.canonical_id), **missing
+            )
         for key in keys:
             index.setdefault(key, hit)
         return hit
 
-    core_positions = [_insert(paper, "core_task") for paper in core]
+    core_positions = [_insert(paper) for paper in core]
     contribution_positions = {
-        cid: [_insert(paper, f"contribution:{cid}") for paper in papers]
-        for cid, papers in per_contribution.items()
+        cid: [_insert(paper) for paper in papers] for cid, papers in per_contribution.items()
     }
 
     def _ids(positions: list[int]) -> list[str]:
         # read only now: a later merge can still upgrade an entry's id
-        return [str(unified[pos].paper.canonical_id) for pos in dict.fromkeys(positions)]
+        return [str(unified[pos].canonical_id) for pos in dict.fromkeys(positions)]
 
     combined = len(core) + sum(len(p) for p in per_contribution.values())
     removed = combined - len(unified)
@@ -516,21 +507,22 @@ def run_retrieval_phase(
     *,
     topk_core: int = DEFAULT_TOPK_CORE,
     topk_contribution: int = DEFAULT_TOPK_CONTRIBUTION,
-    on_core_selected: Optional[Callable[[list[PaperRecord]], object]] = None,
+    on_core_selected: Optional[Callable[[CandidateSet], object]] = None,
 ) -> Phase2Result:
     """Collect the query set's outcomes from ``runner`` and run the full filtering pipeline.
 
     The core scope is filtered as soon as its outcomes are in, and its
-    selection goes to ``on_core_selected`` before the contribution scopes'
-    outcomes are waited on. Cross-scope dedup may still upgrade those records
-    in place afterwards.
+    deduplicated pool, ``cross_scope_dedup`` of the selection alone, goes to
+    ``on_core_selected`` before the contribution scopes' outcomes are waited
+    on. The final pool starts with the same core entries unless a
+    contribution-scope record merges into one of them.
     """
     core: list[FilterOutcome] = []
 
     def _core_collected(results: list[RetrievalResult]) -> None:
         core.append(filter_scope(results, "core_task", topk_core, target))
         if on_core_selected is not None:
-            on_core_selected(core[0].selected)
+            on_core_selected(cross_scope_dedup(core[0].selected, {}))
 
     batch = execute_queries(query_set.all_queries(), runner, on_core_collected=_core_collected)
     core_outcome = core[0]

@@ -44,7 +44,8 @@ def goldens_dir() -> Path:
 
 
 def make_record(title: str, relevance: float = 0.5, *, verdict=None, url=None, date=None,
-                scheme: str | None = None, value: str | None = None) -> PaperRecord:
+                scheme: str | None = None, value: str | None = None, abstract: str = "",
+                full_text: str | None = None) -> PaperRecord:
     from noveltycheck.papers import canonical_id_of, compute_quality_flag
 
     if scheme:
@@ -59,13 +60,16 @@ def make_record(title: str, relevance: float = 0.5, *, verdict=None, url=None, d
         quality_flag=flag,
         url=url,
         publication_date=date,
+        abstract=abstract,
+        full_text=full_text,
     )
 
 
-def make_result(title: str, relevance: float, *, verdict=None, scope="core_task",
-                contribution_id=None, scheme=None, value=None) -> RetrievalResult:
-    record = make_record(title, relevance, verdict=verdict, scheme=scheme, value=value)
-    return RetrievalResult(paper=record, scope=scope, contribution_id=contribution_id)
+def make_result(title: str, relevance: float, *, scope="core_task", contribution_id=None,
+                **record) -> RetrievalResult:
+    """A retrieval result; ``record`` takes ``make_record``'s keywords."""
+    paper = make_record(title, relevance, **record)
+    return RetrievalResult(paper=paper, scope=scope, contribution_id=contribution_id)
 
 
 # --- the filtering-progression fixture -------------------------------------------

@@ -331,8 +331,7 @@ def _comparison_response(status1, status2, evidence=None):
 
 class TestCompareContribution:
     def test_cannot_refute_entries_stored(self):
-        candidate = make_record("Prior Widget Study", 0.9)
-        candidate.abstract = "Widget bending analysis."
+        candidate = make_record("Prior Widget Study", 0.9, abstract="Widget bending analysis.")
         llm = MockLlmClient({"default": _comparison_response("cannot_refute", "unclear")})
         entries = _compare(candidate, llm)
         assert [e.refutation_status for e in entries] == [CANNOT_REFUTE, UNCLEAR]
@@ -340,8 +339,9 @@ class TestCompareContribution:
         assert entries[0].brief_note and entries[0].refutation_evidence is None
 
     def test_verbatim_evidence_pair_verified(self):
-        candidate = make_record("Prior Widget Study", 0.9)
-        candidate.full_text = preprocess_document(CANDIDATE_TEXT, "comparison")
+        candidate = make_record(
+            "Prior Widget Study", 0.9, full_text=preprocess_document(CANDIDATE_TEXT, "comparison")
+        )
         evidence = {
             "summary": "Same measurement scheme.",
             "evidence_pairs": [
@@ -372,8 +372,9 @@ class TestCompareContribution:
             return real(text)
 
         monkeypatch.setattr(verification, "tokenize", counting)
-        candidate = make_record("Prior Widget Study", 0.9)
-        candidate.full_text = preprocess_document(CANDIDATE_TEXT, "comparison")
+        candidate = make_record(
+            "Prior Widget Study", 0.9, full_text=preprocess_document(CANDIDATE_TEXT, "comparison")
+        )
         pair = {
             "original_quote": TARGET_QUOTE,
             "original_paragraph_label": "Method",
@@ -389,8 +390,7 @@ class TestCompareContribution:
         assert sorted(documents) == sorted([TARGET_DOC, candidate.full_text])
 
     def test_fabricated_quote_fails_verification_then_downgrades(self):
-        candidate = make_record("Prior Widget Study", 0.9)
-        candidate.abstract = "Widget bending analysis."
+        candidate = make_record("Prior Widget Study", 0.9, abstract="Widget bending analysis.")
         evidence = {
             "summary": "Allegedly identical.",
             "evidence_pairs": [
@@ -620,11 +620,9 @@ def _detect_similarity(target_doc, candidate, llm):
 
 class TestDetectSimilarity:
     def _candidate(self):
-        candidate = make_record("Overlapping Candidate Work", 0.9)
-        candidate.full_text = preprocess_document(
+        return make_record("Overlapping Candidate Work", 0.9, full_text=preprocess_document(
             "Intro text.\n" + SEGMENT_TEXT + "\nClosing text.", "comparison"
-        )
-        return candidate
+        ))
 
     def _target_doc(self):
         return preprocess_document("Header.\n" + SEGMENT_TEXT + "\nFooter here.", "comparison")
@@ -809,11 +807,9 @@ def test_non_object_reply_takes_the_failure_branch(site, reply):
 
 
 def _overlap_candidate():
-    candidate = make_record("Overlapping Candidate Work", 0.9)
-    candidate.full_text = preprocess_document(
+    return make_record("Overlapping Candidate Work", 0.9, full_text=preprocess_document(
         f"Intro text.\n{SEGMENT_TEXT}\nClosing text.", "comparison"
-    )
-    return candidate
+    ))
 
 
 def _compare_prior(llm):

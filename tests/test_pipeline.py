@@ -211,6 +211,37 @@ class TestFrontMatter:
         assert abstract.startswith("Storage caches sit in front")
 
 
+# --- phase2.json candidate pools that a resume must not reuse --------------------
+
+
+def scope_lists_hold_records(candidates):
+    """Per-scope lists of full records, as before they held pool ids."""
+    papers = {p["canonical_id"]: p for p in candidates["unified"]}
+    candidates["core_task"] = [papers[pid] for pid in candidates["core_task"]]
+
+
+def full_texts_as_objects(candidates):
+    """Each full text an object with a normalized copy, as before it was one string."""
+    papers = [p for p in candidates["unified"] if p["full_text"] is not None]
+    assert papers
+    for paper in papers:
+        text = paper["full_text"]
+        paper["full_text"] = {"raw": text, "normalized": text.lower(), "token_count": 1}
+
+
+def scope_repeats_an_id(candidates):
+    candidates["per_contribution"]["contribution_1"].append("arxiv:2403.77777")
+
+
+def pool_repeats_a_record(candidates):
+    candidates["unified"].append(candidates["unified"][0])
+
+
+def pool_entries_wrapped(candidates):
+    """Each pool entry as ``{"paper", "provenance"}``, as before entries were plain records."""
+    candidates["unified"] = [{"paper": p, "provenance": ["core_task"]} for p in candidates["unified"]]
+
+
 class TestRunPipeline:
     def test_full_mock_run_produces_artifacts_and_goldens(
         self, tmp_path, fixtures_dir, goldens_dir, paper_text
@@ -319,40 +350,25 @@ class TestRunPipeline:
         [md] = tmp_path.glob("*.md")
         assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
 
-    def test_resume_over_record_lists_in_phase2_fails_phase2(
-        self, tmp_path, fixtures_dir, paper_text
+    @pytest.mark.parametrize("edit", [
+        scope_lists_hold_records, full_texts_as_objects, scope_repeats_an_id,
+        pool_repeats_a_record, pool_entries_wrapped,
+    ], ids=lambda edit: edit.__name__)
+    def test_resume_over_malformed_candidate_pool_fails_phase2(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, edit
     ):
-        # the per-scope lists of phase2.json hold pool ids; full records there are not reused
         assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
         path = tmp_path / "phase2.json"
         phase2 = json.loads(path.read_text())
-        candidates = phase2["candidate_set"]
-        papers = {u["paper"]["canonical_id"]: u["paper"] for u in candidates["unified"]}
-        candidates["core_task"] = [papers[pid] for pid in candidates["core_task"]]
+        edit(phase2["candidate_set"])
         path.write_text(json.dumps(phase2))
-        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir, resume=True)
+        )
         assert manifest.phases["phase2"].status == "failed"
         assert "cannot load phase2.json" in manifest.phases["phase2"].error
         assert manifest.phases["phase3"].status == "pending"
-
-    def test_resume_over_document_objects_in_phase2_fails_phase2(
-        self, tmp_path, fixtures_dir, paper_text
-    ):
-        # a full text is stored as its preprocessed string; an object in its place is not reused
-        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
-        path = tmp_path / "phase2.json"
-        phase2 = json.loads(path.read_text())
-        papers = [u["paper"] for u in phase2["candidate_set"]["unified"]]
-        assert any(p["full_text"] is not None for p in papers)
-        for paper in papers:
-            if paper["full_text"] is not None:
-                text = paper["full_text"]
-                paper["full_text"] = {"raw": text, "normalized": text.lower(), "token_count": 1}
-        path.write_text(json.dumps(phase2))
-        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
-        assert manifest.phases["phase2"].status == "failed"
-        assert "cannot load phase2.json" in manifest.phases["phase2"].error
-        assert manifest.phases["phase3"].status == "pending"
+        assert not any(phase3_calls_per_prompt(calls).values())
 
     @pytest.mark.parametrize("phase", ["phase1", "phase2", "phase3"])
     def test_resume_over_truncated_artifact_fails_its_phase(
@@ -578,7 +594,7 @@ class TestRunPipeline:
         manifest, calls = run_recording_llm(monkeypatch, paper_text, cfg)
         assert manifest.succeeded
         unified = json.loads((tmp_path / "phase2.json").read_text())["candidate_set"]["unified"]
-        texts = [u["paper"]["full_text"] for u in unified if u["paper"]["full_text"] is not None]
+        texts = [p["full_text"] for p in unified if p["full_text"] is not None]
         checks = [c["user"] for c in calls if c["system"] == load_prompt("similarity_detection")]
         assert len(texts) == 2
         assert len(checks) == len(texts)
@@ -603,7 +619,7 @@ class TestRunPipeline:
         )
         assert run_bounded(paper_text, cfg).succeeded
         unified = json.loads((tmp_path / "phase2.json").read_text())["candidate_set"]["unified"]
-        texts = [u["paper"]["full_text"] for u in unified if u["paper"]["full_text"] is not None]
+        texts = [p["full_text"] for p in unified if p["full_text"] is not None]
         assert len(texts) == 2
         # tokenized only when a quote is checked against it, and then once
         assert max(tokenized.count(text) for text in texts) == 1

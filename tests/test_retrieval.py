@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -441,8 +442,7 @@ class TestFilterScope:
 
     def test_self_reference_removed_by_url(self):
         target = make_record("The Target", url="https://example.org/paper")
-        results = [make_result("Renamed Version", 0.9)]
-        results[0].paper.url = "https://example.org/paper"
+        results = [make_result("Renamed Version", 0.9, url="https://example.org/paper")]
         outcome = filter_scope(results, "core_task", 50, target)
         assert outcome.selected == []
 
@@ -457,8 +457,7 @@ class TestFilterScope:
 
     def test_temporal_filter_unknown_dates_pass(self):
         target = progression_target()  # dated 2025-09
-        late = make_result("Late Paper", 0.9)
-        late.paper.publication_date = PublicationDate(2026, 1)
+        late = make_result("Late Paper", 0.9, date=PublicationDate(2026, 1))
         unknown = make_result("Undated Paper", 0.8)
         outcome = filter_scope([late, unknown], "core_task", 50, target)
         assert [p.title for p in outcome.selected] == ["Undated Paper"]
@@ -523,35 +522,41 @@ class TestCrossScopeDedup:
         contrib = make_record("Shared Work", 0.8, scheme="arxiv", value="2401.9")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [contrib]})
         assert len(candidate_set.unified) == 1
-        unified = candidate_set.unified[0]
-        assert unified.paper.canonical_id == CanonicalId(IdScheme.DOI, "10.5/zz")
-        assert unified.provenance == ["core_task", "contribution:contribution_1"]
+        assert candidate_set.unified[0].canonical_id == CanonicalId(IdScheme.DOI, "10.5/zz")
+        assert candidate_set.core_task == ["doi:10.5/zz"]
+        assert candidate_set.per_contribution == {"contribution_1": ["doi:10.5/zz"]}
 
     def test_upgrade_when_better_id_arrives_second(self):
         core = [make_record("Shared Work", 0.9, scheme="arxiv", value="2401.9")]
         contrib = make_record("Shared Work", 0.8, scheme="doi", value="10.5/zz")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [contrib]})
-        assert candidate_set.unified[0].paper.canonical_id.scheme is IdScheme.DOI
+        assert candidate_set.unified[0].canonical_id.scheme is IdScheme.DOI
         # every scope names the merged paper by its upgraded id, the core
         # scope included although its own record arrived with the arXiv id
         assert candidate_set.core_task == ["doi:10.5/zz"]
         assert candidate_set.per_contribution == {"contribution_1": ["doi:10.5/zz"]}
 
     def test_later_duplicates_fill_only_missing_fields(self):
-        core = [make_record("Shared Work", 0.9)]
-        first = make_record("Shared Work", 0.8, url="https://a.example/1", date=PublicationDate(2023))
-        first.full_text = "The first full text."
-        second = make_record("shared  work.", 0.7, url="https://b.example/2", date=PublicationDate(2021))
-        second.full_text = "The second full text."
+        core = [make_record("Shared Work", 0.9, abstract="The core abstract.")]
+        before = replace(core[0])
+        first = make_record("Shared Work", 0.8, url="https://a.example/1", date=PublicationDate(2023),
+                            full_text="The first full text.")
+        second = make_record("shared  work.", 0.7, url="https://b.example/2",
+                             date=PublicationDate(2021), full_text="The second full text.")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [first], "contribution_2": [second]})
         [unified] = candidate_set.unified
-        assert unified.paper is core[0]
-        assert unified.paper.url == "https://a.example/1"
-        assert unified.paper.publication_date == PublicationDate(2023)
-        assert unified.paper.full_text == "The first full text."
-        assert unified.provenance == [
-            "core_task", "contribution:contribution_1", "contribution:contribution_2",
-        ]
+        # the core record's own fields, and the first later record's where the core's were missing
+        assert (unified.canonical_id, unified.title, unified.abstract, unified.relevance_score) == (
+            before.canonical_id, "Shared Work", "The core abstract.", 0.9,
+        )
+        assert unified.url == "https://a.example/1"
+        assert unified.publication_date == PublicationDate(2023)
+        assert unified.full_text == "The first full text."
+        # the merge made a new record: the core record is unchanged
+        assert core[0] == before
+        assert candidate_set.per_contribution == {
+            "contribution_1": [str(before.canonical_id)], "contribution_2": [str(before.canonical_id)],
+        }
 
     @given(core=_SCOPE, per=st.lists(_SCOPE, max_size=3))
     def test_unified_ids_pairwise_distinct(self, core, per):
@@ -560,15 +565,26 @@ class TestCrossScopeDedup:
         def records(specs):
             return [make_record(t, scheme=scheme, value=value) for t, scheme, value in specs]
 
-        candidate_set = cross_scope_dedup(
-            records(core), {f"contribution_{i}": records(s) for i, s in enumerate(per, start=1)}
-        )
-        ids = [str(uc.paper.canonical_id) for uc in candidate_set.unified]
+        core_records = records(core)
+        per_records = {f"contribution_{i}": records(s) for i, s in enumerate(per, start=1)}
+        inputs = [*core_records, *(r for rs in per_records.values() for r in rs)]
+        copies = [replace(record) for record in inputs]
+        candidate_set = cross_scope_dedup(core_records, per_records)
+        ids = [str(paper.canonical_id) for paper in candidate_set.unified]
         assert len(ids) == len(set(ids))
         # each scope lists unified ids only, none of them twice
         for scope in (candidate_set.core_task, *candidate_set.per_contribution.values()):
             assert set(scope) <= set(ids)
             assert len(scope) == len(set(scope))
+        # dedup changes no input record
+        assert inputs == copies
+        # the core pool alone is the final pool's head unless a contribution record joins it
+        core_keys = {key for r in core_records for key in (r.canonical_id, r.title_hash)}
+        if not any(
+            {r.canonical_id, r.title_hash} & core_keys for rs in per_records.values() for r in rs
+        ):
+            core_pool = cross_scope_dedup(core_records, {}).unified
+            assert candidate_set.unified[: len(core_pool)] == core_pool
 
     def test_per_scope_lists_preserved(self):
         core = [make_record("Shared Work", 0.9)]
