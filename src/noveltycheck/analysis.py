@@ -98,8 +98,6 @@ class ContributionComparison:
     """Three-way refutation judgment for one (claim, candidate) pair."""
 
     canonical_id: str
-    candidate_paper_title: str
-    candidate_paper_url: Optional[str]
     comparison_mode: str  # "fulltext" or "abstract"
     refutation_status: str
     refutation_evidence: Optional[RefutationEvidence] = None
@@ -111,8 +109,6 @@ class CoreTaskComparison:
     """Distinction analysis against one sibling paper in the same leaf."""
 
     canonical_id: str
-    candidate_paper_title: str
-    candidate_paper_url: Optional[str]
     relationship: str = "sibling"
     comparison_mode: str  # "fulltext" or "abstract_fallback"
     is_duplicate_variant: bool
@@ -298,8 +294,6 @@ def compare_contribution(
     def _entry(status: str, note: Optional[str], evidence: Optional[RefutationEvidence]) -> ContributionComparison:
         return ContributionComparison(
             canonical_id=cid,
-            candidate_paper_title=candidate.title,
-            candidate_paper_url=candidate.url,
             comparison_mode=mode,
             refutation_status=status,
             refutation_evidence=evidence,
@@ -506,8 +500,6 @@ def start_core_task_comparison(
             diagnostic = f"sibling comparison failed for {sibling_id}: {exc}"
         return CoreTaskComparison(
             canonical_id=sibling_id,
-            candidate_paper_title=record.title,
-            candidate_paper_url=record.url,
             comparison_mode=mode,
             is_duplicate_variant=duplicate,
             brief_comparison=brief or "No comparison text returned.",
@@ -622,30 +614,18 @@ def derive_alias(title: str) -> str:
 
 def build_references(target: PaperRecord, candidate_set: CandidateSet) -> list[ReportReference]:
     """Citation index: alias 0 is the target, candidates get ascending indices."""
-    refs = [
+    return [
         ReportReference(
-            index=0,
-            alias=derive_alias(target.title),
-            canonical_id=str(target.canonical_id),
-            title=target.title,
-            url=target.url,
-            year=target.publication_date.year if target.publication_date else None,
-            is_original=True,
+            index=i,
+            alias=derive_alias(paper.title),
+            canonical_id=str(paper.canonical_id),
+            title=paper.title,
+            url=paper.url,
+            year=paper.publication_date.year if paper.publication_date else None,
+            is_original=i == 0,
         )
+        for i, paper in enumerate([target, *candidate_set.unified])
     ]
-    for i, paper in enumerate(candidate_set.unified, start=1):
-        refs.append(
-            ReportReference(
-                index=i,
-                alias=derive_alias(paper.title),
-                canonical_id=str(paper.canonical_id),
-                title=paper.title,
-                url=paper.url,
-                year=paper.publication_date.year if paper.publication_date else None,
-                is_original=False,
-            )
-        )
-    return refs
 
 
 _CITATION_RE = re.compile(r"\[(\d+)\]")
@@ -780,7 +760,7 @@ def generate_overall_assessment(
 def generate_one_liners(
     papers: Sequence[PaperRecord], llm: LlmClient
 ) -> dict[str, str]:
-    """Optional 20-30 word blurbs attached to the papers index."""
+    """Optional 20-30 word blurbs, by canonical id, for the core-task survey."""
     if not papers:
         return {}
     payload = {
@@ -841,7 +821,8 @@ class OriginalPaper:
 
 @dataclass
 class CoreTaskSurvey:
-    """The taxonomy of the core-task candidates and the narrative written over it."""
+    """The taxonomy of the core-task candidates, the narrative written over it, and the
+    one-liner of each of the target and the core papers that has one, in rank order."""
 
     core_task: str
     # TaxonomyNode.to_dict form: notes and papers are present or absent by node kind
@@ -849,9 +830,8 @@ class CoreTaskSurvey:
     taxonomy_status: str
     taxonomy_content_hash: str
     narrative: str
-    # an entry holds "one_liner" only when one exists; a declared field would write null
-    papers_index: list[dict[str, Any]]
     diagnostics: list[str]
+    one_liners: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -978,26 +958,13 @@ def assemble_report(
         if value is None:
             raise AssemblyError(f"missing required module: {name}")
 
-    ref_by_id = {r.canonical_id: r for r in references}
-    rank_by_id = {pid: i for i, pid in enumerate(candidate_set.core_task, start=1)}
-    records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
-
-    papers_index: list[dict[str, Any]] = []
     target_id = str(target.canonical_id)
-    records[target_id] = target
-    for pid in [target_id] + [pid for pid in candidate_set.core_task if pid != target_id]:
-        ref = ref_by_id.get(pid)
-        entry: dict[str, Any] = {
-            "canonical_id": pid,
-            "index": ref.index if ref else None,
-            "alias": ref.alias if ref else derive_alias(records[pid].title),
-            "title": records[pid].title,
-            "url": records[pid].url,
-            "rank": rank_by_id.get(pid, 0),
-        }
-        if pid in one_liners:
-            entry["one_liner"] = one_liners[pid]
-        papers_index.append(entry)
+    # the reply may name any id: keep the target's and the core papers', target first
+    kept_one_liners = {
+        pid: one_liners[pid]
+        for pid in dict.fromkeys([target_id, *candidate_set.core_task])
+        if pid in one_liners
+    }
 
     contributions: list[ContributionAnalysisEntry] = []
     for claim in claims:
@@ -1033,8 +1000,8 @@ def assemble_report(
             taxonomy_status=taxonomy_outcome.status,
             taxonomy_content_hash=taxonomy_content_hash(taxonomy_outcome.taxonomy),
             narrative=narrative,
-            papers_index=papers_index,
             diagnostics=list(taxonomy_outcome.diagnostics),
+            one_liners=kept_one_liners,
         ),
         contribution_analysis=ContributionAnalysis(list(overall_assessment), contributions),
         core_task_comparisons=core_task_analysis,
@@ -1059,7 +1026,9 @@ def assemble_report(
 
 def check_renderable(report: NoveltyReport) -> None:
     """Raise RenderError for a references list that repeats an index or a canonical id,
-    or for a prose field render prints that cites no reference."""
+    for a comparison entry or a segment list under a canonical id no reference has (the
+    one place a paper's title and URL live), or for a prose field render prints that
+    cites no reference."""
     for key in ("index", "canonical_id"):
         seen: set[Any] = set()
         for ref in report.references:
@@ -1067,6 +1036,14 @@ def check_renderable(report: NoveltyReport) -> None:
             if value in seen:
                 raise RenderError(f"references repeat {key} {value!r}")
             seen.add(value)
+    known = {ref.canonical_id for ref in report.references}
+    comparisons = [*report.core_task_comparisons.comparisons,
+                   *(e for c in report.contributions for e in c.comparisons)]
+    for what, ids in (("comparison", [e.canonical_id for e in comparisons]),
+                      ("segment list", report.textual_similarity.segments_by_candidate)):
+        for pid in ids:
+            if pid not in known:
+                raise RenderError(f"{what} under {pid!r} names no reference")
 
     def _reject(where: str, bad: list[int]) -> None:
         raise RenderError(f"dangling citation index {bad[0]} in {where}")

@@ -8,6 +8,7 @@ and every phase can be developed and inspected in isolation.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -37,6 +38,7 @@ from .papers import (
     infer_publication_date,
     preprocess_document,
 )
+from .prompts import TEMPERATURES, load_prompt
 from .render import RenderConfig, output_filename, render_markdown, render_pdf
 from .retrieval import (
     DEFAULT_TOPK_CONTRIBUTION,
@@ -113,6 +115,7 @@ class PhaseStatus:
     artifact: Optional[str] = None
     started_at: Optional[str] = None
     finished_at: Optional[str] = None
+    # why the phase failed, or why a resumed run did not reuse its artifact
     error: Optional[str] = None
 
 
@@ -152,6 +155,18 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
 
 def _read_json(path: Path) -> Any:
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+class _StaleArtifact(Exception):
+    """An artifact that reads fine but was made from another input."""
+
+
+def input_fingerprint(paper_text: str, cfg: PipelineConfig) -> str:
+    """sha256 over what a run's artifacts follow from; the number of workers is not part of it."""
+    knobs = [cfg.topk_core, cfg.topk_contribution, cfg.target_url, cfg.target_title,
+             cfg.fixed_timestamp, cfg.quote_truncation_limit]
+    prompts = [load_prompt(name) for name in TEMPERATURES]
+    return hashlib.sha256(json.dumps([paper_text, knobs, __version__, prompts]).encode()).hexdigest()
 
 
 # --- front matter ------------------------------------------------------------------
@@ -218,21 +233,28 @@ class _PhaseRunner:
     def run(self, name: str, artifact: Path, compute: Callable[[], Any], *, load: Callable[[], Any]):
         """Execute one phase, honoring resume and recording status transitions.
 
-        The first phase that is computed rather than reused turns reuse off
-        for every later phase, whose artifact may predate the new input.
+        An artifact that ``load`` finds made from another input is computed
+        again, and the phase's status says why. The first phase that is
+        computed rather than reused turns reuse off for every later phase,
+        whose artifact may predate the new input.
         """
         status = self.manifest.phases[name]
         if self._reuse and artifact.exists():
-            logger.info("%s: reusing existing artifact %s", name, artifact.name)
-            status.status = "skipped"
             status.artifact = artifact.name
-            self.persist()
             try:
-                return load()
+                result = load()
+            except _StaleArtifact as exc:
+                logger.info("%s: not reusing %s: %s", name, artifact.name, exc)
+                status.error = f"not reused: {exc}"
             except Exception as exc:
                 abort = PhaseAbortError(name, f"cannot load {artifact.name}: {exc}")
                 self._fail(name, abort)
                 raise abort from exc
+            else:
+                logger.info("%s: reusing existing artifact %s", name, artifact.name)
+                status.status = "skipped"
+                self.persist()
+                return result
         self._reuse = False
         status.started_at = _now()
         self.persist()
@@ -265,8 +287,8 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     core-task comparison's calls once the taxonomy is built. On a phase
     failure the manifest records the error, queued calls are dropped,
     searches waiting to retry give up, and the run stops cleanly; with
-    ``resume`` enabled a later invocation picks up after the last persisted
-    artifact.
+    ``resume`` enabled a later invocation on the same input picks up after
+    the last persisted artifact.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
@@ -282,6 +304,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     phase2_path = out / "phase2.json"
     phase3_path = out / "phase3.json"
     front = build_target_record(paper_text, cfg)
+    fingerprint = input_fingerprint(paper_text, cfg)
 
     search_lane = Scheduler(cfg.retry.concurrency)
     model_lane = Scheduler(cfg.analysis_concurrency)
@@ -314,11 +337,17 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             on_queries=queries.start,
             on_calls_queued=_date_lookup,
         )
-        _write_json(phase1_path, {"target": encode(_target()), "result": result.to_dict()})
+        _write_json(
+            phase1_path,
+            {"input": fingerprint, "target": encode(_target()), "result": result.to_dict()},
+        )
         return result
 
     def _load_phase1() -> Phase1Result:
-        return Phase1Result.from_dict(_read_json(phase1_path)["result"])
+        stored = _read_json(phase1_path)
+        if stored.get("input") != fingerprint:
+            raise _StaleArtifact("made from another paper text, setting, version or prompt")
+        return Phase1Result.from_dict(stored["result"])
 
     # Phase III's core-scope calls, started by a Phase II computed in this run
     early: list[CoreScopeCalls] = []

@@ -13,7 +13,7 @@ import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .analysis import (
     CAN_REFUTE,
@@ -61,10 +61,8 @@ class _MarkdownBuilder:
         return "\n".join(self._lines).rstrip("\n") + "\n"
 
 
-def _cite(ref: Optional[ReportReference], fallback: str) -> str:
-    if ref is None:
-        return fallback
-    return f"{ref.alias} [{ref.index}]"
+def _titled(ref: ReportReference) -> str:
+    return f"{ref.alias} [{ref.index}]: {ref.title}"
 
 
 def _render_taxonomy(
@@ -80,7 +78,7 @@ def _render_taxonomy(
     md.line(f"{indent}- {label}")
     for pid in node.papers:
         ref = refs_by_id.get(pid)
-        md.line(f"{indent}  - {_cite(ref, pid)}" + (f": {ref.title}" if ref else ""))
+        md.line(f"{indent}  - {_titled(ref) if ref else pid}")
     for child in node.subtopics:
         _render_taxonomy(md, child, refs_by_id, depth + 1)
 
@@ -112,8 +110,7 @@ def _render_comparison_entry(
     segments: Sequence[SimilaritySegment],
     limit: int,
 ) -> None:
-    ref = refs_by_id.get(entry.canonical_id)
-    md.line(f"#### {_cite(ref, entry.canonical_id)}: {entry.candidate_paper_title}")
+    md.line(f"#### {_titled(refs_by_id[entry.canonical_id])}")
     md.blank()
     md.line(f"- **Status:** `{entry.refutation_status}` ({entry.comparison_mode} comparison)")
     if entry.refutation_status == CAN_REFUTE and entry.refutation_evidence is not None:
@@ -184,8 +181,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
         md.blank()
     if cta.mode == "sibling":
         for entry in cta.comparisons:
-            ref = refs_by_id.get(entry.canonical_id)
-            md.line(f"### {_cite(ref, entry.canonical_id)}: {entry.candidate_paper_title}")
+            md.line(f"### {_titled(refs_by_id[entry.canonical_id])}")
             md.blank()
             md.line(
                 f"- **Duplicate variant:** {'yes' if entry.is_duplicate_variant else 'no'}"
@@ -243,9 +239,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
         md.blank()
     else:
         for pid, segments in segments_by_id.items():
-            ref = refs_by_id.get(pid)
-            title = ref.title if ref else pid
-            md.line(f"### {_cite(ref, pid)}: {title}")
+            md.line(f"### {_titled(refs_by_id[pid])}")
             md.blank()
             for seg in segments:
                 _render_segment(md, seg, limit)

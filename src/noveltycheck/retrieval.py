@@ -383,12 +383,12 @@ class CandidateSet:
     most once. ``core_task`` and each ``per_contribution`` list hold the ids
     of the unified entries their scope's records merged into, in rank order,
     each id at most once; which scopes selected a paper is read from them.
+    The filtering funnel is not stored: ``summarize_filtering`` derives it.
     """
 
     core_task: list[str]
     per_contribution: dict[str, list[str]]
     unified: list[PaperRecord]
-    stats: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         known = {str(paper.canonical_id) for paper in self.unified}
@@ -452,20 +452,10 @@ def cross_scope_dedup(
         # read only now: a later merge can still upgrade an entry's id
         return [str(unified[pos].canonical_id) for pos in dict.fromkeys(positions)]
 
-    combined = len(core) + sum(len(p) for p in per_contribution.values())
-    removed = combined - len(unified)
-    pct = round(100.0 * removed / combined, 1) if combined else 0.0
-    stats = {
-        "combined": combined,
-        "unified": len(unified),
-        "cross_scope_removed": removed,
-        "cross_scope_removed_pct": pct,
-    }
     return CandidateSet(
         core_task=_ids(core_positions),
         per_contribution={cid: _ids(pos) for cid, pos in contribution_positions.items()},
         unified=unified,
-        stats=stats,
     )
 
 
@@ -486,17 +476,22 @@ class Phase2Result:
 
 
 def summarize_filtering(result: Phase2Result) -> dict[str, Any]:
-    """Run-level reduction statistics across both scopes."""
-    raw_total = result.core_stats.raw + sum(
-        s.raw for s in result.contribution_stats.values()
-    )
-    unified = result.candidate_set.stats.get("unified", len(result.candidate_set.unified))
-    overall_pct = round(100.0 * (raw_total - unified) / raw_total, 1) if raw_total else 0.0
+    """The filtering funnel across every scope, from ``result`` alone: the results
+    retrieved, the papers the scopes' Top-K kept, summed, the unified pool, and the
+    percentages of the first two that did not reach the pool."""
+    scopes = [result.core_stats, *result.contribution_stats.values()]
+    raw_total, combined = sum(s.raw for s in scopes), sum(s.selected for s in scopes)
+    unified = len(result.candidate_set.unified)
+
+    def _pct(total: int) -> float:
+        return round(100.0 * (total - unified) / total, 1) if total else 0.0
+
     return {
         "raw_total": raw_total,
+        "combined": combined,
         "unified": unified,
-        "overall_filtered_pct": overall_pct,
-        "cross_scope_removed_pct": result.candidate_set.stats.get("cross_scope_removed_pct", 0.0),
+        "overall_filtered_pct": _pct(raw_total),
+        "cross_scope_removed_pct": _pct(combined),
     }
 
 
@@ -537,13 +532,10 @@ def run_retrieval_phase(
         contribution_stats[cid] = outcome.stats
         diagnostics.extend(outcome.diagnostics)
 
-    candidate_set = cross_scope_dedup(core_outcome.selected, per_contribution)
-    result = Phase2Result(
-        candidate_set=candidate_set,
+    return Phase2Result(
+        candidate_set=cross_scope_dedup(core_outcome.selected, per_contribution),
         core_stats=core_outcome.stats,
         contribution_stats=contribution_stats,
         failures=batch.failures,
         diagnostics=diagnostics,
     )
-    candidate_set.stats.update(summarize_filtering(result))
-    return result

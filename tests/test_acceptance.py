@@ -39,7 +39,13 @@ from noveltycheck.papers import (
     preprocess_document,
 )
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
-from noveltycheck.retrieval import RetryPolicy, cross_scope_dedup, filter_scope
+from noveltycheck.retrieval import (
+    Phase2Result,
+    RetryPolicy,
+    cross_scope_dedup,
+    filter_scope,
+    summarize_filtering,
+)
 from noveltycheck.scheduler import Scheduler
 from noveltycheck.taxonomy import repair_taxonomy, validate_taxonomy
 from noveltycheck.verification import (
@@ -103,22 +109,24 @@ def test_criterion_2_filtering_progression_reproduction():
             core.stats.selected,
         ) == (774, 210, 163, 50)
 
-        per = {}
+        per, per_stats = {}, {}
         raw = perfect = 0
         for cid, results in progression_contribution_results().items():
             outcome = filter_scope(results, cid, 10, target)
-            per[cid] = outcome.selected
+            per[cid], per_stats[cid] = outcome.selected, outcome.stats
             raw += outcome.stats.raw
             perfect += outcome.stats.after_quality
         assert (raw, perfect) == (1554, 336)
         assert sum(len(v) for v in per.values()) == 30
 
         candidate_set = cross_scope_dedup(core.selected, per)
-        assert candidate_set.stats["combined"] == 80
-        assert candidate_set.stats["unified"] == 73
-        assert candidate_set.stats["cross_scope_removed_pct"] == 8.8
+        funnel = summarize_filtering(Phase2Result(candidate_set, core.stats, per_stats, []))
+        assert funnel["combined"] == 80
+        assert funnel["unified"] == 73
+        assert funnel["cross_scope_removed_pct"] == 8.8
         overall = round(100.0 * (774 + 1554 - 73) / (774 + 1554), 1)
         assert overall == 96.9
+        assert (funnel["raw_total"], funnel["overall_filtered_pct"]) == (774 + 1554, overall)
 
 
 def test_criterion_3_confidence_formula_suite():
@@ -225,8 +233,6 @@ def test_criterion_4_downgrade_safety():
             pairs = [pair() for _ in range(rng.randint(0, 4))]
             entry = ContributionComparison(
                 canonical_id="arxiv:x",
-                candidate_paper_title="t",
-                candidate_paper_url=None,
                 comparison_mode="abstract",
                 refutation_status=status,
                 refutation_evidence=(

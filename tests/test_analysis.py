@@ -100,8 +100,6 @@ def _entry(status, pairs=(), note=None):
     evidence = RefutationEvidence(summary="s", evidence_pairs=list(pairs)) if pairs or status == CAN_REFUTE else None
     return ContributionComparison(
         canonical_id="arxiv:1",
-        candidate_paper_title="T",
-        candidate_paper_url=None,
         comparison_mode="abstract",
         refutation_status=status,
         refutation_evidence=evidence if status == CAN_REFUTE else None,
@@ -692,8 +690,7 @@ class TestReferencesAndAssembly:
         ids = candidate_set.per_contribution["contribution_1"]
         entries = [
             ContributionComparison(
-                canonical_id=pid, candidate_paper_title="t", candidate_paper_url=None,
-                comparison_mode="abstract", refutation_status=status,
+                canonical_id=pid, comparison_mode="abstract", refutation_status=status,
                 **({"refutation_evidence": RefutationEvidence("s", [_pair(True, True)])}
                    if status == CAN_REFUTE else {"brief_note": "n"}),
             )

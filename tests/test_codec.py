@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from noveltycheck.analysis import CoreTaskAnalysis, NoveltyReport, ReportMetadata, ReportReference
+from noveltycheck.analysis import (
+    CoreTaskAnalysis,
+    CoreTaskSurvey,
+    NoveltyReport,
+    ReportMetadata,
+    ReportReference,
+)
 from noveltycheck.codec import decode, encode
 from noveltycheck.errors import InvalidInputError
 from noveltycheck.extraction import ContributionClaim, CoreTask, Phase1Result
@@ -54,6 +60,12 @@ def test_artifact_round_trip_is_byte_identical(artifacts, name):
     assert _text(encode(decode(cls, data))) == _text(data)
 
 
+SURVEY = {
+    "core_task": "t", "taxonomy": {"name": "T"}, "taxonomy_status": "valid",
+    "taxonomy_content_hash": "h", "narrative": "n", "diagnostics": [],
+}
+
+
 @pytest.mark.parametrize(
     "cls, data, expected",
     [
@@ -67,8 +79,9 @@ def test_artifact_round_trip_is_byte_identical(artifacts, name):
             {"mode": "isolated", "taxonomy_path": []},
             CoreTaskAnalysis(mode="isolated", taxonomy_path=[]),
         ),
+        (CoreTaskSurvey, SURVEY, CoreTaskSurvey(**SURVEY, one_liners={})),
     ],
-    ids=["default", "default_factory"],
+    ids=["default", "default_factory", "no_one_liners"],
 )
 def test_absent_key_takes_declared_default(cls, data, expected):
     assert decode(cls, data) == expected
@@ -131,6 +144,7 @@ ISOLATED = {"mode": "isolated", "taxonomy_path": []}
         (CoreTask, {"text": "t", "audit_flags": "abc"}, "audit_flags"),
         (ReportMetadata, {**METADATA, "artifact_filenames": []}, "artifact_filenames"),
         (ReportMetadata, {**METADATA, "artifact_filenames": {"phase1": 1}}, "artifact_filenames"),
+        (CoreTaskSurvey, {**SURVEY, "one_liners": {"arxiv:1": None}}, "one_liners"),
         (CoreTaskAnalysis, {**ISOLATED, "isolation": "alone"}, "isolation"),
         (PaperRecord, {**PAPER, "canonical_id": 5}, "canonical_id"),
         (PaperRecord, {**PAPER, "quality_flag": 1}, "quality_flag"),
@@ -139,7 +153,7 @@ ISOLATED = {"mode": "isolated", "taxonomy_path": []}
         "str", "optional_str", "int", "int_rejects_bool", "optional_int_rejects_float", "bool",
         "float", "float_rejects_bool", "float_rejects_nan", "float_rejects_infinity",
         "optional_float_rejects_minus_infinity", "list_rejects_string", "list_rejects_object", "list_item",
-        "dataclass_item", "tuple", "dict_rejects_array", "dict_value", "dataclass", "canonical_id",
+        "dataclass_item", "tuple", "dict_rejects_array", "dict_value", "one_liner_value", "dataclass", "canonical_id",
         "enum",
     ],
 )

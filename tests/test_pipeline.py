@@ -279,7 +279,8 @@ class TestRunPipeline:
     def test_resume_skips_completed_phases(self, tmp_path, fixtures_dir, goldens_dir, paper_text):
         cfg = make_config(tmp_path, fixtures_dir)
         assert run_pipeline(paper_text, cfg).succeeded
-        # wipe phase 3 and 4 outputs, break the search fixture, and resume
+        # wipe phase 3 and 4 outputs, break the search fixture, and resume at four
+        # workers: the worker count is no part of the input fingerprint
         (tmp_path / "phase3.json").unlink()
         for md in tmp_path.glob("*.md"):
             md.unlink()
@@ -288,28 +289,58 @@ class TestRunPipeline:
             spec["fail_times"] = 99
         broken = tmp_path / "broken_search.json"
         broken.write_text(json.dumps(search_fixture))
-        cfg2 = make_config(tmp_path, fixtures_dir, search_fixture=broken, resume=True)
+        cfg2 = make_config(
+            tmp_path, fixtures_dir, search_fixture=broken, resume=True,
+            retry=RetryPolicy(concurrency=4), analysis_concurrency=4,
+        )
         manifest = run_pipeline(paper_text, cfg2)
         assert manifest.phases["phase1"].status == "skipped"
+        assert manifest.phases["phase1"].error is None
         assert manifest.phases["phase2"].status == "skipped"
         assert manifest.phases["phase3"].status == "completed"
         assert manifest.succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
 
     def test_resume_recomputes_the_report_after_a_recomputed_phase(
-        self, tmp_path, fixtures_dir, paper_text
+        self, tmp_path, fixtures_dir, goldens_dir, paper_text
     ):
         assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
         (tmp_path / "phase3.json").unlink()
-        later = "2026-02-01T00:00:00+00:00"
-        cfg = make_config(tmp_path, fixtures_dir, resume=True, fixed_timestamp=later)
-        manifest = run_pipeline(paper_text, cfg)
+        [md] = tmp_path.glob("*.md")
+        md.write_text("a report this run must not keep\n")
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
         assert manifest.succeeded
         assert [manifest.phases[p].status for p in pipeline.PHASES] == [
             "skipped", "skipped", "completed", "completed",
         ]
-        [md] = tmp_path.glob("*.md")
-        assert f"**Generated:** {later}" in md.read_text(encoding="utf-8").splitlines()
+        assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
+
+    @pytest.mark.parametrize("case", ["another_paper", "another_topk_core", "no_fingerprint"])
+    def test_resume_over_another_input_computes_every_phase(
+        self, tmp_path, fixtures_dir, paper_text, case
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path / "out", fixtures_dir)).succeeded
+        overrides = {"topk_core": 3} if case == "another_topk_core" else {}
+        if case == "another_paper":
+            paper_text = "A Different Paper\n\nAbstract\nIt studies something else entirely.\n"
+        if case == "no_fingerprint":  # as every phase1.json written before the fingerprint
+            path = tmp_path / "out" / "phase1.json"
+            phase1 = json.loads(path.read_text())
+            del phase1["input"]
+            path.write_text(json.dumps(phase1))
+        cfg = make_config(tmp_path / "out", fixtures_dir, resume=True, **overrides)
+        manifest = run_pipeline(paper_text, cfg)
+        assert manifest.succeeded, manifest.failure_log
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == ["completed"] * 4
+        assert manifest.phases["phase1"].error.startswith("not reused: ")
+        on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert on_disk["phases"]["phase1"]["error"] == manifest.phases["phase1"].error
+        fresh = make_config(tmp_path / "fresh", fixtures_dir, **overrides)
+        assert run_pipeline(paper_text, fresh).succeeded
+        [report] = (tmp_path / "fresh").glob("*.md")
+        for name in ("phase1.json", "phase2.json", "phase3.json", report.name):
+            resumed, made = (tmp_path / d / name for d in ("out", "fresh"))
+            assert resumed.read_bytes() == made.read_bytes(), name
 
     def test_resume_without_phase1_recomputes_every_phase(
         self, tmp_path, fixtures_dir, paper_text
@@ -324,7 +355,8 @@ class TestRunPipeline:
         self, tmp_path, fixtures_dir, goldens_dir, paper_text
     ):
         # phase1.json once stored each query in the core task and claims as well, with a
-        # kind per query and the warnings twice; those keys are read past on resume
+        # kind per query and the warnings twice; those keys are read past on resume. The
+        # file keeps this run's input fingerprint, so phase 1 is reused from it
         assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
         path = tmp_path / "phase1.json"
         phase1 = json.loads(path.read_text())
@@ -811,11 +843,11 @@ class TestRunPipeline:
         report = json.loads((tmp_path / "out" / "phase3.json").read_text())
         claim = report["contribution_analysis"]["contributions"][0]
         assert claim["claim_id"] == "contribution_1"
+        titles = {r["canonical_id"]: r["title"] for r in report["references"]}
         [entry] = [
-            c for c in claim["comparisons"] if c["candidate_paper_title"].startswith("Foreseer")
+            c for c in claim["comparisons"] if titles[c["canonical_id"]].startswith("Foreseer")
         ]
         assert entry["canonical_id"] == "doi:10.5555/foreseer"
-        assert entry["canonical_id"] in {r["canonical_id"] for r in report["references"]}
         assert entry["comparison_mode"] == "fulltext"
 
     def test_core_scope_calls_start_while_contribution_searches_are_out(
@@ -1184,8 +1216,21 @@ class TestRunPipeline:
 
 def old_layout(report):
     """``report`` as phase3.json stored it while each comparison entry held its
-    candidate's segments as well, and counts were stored beside the lists they count."""
+    candidate's segments, title and URL as well, the one-liners sat in a papers index
+    beside each paper's citation, title, URL and rank, and counts were stored beside
+    the lists they count."""
     report = copy.deepcopy(report)
+    refs = {ref["canonical_id"]: ref for ref in report["references"]}
+    survey = report["core_task_survey"]
+    one_liners = survey.pop("one_liners")
+    survey["papers_index"] = []
+    target_id = report["original_paper"]["canonical_id"]
+    for rank, pid in enumerate(dict.fromkeys([target_id, *one_liners])):
+        entry = {key: refs[pid][key] for key in ("canonical_id", "index", "alias", "title", "url")}
+        entry["rank"] = rank
+        if pid in one_liners:
+            entry["one_liner"] = one_liners[pid]
+        survey["papers_index"].append(entry)
     segments = report["textual_similarity"]["segments_by_candidate"]
     cta = report["core_task_comparisons"]
     entries = list(cta["comparisons"])
@@ -1200,6 +1245,8 @@ def old_layout(report):
         entries += comparisons
     for entry in entries:
         entry["similarity_segments"] = segments.get(entry["canonical_id"], [])
+        entry["candidate_paper_title"] = refs[entry["canonical_id"]]["title"]
+        entry["candidate_paper_url"] = refs[entry["canonical_id"]]["url"]
     report["textual_similarity"]["total_segments"] = sum(map(len, segments.values()))
     report["textual_similarity"]["candidates_with_overlap"] = list(segments)
     report["metadata"]["component_flags"] = {
@@ -1481,15 +1528,17 @@ def leaf_swaps(draw):
     for key in path:
         node = node[key]
     node[last] = draw(st.sampled_from(HOSTILE_LEAVES))
-    return report, False
+    return report, None
 
 
 @st.composite
 def relational_mutations(draw):
     """The golden phase3.json with one relation between its parts broken.
 
-    True when render must reject it: a repeated reference would make every
-    citation of that index or id name one paper while the list shows two.
+    With it comes what render's one error line must name when render must
+    reject it, else None. A comparison or a segment list under an id no
+    reference has would have no title, and a repeated reference would make
+    every citation of that index or id name one paper while the list shows two.
     """
     report = copy.deepcopy(GOLDEN_PHASE3)
     claims = [c["comparisons"] for c in report["contribution_analysis"]["contributions"]]
@@ -1499,34 +1548,36 @@ def relational_mutations(draw):
     if kind == "comparison":  # a comparison moved under an id missing from references
         lists = [*claims, report["core_task_comparisons"]["comparisons"]]
         draw(st.sampled_from([e for each in lists for e in each]))["canonical_id"] = MISSING_ID
+        return report, MISSING_ID
     elif kind == "segments":  # a segment list moved under an id missing from references
         segments[MISSING_ID] = segments.pop(draw(st.sampled_from(sorted(segments))))
+        return report, MISSING_ID
     elif kind == "reference":  # one reference repeats another's index or canonical id
         key = draw(st.sampled_from(["index", "canonical_id"]))
         source, target = draw(
             st.lists(st.sampled_from(range(len(references))), min_size=2, max_size=2, unique=True)
         )
         references[target][key] = references[source][key]
-        return report, True
+        return report, "references repeat"
     else:  # a comparison entry duplicated within a claim
         entries = draw(st.sampled_from([c for c in claims if c]))
         copied = copy.deepcopy(draw(st.sampled_from(entries)))
         entries.insert(draw(st.integers(0, len(entries))), copied)
-    return report, False
+    return report, None
 
 
 @settings(max_examples=500, deadline=None)
 @given(case=st.one_of(leaf_swaps(), relational_mutations()))
 def test_hostile_artifact_renders_or_prints_one_error_line(case):
-    report, must_reject = case
+    report, must_name = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "phase3.json"
         path.write_text(json.dumps(report))
         args = ["render", "--input", str(path), "--out", str(Path(tmp) / "report.md")]
         result = CliRunner().invoke(cli_main, args)
-    if result.exit_code == 0 and not must_reject:
+    if result.exit_code == 0 and must_name is None:
         assert result.exception is None
     else:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
         assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
-        assert not must_reject or "references repeat" in result.output, result.output
+        assert must_name is None or must_name in result.output, result.output

@@ -23,11 +23,13 @@ from noveltycheck.errors import InvalidInputError, RetrievalEmptyError
 from noveltycheck.extraction import SearchQuery
 from noveltycheck.papers import CanonicalId, IdScheme, PublicationDate, QualityFlag
 from noveltycheck.retrieval import (
+    Phase2Result,
     QueryRunner,
     RetryPolicy,
     cross_scope_dedup,
     execute_queries,
     filter_scope,
+    summarize_filtering,
 )
 from noveltycheck.scheduler import Scheduler
 
@@ -501,15 +503,19 @@ class TestFilterScope:
 class TestCrossScopeDedup:
     def test_unified_pool_after_cross_scope_dedup(self):
         target = progression_target()
-        core = filter_scope(progression_core_results(), "core_task", 50, target).selected
+        core = filter_scope(progression_core_results(), "core_task", 50, target)
         per = {
-            cid: filter_scope(results, cid, 10, target).selected
+            cid: filter_scope(results, cid, 10, target)
             for cid, results in progression_contribution_results().items()
         }
-        candidate_set = cross_scope_dedup(core, per)
-        assert candidate_set.stats["combined"] == 80
-        assert candidate_set.stats["unified"] == 73
-        assert candidate_set.stats["cross_scope_removed_pct"] == 8.8
+        candidate_set = cross_scope_dedup(
+            core.selected, {cid: outcome.selected for cid, outcome in per.items()}
+        )
+        stats = {cid: outcome.stats for cid, outcome in per.items()}
+        funnel = summarize_filtering(Phase2Result(candidate_set, core.stats, stats, []))
+        assert funnel["combined"] == 80
+        assert funnel["unified"] == 73
+        assert funnel["cross_scope_removed_pct"] == 8.8
 
     def test_disjoint_lists_concatenate(self):
         core = [make_record(f"Core {i}", 0.9) for i in range(50)]
