@@ -161,10 +161,18 @@ class _StaleArtifact(Exception):
     """An artifact that reads fine but was made from another input."""
 
 
+@functools.lru_cache(maxsize=8)
+def _file_sha256(path: Path, mtime_ns: int, size: int) -> str:
+    """A file's digest, read again once its time stamp or size changes."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def input_fingerprint(paper_text: str, cfg: PipelineConfig) -> str:
-    """sha256 over what a run's artifacts follow from; the number of workers is not part of it."""
+    """sha256 over what phases 1-3 follow from: not the worker count, nor a render setting."""
     knobs = [cfg.topk_core, cfg.topk_contribution, cfg.target_url, cfg.target_title,
-             cfg.fixed_timestamp, cfg.quote_truncation_limit]
+             cfg.fixed_timestamp, cfg.llm_model, cfg.llm_endpoint, cfg.search_endpoint]
+    fixtures = [Path(f).resolve() for f in (cfg.llm_fixture, cfg.search_fixture) if cfg.mock]
+    knobs += [_file_sha256(f, f.stat().st_mtime_ns, f.stat().st_size) for f in fixtures]
     prompts = [load_prompt(name) for name in TEMPERATURES]
     return hashlib.sha256(json.dumps([paper_text, knobs, __version__, prompts]).encode()).hexdigest()
 
@@ -213,10 +221,12 @@ def build_target_record(paper_text: str, cfg: PipelineConfig) -> PaperRecord:
 
 
 class _PhaseRunner:
-    def __init__(self, manifest: RunManifest, manifest_path: Path, resumable: bool) -> None:
+    def __init__(self, manifest: RunManifest, out: Path, resumable: bool) -> None:
         self.manifest = manifest
-        self.manifest_path = manifest_path
+        self.manifest_path = out / "manifest.json"
         self._reuse = resumable
+        # each artifact that a later phase is made from, by phase name
+        self.artifacts = {name: out / f"{name}.json" for name in PHASES[:3]}
 
     def persist(self) -> None:
         manifest = {**encode(self.manifest), "succeeded": self.manifest.succeeded}
@@ -230,16 +240,19 @@ class _PhaseRunner:
         self.manifest.failure_log.append(f"{name}: {exc}")
         self.persist()
 
-    def run(self, name: str, artifact: Path, compute: Callable[[], Any], *, load: Callable[[], Any]):
+    def run(self, name: str, artifact: Path, compute: Callable[[], Any], *,
+            load: Optional[Callable[[], Any]] = None):
         """Execute one phase, honoring resume and recording status transitions.
 
-        An artifact that ``load`` finds made from another input is computed
-        again, and the phase's status says why. The first phase that is
-        computed rather than reused turns reuse off for every later phase,
-        whose artifact may predate the new input.
+        A phase without ``load`` is computed on every run. An artifact that
+        ``load`` finds made from another input is computed again, and the
+        phase's status says why. The first phase that is computed rather
+        than reused turns reuse off for every later phase, and first removes
+        every later phase's artifact, which no run may reuse once this one
+        starts, even should it fail.
         """
         status = self.manifest.phases[name]
-        if self._reuse and artifact.exists():
+        if self._reuse and load is not None and artifact.exists():
             status.artifact = artifact.name
             try:
                 result = load()
@@ -256,6 +269,9 @@ class _PhaseRunner:
                 self.persist()
                 return result
         self._reuse = False
+        for later in PHASES[PHASES.index(name) + 1:]:
+            if later in self.artifacts:
+                self.artifacts[later].unlink(missing_ok=True)
         status.started_at = _now()
         self.persist()
         try:
@@ -297,12 +313,10 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     llm, search = build_clients(cfg)
     manifest = RunManifest()
-    runner = _PhaseRunner(manifest, out / "manifest.json", resumable=cfg.resume)
+    runner = _PhaseRunner(manifest, out, resumable=cfg.resume)
     generated_at = cfg.fixed_timestamp or _now()
 
-    phase1_path = out / "phase1.json"
-    phase2_path = out / "phase2.json"
-    phase3_path = out / "phase3.json"
+    phase1_path, phase2_path, phase3_path = runner.artifacts.values()
     front = build_target_record(paper_text, cfg)
     fingerprint = input_fingerprint(paper_text, cfg)
 
@@ -346,7 +360,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     def _load_phase1() -> Phase1Result:
         stored = _read_json(phase1_path)
         if stored.get("input") != fingerprint:
-            raise _StaleArtifact("made from another paper text, setting, version or prompt")
+            raise _StaleArtifact("made from another paper text, setting, service or prompt")
         return Phase1Result.from_dict(stored["result"])
 
     # Phase III's core-scope calls, started by a Phase II computed in this run
@@ -382,11 +396,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             model_lane,
             generated_at=generated_at,
             pipeline_version=__version__,
-            artifact_filenames={
-                "phase1": phase1_path.name,
-                "phase2": phase2_path.name,
-                "phase3": phase3_path.name,
-            },
+            artifact_filenames={name: path.name for name, path in runner.artifacts.items()},
             early=early[0] if early else None,
         )
         _write_json(phase3_path, report.to_dict())
@@ -395,14 +405,11 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     def _load_phase3() -> NoveltyReport:
         return NoveltyReport.from_dict(_read_json(phase3_path))
 
-    def _phase4(report: NoveltyReport) -> Path:
+    def _phase4(report: NoveltyReport, md_path: Path) -> None:
         render_cfg = RenderConfig(quote_truncation_limit=cfg.quote_truncation_limit)
-        markdown = render_markdown(report, render_cfg)
-        md_path = out / output_filename(report)
-        _write_text(md_path, markdown)
+        _write_text(md_path, render_markdown(report, render_cfg))
         if cfg.emit_pdf:
             render_pdf(md_path)
-        return md_path
 
     try:
         # the model lane is left first: its running tasks may still start searches
@@ -417,7 +424,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
                     "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
                 )
                 md_path = out / output_filename(report)
-                runner.run("phase4", md_path, lambda: _phase4(report), load=lambda: md_path)
+                runner.run("phase4", md_path, lambda: _phase4(report, md_path))
             except NoveltyCheckError:
                 queries.stop()
                 raise

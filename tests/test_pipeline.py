@@ -23,6 +23,7 @@ from noveltycheck.errors import InvalidInputError, LlmError, SearchError
 from noveltycheck.extraction import QUERY_PREFIX
 from noveltycheck.pipeline import PipelineConfig, parse_front_matter, run_pipeline
 from noveltycheck.prompts import TEMPERATURES, load_prompt
+from noveltycheck.render import RenderConfig, render_markdown
 from noveltycheck.retrieval import RetryPolicy
 
 TARGET_URL = "https://arxiv.org/abs/2504.01234"
@@ -276,21 +277,20 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "phase3.json").exists()
         assert manifest.failure_log
 
-    def test_resume_skips_completed_phases(self, tmp_path, fixtures_dir, goldens_dir, paper_text):
+    def test_resume_skips_completed_phases(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
         cfg = make_config(tmp_path, fixtures_dir)
         assert run_pipeline(paper_text, cfg).succeeded
-        # wipe phase 3 and 4 outputs, break the search fixture, and resume at four
+        # wipe phase 3 and 4 outputs, let every search fail, and resume at four
         # workers: the worker count is no part of the input fingerprint
         (tmp_path / "phase3.json").unlink()
         for md in tmp_path.glob("*.md"):
             md.unlink()
-        search_fixture = json.loads((fixtures_dir / "mock_search.json").read_text())
-        for spec in search_fixture["queries"].values():
-            spec["fail_times"] = 99
-        broken = tmp_path / "broken_search.json"
-        broken.write_text(json.dumps(search_fixture))
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        monkeypatch.setattr(pipeline, "build_clients", lambda cfg: (llm, AlwaysFailingSearch()))
         cfg2 = make_config(
-            tmp_path, fixtures_dir, search_fixture=broken, resume=True,
+            tmp_path, fixtures_dir, resume=True,
             retry=RetryPolicy(concurrency=4), analysis_concurrency=4,
         )
         manifest = run_pipeline(paper_text, cfg2)
@@ -315,7 +315,9 @@ class TestRunPipeline:
         ]
         assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
 
-    @pytest.mark.parametrize("case", ["another_paper", "another_topk_core", "no_fingerprint"])
+    @pytest.mark.parametrize("case", [
+        "another_paper", "another_topk_core", "another_model", "another_fixture", "no_fingerprint",
+    ])
     def test_resume_over_another_input_computes_every_phase(
         self, tmp_path, fixtures_dir, paper_text, case
     ):
@@ -323,6 +325,19 @@ class TestRunPipeline:
         overrides = {"topk_core": 3} if case == "another_topk_core" else {}
         if case == "another_paper":
             paper_text = "A Different Paper\n\nAbstract\nIt studies something else entirely.\n"
+        if case == "another_model":
+            overrides = {"llm_model": "another-model"}
+        if case == "another_fixture":  # the same path, rewritten with another narrative
+            llm_fixture = tmp_path / "mock_llm.json"
+            rules = json.loads((fixtures_dir / "mock_llm.json").read_text())
+            for rule in rules["rules"]:
+                if rule["system_contains"] == "survey-style narrative":
+                    rule["response"]["narrative"] = "Another narrative of the core task."
+            shutil.copyfile(fixtures_dir / "mock_llm.json", llm_fixture)
+            cfg = make_config(tmp_path / "out", fixtures_dir, llm_fixture=llm_fixture)
+            assert run_pipeline(paper_text, cfg).succeeded
+            llm_fixture.write_text(json.dumps(rules))
+            overrides = {"llm_fixture": llm_fixture}
         if case == "no_fingerprint":  # as every phase1.json written before the fingerprint
             path = tmp_path / "out" / "phase1.json"
             phase1 = json.loads(path.read_text())
@@ -341,6 +356,59 @@ class TestRunPipeline:
         for name in ("phase1.json", "phase2.json", "phase3.json", report.name):
             resumed, made = (tmp_path / d / name for d in ("out", "fresh"))
             assert resumed.read_bytes() == made.read_bytes(), name
+
+    @pytest.mark.parametrize("resume_first", [True, False], ids=["resumed", "fresh"])
+    def test_failed_run_over_another_paper_leaves_nothing_to_reuse(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, resume_first
+    ):
+        # a run for another paper fails in phase 2 after writing its phase1.json; a
+        # resume of that paper must not reuse the first paper's phase2.json or phase3.json
+        assert run_pipeline(paper_text, make_config(tmp_path / "out", fixtures_dir)).succeeded
+        other = "A Different Paper\n\nAbstract\nIt studies something else entirely.\n"
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "build_clients", lambda cfg: (llm, AlwaysFailingSearch()))
+            cfg = make_config(
+                tmp_path / "out", fixtures_dir, resume=resume_first,
+                retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001), sleep=lambda _: None,
+            )
+            manifest = run_pipeline(other, cfg)
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "completed", "failed", "pending", "pending",
+        ]
+        assert not (tmp_path / "out" / "phase2.json").exists()
+        assert not (tmp_path / "out" / "phase3.json").exists()
+        manifest = run_pipeline(other, make_config(tmp_path / "out", fixtures_dir, resume=True))
+        assert manifest.succeeded, manifest.failure_log
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "skipped", "completed", "completed", "completed",
+        ]
+        assert run_pipeline(other, make_config(tmp_path / "fresh", fixtures_dir)).succeeded
+        [report] = (tmp_path / "fresh").glob("*.md")
+        for name in ("phase1.json", "phase2.json", "phase3.json", report.name):
+            resumed, made = (tmp_path / d / name for d in ("out", "fresh"))
+            assert resumed.read_bytes() == made.read_bytes(), name
+
+    def test_resume_with_another_quote_limit_renders_again(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        # the quote limit is a render setting: phases 1-3 are reused without a model call
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text,
+            make_config(tmp_path, fixtures_dir, resume=True, quote_truncation_limit=30),
+        )
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "skipped", "skipped", "skipped", "completed",
+        ]
+        assert {c["system"] for c in calls} <= {load_prompt("publication_date")}
+        report = analysis.NoveltyReport.from_dict(
+            json.loads((goldens_dir / "phase3.json").read_text())
+        )
+        [md] = tmp_path.glob("*.md")
+        rendered = render_markdown(report, RenderConfig(quote_truncation_limit=30))
+        assert md.read_text() == rendered
+        assert md.read_bytes() != (goldens_dir / "report.md").read_bytes()
 
     def test_resume_without_phase1_recomputes_every_phase(
         self, tmp_path, fixtures_dir, paper_text
