@@ -20,7 +20,8 @@ key: a ``str``, ``int`` or ``bool`` field takes only its own type (so an
 ``int`` field does not take ``true``), a ``float`` field also takes an
 integer but not NaN or an infinity, an ``Optional`` field also takes
 ``null``, list and tuple fields take only an array, and dict and dataclass
-fields only an object. ``Any`` takes every value.
+fields only an object. ``Any`` takes every value. Encoding rejects a float
+field holding NaN or an infinity the same way, as JSON has no such number.
 """
 
 from __future__ import annotations
@@ -55,11 +56,22 @@ class _MistypedItem(Exception):
 
 
 def encode(obj: Any) -> dict[str, Any]:
-    """The JSON-ready dict of a dataclass instance, keys in declaration order."""
-    return {
-        key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-        for name, key, _, enc, _, _ in _plan(type(obj))
-    }
+    """The JSON-ready dict of a dataclass instance, keys in declaration order.
+
+    A float field holding NaN or an infinity raises ``InvalidInputError``
+    naming the class and key.
+    """
+    cls = type(obj)
+    out: dict[str, Any] = {}
+    for name, key, _, enc, _, _ in _plan(cls):
+        value = getattr(obj, name)
+        if enc is not None:
+            try:
+                value = enc(value)
+            except _MistypedItem as exc:
+                raise InvalidInputError(f"{cls.__name__}: key {key!r} is {exc}") from None
+        out[key] = value
+    return out
 
 
 def decode(cls: type[T], data: Mapping[str, Any]) -> T:
@@ -127,6 +139,8 @@ def _converters(tp: Any) -> tuple[Convert, Convert, Kinds]:
         return encode, functools.partial(_decode, tp), (dict,)
     if tp is Any:
         return None, None, None
+    if tp is float:
+        return _finite, None, _SCALARS[tp]
     if tp in _SCALARS:
         return None, None, _SCALARS[tp]
     raise TypeError(f"no codec for field type {tp!r}")
@@ -139,6 +153,13 @@ def _mismatch(value: Any, kinds: tuple[type, ...]) -> str:
     # a number field's int kind is named by its float kind
     expected = [_JSON_NAMES.get(k, k.__name__) for k in kinds if k is not int or float not in kinds]
     return f"{_JSON_NAMES.get(type(value), type(value).__name__)}, not {' or '.join(expected)}"
+
+
+def _finite(value: Any) -> Any:
+    """The value of a float field, to be written; NaN and the infinities have no JSON form."""
+    if type(value) is float and not math.isfinite(value):
+        raise _MistypedItem(f"{value}, not a finite number")
+    return value
 
 
 def _check_items(values: Iterable[Any], kinds: Kinds) -> None:

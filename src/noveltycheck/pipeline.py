@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
+import orjson
+
 from . import __version__
 from .analysis import CoreScopeCalls, NoveltyReport, run_analysis_phase, start_core_scope_calls
 from .clients import (
@@ -39,7 +41,7 @@ from .papers import (
     preprocess_document,
 )
 from .prompts import TEMPERATURES, load_prompt
-from .render import RenderConfig, output_filename, render_markdown, render_pdf
+from .render import REPORT_PREFIX, RenderConfig, output_filename, render_markdown, render_pdf
 from .retrieval import (
     DEFAULT_TOPK_CONTRIBUTION,
     DEFAULT_TOPK_CORE,
@@ -150,7 +152,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
+    """Write ``payload`` indented by two spaces, as ``json.dumps(indent=2, ensure_ascii=False)``.
+
+    orjson writes a non-finite float as ``null``: ``codec.encode`` rejects one first.
+    """
+    _write_text(path, orjson.dumps(payload, option=orjson.OPT_INDENT_2).decode("utf-8") + "\n")
 
 
 def _read_json(path: Path) -> Any:
@@ -224,9 +230,16 @@ class _PhaseRunner:
     def __init__(self, manifest: RunManifest, out: Path, resumable: bool) -> None:
         self.manifest = manifest
         self.manifest_path = out / "manifest.json"
+        self.out = out
         self._reuse = resumable
         # each artifact that a later phase is made from, by phase name
         self.artifacts = {name: out / f"{name}.json" for name in PHASES[:3]}
+
+    def _outputs(self, name: str) -> list[Path]:
+        """The files phase ``name`` writes: its artifact, or for phase 4 every report."""
+        if name in self.artifacts:
+            return [self.artifacts[name]]
+        return [*self.out.glob(f"{REPORT_PREFIX}*.md"), *self.out.glob(f"{REPORT_PREFIX}*.pdf")]
 
     def persist(self) -> None:
         manifest = {**encode(self.manifest), "succeeded": self.manifest.succeeded}
@@ -249,7 +262,8 @@ class _PhaseRunner:
         phase's status says why. The first phase that is computed rather
         than reused turns reuse off for every later phase, and first removes
         every later phase's artifact, which no run may reuse once this one
-        starts, even should it fail.
+        starts, even should it fail; every report in the directory goes
+        with them, as one may name another paper.
         """
         status = self.manifest.phases[name]
         if self._reuse and load is not None and artifact.exists():
@@ -270,8 +284,8 @@ class _PhaseRunner:
                 return result
         self._reuse = False
         for later in PHASES[PHASES.index(name) + 1:]:
-            if later in self.artifacts:
-                self.artifacts[later].unlink(missing_ok=True)
+            for path in self._outputs(later):
+                path.unlink(missing_ok=True)
         status.started_at = _now()
         self.persist()
         try:

@@ -256,13 +256,15 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
 
 
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+#: how the name of every report ``output_filename`` makes begins
+REPORT_PREFIX = "novelty_report_"
 
 
 def output_filename(report: NoveltyReport, extension: str = "md") -> str:
     """Deterministic, filesystem-safe name derived from report metadata."""
     safe_cid = _UNSAFE_RE.sub("-", report.original_paper.canonical_id).strip("-")
     safe_version = _UNSAFE_RE.sub("-", report.metadata.pipeline_version).strip("-")
-    return f"novelty_report_{safe_cid}_v{safe_version}.{extension}"
+    return f"{REPORT_PREFIX}{safe_cid}_v{safe_version}.{extension}"
 
 
 def render_pdf(markdown_path: Path) -> Path:

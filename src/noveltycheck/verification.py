@@ -20,8 +20,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .papers import fold_text
 
@@ -40,12 +39,50 @@ MAX_SEGMENTS_KEPT = 3
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['-][^\W_]+)*", re.UNICODE)
 
 
-def _token_positions(tokens: Sequence[str]) -> Mapping[str, tuple[int, ...]]:
-    index: dict[str, list[int]] = {}
-    add = index.setdefault
-    for i, token in enumerate(tokens):
-        add(token, []).append(i)
-    return MappingProxyType({token: tuple(p) for token, p in index.items()})
+class _TokenPositions(Mapping[str, tuple[int, ...]]):
+    """Each token's ascending positions in ``tokens``, read-only.
+
+    ``counts`` holds how often each token occurs. A token's positions are
+    found from its first one the first time they are read, and kept; two
+    threads reading the same token at once find equal tuples, and both keep
+    the first one stored.
+    """
+
+    def __init__(self, tokens: tuple[str, ...], counts: Counter, first: dict[str, int]) -> None:
+        self._tokens = tokens
+        self.counts = counts
+        self._first = first
+        self._found: dict[str, tuple[int, ...]] = {}
+
+    def __getitem__(self, token: str) -> tuple[int, ...]:
+        found = self._found.get(token)
+        if found is None:
+            at = self._first[token]
+            index = self._tokens.index
+            positions = [at]
+            for _ in range(self.counts[token] - 1):
+                at = index(token, at + 1)
+                positions.append(at)
+            found = self._found.setdefault(token, tuple(positions))
+        return found
+
+    def get(self, token: str, default=None):
+        return self[token] if token in self._first else default
+
+    def __contains__(self, token: object) -> bool:
+        return token in self._first
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._first)
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+
+def _token_positions(tokens: tuple[str, ...]) -> _TokenPositions:
+    """The position map of ``tokens``, from two passes in C: the counts and each first position."""
+    first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
+    return _TokenPositions(tokens, Counter(tokens), first)
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -54,8 +91,20 @@ def tokenize(text: str) -> tuple[str, ...]:
     This is the one place text is normalized for matching, so a quote and
     the document it was copied from fold quotes, dashes, compatibility
     forms and case the same way. Pass the text as written, not normalized.
+
+    The folded text is split on whitespace first, which no token holds. A
+    word that is all letters and digits is one token, as ``_TOKEN_RE``
+    would find it (``str.isalnum`` is the test ``[^\\W_]`` makes); only the
+    other words go through the expression.
     """
-    return tuple(_TOKEN_RE.findall(fold_text(text)))
+    tokens: list[str] = []
+    keep, split = tokens.append, tokens.extend
+    for word in fold_text(text).split():
+        if word.isalnum():
+            keep(word)
+        else:
+            split(_TOKEN_RE.findall(word))
+    return tuple(tokens)
 
 
 class Document:
@@ -64,29 +113,49 @@ class Document:
     ``tokens`` and ``positions``, which maps each token to its ascending
     indices, are built together the first time either is read, once, under
     this document's own lock: a document shared by worker threads is
-    tokenized once and never changes after that. A document made but never
-    searched is never tokenized.
+    tokenized once and never changes after that, so once built it is read
+    without the lock. A document made but never searched is never tokenized.
+
+    The document also keeps each quote it has verified, so a quote checked
+    against it again is not aligned again; the lock makes the check of a
+    quote that two threads ask for at once run only once.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self._lock = threading.Lock()
-        self._built: Optional[tuple[tuple[str, ...], Mapping[str, tuple[int, ...]]]] = None
+        # reentrant: a quote verified under it builds the document under it
+        self._lock = threading.RLock()
+        self._built: Optional[tuple[tuple[str, ...], _TokenPositions]] = None
+        self._verified: dict[tuple[str, bool], QuoteVerification] = {}
 
-    def _build(self) -> tuple[tuple[str, ...], Mapping[str, tuple[int, ...]]]:
-        with self._lock:
-            if self._built is None:
-                tokens = tokenize(self.text)
-                self._built = (tokens, _token_positions(tokens))
-            return self._built
+    def _build(self) -> tuple[tuple[str, ...], _TokenPositions]:
+        built = self._built
+        if built is None:
+            with self._lock:
+                if self._built is None:
+                    tokens = tokenize(self.text)
+                    self._built = (tokens, _token_positions(tokens))
+                built = self._built
+        return built
 
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._build()[0]
 
     @property
-    def positions(self) -> Mapping[str, tuple[int, ...]]:
+    def positions(self) -> _TokenPositions:
         return self._build()[1]
+
+    def verified(self, quote: str, hits_only: bool) -> QuoteVerification:
+        """The verification of ``quote`` against this document, made once per ``hits_only``."""
+        key = (quote, hits_only)
+        result = self._verified.get(key)
+        if result is None:
+            with self._lock:
+                result = self._verified.get(key)
+                if result is None:
+                    result = self._verified[key] = _verify(quote, self, hits_only)
+        return result
 
 
 @dataclass(frozen=True)
@@ -168,13 +237,13 @@ def _matched_tokens(matcher: SequenceMatcher) -> tuple[int, Optional[tuple[int, 
 
 
 def _verbatim_start(
-    anchor: tuple[str, ...], doc: tuple[str, ...], positions: Mapping[str, tuple[int, ...]]
+    anchor: tuple[str, ...], doc: tuple[str, ...], positions: _TokenPositions
 ) -> Optional[int]:
     """Leftmost start where the anchor occurs verbatim, probing its rarest token."""
-    occurrences = [positions.get(token, ()) for token in anchor]
-    q = min(range(len(anchor)), key=lambda i: len(occurrences[i]))
+    count = positions.counts.get
+    q = min(range(len(anchor)), key=lambda i: count(anchor[i], 0))
     last_start = len(doc) - len(anchor)
-    for p in occurrences[q]:
+    for p in positions.get(anchor[q], ()):
         start = p - q
         if 0 <= start <= last_start and doc[start : start + len(anchor)] == anchor:
             return start
@@ -217,12 +286,13 @@ def align_anchor(
     window_len = min(m, n)
     floor = max(min_matched, 1)
     need = Counter(anchor_tokens)
-    rarest = sorted(anchor_tokens, key=lambda token: len(positions.get(token, ())))
+    count = positions.counts.get
+    rarest = sorted(anchor_tokens, key=lambda token: count(token, 0))
     probes = sorted({p for token in rarest[: m - floor + 1] for p in positions.get(token, ())})
     last_start = n - window_len
     best_matched = floor - 1
     best_span: Optional[tuple[int, int]] = None
-    matcher = SequenceMatcher(None, anchor_tokens, (), autojunk=False)
+    matcher: Optional[SequenceMatcher] = None
     previous = -2  # the last candidate start so far
     for p in probes:
         for start in range(max(p - window_len + 1, previous + 1, 0), min(p, last_start) + 1):
@@ -238,7 +308,10 @@ def align_anchor(
             window = doc_tokens[start:end]
             if sum(min(window.count(t), c) for t, c in need.items()) <= best_matched:
                 continue
-            matcher.set_seq2(window)
+            if matcher is None:
+                matcher = SequenceMatcher(None, anchor_tokens, window, autojunk=False)
+            else:
+                matcher.set_seq2(window)
             matched, span = _matched_tokens(matcher)
             if matched > best_matched:
                 best_matched = matched
@@ -326,11 +399,11 @@ def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
     A caller verifying many quotes against one text passes one ``Document``
-    for it, so the text is tokenized and indexed once. Mean coverage
-    averages the hit anchors only. Every anchor's coverage is exact, misses
-    included.
+    for it, so the text is tokenized and indexed once, and a quote checked
+    against it before is answered from it. Mean coverage averages the hit
+    anchors only. Every anchor's coverage is exact, misses included.
     """
-    return _verify(quote, doc, hits_only=False)
+    return doc.verified(quote, hits_only=False)
 
 
 def verify_quote(quote: str, doc: Document) -> QuoteLocation:
@@ -340,7 +413,7 @@ def verify_quote(quote: str, doc: Document) -> QuoteLocation:
     only hit anchors, so an anchor's best window is searched for only among
     windows that would make it a hit.
     """
-    return _verify(quote, doc, hits_only=True).location
+    return doc.verified(quote, hits_only=True).location
 
 
 # --- similarity segments --------------------------------------------------------

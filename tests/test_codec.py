@@ -18,7 +18,7 @@ from noveltycheck.extraction import ContributionClaim, CoreTask, Phase1Result
 from noveltycheck.papers import PaperRecord
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.retrieval import Phase2Result
-from noveltycheck.verification import QuoteLocation
+from noveltycheck.verification import QuoteLocation, SimilaritySegment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -160,6 +160,27 @@ ISOLATED = {"mode": "isolated", "taxonomy_path": []}
 def test_mistyped_value_raises_naming_class_and_key(cls, data, key):
     with pytest.raises(InvalidInputError, match=rf"^{cls.__name__}: key '{key}' "):
         decode(cls, data)
+
+
+NAN_SEGMENT = SimilaritySegment(
+    segment_id=1, location="", original_text="", candidate_text="", segment_type="Direct",
+    rationale="", original_location=QuoteLocation(found=True, match_score=float("nan")),
+)
+
+
+@pytest.mark.parametrize(
+    "obj, cls, key",
+    [
+        (QuoteLocation(found=True, match_score=float("nan")), "QuoteLocation", "match_score"),
+        (QuoteLocation(found=False, match_score=float("inf")), "QuoteLocation", "match_score"),
+        (NAN_SEGMENT, "QuoteLocation", "match_score"),
+    ],
+    ids=["nan", "infinity", "nested"],
+)
+def test_encode_rejects_a_non_finite_float_naming_class_and_key(obj, cls, key):
+    message = rf"^{cls}: key '{key}' is (nan|inf), not a finite number$"
+    with pytest.raises(InvalidInputError, match=message):
+        encode(obj)
 
 
 def test_float_field_takes_an_integer():

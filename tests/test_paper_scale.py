@@ -8,7 +8,8 @@ clients and with ``sleep`` stubbed out, then compares the sha256 of
 pinned too, so a generator change is reported as such rather than as a
 change in the program's output. Each case also makes as many model calls
 per prompt at four workers as at one, so no call started early is discarded
-or made twice.
+or made twice, and checks each distinct quote against a document once, at
+either worker count, however often it is asked for.
 
 A failing case prints the digests it computed, for refreshing the golden
 file after an intended change.
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from noveltycheck import pipeline
+from noveltycheck import pipeline, verification
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.prompts import TEMPERATURES, load_prompt
 from noveltycheck.retrieval import RetryPolicy
@@ -108,12 +109,25 @@ def test_paper_scale_outputs_match_digests(
         return built[-1]
 
     monkeypatch.setattr(pipeline, "build_clients", recording_build_clients)
+    checks = []  # holds each document, so no two share an id
+    verify = verification._verify
+
+    def recording_verify(quote, doc, hits_only):
+        checks.append((quote, doc, hits_only))
+        return verify(quote, doc, hits_only)
+
+    monkeypatch.setattr(verification, "_verify", recording_verify)
     prompt_names = {load_prompt(name): name for name in TEMPERATURES}
     calls_per_prompt = []
     for workers in WORKERS:
+        checks.clear()
         digests = _run(tmp_path / "inputs", tmp_path / f"out{workers}", settings, workers)
         assert digests == expected["outputs"], (
             f"{key} outputs differ at {workers} workers: {json.dumps(digests, indent=2)}"
+        )
+        again = sum(n - 1 for n in collections.Counter(checks).values())
+        assert checks and again == 0, (
+            f"{key} checked {again} quotes again against the same document at {workers} workers"
         )
         llm = built[-1][0]
         calls_per_prompt.append(collections.Counter(prompt_names[c["system"]] for c in llm.calls))

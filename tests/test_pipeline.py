@@ -343,6 +343,7 @@ class TestRunPipeline:
             phase1 = json.loads(path.read_text())
             del phase1["input"]
             path.write_text(json.dumps(phase1))
+        (tmp_path / "out" / "novelty_report_earlier_v0.1.0.pdf").write_bytes(b"%PDF-1.4\n")
         cfg = make_config(tmp_path / "out", fixtures_dir, resume=True, **overrides)
         manifest = run_pipeline(paper_text, cfg)
         assert manifest.succeeded, manifest.failure_log
@@ -353,6 +354,8 @@ class TestRunPipeline:
         fresh = make_config(tmp_path / "fresh", fixtures_dir, **overrides)
         assert run_pipeline(paper_text, fresh).succeeded
         [report] = (tmp_path / "fresh").glob("*.md")
+        # the earlier run's reports are gone, whichever paper they were of
+        assert [p.name for p in (tmp_path / "out").glob("novelty_report_*")] == [report.name]
         for name in ("phase1.json", "phase2.json", "phase3.json", report.name):
             resumed, made = (tmp_path / d / name for d in ("out", "fresh"))
             assert resumed.read_bytes() == made.read_bytes(), name
@@ -378,6 +381,7 @@ class TestRunPipeline:
         ]
         assert not (tmp_path / "out" / "phase2.json").exists()
         assert not (tmp_path / "out" / "phase3.json").exists()
+        assert not list((tmp_path / "out").glob("*.md"))
         manifest = run_pipeline(other, make_config(tmp_path / "out", fixtures_dir, resume=True))
         assert manifest.succeeded, manifest.failure_log
         assert [manifest.phases[p].status for p in pipeline.PHASES] == [
@@ -1208,6 +1212,22 @@ class TestRunPipeline:
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["phases"]["phase2"]["status"] == "failed"
         assert on_disk["succeeded"] is False
+
+    def test_non_finite_score_fails_phase3_naming_its_field(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        # JSON has no NaN: the report is refused before phase3.json is written
+        nan = verification.QuoteLocation(found=True, match_score=float("nan"))
+        monkeypatch.setattr(analysis, "verify_quote", lambda quote, doc: nan)
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir))
+        status = manifest.phases["phase3"]
+        assert status.status == "failed"
+        assert status.error == "QuoteLocation: key 'match_score' is nan, not a finite number"
+        assert manifest.failure_log == [f"phase3: {status.error}"]
+        assert manifest.phases["phase4"].status == "pending"
+        assert not (tmp_path / "phase3.json").exists()
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["phases"]["phase3"]["error"] == status.error
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_analysis_concurrency_below_one_rejected(

@@ -3,14 +3,17 @@
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import anchor_case_doc, anchor_case_quote
+from noveltycheck import verification
 from noveltycheck.papers import normalize_text, preprocess_document
 from noveltycheck.verification import (
     _TOKEN_RE,
+    _token_positions,
     AnchorMatch,
     Document,
     MIN_ANCHOR_CHARS,
@@ -64,6 +67,15 @@ class TestTokenize:
     @example("–")
     @example("Σ")
     @example("İstanbul’s ﬁne–tuned ΟΔΟΣ Σ")
+    # the edges of the whitespace split and its whole-word fast path
+    @example("snake_case")
+    @example("'tis rock'n'roll a--b end-")
+    @example("x² ½")
+    @example("naïve")
+    @example("e\u0301")
+    @example("a\x1cb")  # separators that str.split() splits on
+    @example("a\u2028b")
+    @example("a\u1680b")
     def test_matches_reference_tokenizer(self, text):
         assert list(tokenize(text)) == reference_tokens(text)
 
@@ -333,6 +345,65 @@ class TestVerifyQuote:
                 continue
             loc = verify_quote(sub, doc)
             assert loc.found and loc.match_score == 1.0, sub
+
+
+class TestTokenPositions:
+    @given(st.lists(st.sampled_from(["the", "of", "a", "w1", "w2"]), max_size=80), st.randoms())
+    def test_equals_the_eager_index(self, tokens, rng):
+        tokens = tuple(tokens)
+        eager: dict[str, list[int]] = {}
+        for i, token in enumerate(tokens):
+            eager.setdefault(token, []).append(i)
+        positions = _token_positions(tokens)
+        assert positions.counts == Counter(tokens)
+        # read in any order: each token's positions are found on its first read
+        for token in rng.sample(sorted(eager), len(eager)):
+            assert positions[token] == tuple(eager[token])
+            assert positions.get(token) is positions[token]
+        assert dict(positions) == {token: tuple(p) for token, p in eager.items()}
+        assert positions.get("absent", ()) == () and positions.get("absent") is None
+        assert "absent" not in positions and len(positions) == len(eager)
+        with pytest.raises(KeyError):
+            positions["absent"]
+
+
+class TestQuoteMemo:
+    def test_each_quote_verified_once_across_threads(self, monkeypatch):
+        checks = []
+        real = verification._verify
+
+        def counting(quote, doc, hits_only):
+            checks.append((quote, hits_only))
+            return real(quote, doc, hits_only)
+
+        monkeypatch.setattr(verification, "_verify", counting)
+        doc = Document(DOC_TEXT * 20)
+        quotes = [DOC_TEXT[:40], "the calm river carries nine boats"]
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [
+                threading.Thread(target=lambda i: seen.append((
+                    i, verify_quote(quotes[i % 2], doc), verify_quote_detailed(quotes[i % 2], doc)
+                )), args=(i,))
+                for i in range(8)
+            ]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(seen) == 8
+        assert sorted(Counter(checks).items()) == [
+            ((quote, hits_only), 1) for quote in sorted(quotes) for hits_only in (False, True)
+        ]
+        for i, location, detailed in seen:
+            assert location == verify_quote(quotes[i % 2], Document(DOC_TEXT * 20))
+            assert detailed is verify_quote_detailed(quotes[i % 2], doc)
+            assert location == detailed.location
 
 
 class TestCombineScore:
