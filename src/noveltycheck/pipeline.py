@@ -30,7 +30,7 @@ from .clients import (
     MockSearchClient,
     SearchClient,
 )
-from .codec import encode
+from .codec import decode, encode
 from .errors import InvalidInputError, NoveltyCheckError, PhaseAbortError
 from .extraction import Phase1Result, run_extraction_phase
 from .papers import (
@@ -81,9 +81,6 @@ class PipelineConfig:
     target_url: Optional[str] = None
     emit_pdf: bool = False
     quote_truncation_limit: int = 90
-    # the backoff wait between search attempts, made off the search lane's workers;
-    # by default one that a failed run cuts short
-    sleep: Optional[Callable[[float], object]] = None
 
     def validate(self) -> None:
         for name in ("analysis_concurrency", "topk_core", "topk_contribution"):
@@ -336,7 +333,7 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
 
     search_lane = Scheduler(cfg.retry.concurrency)
     model_lane = Scheduler(cfg.analysis_concurrency)
-    queries = QueryRunner(search, cfg.retry, search_lane, sleep=cfg.sleep)
+    queries = QueryRunner(search, cfg.retry, search_lane)
 
     @functools.cache
     def _date_lookup() -> Future[Optional[PublicationDate]]:
@@ -345,9 +342,12 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
             infer_publication_date, url=cfg.target_url, front_matter=paper_text[:4000], llm=llm
         )
 
-    @functools.cache
+    target: list[PaperRecord] = []  # Phase I's, or the one a reused phase1.json stores
+
     def _target() -> PaperRecord:
-        return replace(front, publication_date=_date_lookup().result())
+        if not target:
+            target.append(replace(front, publication_date=_date_lookup().result()))
+        return target[0]
 
     @functools.cache
     def _target_doc() -> str:
@@ -375,7 +375,9 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         stored = _read_json(phase1_path)
         if stored.get("input") != fingerprint:
             raise _StaleArtifact("made from another paper text, setting, service or prompt")
-        return Phase1Result.from_dict(stored["result"])
+        result = Phase1Result.from_dict(stored["result"])
+        target.append(decode(PaperRecord, stored["target"]))
+        return result
 
     # Phase III's core-scope calls, started by a Phase II computed in this run
     early: list[CoreScopeCalls] = []
@@ -430,7 +432,6 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         with search_lane, model_lane:
             try:
                 phase1 = runner.run("phase1", phase1_path, _phase1, load=_load_phase1)
-                _date_lookup()  # made even when phase 1 is reused
                 phase2 = runner.run(
                     "phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2
                 )

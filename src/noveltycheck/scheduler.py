@@ -1,10 +1,18 @@
 """One bounded, order-preserving task scheduler for every client call.
 
 A run owns one scheduler per client, its lane: a model lane and a search
-lane, each N workers wide, so N model calls and N searches can be in flight
-at once. Phases submit each call as soon as its inputs exist, and searches
-start during Phase I, as soon as a scope's queries exist; Phase II collects
-them, so the manifest's phase2 ``started_at`` marks collection, not the first
+lane, each N workers wide. With N above one, N model calls and N searches
+can be in flight at once. With N = 1 both lanes run each task inline on the
+thread that submits it, a backoff wait included, so one call is in flight at
+a time. The inline form stays because a pool of one thread per lane costs
+memory: glibc gives each thread that allocates its own malloc arena, and on
+the ``fulltext_verify`` benchmark at N = 1 (a 2-vCPU Linux host) such a pool
+raised peak RSS from 36.0 to 43.5 MB, which ``MALLOC_ARENA_MAX=1`` brought
+back to 36.3 MB.
+
+Phases submit each call as soon as its inputs exist, and searches start
+during Phase I, as soon as a scope's queries exist; Phase II collects them,
+so the manifest's phase2 ``started_at`` marks collection, not the first
 search. Results are read back in each phase's own iteration order, never in
 completion order, so artifacts are identical at any worker count.
 

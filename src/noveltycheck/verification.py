@@ -20,7 +20,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from difflib import SequenceMatcher
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .papers import fold_text
 
@@ -39,13 +39,13 @@ MAX_SEGMENTS_KEPT = 3
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['-][^\W_]+)*", re.UNICODE)
 
 
-class _TokenPositions(Mapping[str, tuple[int, ...]]):
+class _TokenPositions:
     """Each token's ascending positions in ``tokens``, read-only.
 
-    ``counts`` holds how often each token occurs. A token's positions are
-    found from its first one the first time they are read, and kept; two
-    threads reading the same token at once find equal tuples, and both keep
-    the first one stored.
+    ``counts`` holds how often each token occurs. ``get`` finds a token's
+    positions from its first one the first time they are read, and keeps
+    them; two threads reading the same token at once find equal tuples, and
+    both keep the first one stored. An absent token has no positions.
     """
 
     def __init__(self, tokens: tuple[str, ...], counts: Counter, first: dict[str, int]) -> None:
@@ -54,10 +54,12 @@ class _TokenPositions(Mapping[str, tuple[int, ...]]):
         self._first = first
         self._found: dict[str, tuple[int, ...]] = {}
 
-    def __getitem__(self, token: str) -> tuple[int, ...]:
+    def get(self, token: str) -> tuple[int, ...]:
         found = self._found.get(token)
         if found is None:
-            at = self._first[token]
+            at = self._first.get(token)
+            if at is None:
+                return ()
             index = self._tokens.index
             positions = [at]
             for _ in range(self.counts[token] - 1):
@@ -65,18 +67,6 @@ class _TokenPositions(Mapping[str, tuple[int, ...]]):
                 positions.append(at)
             found = self._found.setdefault(token, tuple(positions))
         return found
-
-    def get(self, token: str, default=None):
-        return self[token] if token in self._first else default
-
-    def __contains__(self, token: object) -> bool:
-        return token in self._first
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._first)
-
-    def __len__(self) -> int:
-        return len(self._first)
 
 
 def _token_positions(tokens: tuple[str, ...]) -> _TokenPositions:
@@ -110,23 +100,17 @@ def tokenize(text: str) -> tuple[str, ...]:
 class Document:
     """A text that quotes are verified against.
 
-    ``tokens`` and ``positions``, which maps each token to its ascending
+    ``tokens`` and ``positions``, which gives each token's ascending
     indices, are built together the first time either is read, once, under
     this document's own lock: a document shared by worker threads is
     tokenized once and never changes after that, so once built it is read
     without the lock. A document made but never searched is never tokenized.
-
-    The document also keeps each quote it has verified, so a quote checked
-    against it again is not aligned again; the lock makes the check of a
-    quote that two threads ask for at once run only once.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        # reentrant: a quote verified under it builds the document under it
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._built: Optional[tuple[tuple[str, ...], _TokenPositions]] = None
-        self._verified: dict[tuple[str, bool], QuoteVerification] = {}
 
     def _build(self) -> tuple[tuple[str, ...], _TokenPositions]:
         built = self._built
@@ -145,17 +129,6 @@ class Document:
     @property
     def positions(self) -> _TokenPositions:
         return self._build()[1]
-
-    def verified(self, quote: str, hits_only: bool) -> QuoteVerification:
-        """The verification of ``quote`` against this document, made once per ``hits_only``."""
-        key = (quote, hits_only)
-        result = self._verified.get(key)
-        if result is None:
-            with self._lock:
-                result = self._verified.get(key)
-                if result is None:
-                    result = self._verified[key] = _verify(quote, self, hits_only)
-        return result
 
 
 @dataclass(frozen=True)
@@ -243,7 +216,7 @@ def _verbatim_start(
     count = positions.counts.get
     q = min(range(len(anchor)), key=lambda i: count(anchor[i], 0))
     last_start = len(doc) - len(anchor)
-    for p in positions.get(anchor[q], ()):
+    for p in positions.get(anchor[q]):
         start = p - q
         if 0 <= start <= last_start and doc[start : start + len(anchor)] == anchor:
             return start
@@ -288,7 +261,7 @@ def align_anchor(
     need = Counter(anchor_tokens)
     count = positions.counts.get
     rarest = sorted(anchor_tokens, key=lambda token: count(token, 0))
-    probes = sorted({p for token in rarest[: m - floor + 1] for p in positions.get(token, ())})
+    probes = sorted({p for token in rarest[: m - floor + 1] for p in positions.get(token)})
     last_start = n - window_len
     best_matched = floor - 1
     best_span: Optional[tuple[int, int]] = None
@@ -399,11 +372,10 @@ def verify_quote_detailed(quote: str, doc: Document) -> QuoteVerification:
     """Score a quote against a document and keep the per-anchor evidence.
 
     A caller verifying many quotes against one text passes one ``Document``
-    for it, so the text is tokenized and indexed once, and a quote checked
-    against it before is answered from it. Mean coverage averages the hit
+    for it, so the text is tokenized once. Mean coverage averages the hit
     anchors only. Every anchor's coverage is exact, misses included.
     """
-    return doc.verified(quote, hits_only=False)
+    return _verify(quote, doc, hits_only=False)
 
 
 def verify_quote(quote: str, doc: Document) -> QuoteLocation:
@@ -413,7 +385,7 @@ def verify_quote(quote: str, doc: Document) -> QuoteLocation:
     only hit anchors, so an anchor's best window is searched for only among
     windows that would make it a hit.
     """
-    return doc.verified(quote, hits_only=True).location
+    return _verify(quote, doc, hits_only=True).location
 
 
 # --- similarity segments --------------------------------------------------------

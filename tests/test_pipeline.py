@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import functools
 import json
 import logging
 import re
@@ -267,7 +268,6 @@ class TestRunPipeline:
             tmp_path / "out", fixtures_dir,
             search_fixture=broken,
             retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001),
-            sleep=lambda _: None,
         )
         manifest = run_pipeline(paper_text, cfg)
         assert not manifest.succeeded
@@ -373,7 +373,7 @@ class TestRunPipeline:
             patch.setattr(pipeline, "build_clients", lambda cfg: (llm, AlwaysFailingSearch()))
             cfg = make_config(
                 tmp_path / "out", fixtures_dir, resume=resume_first,
-                retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001), sleep=lambda _: None,
+                retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001),
             )
             manifest = run_pipeline(other, cfg)
         assert [manifest.phases[p].status for p in pipeline.PHASES] == [
@@ -396,7 +396,8 @@ class TestRunPipeline:
     def test_resume_with_another_quote_limit_renders_again(
         self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
     ):
-        # the quote limit is a render setting: phases 1-3 are reused without a model call
+        # the quote limit is a render setting: phases 1-3 are reused, the target with
+        # phase 1, so no model call is made
         assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
         manifest, calls = run_recording_llm(
             monkeypatch, paper_text,
@@ -405,7 +406,7 @@ class TestRunPipeline:
         assert [manifest.phases[p].status for p in pipeline.PHASES] == [
             "skipped", "skipped", "skipped", "completed",
         ]
-        assert {c["system"] for c in calls} <= {load_prompt("publication_date")}
+        assert calls == []
         report = analysis.NoveltyReport.from_dict(
             json.loads((goldens_dir / "phase3.json").read_text())
         )
@@ -413,6 +414,53 @@ class TestRunPipeline:
         rendered = render_markdown(report, RenderConfig(quote_truncation_limit=30))
         assert md.read_text() == rendered
         assert md.read_bytes() != (goldens_dir / "report.md").read_bytes()
+
+    def test_resumed_phase1_supplies_the_target_and_its_date(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        # without a URL the date is asked of the model, and the resume must not ask again
+        cfg = make_config(tmp_path, fixtures_dir, target_url=None)
+        assert run_pipeline(paper_text, cfg).succeeded
+        path = tmp_path / "phase1.json"
+        phase1 = json.loads(path.read_text())
+        date = {"year": 2030, "granularity": "year", "source_tier": "regex"}
+        phase1["target"]["publication_date"] = date
+        path.write_text(json.dumps(phase1))
+        (tmp_path / "phase2.json").unlink()
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text,
+            make_config(tmp_path, fixtures_dir, target_url=None, resume=True),
+        )
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == [
+            "skipped", "completed", "completed", "completed",
+        ]
+        assert calls and load_prompt("publication_date") not in {c["system"] for c in calls}
+        phase3 = json.loads((tmp_path / "phase3.json").read_text())
+        assert phase3["original_paper"]["publication_date"] == {
+            "year": 2030, "month": None, "day": None, **date,
+        }
+
+    @pytest.mark.parametrize("edit", [
+        lambda stored: stored.pop("target"),
+        lambda stored: stored.update(target="Drift-Aware Cache Eviction"),
+        lambda stored: stored["target"].update(title=7),
+        lambda stored: stored["target"].update(publication_date="2025"),
+    ], ids=["missing", "a-string", "mistyped-title", "mistyped-date"])
+    def test_resume_over_hostile_target_fails_phase1(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text, edit
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        path = tmp_path / "phase1.json"
+        phase1 = json.loads(path.read_text())
+        edit(phase1)
+        path.write_text(json.dumps(phase1))
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir, resume=True)
+        )
+        assert manifest.phases["phase1"].status == "failed"
+        assert "cannot load phase1.json" in manifest.phases["phase1"].error
+        assert manifest.phases["phase2"].status == "pending"
+        assert calls == []
 
     def test_resume_without_phase1_recomputes_every_phase(
         self, tmp_path, fixtures_dir, paper_text
@@ -679,7 +727,6 @@ class TestRunPipeline:
             tmp_path, fixtures_dir,
             retry=RetryPolicy(max_query_attempts=2, initial_delay=0.001, concurrency=4),
             analysis_concurrency=4,
-            sleep=lambda _: None,
         )
         manifest = run_bounded(paper_text, cfg)
         assert not manifest.succeeded
@@ -1167,8 +1214,11 @@ class TestRunPipeline:
         def broken_sleep(_):
             raise RuntimeError("backoff broke")
 
+        monkeypatch.setattr(
+            pipeline, "QueryRunner", functools.partial(pipeline.QueryRunner, sleep=broken_sleep)
+        )
         cfg = make_config(
-            tmp_path / "out", fixtures_dir, search_fixture=patched, sleep=broken_sleep,
+            tmp_path / "out", fixtures_dir, search_fixture=patched,
             retry=RetryPolicy(concurrency=2), analysis_concurrency=2,
         )
         manifest = run_bounded(paper_text, cfg, timeout=10)
