@@ -144,8 +144,9 @@ def _write_text(path: Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -157,7 +158,13 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
 
 
 def _read_json(path: Path) -> Any:
-    return json.loads(path.read_text(encoding="utf-8"))
+    """Parse the file's bytes with orjson.
+
+    A NaN or infinity literal, a byte order mark, invalid UTF-8 or a lone
+    surrogate escape raises ``JSONDecodeError``; an integer beyond 64 bits is
+    read as a float.
+    """
+    return orjson.loads(path.read_bytes())
 
 
 class _StaleArtifact(Exception):
@@ -260,7 +267,9 @@ class _PhaseRunner:
         than reused turns reuse off for every later phase, and first removes
         every later phase's artifact, which no run may reuse once this one
         starts, even should it fail; every report in the directory goes
-        with them, as one may name another paper.
+        with them, as one may name another paper. A reused phase writes no
+        manifest: its status reaches disk with the next phase's start,
+        completion or failure, and no resume reads ``manifest.json``.
         """
         status = self.manifest.phases[name]
         if self._reuse and load is not None and artifact.exists():
@@ -277,7 +286,6 @@ class _PhaseRunner:
             else:
                 logger.info("%s: reusing existing artifact %s", name, artifact.name)
                 status.status = "skipped"
-                self.persist()
                 return result
         self._reuse = False
         for later in PHASES[PHASES.index(name) + 1:]:

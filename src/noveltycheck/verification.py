@@ -138,10 +138,6 @@ class Anchor:
     tokens: tuple[str, ...]
     start_index: int
 
-    @property
-    def char_length(self) -> int:
-        return len(" ".join(self.tokens))
-
 
 def segment_anchors(quote: Sequence[str]) -> list[Anchor]:
     """Greedy left-to-right segmentation into anchors of >= 20 characters.
@@ -415,11 +411,15 @@ def verify_segment(
     doc_a: Document,
     doc_b: Document,
 ) -> SimilaritySegment:
-    """A segment is verified when both quotes are found and it spans 30+ words."""
+    """A segment is verified when both quotes are found and it spans 30+ words.
+
+    The candidate quote is checked only once the original quote is found;
+    otherwise ``candidate_location`` stays ``None`` and ``doc_b`` is not read.
+    """
     original_loc = verify_quote(seg.original_text, doc_a)
-    candidate_loc = verify_quote(seg.candidate_text, doc_b)
+    candidate_loc = verify_quote(seg.candidate_text, doc_b) if original_loc.found else None
     verified = (
-        original_loc.found
+        candidate_loc is not None
         and candidate_loc.found
         and seg.min_word_count >= MIN_SEGMENT_WORDS
     )

@@ -22,6 +22,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import orjson
 import pytest
 
 from noveltycheck import pipeline, verification
@@ -81,6 +82,10 @@ def _run(inputs: Path, out: Path, settings: dict, workers: int) -> dict[str, str
     )
     manifest = run_pipeline((inputs / "paper.txt").read_text(encoding="utf-8"), cfg)
     assert manifest.succeeded, manifest.failure_log
+    for name in (*ARTIFACTS, "manifest.json"):  # a resume reads them with orjson
+        path = out / name
+        fast, plain = orjson.loads(path.read_bytes()), json.loads(path.read_text(encoding="utf-8"))
+        assert json.dumps(fast) == json.dumps(plain), name
     digests = {name: _sha256((out / name).read_bytes()) for name in ARTIFACTS}
     reports = sorted(out.glob("*.md"))
     assert len(reports) == 1, reports

@@ -13,6 +13,7 @@ import time
 import weakref
 from pathlib import Path
 
+import orjson
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -251,7 +252,9 @@ class TestRunPipeline:
         manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir))
         assert manifest.succeeded
         for name in ("phase1.json", "phase2.json", "phase3.json", "manifest.json"):
-            assert (tmp_path / name).exists()
+            path = tmp_path / name  # a resume reads it with orjson: the same value as json
+            fast, plain = orjson.loads(path.read_bytes()), json.loads(path.read_text("utf-8"))
+            assert json.dumps(fast) == json.dumps(plain), name
         assert len(list(tmp_path.iterdir())) == 5  # the four above and the report, no temp files
         assert (tmp_path / "phase2.json").read_bytes() == (goldens_dir / "phase2.json").read_bytes()
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
@@ -536,8 +539,56 @@ class TestRunPipeline:
         assert manifest.failure_log == [f"{phase}: {status.error}"]
         assert manifest.phases["phase4"].status == "pending"
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        # the reused phases before it reach disk with the failure's write
+        earlier = pipeline.PHASES[: pipeline.PHASES.index(phase)]
+        assert [on_disk["phases"][p]["status"] for p in earlier] == ["skipped"] * len(earlier)
         assert on_disk["phases"][phase]["status"] == "failed"
         assert on_disk["succeeded"] is False
+
+    @pytest.mark.parametrize("phase", ["phase1", "phase2", "phase3"])
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b'"year": ', b'"year": NaN, "_": ', 1),
+        lambda b: b"\xef\xbb\xbf" + b,
+        lambda b: b.replace(b'"title": "', b'"title": "\xff', 1),
+        lambda b: b.replace(b'"title": "', b'"title": "\\ud800', 1),
+        lambda b: re.sub(rb'"year": \d+', b'"year": 18446744073709551616', b, count=1),
+    ], ids=["nan", "bom", "invalid-utf8", "lone-surrogate", "int-above-64-bits"])
+    def test_resume_over_malformed_json_fails_its_phase(
+        self, tmp_path, fixtures_dir, paper_text, phase, edit
+    ):
+        # orjson refuses the first four; it reads the integer as a float, which the
+        # codec refuses in an int field
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        artifact = tmp_path / f"{phase}.json"
+        damaged = edit(artifact.read_bytes())
+        assert damaged != artifact.read_bytes()
+        artifact.write_bytes(damaged)
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert manifest.phases[phase].status == "failed"
+        assert f"cannot load {phase}.json" in manifest.phases[phase].error
+        later = pipeline.PHASES[pipeline.PHASES.index(phase) + 1:]
+        assert [manifest.phases[p].status for p in later] == ["pending"] * len(later)
+
+    def test_render_only_resume_writes_the_manifest_twice(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        written = []
+        write_json = pipeline._write_json
+
+        def recording_write_json(path, payload):
+            written.append(path.name)
+            write_json(path, payload)
+
+        monkeypatch.setattr(pipeline, "_write_json", recording_write_json)
+        manifest = run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=True))
+        assert manifest.succeeded, manifest.failure_log
+        assert written == ["manifest.json"] * 2  # phase 4 starts, then completes
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert [on_disk["phases"][p]["status"] for p in pipeline.PHASES] == [
+            "skipped", "skipped", "skipped", "completed",
+        ]
+        assert on_disk["succeeded"] is True
 
     def test_interrupted_write_keeps_previous_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "phase2.json"

@@ -90,7 +90,7 @@ class TestSegmentAnchors:
         anchors = segment_anchors(tokenize(text))
         assert len(anchors) >= 2
         for anchor in anchors[:-1]:
-            assert anchor.char_length >= MIN_ANCHOR_CHARS
+            assert len(" ".join(anchor.tokens)) >= MIN_ANCHOR_CHARS
 
     def test_partition_property(self):
         rng = random.Random(11)
@@ -107,7 +107,7 @@ class TestSegmentAnchors:
     def test_tail_merges_into_previous_anchor(self):
         # 20-char group followed by a 3-char remainder
         anchors = segment_anchors(tokenize("abcdef ghijkl mnopqr xyz"))
-        assert len(anchors) == 1 or anchors[-1].char_length >= MIN_ANCHOR_CHARS
+        assert len(anchors) == 1 or len(" ".join(anchors[-1].tokens)) >= MIN_ANCHOR_CHARS
 
 
 class TestAlignAnchor:
@@ -463,6 +463,18 @@ class TestVerifySegment:
             Document("entirely different content with no overlap at all in this document"),
         )
         assert not seg.verified
+
+    def test_missing_original_quote_leaves_candidate_unread(self):
+        candidate = Document("other paper text. " + self.PASSAGE_35 + " trailing words.")
+        seg = verify_segment(
+            _segment(self.PASSAGE_35, self.PASSAGE_35),
+            Document("entirely different content with no overlap at all in this document"),
+            candidate,
+        )
+        assert not seg.verified
+        assert not seg.original_location.found
+        assert seg.candidate_location is None
+        assert candidate._built is None
 
     def test_symmetric_under_swap(self):
         rng = random.Random(23)
