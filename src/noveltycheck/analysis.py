@@ -1024,11 +1024,18 @@ def assemble_report(
     return report
 
 
-def check_renderable(report: NoveltyReport) -> None:
-    """Raise RenderError for a references list that repeats an index or a canonical id,
-    for a comparison entry or a segment list under a canonical id no reference has (the
-    one place a paper's title and URL live), or for a prose field render prints that
-    cites no reference."""
+def check_renderable(report: NoveltyReport) -> TaxonomyNode:
+    """The report's taxonomy, read back.
+
+    Raise RenderError for a stored taxonomy that does not read back as written (a
+    mistyped item would be dropped), for a references list that repeats an index or a
+    canonical id, for a comparison entry or a segment list under a canonical id no
+    reference has (the one place a paper's title and URL live), or for a prose field
+    render prints that cites no reference."""
+    stored = report.core_task_survey.taxonomy
+    taxonomy = TaxonomyNode.from_dict(stored)
+    if taxonomy.to_dict() != stored:
+        raise RenderError("core_task_survey.taxonomy does not read back as written")
     for key in ("index", "canonical_id"):
         seen: set[Any] = set()
         for ref in report.references:
@@ -1049,6 +1056,7 @@ def check_renderable(report: NoveltyReport) -> None:
         raise RenderError(f"dangling citation index {bad[0]} in {where}")
 
     strip_dangling_citations(report, _reject)
+    return taxonomy
 
 
 # --- phase orchestration ---------------------------------------------------------

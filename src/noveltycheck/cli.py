@@ -10,11 +10,10 @@ from pathlib import Path
 
 import click
 
-from .analysis import NoveltyReport
 from .errors import NoveltyCheckError
 from .papers import preprocess_document
-from .pipeline import PipelineConfig, run_pipeline
-from .render import RenderConfig, output_filename, render_markdown
+from .pipeline import PipelineConfig, read_report, run_pipeline, write_report
+from .render import output_filename
 from .retrieval import RetryPolicy
 from .taxonomy import TaxonomyNode, validate_taxonomy
 from .verification import Document, verify_quote_detailed
@@ -173,11 +172,10 @@ def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | 
 @click.option("--quote-limit", type=int, default=90, show_default=True)
 @_exit_on_error
 def render(input_path: Path, out_path: Path | None, quote_limit: int) -> None:
-    """Render a Phase III report JSON to Markdown (Phase IV only)."""
-    report = NoveltyReport.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
-    markdown = render_markdown(report, RenderConfig(quote_truncation_limit=quote_limit))
+    """Render a Phase III report JSON to Markdown, as a run's phase 4 does."""
+    report = read_report(input_path)
     target = out_path or Path(output_filename(report))
-    target.write_text(markdown, encoding="utf-8")
+    write_report(report, target, quote_limit)
     click.echo(str(target))
 
 

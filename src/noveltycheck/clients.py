@@ -207,6 +207,23 @@ class MockSearchClient(SearchClient):
 # --- HTTP clients -------------------------------------------------------------
 
 
+def _post_json(url: str, payload: Any, api_key: Optional[str], timeout: float) -> Any:
+    """POST ``payload`` as JSON, with a bearer token when a key is set, and decode the reply.
+
+    Raises ``requests``' errors for a failed request or an HTTP error status,
+    and ``ValueError`` for a body that is not JSON.
+    """
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    logger.info("POST %s -> status %s", url, resp.status_code)
+    resp.raise_for_status()
+    return resp.json()
+
+
 class HttpLlmClient(LlmClient):
     """Minimal chat-completions client for an OpenAI-style endpoint."""
 
@@ -223,11 +240,6 @@ class HttpLlmClient(LlmClient):
         self.timeout = timeout
 
     def complete(self, system_prompt: str, user_prompt: str, temperature: float = 0.0) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model,
             "temperature": temperature,
@@ -236,16 +248,10 @@ class HttpLlmClient(LlmClient):
                 {"role": "user", "content": user_prompt},
             ],
         }
+        url = f"{self.endpoint}/chat/completions"
         try:
-            resp = requests.post(
-                f"{self.endpoint}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-            logger.info("llm request: %d chars -> status %s", len(user_prompt), resp.status_code)
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
+            reply = _post_json(url, payload, self.api_key, self.timeout)
+            return reply["choices"][0]["message"]["content"]
         except Exception as exc:
             raise LlmError(f"llm endpoint failure: {exc}") from exc
 
@@ -264,17 +270,8 @@ class HttpSearchClient(SearchClient):
         self.timeout = timeout
 
     def search(self, query: str) -> list[SearchHit]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(
-                self.endpoint, json={"query": query}, headers=headers, timeout=self.timeout
-            )
-            logger.info("search request %r -> status %s", query, resp.status_code)
-            resp.raise_for_status()
-            return parse_hits(resp.json().get("results", []))
+            reply = _post_json(self.endpoint, {"query": query}, self.api_key, self.timeout)
+            return parse_hits(reply.get("results", []))
         except Exception as exc:
             raise SearchError(f"search endpoint failure: {exc}") from exc

@@ -61,17 +61,17 @@ _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\n?(.*?)\n?[ \t]*```", re.DOTALL
 _CLOSERS = {"{": "}", "[": "]"}
 
 
-def _strip_fences(text: str) -> tuple[str, bool]:
+def _strip_fences(text: str) -> str:
     m = _FENCE_RE.search(text)
     if m:
-        return m.group(1), True
+        return m.group(1)
     stripped = text.strip()
     if stripped.startswith("```"):
         stripped = stripped[3:]
         if stripped[:4].lower() == "json":
             stripped = stripped[4:]
-        return stripped.strip("`").strip(), True
-    return text, False
+        return stripped.strip("`").strip()
+    return text
 
 
 def _extract_span(text: str) -> Optional[str]:
@@ -165,7 +165,7 @@ def parse_structured_output(raw: str) -> ParsedOutput:
         return ParsedOutput(json.loads(raw), None)
     except json.JSONDecodeError:
         pass
-    text, _ = _strip_fences(raw)
+    text = _strip_fences(raw)
     try:
         return ParsedOutput(json.loads(text), "fence")
     except json.JSONDecodeError:

@@ -167,6 +167,19 @@ def _read_json(path: Path) -> Any:
     return orjson.loads(path.read_bytes())
 
 
+def read_report(path: Path) -> NoveltyReport:
+    """A ``phase3.json`` read as ``--resume`` reads it (see ``_read_json``)."""
+    return NoveltyReport.from_dict(_read_json(path))
+
+
+def write_report(report: NoveltyReport, md_path: Path, quote_limit: int,
+                 *, emit_pdf: bool = False) -> None:
+    """Render ``report`` to ``md_path`` in one replace, then to a PDF beside it if asked."""
+    _write_text(md_path, render_markdown(report, RenderConfig(quote_truncation_limit=quote_limit)))
+    if emit_pdf:
+        render_pdf(md_path)
+
+
 class _StaleArtifact(Exception):
     """An artifact that reads fine but was made from another input."""
 
@@ -426,15 +439,6 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
         _write_json(phase3_path, report.to_dict())
         return report
 
-    def _load_phase3() -> NoveltyReport:
-        return NoveltyReport.from_dict(_read_json(phase3_path))
-
-    def _phase4(report: NoveltyReport, md_path: Path) -> None:
-        render_cfg = RenderConfig(quote_truncation_limit=cfg.quote_truncation_limit)
-        _write_text(md_path, render_markdown(report, render_cfg))
-        if cfg.emit_pdf:
-            render_pdf(md_path)
-
     try:
         # the model lane is left first: its running tasks may still start searches
         with search_lane, model_lane:
@@ -444,10 +448,13 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
                     "phase2", phase2_path, lambda: _phase2(phase1), load=_load_phase2
                 )
                 report = runner.run(
-                    "phase3", phase3_path, lambda: _phase3(phase1, phase2), load=_load_phase3
+                    "phase3", phase3_path, lambda: _phase3(phase1, phase2),
+                    load=lambda: read_report(phase3_path),
                 )
                 md_path = out / output_filename(report)
-                runner.run("phase4", md_path, lambda: _phase4(report, md_path))
+                runner.run("phase4", md_path, lambda: write_report(
+                    report, md_path, cfg.quote_truncation_limit, emit_pdf=cfg.emit_pdf
+                ))
             except NoveltyCheckError:
                 queries.stop()
                 raise

@@ -137,9 +137,8 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
 
     Raises RenderError or InvalidInputError for a report it cannot render.
     """
-    check_renderable(report)
+    taxonomy = check_renderable(report)
     survey = report.core_task_survey
-    taxonomy = TaxonomyNode.from_dict(survey.taxonomy)
     refs_by_id = {r.canonical_id: r for r in report.references}
     segments_by_id = report.textual_similarity.segments_by_candidate
     limit = cfg.quote_truncation_limit
@@ -260,11 +259,11 @@ _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 REPORT_PREFIX = "novelty_report_"
 
 
-def output_filename(report: NoveltyReport, extension: str = "md") -> str:
-    """Deterministic, filesystem-safe name derived from report metadata."""
+def output_filename(report: NoveltyReport) -> str:
+    """Deterministic, filesystem-safe Markdown file name derived from report metadata."""
     safe_cid = _UNSAFE_RE.sub("-", report.original_paper.canonical_id).strip("-")
     safe_version = _UNSAFE_RE.sub("-", report.metadata.pipeline_version).strip("-")
-    return f"{REPORT_PREFIX}{safe_cid}_v{safe_version}.{extension}"
+    return f"{REPORT_PREFIX}{safe_cid}_v{safe_version}.md"
 
 
 def render_pdf(markdown_path: Path) -> Path:

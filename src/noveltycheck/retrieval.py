@@ -38,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOPK_CORE = 50
 DEFAULT_TOPK_CONTRIBUTION = 10
+#: retries one run's searches may make in all; at the default 8 attempts a run's at
+#: most 12 queries can draw 84, so this binds only from 17 attempts on
+GLOBAL_MAX_RETRIES = 180
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,10 @@ class RetryPolicy:
 
     max_query_attempts: int = 8
     initial_delay: float = 5.0
-    global_max_retries: int = 180
     concurrency: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("max_query_attempts", "initial_delay", "global_max_retries", "concurrency"):
+        for name in ("max_query_attempts", "initial_delay", "concurrency"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
 
@@ -128,7 +130,7 @@ class QueryRunner:
 
     A query is keyed by its id and its text. Each runs with up to
     ``max_query_attempts`` tries and a backoff of ``initial_delay * attempt``
-    between them, drawing retries from one budget of ``global_max_retries``
+    between them, drawing retries from one budget of ``GLOBAL_MAX_RETRIES``
     shared by every query the runner starts. Tries wait in two queues: retries
     whose backoff is over, and first tries. Each lane task makes the next try,
     a due retry before a first try, so a query that failed once is not kept
@@ -154,7 +156,7 @@ class QueryRunner:
         self._lane = lane
         self._stopped = Event()
         self._sleep = sleep or self._stopped.wait
-        self._budget = Semaphore(policy.global_max_retries)
+        self._budget = Semaphore(GLOBAL_MAX_RETRIES)
         self._started: dict[tuple[str, str], Future[_Outcome]] = {}
         self._due: deque[_Try] = deque()
         self._first: deque[_Try] = deque()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from hashlib import md5
 from typing import Any, Iterator, Mapping, Optional
@@ -116,14 +117,6 @@ class RepairOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _walk_assignments(tax: TaxonomyNode) -> list[str]:
-    """All paper ids in depth-first leaf order, with multiplicity."""
-    out: list[str] = []
-    for leaf in tax.iter_leaves():
-        out.extend(leaf.papers)
-    return out
-
-
 def validate_taxonomy(
     tax: TaxonomyNode,
     allowed: set[str],
@@ -167,23 +160,15 @@ def validate_taxonomy(
     for child in tax.subtopics:
         _check(child, child.name)
 
-    assigned = _walk_assignments(tax)
-    seen: set[str] = set()
-    duplicates: set[str] = set()
-    for pid in assigned:
-        if pid in seen:
-            duplicates.add(pid)
-        seen.add(pid)
-    missing = set(allowed) - seen
-    extra = seen - set(allowed)
-    if original is not None:
-        count = assigned.count(original)
-        if count != 1:
-            structural.append(f"original paper assigned {count} times, expected exactly 1")
+    assigned = Counter(pid for leaf in tax.iter_leaves() for pid in leaf.papers)
+    if original is not None and assigned[original] != 1:
+        structural.append(
+            f"original paper assigned {assigned[original]} times, expected exactly 1"
+        )
     return ValidationReport(
-        missing_ids=frozenset(missing),
-        extra_ids=frozenset(extra),
-        duplicate_ids=frozenset(duplicates),
+        missing_ids=frozenset(set(allowed) - assigned.keys()),
+        extra_ids=frozenset(assigned.keys() - set(allowed)),
+        duplicate_ids=frozenset(pid for pid, n in assigned.items() if n > 1),
         structural_errors=tuple(structural),
         warnings=tuple(warnings),
     )
@@ -218,75 +203,6 @@ def deterministic_repair(tax: TaxonomyNode, report: ValidationReport) -> Taxonom
     return replace(tax, subtopics=tuple(children))
 
 
-def llm_repair(
-    tax: TaxonomyNode,
-    report: ValidationReport,
-    papers: Mapping[str, PaperRecord],
-    llm: LlmClient,
-    *,
-    allowed: set[str],
-    original: Optional[str] = None,
-) -> RepairOutcome:
-    """One model round placing missing papers into best-fit existing leaves.
-
-    No artificial catch-all category is ever created: if the repaired tree
-    still fails validation it is handed on as ``needs_review`` with
-    diagnostics.
-    """
-    diagnostics: list[str] = []
-    if not report.missing_ids:
-        status = "valid" if report.is_valid else "needs_review"
-        if status == "needs_review":
-            diagnostics.append("no missing ids; residual violations left for review")
-        return RepairOutcome(taxonomy=tax, status=status, diagnostics=diagnostics)
-
-    missing_payload = []
-    for pid in sorted(report.missing_ids):
-        record = papers.get(pid)
-        missing_payload.append(
-            {
-                "id": pid,
-                "title": record.title if record else "",
-                "abstract": record.abstract if record else "",
-                "rank": None,
-            }
-        )
-    payload = {
-        "root_name": tax.name,
-        "allowed_ids": sorted(allowed),
-        "missing_ids": sorted(report.missing_ids),
-        "extra_ids": sorted(report.extra_ids),
-        "missing_papers": missing_payload,
-        "original_paper_id": original,
-        "taxonomy": tax.to_dict(),
-    }
-    try:
-        repaired = TaxonomyNode.from_dict(ask(llm, "taxonomy_repair", payload).value)
-    except (LlmError, ParseFailureError, InvalidInputError) as exc:
-        diagnostics.append(f"llm repair failed: {exc}")
-        return RepairOutcome(taxonomy=tax, status="needs_review", diagnostics=diagnostics)
-
-    check = validate_taxonomy(repaired, allowed, original)
-    if check.extra_ids or check.duplicate_ids:
-        diagnostics.append("llm repair introduced extras or duplicates; re-running cleanup")
-        repaired = deterministic_repair(repaired, check)
-        check = validate_taxonomy(repaired, allowed, original)
-    if check.is_valid:
-        return RepairOutcome(taxonomy=repaired, status="valid", diagnostics=diagnostics)
-    diagnostics.append(
-        "still invalid after repair: "
-        + json.dumps(
-            {
-                "missing": sorted(check.missing_ids),
-                "extra": sorted(check.extra_ids),
-                "duplicate": sorted(check.duplicate_ids),
-                "structural": list(check.structural_errors),
-            }
-        )
-    )
-    return RepairOutcome(taxonomy=repaired, status="needs_review", diagnostics=diagnostics)
-
-
 def repair_taxonomy(
     tax: TaxonomyNode,
     allowed: set[str],
@@ -295,27 +211,57 @@ def repair_taxonomy(
     papers: Optional[Mapping[str, PaperRecord]] = None,
     llm: Optional[LlmClient] = None,
 ) -> RepairOutcome:
-    """Two-stage repair: deterministic cleanup, then one optional model round.
+    """Validate, remove extra and duplicate ids, then give one verdict.
 
-    With no model client the outcome is ``needs_review`` whenever coverage
-    violations remain after deterministic repair.
+    With a model client and papers still missing, one model round first
+    places them into best-fit existing leaves, and its tree is cleaned the
+    same way. No artificial catch-all category is ever created: a tree that
+    still fails validation is handed on as ``needs_review`` with diagnostics.
     """
     diagnostics: list[str] = []
-    report = validate_taxonomy(tax, allowed, original)
-    if report.extra_ids or report.duplicate_ids:
-        diagnostics.append(
-            f"deterministic repair removed {len(report.extra_ids)} extra and "
-            f"{len(report.duplicate_ids)} duplicate ids"
-        )
-        tax = deterministic_repair(tax, report)
-        report = validate_taxonomy(tax, allowed, original)
+
+    def _clean(tree: TaxonomyNode, note: str) -> tuple[TaxonomyNode, ValidationReport]:
+        """Validate ``tree``; if it has extra or duplicate ids, note it, remove them and
+        validate again. ``note`` may name the counts as ``{extra}`` and ``{duplicate}``."""
+        report = validate_taxonomy(tree, allowed, original)
+        if report.extra_ids or report.duplicate_ids:
+            diagnostics.append(
+                note.format(extra=len(report.extra_ids), duplicate=len(report.duplicate_ids))
+            )
+            tree = deterministic_repair(tree, report)
+            report = validate_taxonomy(tree, allowed, original)
+        return tree, report
+
+    tax, report = _clean(
+        tax, "deterministic repair removed {extra} extra and {duplicate} duplicate ids"
+    )
+    if report.missing_ids and llm is not None:
+        records = papers or {}
+        missing = sorted(report.missing_ids)
+        payload = {
+            "root_name": tax.name,
+            "allowed_ids": sorted(allowed),
+            "missing_ids": missing,
+            "extra_ids": sorted(report.extra_ids),
+            "missing_papers": [
+                {"id": pid, "title": records[pid].title if pid in records else "",
+                 "abstract": records[pid].abstract if pid in records else "", "rank": None}
+                for pid in missing
+            ],
+            "original_paper_id": original,
+            "taxonomy": tax.to_dict(),
+        }
+        try:
+            repaired = TaxonomyNode.from_dict(ask(llm, "taxonomy_repair", payload).value)
+        except (LlmError, ParseFailureError, InvalidInputError) as exc:
+            diagnostics.append(f"llm repair failed: {exc}")
+        else:
+            tax, report = _clean(
+                repaired, "llm repair introduced extras or duplicates; re-running cleanup"
+            )
     if report.is_valid:
         return RepairOutcome(taxonomy=tax, status="valid", diagnostics=diagnostics)
-    if report.missing_ids and llm is not None:
-        outcome = llm_repair(tax, report, papers or {}, llm, allowed=allowed, original=original)
-        outcome.diagnostics = diagnostics + outcome.diagnostics
-        return outcome
-    diagnostics.append(f"validation failed: {json.dumps(report.to_dict())}")
+    diagnostics.append(f"still invalid after repair: {json.dumps(report.to_dict())}")
     return RepairOutcome(taxonomy=tax, status="needs_review", diagnostics=diagnostics)
 
 

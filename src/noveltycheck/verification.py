@@ -136,7 +136,6 @@ class Anchor:
     """A contiguous slice of the quote's tokens used as an alignment unit."""
 
     tokens: tuple[str, ...]
-    start_index: int
 
 
 def segment_anchors(quote: Sequence[str]) -> list[Anchor]:
@@ -148,27 +147,17 @@ def segment_anchors(quote: Sequence[str]) -> list[Anchor]:
     """
     anchors: list[Anchor] = []
     current: list[str] = []
-    current_start = 0
     current_len = 0
-    for i, token in enumerate(quote):
-        if not current:
-            current_start = i
-            current_len = len(token)
-        else:
-            current_len += 1 + len(token)
+    for token in quote:
+        current_len += len(token) + (1 if current else 0)
         current.append(token)
         if current_len >= MIN_ANCHOR_CHARS:
-            anchors.append(Anchor(tokens=tuple(current), start_index=current_start))
+            anchors.append(Anchor(tokens=tuple(current)))
             current = []
             current_len = 0
     if current:
-        if anchors:
-            tail = anchors.pop()
-            anchors.append(
-                Anchor(tokens=tail.tokens + tuple(current), start_index=tail.start_index)
-            )
-        else:
-            anchors.append(Anchor(tokens=tuple(current), start_index=current_start))
+        tail = anchors.pop().tokens if anchors else ()
+        anchors.append(Anchor(tokens=tail + tuple(current)))
     return anchors
 
 

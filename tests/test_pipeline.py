@@ -1633,6 +1633,50 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "'title'" in result.output
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b'"title": "', b'"title": "\\ud800', 1),
+        lambda b: re.sub(rb'"year": \d+', b'"year": 18446744073709551616', b, count=1),
+    ], ids=["lone-surrogate", "int-above-64-bits"])
+    def test_render_refuses_what_resume_refuses(self, tmp_path, goldens_dir, edit):
+        # render reads phase3.json as --resume does, and leaves no report behind
+        golden = (goldens_dir / "phase3.json").read_bytes()
+        path = tmp_path / "phase3.json"
+        path.write_bytes(edit(golden))
+        assert path.read_bytes() != golden
+        args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_taxonomy_that_does_not_read_back_is_refused(self, tmp_path, fixtures_dir):
+        # a paper id stored as a number would drop out of the rendered tree
+        run = [
+            "run", "--input", str(fixtures_dir / "target_paper.txt"), "--out-dir", str(tmp_path),
+            "--mock", "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
+            "--search-fixture", str(fixtures_dir / "mock_search.json"),
+            "--url", TARGET_URL, "--timestamp", TIMESTAMP,
+        ]
+        assert CliRunner().invoke(cli_main, run).exit_code == 0
+        phase3 = tmp_path / "phase3.json"
+        report = json.loads(phase3.read_text())
+        leaf = report["core_task_survey"]["taxonomy"]
+        while not leaf.get("papers"):
+            leaf = leaf["subtopics"][0]
+        leaf["papers"][-1] = 1
+        phase3.write_text(json.dumps(report))
+        [md] = tmp_path.glob("*.md")
+        md.unlink()
+        out = tmp_path / "rendered.md"
+        result = CliRunner().invoke(cli_main, ["render", "--input", str(phase3), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert result.output == "error: core_task_survey.taxonomy does not read back as written\n"
+        result = CliRunner().invoke(cli_main, [*run, "--resume"])
+        assert result.exit_code == 1
+        assert "phase3: skipped" in result.output
+        assert "phase4: failed" in result.output and "does not read back" in result.output
+        assert list(tmp_path.glob("*.md")) == []
+
     def test_verify_quote_command(self, tmp_path, fixtures_dir):
         runner = CliRunner()
         result = runner.invoke(

@@ -18,6 +18,7 @@ from conftest import (
     make_record,
     make_result,
 )
+from noveltycheck import retrieval
 from noveltycheck.clients import MockSearchClient
 from noveltycheck.errors import InvalidInputError, RetrievalEmptyError
 from noveltycheck.extraction import SearchQuery
@@ -58,7 +59,7 @@ class TestRetryPolicy:
         policy = RetryPolicy()
         assert policy.max_query_attempts == 8
         assert policy.initial_delay == 5.0
-        assert policy.global_max_retries == 180
+        assert retrieval.GLOBAL_MAX_RETRIES == 180
         assert policy.concurrency == 1
 
     def test_positive_required(self):
@@ -188,7 +189,7 @@ class TestExecuteQueries:
         batch = execute([QUERY], search, RetryPolicy())
         assert [r.paper.abstract for r in batch.results] == [""]
 
-    def test_global_retry_budget_caps_total_retries(self):
+    def test_global_retry_budget_caps_total_retries(self, monkeypatch):
         fixture = {
             "queries": {
                 "q0": {"results": [HIT], "fail_times": 99},
@@ -199,7 +200,8 @@ class TestExecuteQueries:
             SearchQuery("core_task:q0", "q0", "core_task"),
             SearchQuery("core_task:q1", "q1", "core_task"),
         ]
-        policy = RetryPolicy(max_query_attempts=8, initial_delay=0.001, global_max_retries=3)
+        monkeypatch.setattr(retrieval, "GLOBAL_MAX_RETRIES", 3)
+        policy = RetryPolicy(max_query_attempts=8, initial_delay=0.001)
         batch = execute(queries, MockSearchClient(fixture), policy, sleep=lambda _: None)
         # q0 burns the 3-retry session budget and is abandoned early
         assert batch.failures[0].query_id == "core_task:q0"
@@ -226,10 +228,11 @@ class TestExecuteQueries:
         assert search.calls == ["some query", "some query"]
         assert batch.attempts_by_query == {"core_task:primary": 1, "core_task:variant2": 1}
 
-    def test_one_retry_budget_across_starts(self):
+    def test_one_retry_budget_across_starts(self, monkeypatch):
         fixture = {"queries": {f"q{i}": {"results": [HIT], "fail_times": 2} for i in range(2)}}
         queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(2)]
-        policy = RetryPolicy(initial_delay=0.001, global_max_retries=3)
+        monkeypatch.setattr(retrieval, "GLOBAL_MAX_RETRIES", 3)
+        policy = RetryPolicy(initial_delay=0.001)
         with Scheduler(1) as lane:
             runner = QueryRunner(MockSearchClient(fixture), policy, lane, sleep=lambda _: None)
             runner.start(queries[:1])
@@ -262,11 +265,12 @@ class TestExecuteQueries:
         assert sorted(search.calls) == sorted(q.text for q in queries)
         assert [r.paper.title for r in batch.results] == [f"P{i}" for i in range(20)]
 
-    def test_concurrent_retries_draw_the_budget_exactly(self):
+    def test_concurrent_retries_draw_the_budget_exactly(self, monkeypatch):
         fixture = {"queries": {f"q{i}": {"results": [HIT], "fail_times": 2} for i in range(20)}}
         queries = [SearchQuery(f"core_task:q{i}", f"q{i}", "core_task") for i in range(20)]
         search = MockSearchClient(fixture)
-        policy = RetryPolicy(initial_delay=0.001, global_max_retries=25, concurrency=8)
+        monkeypatch.setattr(retrieval, "GLOBAL_MAX_RETRIES", 25)
+        policy = RetryPolicy(initial_delay=0.001, concurrency=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

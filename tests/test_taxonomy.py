@@ -10,7 +10,6 @@ from noveltycheck.errors import InvalidInputError
 from noveltycheck.taxonomy import (
     TaxonomyNode,
     deterministic_repair,
-    llm_repair,
     order_leaf_papers,
     repair_taxonomy,
     structural_position,
@@ -270,7 +269,6 @@ class TestLlmRepair:
 
     def test_mock_places_missing_into_existing_leaves(self):
         tree, allowed = self._tree_missing()
-        report = validate_taxonomy(tree, allowed)
         fixed = {
             "name": "X Survey Taxonomy",
             "subtopics": [
@@ -291,35 +289,30 @@ class TestLlmRepair:
         }
         llm = MockLlmClient({"default": fixed})
         papers = {pid: make_record(f"Paper {pid}") for pid in allowed}
-        outcome = llm_repair(tree, report, papers, llm, allowed=allowed)
+        outcome = repair_taxonomy(tree, allowed, papers=papers, llm=llm)
         assert outcome.status == "valid"
 
     def test_still_missing_yields_needs_review(self):
         tree, allowed = self._tree_missing()
-        report = validate_taxonomy(tree, allowed)
         llm = MockLlmClient({"default": tree.to_dict()})
-        outcome = llm_repair(tree, report, {}, llm, allowed=allowed)
+        outcome = repair_taxonomy(tree, allowed, llm=llm)
         assert outcome.status == "needs_review"
         assert any("still invalid" in d for d in outcome.diagnostics)
 
     def test_empty_missing_set_skips_llm(self):
-        tree = simple_tree()
-        report = validate_taxonomy(tree, ALL_IDS)
         llm = MockLlmClient({})
-        outcome = llm_repair(tree, report, {}, llm, allowed=ALL_IDS)
+        outcome = repair_taxonomy(simple_tree(), ALL_IDS, llm=llm)
         assert outcome.status == "valid"
         assert llm.calls == []
 
     def test_llm_failure_degrades_to_needs_review(self):
         tree, allowed = self._tree_missing()
-        report = validate_taxonomy(tree, allowed)
         llm = MockLlmClient({"rules": [{"system_contains": "taxonomy", "error": "down"}]})
-        outcome = llm_repair(tree, report, {}, llm, allowed=allowed)
+        outcome = repair_taxonomy(tree, allowed, llm=llm)
         assert outcome.status == "needs_review"
 
     def test_repair_introducing_duplicates_is_cleaned_up(self):
         tree, allowed = self._tree_missing()
-        report = validate_taxonomy(tree, allowed)
         sloppy = {
             "name": "X Survey Taxonomy",
             "subtopics": [
@@ -337,7 +330,7 @@ class TestLlmRepair:
             ],
         }
         llm = MockLlmClient({"default": sloppy})
-        outcome = llm_repair(tree, report, {}, llm, allowed=allowed)
+        outcome = repair_taxonomy(tree, allowed, llm=llm)
         assert outcome.status == "valid"
         assert any("introduced extras or duplicates" in d for d in outcome.diagnostics)
         after = validate_taxonomy(outcome.taxonomy, allowed)
