@@ -168,13 +168,13 @@ def build_taxonomy(
     records: dict[str, PaperRecord] = {}
     original_id = None
     if original is not None:
-        original_id = str(original.canonical_id)
+        original_id = original.canonical_id
         records[original_id] = original
         papers_payload.append(
             {"id": original_id, "title": original.title, "abstract": original.abstract, "rank": 0}
         )
     for rank, paper in enumerate(core_candidates, start=1):
-        pid = str(paper.canonical_id)
+        pid = paper.canonical_id
         records[pid] = paper
         papers_payload.append(
             {"id": pid, "title": paper.title, "abstract": paper.abstract, "rank": rank}
@@ -204,7 +204,7 @@ def build_taxonomy(
         papers=records,
         llm=llm,
     )
-    rank_map = {str(p.canonical_id): i for i, p in enumerate(core_candidates, start=1)}
+    rank_map = {p.canonical_id: i for i, p in enumerate(core_candidates, start=1)}
     outcome.taxonomy = order_all_leaves(outcome.taxonomy, original_id, rank_map)
     return outcome
 
@@ -289,11 +289,10 @@ def compare_contribution(
     degrades every claim's entry to ``unclear`` rather than aborting the run.
     """
     mode = _content_of(candidate)[1]
-    cid = str(candidate.canonical_id)
 
     def _entry(status: str, note: Optional[str], evidence: Optional[RefutationEvidence]) -> ContributionComparison:
         return ContributionComparison(
-            canonical_id=cid,
+            canonical_id=candidate.canonical_id,
             comparison_mode=mode,
             refutation_status=status,
             refutation_evidence=evidence,
@@ -553,7 +552,7 @@ def detect_similarity(
     ``candidate_doc`` holds the candidate's full text; a candidate without
     one is skipped.
     """
-    cid = str(candidate.canonical_id)
+    cid = candidate.canonical_id
     if candidate.full_text is None:
         logger.info("similarity detection skipped for %s: no full text", cid)
         return []
@@ -618,7 +617,7 @@ def build_references(target: PaperRecord, candidate_set: CandidateSet) -> list[R
         ReportReference(
             index=i,
             alias=derive_alias(paper.title),
-            canonical_id=str(paper.canonical_id),
+            canonical_id=paper.canonical_id,
             title=paper.title,
             url=paper.url,
             year=paper.publication_date.year if paper.publication_date else None,
@@ -765,7 +764,7 @@ def generate_one_liners(
         return {}
     payload = {
         "papers": [
-            {"canonical_id": str(p.canonical_id), "title": p.title, "abstract": p.abstract}
+            {"canonical_id": p.canonical_id, "title": p.title, "abstract": p.abstract}
             for p in papers
         ]
     }
@@ -958,11 +957,10 @@ def assemble_report(
         if value is None:
             raise AssemblyError(f"missing required module: {name}")
 
-    target_id = str(target.canonical_id)
     # the reply may name any id: keep the target's and the core papers', target first
     kept_one_liners = {
         pid: one_liners[pid]
-        for pid in dict.fromkeys([target_id, *candidate_set.core_task])
+        for pid in dict.fromkeys([target.canonical_id, *candidate_set.core_task])
         if pid in one_liners
     }
 
@@ -988,7 +986,7 @@ def assemble_report(
 
     report = NoveltyReport(
         original_paper=OriginalPaper(
-            canonical_id=target_id,
+            canonical_id=target.canonical_id,
             title=target.title,
             abstract=target.abstract,
             url=target.url,
@@ -1082,7 +1080,7 @@ class CoreScope:
         cls, candidate_set: CandidateSet, core_task: CoreTask, target: PaperRecord, target_doc: str
     ) -> "CoreScope":
         citations = citations_of(build_references(target, candidate_set))
-        records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
+        records = {paper.canonical_id: paper for paper in candidate_set.unified}
         core = [(records[pid], citations[pid]) for pid in candidate_set.core_task]
         return cls(core, core_task, target, target_doc)
 
@@ -1090,7 +1088,7 @@ class CoreScope:
         """The ids of the core records that differ from ``other``'s, rank by rank and
         with their citations, then the names of the other inputs that differ."""
         ids = dict.fromkeys(
-            str(paper.canonical_id)
+            paper.canonical_id
             for mine, theirs in zip_longest(self.core, other.core)
             if mine != theirs
             for paper, _ in filter(None, (mine, theirs))
@@ -1105,14 +1103,14 @@ def _taxonomy_then_comparison(
 ) -> tuple[RepairOutcome, Optional[CoreTaskCalls]]:
     """Build the taxonomy, then submit the core-task comparison's calls without waiting;
     the comparison is None when the taxonomy did not place the target or the lane closed."""
-    records = {str(paper.canonical_id): paper for paper, _ in scope.core}
+    records = {paper.canonical_id: paper for paper, _ in scope.core}
     outcome = build_taxonomy(list(records.values()), scope.core_task, llm, original=scope.target)
     try:
-        position = structural_position(outcome.taxonomy, str(scope.target.canonical_id))
+        position = structural_position(outcome.taxonomy, scope.target.canonical_id)
         started = start_core_task_comparison(
             position, scope.target, scope.target_doc, records, llm, core_task=scope.core_task,
             lane=lane,
-            citations={str(paper.canonical_id): citation for paper, citation in scope.core},
+            citations={paper.canonical_id: citation for paper, citation in scope.core},
         )
     except (InvalidInputError, LaneClosedError):
         return outcome, None
@@ -1195,7 +1193,7 @@ def run_analysis_phase(
     core_ids = set(candidate_set.core_task)
     taxonomy_indices = {0} | {r.index for r in references if r.canonical_id in core_ids}
 
-    candidate_records = {str(paper.canonical_id): paper for paper in candidate_set.unified}
+    candidate_records = {paper.canonical_id: paper for paper in candidate_set.unified}
 
     # one comparison call per distinct candidate, covering every claim
     comparison_order = dict.fromkeys(
@@ -1238,7 +1236,7 @@ def run_analysis_phase(
     outcome, started = core_calls.taxonomy.result()
     position: Optional[StructuralPosition] = None
     try:
-        position = structural_position(outcome.taxonomy, str(target.canonical_id))
+        position = structural_position(outcome.taxonomy, target.canonical_id)
     except InvalidInputError as exc:
         diagnostics.append(f"structural position unavailable: {exc}")
     narrative_future = lane.submit(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import click
 
-from .errors import NoveltyCheckError
+from .errors import InvalidInputError, NoveltyCheckError
 from .papers import preprocess_document
 from .pipeline import PipelineConfig, read_report, run_pipeline, write_report
 from .render import output_filename
@@ -173,7 +173,10 @@ def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | 
 @_exit_on_error
 def render(input_path: Path, out_path: Path | None, quote_limit: int) -> None:
     """Render a Phase III report JSON to Markdown, as a run's phase 4 does."""
-    report = read_report(input_path)
+    try:
+        report = read_report(input_path)
+    except (ValueError, OSError) as exc:  # InvalidInputError and JSONDecodeError included
+        raise InvalidInputError(f"cannot load {input_path.name}: {exc}") from exc
     target = out_path or Path(output_filename(report))
     write_report(report, target, quote_limit)
     click.echo(str(target))

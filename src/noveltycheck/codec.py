@@ -10,9 +10,8 @@ A dataclass's field declarations are its artifact format:
 
 Field types may be ``str``, ``int``, ``float``, ``bool``, ``Any``,
 ``Optional[T]``, ``list[T]``, ``tuple[T, ...]``, ``dict[str, T]``, another
-dataclass, an ``Enum`` (stored by value) or ``CanonicalId`` (stored as its
-string form). Each class's field plan is built once from its resolved type
-hints and cached.
+dataclass or an ``Enum`` (stored by value). Each class's field plan is built
+once from its resolved type hints and cached.
 
 Decoding checks the JSON type of every value, container items included, and
 a value of the wrong type raises ``InvalidInputError`` naming the class and
@@ -35,7 +34,6 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 from .errors import InvalidInputError
-from .papers import CanonicalId
 
 T = TypeVar("T")
 
@@ -130,8 +128,6 @@ def _converters(tp: Any) -> tuple[Convert, Convert, Kinds]:
     if origin is dict:
         enc, dec, kinds = _converters(args[1])
         return _values(enc), _entries(dec, kinds), (dict,)
-    if tp is CanonicalId:
-        return str, CanonicalId.parse, (str,)
     if isinstance(tp, type) and issubclass(tp, Enum):
         kinds = tuple(dict.fromkeys(type(member.value) for member in tp))
         return (lambda member: member.value), tp, kinds

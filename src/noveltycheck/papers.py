@@ -29,20 +29,9 @@ logger = logging.getLogger(__name__)
 MAX_DOCUMENT_CHARS = 200_000
 
 
-class IdScheme(str, Enum):
-    DOI = "doi"
-    ARXIV = "arxiv"
-    OPENREVIEW = "openreview"
-    TITLE_HASH = "title-hash"
-
-
-#: Lower values win when two identifiers describe the same work.
-SCHEME_PRIORITY = {
-    IdScheme.DOI: 0,
-    IdScheme.ARXIV: 1,
-    IdScheme.OPENREVIEW: 2,
-    IdScheme.TITLE_HASH: 3,
-}
+#: The schemes of a canonical id ``<scheme>:<value>``; lower values win when
+#: two identifiers describe the same work.
+SCHEME_PRIORITY = {"doi": 0, "arxiv": 1, "openreview": 2, "title-hash": 3}
 
 
 class QualityFlag(str, Enum):
@@ -56,27 +45,6 @@ class Assessment(str, Enum):
     SOMEWHAT_SUPPORT = "somewhat_support"
     REJECT = "reject"
     INSUFFICIENT_INFORMATION = "insufficient_information"
-
-
-@dataclass(frozen=True)
-class CanonicalId:
-    """Priority-ordered identity of a paper.
-
-    For the ``title-hash`` scheme the value is the MD5 hex digest of the
-    normalized title, so two records with byte-different but equivalent
-    titles collapse to the same identity.
-    """
-
-    scheme: IdScheme
-    value: str
-
-    def __str__(self) -> str:
-        return f"{self.scheme.value}:{self.value}"
-
-    @classmethod
-    def parse(cls, text: str) -> "CanonicalId":
-        scheme, _, value = text.partition(":")
-        return cls(IdScheme(scheme), value)
 
 
 @dataclass(frozen=True)
@@ -142,9 +110,9 @@ class PublicationDate:
 
 @dataclass(frozen=True)
 class PaperRecord:
-    """A target or retrieved paper with identity, metadata, and text."""
+    """A target or retrieved paper: its ``<scheme>:<value>`` id, metadata and text."""
 
-    canonical_id: CanonicalId
+    canonical_id: str
     title: str
     abstract: str = ""
     url: Optional[str] = None
@@ -154,6 +122,9 @@ class PaperRecord:
     full_text: Optional[str] = None
 
     def __post_init__(self) -> None:
+        scheme, colon, _ = self.canonical_id.partition(":")
+        if not colon or scheme not in SCHEME_PRIORITY:
+            raise InvalidInputError(f"unknown canonical id scheme: {self.canonical_id!r}")
         if not self.title or not self.title.strip():
             raise InvalidInputError("paper title must be non-empty")
         if self.relevance_score is not None and not 0.0 <= self.relevance_score <= 1.0:
@@ -161,7 +132,7 @@ class PaperRecord:
 
     @cached_property
     def title_hash(self) -> str:
-        return md5(normalize_title(self.title).encode("utf-8")).hexdigest()
+        return title_hash(self.title)
 
 
 _WS_RE = re.compile(r"\s+")
@@ -202,6 +173,11 @@ def normalize_title(title: str) -> str:
     return _WS_RE.sub(" ", t).strip()
 
 
+def title_hash(title: str) -> str:
+    """MD5 hex digest of the normalized title: two equivalent titles hash alike."""
+    return md5(normalize_title(title).encode("utf-8")).hexdigest()
+
+
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "http://dx.doi.org/", "doi:")
 _ARXIV_VERSION_RE = re.compile(r"v\d+$")
 
@@ -221,27 +197,26 @@ def _clean_arxiv(value: str) -> str:
     return _ARXIV_VERSION_RE.sub("", v)
 
 
-def canonical_id_of(metadata: Mapping[str, Any]) -> CanonicalId:
-    """Pick the highest-priority identifier present in ``metadata``.
+def canonical_id_of(metadata: Mapping[str, Any]) -> str:
+    """Pick the highest-priority identifier present in ``metadata``, as ``<scheme>:<value>``.
 
     Recognized keys: ``doi``, ``arxiv_id``, ``openreview_id``, ``title``.
-    Unknown keys are ignored. Falls back to the MD5 hash of the normalized
-    title when no registry identifier is available.
+    Unknown keys are ignored. Falls back to ``title-hash:`` and the
+    ``title_hash`` of the title when no registry identifier is available.
     """
     title = metadata.get("title") or ""
     if not str(title).strip():
         raise InvalidInputError("metadata must include a non-empty title")
     doi = str(metadata.get("doi") or "").strip()
     if doi:
-        return CanonicalId(IdScheme.DOI, _clean_doi(doi))
+        return f"doi:{_clean_doi(doi)}"
     arxiv = str(metadata.get("arxiv_id") or "").strip()
     if arxiv:
-        return CanonicalId(IdScheme.ARXIV, _clean_arxiv(arxiv))
+        return f"arxiv:{_clean_arxiv(arxiv)}"
     openreview = str(metadata.get("openreview_id") or "").strip()
     if openreview:
-        return CanonicalId(IdScheme.OPENREVIEW, openreview)
-    digest = md5(normalize_title(str(title)).encode("utf-8")).hexdigest()
-    return CanonicalId(IdScheme.TITLE_HASH, digest)
+        return f"openreview:{openreview}"
+    return f"title-hash:{title_hash(str(title))}"
 
 
 def compute_quality_flag(verdict: VerificationVerdict) -> QualityFlag:

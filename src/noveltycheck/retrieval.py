@@ -22,7 +22,6 @@ from .codec import decode, encode
 from .errors import InvalidInputError, RetrievalEmptyError, SearchError
 from .extraction import QuerySet, SearchQuery
 from .papers import (
-    CanonicalId,
     PaperRecord,
     QualityFlag,
     SCHEME_PRIORITY,
@@ -340,7 +339,7 @@ def filter_scope(
     best: dict[str, RetrievalResult] = {}
     order: list[str] = []
     for r in perfect:
-        key = str(r.paper.canonical_id)
+        key = r.paper.canonical_id
         if key not in best:
             best[key] = r
             order.append(key)
@@ -366,7 +365,7 @@ def filter_scope(
 
     # equal relevance breaks ties on canonical id for determinism
     ranked = sorted(
-        in_time, key=lambda p: (-(p.relevance_score or 0.0), str(p.canonical_id))
+        in_time, key=lambda p: (-(p.relevance_score or 0.0), p.canonical_id)
     )
     selected = ranked[:k]
     stats.selected = len(selected)
@@ -393,7 +392,7 @@ class CandidateSet:
     unified: list[PaperRecord]
 
     def __post_init__(self) -> None:
-        known = {str(paper.canonical_id) for paper in self.unified}
+        known = {paper.canonical_id for paper in self.unified}
         if len(known) != len(self.unified):
             raise InvalidInputError("unified candidates must not repeat a canonical id")
         for ids in (self.core_task, *self.per_contribution.values()):
@@ -403,8 +402,9 @@ class CandidateSet:
                 raise InvalidInputError("per-scope lists must hold ids of unified candidates")
 
 
-def _better_id(a: CanonicalId, b: CanonicalId) -> CanonicalId:
-    return a if SCHEME_PRIORITY[a.scheme] <= SCHEME_PRIORITY[b.scheme] else b
+def _better_id(a: str, b: str) -> str:
+    """Whichever id's scheme ranks first in ``SCHEME_PRIORITY``; ``a`` on a tie."""
+    return min(a, b, key=lambda cid: SCHEME_PRIORITY[cid.partition(":")[0]])
 
 
 def cross_scope_dedup(
@@ -426,7 +426,7 @@ def cross_scope_dedup(
 
     def _insert(paper: PaperRecord) -> int:
         """Merge ``paper`` into the pool; return the position of its entry."""
-        keys = [str(paper.canonical_id), f"title:{paper.title_hash}"]
+        keys = [paper.canonical_id, f"title:{paper.title_hash}"]
         hit = next((index[key] for key in keys if key in index), None)
         if hit is None:
             hit = len(unified)
@@ -452,7 +452,7 @@ def cross_scope_dedup(
 
     def _ids(positions: list[int]) -> list[str]:
         # read only now: a later merge can still upgrade an entry's id
-        return [str(unified[pos].canonical_id) for pos in dict.fromkeys(positions)]
+        return [unified[pos].canonical_id for pos in dict.fromkeys(positions)]
 
     return CandidateSet(
         core_task=_ids(core_positions),

@@ -5,10 +5,12 @@ lane, each N workers wide. With N above one, N model calls and N searches
 can be in flight at once. With N = 1 both lanes run each task inline on the
 thread that submits it, a backoff wait included, so one call is in flight at
 a time. The inline form stays because a pool of one thread per lane costs
-memory: glibc gives each thread that allocates its own malloc arena, and on
-the ``fulltext_verify`` benchmark at N = 1 (a 2-vCPU Linux host) such a pool
-raised peak RSS from 36.0 to 43.5 MB, which ``MALLOC_ARENA_MAX=1`` brought
-back to 36.3 MB.
+memory: glibc gives each thread that allocates its own malloc arena. Two runs
+each of ``python3 perfbench/run.py --workload fulltext_verify --seed 1
+--seconds 20 --trace 0`` (N = 1) on a 2-vCPU Linux host read peak RSS
+35.8-36.0 MB inline, 39.3 MB with such a pool, and 35.9-36.0 MB with the pool
+under ``MALLOC_ARENA_MAX=1``. The benchmark covers both forms:
+``fulltext_verify`` runs at N = 1 and ``abstract_wait`` at N = 2.
 
 Phases submit each call as soon as its inputs exist, and searches start
 during Phase I, as soon as a scope's queries exist; Phase II collects them,

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import settings
 
 from noveltycheck.papers import (
-    CanonicalId,
-    IdScheme,
     PaperRecord,
     PublicationDate,
     VerificationVerdict,
@@ -48,10 +46,7 @@ def make_record(title: str, relevance: float = 0.5, *, verdict=None, url=None, d
                 full_text: str | None = None) -> PaperRecord:
     from noveltycheck.papers import canonical_id_of, compute_quality_flag
 
-    if scheme:
-        cid = CanonicalId(IdScheme(scheme), value or title)
-    else:
-        cid = canonical_id_of({"title": title})
+    cid = f"{scheme}:{value or title}" if scheme else canonical_id_of({"title": title})
     flag = compute_quality_flag(VerificationVerdict.from_pairs(verdict or PERFECT))
     return PaperRecord(
         canonical_id=cid,
@@ -77,7 +72,7 @@ def make_result(title: str, relevance: float, *, scope="core_task", contribution
 
 def progression_target() -> PaperRecord:
     return PaperRecord(
-        canonical_id=CanonicalId(IdScheme.TITLE_HASH, "f" * 32),
+        canonical_id="title-hash:" + "f" * 32,
         title="Progression Fixture Target Paper on Agent Training",
         publication_date=PublicationDate(2025, 9),
     )

@@ -171,7 +171,7 @@ def _tax_payload(ids, extra=None, missing=None):
 
 class TestBuildTaxonomy:
     CANDS = [make_record(f"Candidate {i}", 0.9 - i * 0.01) for i in range(4)]
-    IDS = [str(c.canonical_id) for c in CANDS]
+    IDS = [c.canonical_id for c in CANDS]
 
     def test_valid_generation(self):
         llm = MockLlmClient({"default": _tax_payload(self.IDS)})
@@ -180,7 +180,7 @@ class TestBuildTaxonomy:
 
     def test_two_stage_repair(self):
         target = make_record("The Target Paper Of Record")
-        ids = [str(target.canonical_id)] + self.IDS
+        ids = [target.canonical_id] + self.IDS
         generated = _tax_payload(ids, extra=["ghost:1"], missing=[self.IDS[-1]])
         repaired = _tax_payload(ids)
         llm = MockLlmClient(
@@ -246,7 +246,7 @@ class HeldLane(Scheduler):
 
 class TestStartCoreScopeCalls:
     TARGET = make_record("The Target Paper Of Record")
-    IDS = [str(TARGET.canonical_id)] + TestBuildTaxonomy.IDS
+    IDS = [TARGET.canonical_id] + TestBuildTaxonomy.IDS
     TAXONOMY_RULE = {"system_contains": "rigorous academic taxonomies",
                      "response": _tax_payload(IDS)}
     SIBLING_RULE = {"system_contains": "SAME taxonomy category",
@@ -481,7 +481,7 @@ def _compare_lone_target(llm):
     """Core-task comparison of a target alone in its leaf beside a populated leaf."""
     target = make_record("The Target Paper")
     other = make_record("Nearby Work")
-    tid, oid = str(target.canonical_id), str(other.canonical_id)
+    tid, oid = target.canonical_id, other.canonical_id
     from noveltycheck.taxonomy import TaxonomyNode
 
     tree = TaxonomyNode.from_dict(
@@ -511,7 +511,7 @@ class TestCompareCoreTask:
     def test_sibling_mode_individual_comparisons(self):
         target = make_record("The Target Paper")
         siblings = [make_record("Sibling One Paper"), make_record("Sibling Two Paper")]
-        ids = [str(target.canonical_id)] + [str(s.canonical_id) for s in siblings]
+        ids = [target.canonical_id] + [s.canonical_id for s in siblings]
         from noveltycheck.taxonomy import TaxonomyNode
 
         tree = TaxonomyNode.from_dict(
@@ -524,7 +524,7 @@ class TestCompareCoreTask:
                 ],
             }
         )
-        position = structural_position(tree, str(target.canonical_id))
+        position = structural_position(tree, target.canonical_id)
         llm = MockLlmClient(
             {
                 "rules": [
@@ -543,20 +543,20 @@ class TestCompareCoreTask:
                 ]
             }
         )
-        records = {str(s.canonical_id): s for s in siblings}
+        records = {s.canonical_id: s for s in siblings}
         analysis = compare_core_task(start_core_task_comparison(
             position, target, TARGET_DOC, records, llm, core_task=CORE_TASK, lane=Scheduler(1)
         ))
         assert analysis.mode == "sibling"
         flags = {c.canonical_id: c.is_duplicate_variant for c in analysis.comparisons}
-        assert flags[str(siblings[0].canonical_id)] is False
-        assert flags[str(siblings[1].canonical_id)] is True
+        assert flags[siblings[0].canonical_id] is False
+        assert flags[siblings[1].canonical_id] is True
         dup = next(c for c in analysis.comparisons if c.is_duplicate_variant)
         assert "Please manually verify" in dup.brief_comparison
 
     def test_isolated_mode_no_llm_call(self):
         target = make_record("The Target Paper")
-        tid = str(target.canonical_id)
+        tid = target.canonical_id
         from noveltycheck.taxonomy import TaxonomyNode
 
         tree = TaxonomyNode.from_dict(
@@ -591,7 +591,7 @@ class TestCompareCoreTask:
     def test_sibling_failure_degrades_to_diagnostic_entry(self):
         target = make_record("The Target Paper")
         sibling = make_record("Sibling One Paper")
-        ids = [str(target.canonical_id), str(sibling.canonical_id)]
+        ids = [target.canonical_id, sibling.canonical_id]
         tree = self._position(ids + ["x:1", "x:2"])
         position = structural_position(tree, ids[0])
         llm = MockLlmClient({"rules": [{"system_contains": "SAME taxonomy", "error": "down"}]})
@@ -833,7 +833,7 @@ _TAXONOMY_PAPERS = [make_record("Alpha Widget Paper", 0.9), make_record("Beta Wi
 def _taxonomy(**fields):
     return {"name": "Widget Survey Taxonomy", "subtopics": [
         {"name": "Widgets", "exclude_note": "e",
-         "papers": [str(p.canonical_id) for p in _TAXONOMY_PAPERS], **fields},
+         "papers": [p.canonical_id for p in _TAXONOMY_PAPERS], **fields},
     ]}
 
 

@@ -245,6 +245,14 @@ def pool_entries_wrapped(candidates):
     candidates["unified"] = [{"paper": p, "provenance": ["core_task"]} for p in candidates["unified"]]
 
 
+def pool_id_of_unknown_scheme(candidates):
+    """A pool record, and every scope list naming it, given an id of no known scheme."""
+    paper = candidates["unified"][0]
+    old, paper["canonical_id"] = paper["canonical_id"], "isbn:123"
+    for ids in (candidates["core_task"], *candidates["per_contribution"].values()):
+        ids[:] = ["isbn:123" if pid == old else pid for pid in ids]
+
+
 class TestRunPipeline:
     def test_full_mock_run_produces_artifacts_and_goldens(
         self, tmp_path, fixtures_dir, goldens_dir, paper_text
@@ -507,7 +515,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("edit", [
         scope_lists_hold_records, full_texts_as_objects, scope_repeats_an_id,
-        pool_repeats_a_record, pool_entries_wrapped,
+        pool_repeats_a_record, pool_entries_wrapped, pool_id_of_unknown_scheme,
     ], ids=lambda edit: edit.__name__)
     def test_resume_over_malformed_candidate_pool_fails_phase2(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text, edit
@@ -1646,7 +1654,8 @@ class TestCli:
         args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
         result = CliRunner().invoke(cli_main, args)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
-        assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+        assert result.output.startswith("error: cannot load phase3.json: "), result.output
+        assert len(result.output.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [path]
 
     def test_taxonomy_that_does_not_read_back_is_refused(self, tmp_path, fixtures_dir):

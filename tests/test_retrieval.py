@@ -22,7 +22,7 @@ from noveltycheck import retrieval
 from noveltycheck.clients import MockSearchClient
 from noveltycheck.errors import InvalidInputError, RetrievalEmptyError
 from noveltycheck.extraction import SearchQuery
-from noveltycheck.papers import CanonicalId, IdScheme, PublicationDate, QualityFlag
+from noveltycheck.papers import PublicationDate, QualityFlag
 from noveltycheck.retrieval import (
     Phase2Result,
     QueryRunner,
@@ -127,8 +127,8 @@ class TestExecuteQueries:
         threaded = execute(
             queries, MockSearchClient(fixture), RetryPolicy(concurrency=4)
         )
-        serial_keys = [(r.paper.title, str(r.paper.canonical_id)) for r in serial.results]
-        threaded_keys = [(r.paper.title, str(r.paper.canonical_id)) for r in threaded.results]
+        serial_keys = [(r.paper.title, r.paper.canonical_id) for r in serial.results]
+        threaded_keys = [(r.paper.title, r.paper.canonical_id) for r in threaded.results]
         assert serial_keys == threaded_keys
 
     def test_full_text_preprocessed_once_per_distinct_text(self, monkeypatch):
@@ -489,7 +489,7 @@ class TestFilterScope:
         # the 0.5 tie breaks on canonical id text, deterministically
         tied = sorted(
             [r.paper for r in results if r.paper.relevance_score == 0.5],
-            key=lambda p: str(p.canonical_id),
+            key=lambda p: p.canonical_id,
         )
         assert outcome.selected[1].canonical_id == tied[0].canonical_id
 
@@ -498,7 +498,7 @@ class TestFilterScope:
         selected = outcome.selected
         assert len(selected) <= 50
         assert all(p.quality_flag is QualityFlag.PERFECT for p in selected)
-        ids = [str(p.canonical_id) for p in selected]
+        ids = [p.canonical_id for p in selected]
         assert len(set(ids)) == len(ids)
         scores = [p.relevance_score for p in selected]
         assert scores == sorted(scores, reverse=True)
@@ -532,7 +532,7 @@ class TestCrossScopeDedup:
         contrib = make_record("Shared Work", 0.8, scheme="arxiv", value="2401.9")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [contrib]})
         assert len(candidate_set.unified) == 1
-        assert candidate_set.unified[0].canonical_id == CanonicalId(IdScheme.DOI, "10.5/zz")
+        assert candidate_set.unified[0].canonical_id == "doi:10.5/zz"
         assert candidate_set.core_task == ["doi:10.5/zz"]
         assert candidate_set.per_contribution == {"contribution_1": ["doi:10.5/zz"]}
 
@@ -540,7 +540,7 @@ class TestCrossScopeDedup:
         core = [make_record("Shared Work", 0.9, scheme="arxiv", value="2401.9")]
         contrib = make_record("Shared Work", 0.8, scheme="doi", value="10.5/zz")
         candidate_set = cross_scope_dedup(core, {"contribution_1": [contrib]})
-        assert candidate_set.unified[0].canonical_id.scheme is IdScheme.DOI
+        assert candidate_set.unified[0].canonical_id == "doi:10.5/zz"
         # every scope names the merged paper by its upgraded id, the core
         # scope included although its own record arrived with the arXiv id
         assert candidate_set.core_task == ["doi:10.5/zz"]
@@ -565,7 +565,7 @@ class TestCrossScopeDedup:
         # the merge made a new record: the core record is unchanged
         assert core[0] == before
         assert candidate_set.per_contribution == {
-            "contribution_1": [str(before.canonical_id)], "contribution_2": [str(before.canonical_id)],
+            "contribution_1": [before.canonical_id], "contribution_2": [before.canonical_id],
         }
 
     @given(core=_SCOPE, per=st.lists(_SCOPE, max_size=3))
@@ -580,7 +580,7 @@ class TestCrossScopeDedup:
         inputs = [*core_records, *(r for rs in per_records.values() for r in rs)]
         copies = [replace(record) for record in inputs]
         candidate_set = cross_scope_dedup(core_records, per_records)
-        ids = [str(paper.canonical_id) for paper in candidate_set.unified]
+        ids = [paper.canonical_id for paper in candidate_set.unified]
         assert len(ids) == len(set(ids))
         # each scope lists unified ids only, none of them twice
         for scope in (candidate_set.core_task, *candidate_set.per_contribution.values()):
