@@ -30,8 +30,8 @@ from .extraction import (
     truncate_words,
     word_count,
 )
-from .papers import PaperRecord, PublicationDate
-from .prompts import complete
+from .papers import PaperRecord, PublicationDate, check_canonical_id
+from .prompts import complete, user_text
 from .retrieval import CandidateSet
 from .scheduler import LaneClosedError, Scheduler
 from .taxonomy import (
@@ -211,22 +211,6 @@ def build_taxonomy(
 
 # --- contribution comparison ------------------------------------------------------
 
-_CLAIM_USER_TMPL = (
-    "**Candidate Paper Title**: {title}{citation}\n"
-    "**Number of Contributions to Compare**: {n}\n"
-    "**[Contributions to Compare]**\n"
-    "{contributions}\n"
-    "**[Full Text Context: ORIGINAL]** (extract evidence from here)\n"
-    "```\n{original}\n```\n"
-    "**[Full Text Context: CANDIDATE]** (extract evidence from here)\n"
-    "```\n{candidate}\n```\n"
-    "**CRITICAL RULE**: You MUST extract quotes EXACTLY as they appear above. "
-    "Copy character-by-character, including punctuation and spacing. If you cannot "
-    "find a quote word-for-word in the context, do NOT use it. Evidence MUST be "
-    "extracted from 'Full Text Context', NOT from Contribution Descriptions.\n"
-)
-
-
 def _format_claims(claims: Sequence[ContributionClaim]) -> str:
     blocks = []
     for i, claim in enumerate(claims, start=1):
@@ -299,7 +283,8 @@ def compare_contribution(
             brief_note=note,
         )
 
-    user = _CLAIM_USER_TMPL.format(
+    user = user_text(
+        "claim_comparison",
         title=candidate.title,
         citation=f" ({citation})" if citation else "",
         n=len(claims),
@@ -534,13 +519,6 @@ def compare_core_task(started: CoreTaskCalls) -> CoreTaskAnalysis:
 # --- similarity detection -----------------------------------------------------------
 
 
-_SIMILARITY_USER_TMPL = (
-    "# Now, please process the following inputs:\n"
-    "<Paper_A>\n{paper_a}\n</Paper_A>\n"
-    "<Paper_B>\n{paper_b}\n</Paper_B>\n"
-)
-
-
 def detect_similarity(
     target_doc: Document,
     candidate: PaperRecord,
@@ -556,7 +534,7 @@ def detect_similarity(
     if candidate.full_text is None:
         logger.info("similarity detection skipped for %s: no full text", cid)
         return []
-    user = _SIMILARITY_USER_TMPL.format(paper_a=target_doc.text, paper_b=candidate_doc.text)
+    user = user_text("similarity_detection", paper_a=target_doc.text, paper_b=candidate_doc.text)
     try:
         parsed = ask(llm, "similarity_detection", user).value
     except (LlmError, ParseFailureError) as exc:
@@ -593,6 +571,9 @@ class ReportReference:
     url: Optional[str]
     year: Optional[int]
     is_original: bool
+
+    def __post_init__(self) -> None:
+        check_canonical_id(self.canonical_id)
 
 
 _ALIAS_STOPWORDS = frozenset(
@@ -816,6 +797,9 @@ class OriginalPaper:
     abstract: str
     url: Optional[str]
     publication_date: Optional[PublicationDate]
+
+    def __post_init__(self) -> None:
+        check_canonical_id(self.canonical_id)
 
 
 @dataclass

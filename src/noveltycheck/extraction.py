@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from .clients import LlmClient
 from .codec import decode, encode
 from .errors import ContributionRejected, LlmError, ParseFailureError, PhaseAbortError
-from .prompts import complete
+from .prompts import complete, user_text
 from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
@@ -325,23 +325,6 @@ def validate_contribution(rawfields: Mapping[str, Any]) -> ContributionClaim:
 
 # --- model-backed extraction ---------------------------------------------------
 
-_CORE_TASK_USER_TMPL = (
-    "Read the following information about the paper and answer:\n"
-    '"What is the core task this paper studies?" Return ONLY a single phrase as specified.\n\n'
-    "Title: {title}\n"
-    "Abstract: {abstract}\n"
-    "Excerpt from main body (truncated after removing references): {body}\n"
-)
-
-_CONTRIBUTION_USER_TMPL = (
-    'Extract up to three contributions claimed in this paper. Return "contributions" '
-    "with items that satisfy the rules above.\n\n"
-    "Title:\n{title}\n\n"
-    "Main body text (truncated and references removed when possible):\n{body}\n"
-)
-
-_VARIANTS_USER_TMPL = "Original query:\n{primary}\n\nPlease provide 2-3 paraphrased variants.\n"
-
 #: How much body text goes into extraction prompts.
 _PROMPT_BODY_CHARS = 60_000
 
@@ -379,9 +362,7 @@ def extract_core_task(
     """
     if not doc.strip():
         raise PhaseAbortError("phase1", "document is empty")
-    user = _CORE_TASK_USER_TMPL.format(
-        title=title, abstract=abstract, body=doc[:_PROMPT_BODY_CHARS]
-    )
+    user = user_text("core_task", title=title, abstract=abstract, body=doc[:_PROMPT_BODY_CHARS])
     flags: list[str] = []
     phrase = _clean_phrase(_call_llm(complete, llm, "core_task", user))
     if word_count(phrase) < MIN_CORE_TASK_WORDS:
@@ -409,7 +390,7 @@ def extract_contributions(
     Returns the claims plus a warning list. Zero valid contributions is not
     fatal; the pipeline continues with core-task scope only.
     """
-    user = _CONTRIBUTION_USER_TMPL.format(title=title, body=doc[:_PROMPT_BODY_CHARS])
+    user = user_text("contribution_extraction", title=title, body=doc[:_PROMPT_BODY_CHARS])
     warnings: list[str] = []
     try:
         parsed = _call_llm(ask, llm, "contribution_extraction", user)
@@ -456,7 +437,7 @@ def expand_query_variants(
     primary, flags = normalize_query(primary, require_prefix=require_prefix)
     raw_variants: list[str] = []
     try:
-        parsed = ask(llm, "query_variants", _VARIANTS_USER_TMPL.format(primary=primary))
+        parsed = ask(llm, "query_variants", user_text("query_variants", primary=primary))
         raw_variants = reply_list(parsed.value, "variants", str)
     except (LlmError, ParseFailureError) as exc:
         logger.warning("variant generation failed for %r: %s", primary, exc)
@@ -495,7 +476,7 @@ def generate_primary_queries(
                 f"  author_claim_text: {claim.author_claim_text}\n"
                 f"  description: {claim.description}"
             )
-        user = "Generate one query per claim for the following claims:\n" + "\n".join(sections)
+        user = user_text("primary_query", claims="\n".join(sections))
         try:
             for entry in reply_list(ask(llm, "primary_query", user).value, "queries", Mapping):
                 answers[reply_text(entry, "id")] = reply_text(entry, "prior_work_query")

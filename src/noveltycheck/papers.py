@@ -34,6 +34,13 @@ MAX_DOCUMENT_CHARS = 200_000
 SCHEME_PRIORITY = {"doi": 0, "arxiv": 1, "openreview": 2, "title-hash": 3}
 
 
+def check_canonical_id(canonical_id: str) -> None:
+    """Refuse an id that is not ``<scheme>:<value>`` for a scheme in ``SCHEME_PRIORITY``."""
+    scheme, colon, _ = canonical_id.partition(":")
+    if not colon or scheme not in SCHEME_PRIORITY:
+        raise InvalidInputError(f"unknown canonical id scheme: {canonical_id!r}")
+
+
 class QualityFlag(str, Enum):
     PERFECT = "perfect"
     PARTIAL = "partial"
@@ -122,9 +129,7 @@ class PaperRecord:
     full_text: Optional[str] = None
 
     def __post_init__(self) -> None:
-        scheme, colon, _ = self.canonical_id.partition(":")
-        if not colon or scheme not in SCHEME_PRIORITY:
-            raise InvalidInputError(f"unknown canonical id scheme: {self.canonical_id!r}")
+        check_canonical_id(self.canonical_id)
         if not self.title or not self.title.strip():
             raise InvalidInputError("paper title must be non-empty")
         if self.relevance_score is not None and not 0.0 <= self.relevance_score <= 1.0:

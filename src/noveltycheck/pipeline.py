@@ -7,6 +7,7 @@ and every phase can be developed and inspected in isolation.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import json
@@ -40,7 +41,7 @@ from .papers import (
     infer_publication_date,
     preprocess_document,
 )
-from .prompts import TEMPERATURES, load_prompt
+from .prompts import assets
 from .render import REPORT_PREFIX, RenderConfig, output_filename, render_markdown, render_pdf
 from .retrieval import (
     DEFAULT_TOPK_CONTRIBUTION,
@@ -191,12 +192,16 @@ def _file_sha256(path: Path, mtime_ns: int, size: int) -> str:
 
 
 def input_fingerprint(paper_text: str, cfg: PipelineConfig) -> str:
-    """sha256 over what phases 1-3 follow from: not the worker count, nor a render setting."""
+    """sha256 over what phases 1-3 follow from: not the worker count, nor a render setting.
+
+    Every prompt asset counts, system and user text alike; prompt text kept in
+    code (payload keys, per-item list formatting) is covered by ``__version__``.
+    """
     knobs = [cfg.topk_core, cfg.topk_contribution, cfg.target_url, cfg.target_title,
              cfg.fixed_timestamp, cfg.llm_model, cfg.llm_endpoint, cfg.search_endpoint]
     fixtures = [Path(f).resolve() for f in (cfg.llm_fixture, cfg.search_fixture) if cfg.mock]
     knobs += [_file_sha256(f, f.stat().st_mtime_ns, f.stat().st_size) for f in fixtures]
-    prompts = [load_prompt(name) for name in TEMPERATURES]
+    prompts = sorted(assets().items())
     return hashlib.sha256(json.dumps([paper_text, knobs, __version__, prompts]).encode()).hexdigest()
 
 
@@ -337,12 +342,24 @@ def run_pipeline(paper_text: str, cfg: PipelineConfig) -> RunManifest:
     searches waiting to retry give up, and the run stops cleanly; with
     ``resume`` enabled a later invocation on the same input picks up after
     the last persisted artifact.
+
+    The run holds ``<out-dir>/.lock`` from start to end; a run that finds it
+    held raises ``InvalidInputError`` and touches nothing in the directory.
     """
     if not paper_text or not paper_text.strip():
         raise InvalidInputError("paper text must be non-empty")
     cfg.validate()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    with open(out / ".lock", "a") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise InvalidInputError(f"{out} is in use by another run") from None
+        return _run_phases(paper_text, cfg, out)
+
+
+def _run_phases(paper_text: str, cfg: PipelineConfig, out: Path) -> RunManifest:
     llm, search = build_clients(cfg)
     manifest = RunManifest()
     runner = _PhaseRunner(manifest, out, resumable=cfg.resume)

@@ -1,4 +1,8 @@
-"""Prompt text assets and the one path by which they reach the model client."""
+"""Prompt text assets and the one path by which they reach the model client.
+
+A prompt's system text is ``<name>.txt``; a prompt whose user turn is prose
+has it in ``<name>.user.txt``, with ``str.format`` fields.
+"""
 
 from __future__ import annotations
 
@@ -31,11 +35,27 @@ TEMPERATURES = {
 
 
 @lru_cache(maxsize=None)
-def load_prompt(name: str) -> str:
-    """Load a prompt asset by short name."""
+def assets() -> dict[str, str]:
+    """Every ``*.txt`` file in this package, file name to text, read once per process."""
+    files = resources.files(__package__).iterdir()
+    return {f.name: f.read_text(encoding="utf-8") for f in sorted(files, key=lambda f: f.name)
+            if f.name.endswith(".txt")}
+
+
+def _asset(name: str, suffix: str) -> str:
     if name not in TEMPERATURES:
         raise KeyError(f"unknown prompt asset: {name}")
-    return resources.files(__package__).joinpath(f"{name}.txt").read_text(encoding="utf-8")
+    return assets()[name + suffix]
+
+
+def load_prompt(name: str) -> str:
+    """The system text of prompt ``name``."""
+    return _asset(name, ".txt")
+
+
+def user_text(name: str, **fields: Any) -> str:
+    """The user turn of prompt ``name``: ``<name>.user.txt`` with ``fields`` filled in."""
+    return _asset(name, ".user.txt").format(**fields)
 
 
 def complete(llm: LlmClient, name: str, user: Any) -> str:

@@ -5,7 +5,9 @@ Inputs come from the seeded benchmark generator ``perfbench/workload.py``
 clients, then compares the sha256 of ``phase1/2/3.json`` and of the
 Markdown report with ``tests/goldens/paper_scale.json``. The digest of the
 generated inputs is pinned too, so a generator change is reported as such
-rather than as a change in the program's output. Each case also makes as
+rather than as a change in the program's output. So is the digest of the
+model requests, since the mock replies match on substrings and would not
+notice a prompt that drifts by a byte. Each case also makes as
 many model calls per prompt at four workers as at one, so no call started
 early is discarded or made twice, and verifies quotes at either worker
 count.
@@ -70,6 +72,14 @@ def _write_inputs(generator, workload: str, seed: int, inputs: Path) -> tuple[st
     return digest.hexdigest(), settings
 
 
+def _requests_digest(calls: list[dict]) -> str:
+    """sha256 over the sorted sha256s of each (system, user, temperature) request."""
+    each = sorted(
+        _sha256(json.dumps([c["system"], c["user"], c["temperature"]]).encode()) for c in calls
+    )
+    return _sha256("\n".join(each).encode())
+
+
 def _run(inputs: Path, out: Path, settings: dict, workers: int) -> dict[str, str]:
     cfg = PipelineConfig(
         output_dir=out,
@@ -130,6 +140,9 @@ def test_paper_scale_outputs_match_digests(
         )
         assert checks, f"{key} verified no quotes at {workers} workers"
         llm = built[-1][0]
+        assert _requests_digest(llm.calls) == expected["requests"], (
+            f"{key} model requests differ at {workers} workers: {_requests_digest(llm.calls)}"
+        )
         calls_per_prompt.append(collections.Counter(prompt_names[c["system"]] for c in llm.calls))
     assert calls_per_prompt[1] == calls_per_prompt[0], (
         f"{key} model calls per prompt differ between {WORKERS[0]} and {WORKERS[1]} workers"

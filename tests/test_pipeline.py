@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import fcntl
 import functools
 import json
 import logging
@@ -18,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from noveltycheck import analysis, pipeline, verification
+from noveltycheck import analysis, pipeline, prompts, verification
 from noveltycheck.cli import main as cli_main
 from noveltycheck.clients import LlmClient, MockLlmClient, MockSearchClient, SearchClient
 from noveltycheck.errors import InvalidInputError, LlmError, SearchError
@@ -195,6 +196,13 @@ def foreseer_doi_on_contribution_hits(search_fixture):
     return search_fixture
 
 
+def with_isbn_id(where, raw: bytes) -> bytes:
+    """``raw`` with the canonical id of the record ``where`` picks in another scheme."""
+    report = json.loads(raw)
+    where(report)["canonical_id"] = "isbn:123"
+    return json.dumps(report, ensure_ascii=False, indent=2).encode()
+
+
 # the last variant of the last claim's queries in the bundled fixture
 LAST_QUERY = "Find papers about benchmark suites for storage cache eviction strategies"
 
@@ -263,7 +271,12 @@ class TestRunPipeline:
             path = tmp_path / name  # a resume reads it with orjson: the same value as json
             fast, plain = orjson.loads(path.read_bytes()), json.loads(path.read_text("utf-8"))
             assert json.dumps(fast) == json.dumps(plain), name
-        assert len(list(tmp_path.iterdir())) == 5  # the four above and the report, no temp files
+        # the four above, the report and the run's 0-byte lock file, no temp files
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".md") == [
+            ".lock", "manifest.json", "phase1.json", "phase2.json", "phase3.json",
+        ]
+        assert len(list(tmp_path.iterdir())) == 6
+        assert (tmp_path / ".lock").stat().st_size == 0
         assert (tmp_path / "phase2.json").read_bytes() == (goldens_dir / "phase2.json").read_bytes()
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
         md = next(p for p in tmp_path.iterdir() if p.suffix == ".md")
@@ -311,6 +324,77 @@ class TestRunPipeline:
         assert manifest.phases["phase3"].status == "completed"
         assert manifest.succeeded
         assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    def test_run_refuses_an_out_dir_another_run_holds(
+        self, tmp_path, fixtures_dir, paper_text, resume
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+
+        def snapshot():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+
+        with open(tmp_path / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the first run let go of it
+            before = snapshot()
+            started = time.monotonic()
+            with pytest.raises(InvalidInputError, match=re.escape(f"{tmp_path} is in use")):
+                run_pipeline(paper_text, make_config(tmp_path, fixtures_dir, resume=resume))
+            assert time.monotonic() - started < 5
+            assert snapshot() == before
+
+    def test_a_second_run_over_a_busy_out_dir_is_refused_and_the_first_is_intact(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
+    ):
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+
+        class SlowLlm(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                time.sleep(0.02)
+                return llm.complete(system_prompt, user_prompt, temperature)
+
+        monkeypatch.setattr(
+            pipeline, "build_clients",
+            lambda cfg: (SlowLlm(), MockSearchClient.from_file(cfg.search_fixture)),
+        )
+        first = {}
+        worker = threading.Thread(target=lambda: first.update(
+            manifest=run_pipeline(paper_text, make_config(tmp_path, fixtures_dir))
+        ))
+        worker.start()
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "manifest.json").exists():  # the first run holds the lock
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        other = "A Different Paper\n\nAbstract\nIt studies something else entirely.\n"
+        for resume in (False, True):
+            with pytest.raises(InvalidInputError, match="in use by another run"):
+                run_pipeline(other, make_config(tmp_path, fixtures_dir, resume=resume))
+        assert worker.is_alive()
+        worker.join(60)
+        assert first["manifest"].succeeded, first["manifest"].failure_log
+        for name in ("phase2.json", "phase3.json"):
+            assert (tmp_path / name).read_bytes() == (goldens_dir / name).read_bytes()
+        [report] = tmp_path.glob("*.md")
+        assert report.read_bytes() == (goldens_dir / "report.md").read_bytes()
+
+    def test_resume_after_a_user_template_edit_computes_phase1_again(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        assert run_pipeline(paper_text, make_config(tmp_path, fixtures_dir)).succeeded
+        table = prompts.assets()
+        template = table["claim_comparison.user.txt"]
+        assert "**CRITICAL RULE**" in template
+        edited = template.replace("**CRITICAL RULE**", "**RULE**")
+        monkeypatch.setitem(table, "claim_comparison.user.txt", edited)
+        manifest, calls = run_recording_llm(
+            monkeypatch, paper_text, make_config(tmp_path, fixtures_dir, resume=True)
+        )
+        assert manifest.succeeded, manifest.failure_log
+        assert [manifest.phases[p].status for p in pipeline.PHASES] == ["completed"] * 4
+        assert manifest.phases["phase1"].error.startswith("not reused: ")
+        sent = [c["user"] for c in calls if c["system"] == load_prompt("claim_comparison")]
+        assert sent and all("**RULE**" in u and "CRITICAL" not in u for u in sent)
 
     def test_resume_recomputes_the_report_after_a_recomputed_phase(
         self, tmp_path, fixtures_dir, goldens_dir, paper_text
@@ -1644,7 +1728,9 @@ class TestCli:
     @pytest.mark.parametrize("edit", [
         lambda b: b.replace(b'"title": "', b'"title": "\\ud800', 1),
         lambda b: re.sub(rb'"year": \d+', b'"year": 18446744073709551616', b, count=1),
-    ], ids=["lone-surrogate", "int-above-64-bits"])
+        functools.partial(with_isbn_id, lambda report: report["original_paper"]),
+        functools.partial(with_isbn_id, lambda report: report["references"][-1]),
+    ], ids=["lone-surrogate", "int-above-64-bits", "original-id-scheme", "reference-id-scheme"])
     def test_render_refuses_what_resume_refuses(self, tmp_path, goldens_dir, edit):
         # render reads phase3.json as --resume does, and leaves no report behind
         golden = (goldens_dir / "phase3.json").read_bytes()
