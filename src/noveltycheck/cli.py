@@ -158,8 +158,10 @@ def verify_quote_cmd(quote: str, doc_path: Path) -> None:
 def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | None) -> None:
     """Validate a taxonomy against its allowed id set; exit 1 when invalid."""
     tax = TaxonomyNode.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
-    allowed = set(json.loads(allowed_path.read_text(encoding="utf-8")))
-    report = validate_taxonomy(tax, allowed, original)
+    allowed = json.loads(allowed_path.read_text(encoding="utf-8"))
+    if not isinstance(allowed, list) or not all(isinstance(pid, str) for pid in allowed):
+        raise InvalidInputError(f"{allowed_path.name} must hold a JSON array of strings")
+    report = validate_taxonomy(tax, set(allowed), original)
     click.echo(json.dumps(report.to_dict(), indent=2))
     sys.exit(0 if report.is_valid else 1)
 

@@ -347,7 +347,7 @@ _ACK_HEADINGS = frozenset(
 _HEADING_PREFIX_RE = re.compile(r"^(?:[0-9]+|[ivxlc]+)[.)]?\s+", re.IGNORECASE)
 
 
-def _heading_core(line: str) -> str:
+def heading_core(line: str) -> str:
     """The comparable text of a heading line, or '' for ordinary prose."""
     stripped = line.strip()
     if not stripped or len(stripped) > 80:
@@ -366,7 +366,7 @@ def _iter_lines_with_offsets(text: str):
 
 def _find_heading(text: str, names: frozenset[str]) -> Optional[int]:
     for offset, line in _iter_lines_with_offsets(text):
-        if _heading_core(line) in names:
+        if heading_core(line) in names:
             return offset
     return None
 

@@ -38,6 +38,7 @@ from .papers import (
     PaperRecord,
     PublicationDate,
     canonical_id_of,
+    heading_core,
     infer_publication_date,
     preprocess_document,
 )
@@ -220,8 +221,7 @@ def parse_front_matter(paper_text: str) -> tuple[str, str]:
     abstract_lines: list[str] = []
     collecting = False
     for line in lines:
-        core = line.strip().lstrip("#").strip().rstrip(":.").lower()
-        if not collecting and core == "abstract":
+        if not collecting and heading_core(line) == "abstract":
             collecting = True
             continue
         if collecting:

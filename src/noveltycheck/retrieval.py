@@ -14,7 +14,7 @@ import math
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from threading import Event, Lock, Semaphore
+from threading import TIMEOUT_MAX, Event, Lock, Semaphore
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .clients import SearchClient, SearchHit
@@ -52,8 +52,14 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         for name in ("max_query_attempts", "initial_delay", "concurrency"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # refuses NaN too
                 raise InvalidInputError(f"{name} must be positive")
+        # each backoff, initial_delay * attempt, must fit a thread wait's timeout
+        if self.initial_delay * self.max_query_attempts > TIMEOUT_MAX:
+            raise InvalidInputError(
+                f"initial_delay must be finite: initial_delay * max_query_attempts "
+                f"is at most {TIMEOUT_MAX:g} s"
+            )
 
 
 @dataclass
@@ -163,7 +169,6 @@ class QueryRunner:
 
     def start(self, queries: Iterable[SearchQuery]) -> None:
         """Queue every query not started yet; safe to call from worker threads."""
-        queued = 0
         with self._lock:
             for query in queries:
                 key = (query.query_id, query.text)
@@ -171,10 +176,7 @@ class QueryRunner:
                     outcome: Future[_Outcome] = Future()
                     self._started[key] = outcome
                     self._first.append((query, 1, "", outcome))
-                    queued += 1
-        # submitted unlocked: an inline lane runs the task, which takes the lock, here
-        for _ in range(queued):
-            self._lane.submit(self._next_try)
+                    self._lane.submit(self._next_try)
 
     def collect(self, queries: Sequence[SearchQuery]) -> list[_Outcome]:
         """Each query's outcome in ``queries`` order, starting the ones not started yet."""

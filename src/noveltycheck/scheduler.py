@@ -1,16 +1,13 @@
 """One bounded, order-preserving task scheduler for every client call.
 
 A run owns one scheduler per client, its lane: a model lane and a search
-lane, each N workers wide. With N above one, N model calls and N searches
-can be in flight at once. With N = 1 both lanes run each task inline on the
-thread that submits it, a backoff wait included, so one call is in flight at
-a time. The inline form stays because a pool of one thread per lane costs
-memory: glibc gives each thread that allocates its own malloc arena. Two runs
-each of ``python3 perfbench/run.py --workload fulltext_verify --seed 1
---seconds 20 --trace 0`` (N = 1) on a 2-vCPU Linux host read peak RSS
-35.8-36.0 MB inline, 39.3 MB with such a pool, and 35.9-36.0 MB with the pool
-under ``MALLOC_ARENA_MAX=1``. The benchmark covers both forms:
-``fulltext_verify`` runs at N = 1 and ``abstract_wait`` at N = 2.
+lane, each a pool of N worker threads, N = 1 included. Up to N model calls
+and N searches can be in flight at once, so even at N = 1 a model call and
+a search overlap. The threads cost memory: glibc gives each thread that
+allocates its own malloc arena. Six runs of ``python3 perfbench/run.py
+--workload fulltext_verify --seed 1 --seconds 15 --trace 0`` (N = 1) on a
+2-vCPU Linux host read peak RSS 39.6-40.1 MB, and three more under
+``MALLOC_ARENA_MAX=1`` read 35.8-35.9 MB.
 
 Phases submit each call as soon as its inputs exist, and searches start
 during Phase I, as soon as a scope's queries exist; Phase II collects them,
@@ -48,16 +45,15 @@ class LaneClosedError(RuntimeError):
 
 
 class Scheduler:
-    """Runs submitted tasks on at most ``workers`` threads.
+    """Runs submitted tasks on a pool of ``workers`` threads.
 
-    With one worker (or fewer) every task runs inline at submission and
-    returns a completed future; no thread is started. Use it as a context
-    manager: leaving the block waits for running tasks and pending waits, and
-    on an exception drops queued tasks whose results nobody will read.
+    Use it as a context manager: leaving the block waits for running tasks
+    and pending waits, and on an exception drops queued tasks whose results
+    nobody will read.
     """
 
     def __init__(self, workers: int) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        self._pool = ThreadPoolExecutor(max_workers=workers)
         self._waits: list[threading.Thread] = []
         self._lock = threading.Lock()
 
@@ -65,38 +61,29 @@ class Scheduler:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is not None:
-            self._join_waits()
-            self._pool.shutdown(wait=True, cancel_futures=exc_type is not None)
-            self._join_waits()  # those a task started while the pool shut down
+        self._join_waits()
+        self._pool.shutdown(wait=True, cancel_futures=exc_type is not None)
+        self._join_waits()  # those a task started while the pool shut down
 
     def submit(self, fn: Callable[..., R], /, *args: Any, **kwargs: Any) -> "Future[R]":
         """Start ``fn(*args, **kwargs)``; its exception re-raises at ``.result()``.
 
         Raises ``LaneClosedError`` once the lane has shut down.
         """
-        if self._pool is not None:
-            try:
-                return self._pool.submit(fn, *args, **kwargs)
-            except RuntimeError as exc:  # the pool refuses tasks once shut down
-                raise LaneClosedError(str(exc)) from exc
-        future: Future[R] = Future()
         try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return self._pool.submit(fn, *args, **kwargs)
+        except RuntimeError as exc:  # the pool refuses tasks once shut down
+            raise LaneClosedError(str(exc)) from exc
 
     def submit_after(
         self, wait: Callable[[], object], fn: Callable[..., object], /, *args: Any
     ) -> None:
         """Start ``fn(*args)`` once ``wait()`` returns, holding no worker while it waits.
 
-        With workers, ``wait`` runs on a thread of its own, and ``fn`` is
-        dropped if the lane has closed by then. Inline, both run on the
-        calling thread. If ``wait`` raises, ``fn`` is dropped too, and the
-        exception is only logged. Nobody reads ``fn``'s result, so ``wait``
-        and ``fn`` must report their outcome themselves.
+        ``wait`` runs on a thread of its own, and ``fn`` is dropped if the
+        lane has closed by then. If ``wait`` raises, ``fn`` is dropped too,
+        and the exception is only logged. Nobody reads ``fn``'s result, so
+        ``wait`` and ``fn`` must report their outcome themselves.
         """
 
         def later() -> None:
@@ -110,9 +97,6 @@ class Scheduler:
             except LaneClosedError:  # the lane closed while we waited
                 logger.debug("lane closed; dropped a delayed task")
 
-        if self._pool is None:
-            later()
-            return
         with self._lock:
             self._waits = [thread for thread in self._waits if thread.is_alive()]
             self._waits.append(threading.Thread(target=later, name="lane-wait", daemon=True))

@@ -397,7 +397,8 @@ def test_criterion_8_query_rule_conformance():
                 {"system_contains": "rewriting academic search queries",
                  "responses": variant_replies},
             ]})
-            phase1 = run_extraction_phase(doc, llm, Scheduler(1))
+            with Scheduler(1) as lane:
+                phase1 = run_extraction_phase(doc, llm, lane)
             query_set = phase1.query_set
             assert 6 <= query_set.total <= 12
             assert query_set.total == 3 + 3 * len(phase1.claims)

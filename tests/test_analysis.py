@@ -258,14 +258,15 @@ class TestStartCoreScopeCalls:
 
     def test_comparison_starts_when_the_taxonomy_returns(self):
         llm = MockLlmClient({"rules": [self.TAXONOMY_RULE, self.SIBLING_RULE]})
-        calls = self._start(llm, Scheduler(1))
-        outcome, started = calls.taxonomy.result(timeout=0)
-        assert outcome.status == "valid"
-        # the target shares Leaf A with the first candidate, cited as the pool indexes it
-        assert started.position.siblings == (self.IDS[1],)
+        with Scheduler(1) as lane:
+            calls = self._start(llm, lane)
+            outcome, started = calls.taxonomy.result(timeout=10)
+            assert outcome.status == "valid"
+            # the target shares Leaf A with the first candidate, cited as the pool indexes it
+            assert started.position.siblings == (self.IDS[1],)
+            [comparison] = compare_core_task(started).comparisons
         [sibling_call] = [c["user"] for c in llm.calls if "SAME taxonomy" in c["system"]]
         assert "Candidate 0 (Candidate 0[1])" in sibling_call
-        [comparison] = compare_core_task(started).comparisons
         assert comparison.brief_comparison == "Differs."
 
     def test_lane_closed_before_the_sibling_call_leaves_the_comparison_unstarted(self):
@@ -477,6 +478,14 @@ class TestCompareContribution:
         assert [e.refutation_status for e in first[1]] == [e.refutation_status for e in second[0]]
 
 
+def _compare_core_task(position, target, candidates, llm):
+    """The core-task comparison of ``target`` at ``position``, on a one-worker lane."""
+    with Scheduler(1) as lane:
+        return compare_core_task(start_core_task_comparison(
+            position, target, TARGET_DOC, candidates, llm, core_task=CORE_TASK, lane=lane
+        ))
+
+
 def _compare_lone_target(llm):
     """Core-task comparison of a target alone in its leaf beside a populated leaf."""
     target = make_record("The Target Paper")
@@ -496,9 +505,7 @@ def _compare_lone_target(llm):
         }
     )
     position = structural_position(tree, tid)
-    return compare_core_task(start_core_task_comparison(
-        position, target, TARGET_DOC, {oid: other}, llm, core_task=CORE_TASK, lane=Scheduler(1)
-    ))
+    return _compare_core_task(position, target, {oid: other}, llm)
 
 
 class TestCompareCoreTask:
@@ -544,9 +551,7 @@ class TestCompareCoreTask:
             }
         )
         records = {s.canonical_id: s for s in siblings}
-        analysis = compare_core_task(start_core_task_comparison(
-            position, target, TARGET_DOC, records, llm, core_task=CORE_TASK, lane=Scheduler(1)
-        ))
+        analysis = _compare_core_task(position, target, records, llm)
         assert analysis.mode == "sibling"
         flags = {c.canonical_id: c.is_duplicate_variant for c in analysis.comparisons}
         assert flags[siblings[0].canonical_id] is False
@@ -571,9 +576,7 @@ class TestCompareCoreTask:
         )
         position = structural_position(tree, tid)
         llm = MockLlmClient({})
-        analysis = compare_core_task(start_core_task_comparison(
-            position, target, TARGET_DOC, {}, llm, core_task=CORE_TASK, lane=Scheduler(1)
-        ))
+        analysis = _compare_core_task(position, target, {}, llm)
         assert analysis.mode == "isolated"
         assert analysis.isolation is not None
         assert llm.calls == []
@@ -595,10 +598,7 @@ class TestCompareCoreTask:
         tree = self._position(ids + ["x:1", "x:2"])
         position = structural_position(tree, ids[0])
         llm = MockLlmClient({"rules": [{"system_contains": "SAME taxonomy", "error": "down"}]})
-        analysis = compare_core_task(start_core_task_comparison(
-            position, target, TARGET_DOC, {ids[1]: sibling}, llm,
-            core_task=CORE_TASK, lane=Scheduler(1),
-        ))
+        analysis = _compare_core_task(position, target, {ids[1]: sibling}, llm)
         assert len(analysis.comparisons) >= 1
         assert any("Comparison unavailable" in c.brief_comparison for c in analysis.comparisons)
         assert analysis.diagnostics

@@ -221,6 +221,12 @@ class TestFrontMatter:
         assert title.startswith("Drift-Aware Cache Eviction")
         assert abstract.startswith("Storage caches sit in front")
 
+    @pytest.mark.parametrize("heading", ["1. Abstract", "I. ABSTRACT"])
+    def test_numbered_abstract_heading(self, heading):
+        # read as preprocess_document reads the numbered references heading
+        paper_text = f"A Title\n\n{heading}\nWe study caches.\n\n5. References\n[1] X.\n"
+        assert parse_front_matter(paper_text) == ("A Title", "We study caches.")
+
 
 # --- phase2.json candidate pools that a resume must not reuse --------------------
 
@@ -819,6 +825,41 @@ class TestRunPipeline:
         # without the stop signal the searches slept 0.2 + 0.4 + 0.6 s more
         assert returned_at - failed_at[-1] < 0.3
         assert set(threading.enumerate()) <= before, "a lane thread outlived run_pipeline"
+
+    def test_search_backoff_holds_no_phase1_model_call_at_one_worker(
+        self, monkeypatch, tmp_path, fixtures_dir, paper_text
+    ):
+        search_fixture = json.loads((fixtures_dir / "mock_search.json").read_text())
+        failing, spec = next(iter(search_fixture["queries"].items()))
+        spec["fail_times"] = 1
+        llm = MockLlmClient.from_file(fixtures_dir / "mock_llm.json")
+        search = MockSearchClient(search_fixture)
+        model_calls, searches = [], []
+
+        class TimedLlm(LlmClient):
+            def complete(self, system_prompt, user_prompt, temperature=0.0):
+                model_calls.append((time.monotonic(), system_prompt))
+                return llm.complete(system_prompt, user_prompt, temperature)
+
+        class TimedSearch(SearchClient):
+            def search(self, query):
+                searches.append((time.monotonic(), query))
+                return search.search(query)
+
+        monkeypatch.setattr(pipeline, "build_clients", lambda cfg: (TimedLlm(), TimedSearch()))
+        cfg = make_config(tmp_path, fixtures_dir, retry=RetryPolicy(initial_delay=0.5))
+        assert cfg.analysis_concurrency == cfg.retry.concurrency == 1
+        manifest = run_bounded(paper_text, cfg)
+        assert manifest.succeeded, manifest.failure_log
+        [_, retried_at] = [at for at, query in searches if query == failing]
+        phase1_prompts = {
+            load_prompt(name) for name in
+            ("core_task", "contribution_extraction", "primary_query", "query_variants")
+        }
+        phase1_calls = [at for at, system in model_calls if system in phase1_prompts]
+        assert len(phase1_calls) == 6
+        # the backoff waits off both lanes, so Phase I's model calls go on meanwhile
+        assert max(phase1_calls) < retried_at
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_search_raising_during_phase1_fails_phase2(
@@ -1652,7 +1693,9 @@ class TestCli:
         [
             "render_cut_json", "render_missing_out_dir", "render_empty_taxonomy",
             "render_null_narrative", "render_null_quote", "render_nan_score",
-            "taxonomy_missing_name", "quote_empty_doc", "run_not_utf8",
+            "taxonomy_missing_name", "allowed_number", "allowed_nested_list",
+            "quote_empty_doc", "run_not_utf8", "run_nan_delay", "run_inf_delay",
+            "run_huge_delay",
         ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
@@ -1684,16 +1727,27 @@ class TestCli:
             (tmp_path / "allowed.json").write_text(json.dumps(["p1"]))
             args = ["validate-taxonomy", "--input", str(path),
                     "--allowed", str(tmp_path / "allowed.json")]
+        elif case in ("allowed_number", "allowed_nested_list"):
+            path.write_text(json.dumps({"name": "X Survey Taxonomy", "papers": ["p1"]}))
+            allowed = 5 if case == "allowed_number" else [[1]]
+            (tmp_path / "allowed.json").write_text(json.dumps(allowed))
+            args = ["validate-taxonomy", "--input", str(path),
+                    "--allowed", str(tmp_path / "allowed.json")]
         elif case == "quote_empty_doc":
             path.write_text("")
             args = ["verify-quote", "--quote", "any quote at all", "--doc", str(path)]
         else:
-            path.write_bytes(b"Title\n\n\xff\xfe not utf-8\n")
             args = [
                 "run", "--input", str(path), "--out-dir", str(tmp_path / "out"), "--mock",
                 "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
                 "--search-fixture", str(fixtures_dir / "mock_search.json"),
             ]
+            if case == "run_not_utf8":
+                path.write_bytes(b"Title\n\n\xff\xfe not utf-8\n")
+            else:
+                shutil.copy(fixtures_dir / "target_paper.txt", path)
+                delay = {"run_nan_delay": "nan", "run_inf_delay": "inf"}.get(case, "1e300")
+                args += ["--initial-delay", delay]
         result = CliRunner().invoke(cli_main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)

@@ -7,21 +7,26 @@ import pytest
 from noveltycheck.scheduler import LaneClosedError, Scheduler
 
 
-def test_one_worker_runs_inline_in_submission_order():
+def test_one_worker_runs_tasks_in_submission_order_on_one_other_thread():
     order = []
     caller = threading.get_ident()
+    gate = threading.Event()
 
     def task(i):
+        if i == 0:
+            gate.wait(10)
         order.append((i, threading.get_ident()))
         return i
 
     with Scheduler(1) as scheduler:
-        futures = []
-        for i in range(5):
-            futures.append(scheduler.submit(task, i))
-            assert futures[-1].done()  # ran before submit returned
-        assert order == [(i, caller) for i in range(5)]
-        assert [f.result() for f in futures] == list(range(5))
+        futures = [scheduler.submit(task, i) for i in range(5)]
+        # submit returns before its task runs: the first task holds the one worker
+        assert not any(future.done() for future in futures)
+        gate.set()
+        assert [f.result(timeout=10) for f in futures] == list(range(5))
+    assert [i for i, _ in order] == list(range(5))
+    assert len({thread for _, thread in order}) == 1
+    assert order[0][1] != caller
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -53,11 +58,21 @@ def test_delayed_tasks_hold_no_worker_and_run_before_the_lane_closes():
     assert set(threading.enumerate()) <= before, "a wait or worker thread outlived the lane"
 
 
-def test_one_worker_runs_a_delayed_task_inline_after_its_wait():
+def test_one_worker_waits_for_a_delayed_task_off_the_callers_thread():
+    released = threading.Event()
     order = []
+    caller = threading.get_ident()
     with Scheduler(1) as scheduler:
-        scheduler.submit_after(lambda: order.append("wait"), order.append, "task")
-        assert order == ["wait", "task"]
+        scheduler.submit_after(
+            lambda: (released.wait(10), order.append(("wait", threading.get_ident()))),
+            lambda: order.append(("task", threading.get_ident())),
+        )
+        # submit_after returned while its wait is pending, and the one worker takes tasks
+        assert scheduler.submit(len, "abc").result(timeout=10) == 3
+        assert order == []
+        released.set()
+    assert [step for step, _ in order] == ["wait", "task"]
+    assert caller not in {thread for _, thread in order}
 
 
 def test_submit_after_the_lane_closed_raises_lane_closed():
