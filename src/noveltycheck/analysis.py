@@ -1049,70 +1049,49 @@ def citations_of(references: Sequence[ReportReference]) -> dict[str, str]:
     return {r.canonical_id: f"{r.alias}[{r.index}]" for r in references}
 
 
-@dataclass
-class CoreScope:
-    """What Phase III's core-scope calls read, as one candidate pool gives it."""
-
-    # the core papers in rank order, each with its citation in the report
-    core: list[tuple[PaperRecord, str]]
-    core_task: CoreTask
-    target: PaperRecord
-    target_doc: str
-
-    @classmethod
-    def of(
-        cls, candidate_set: CandidateSet, core_task: CoreTask, target: PaperRecord, target_doc: str
-    ) -> "CoreScope":
-        citations = citations_of(build_references(target, candidate_set))
-        records = {paper.canonical_id: paper for paper in candidate_set.unified}
-        core = [(records[pid], citations[pid]) for pid in candidate_set.core_task]
-        return cls(core, core_task, target, target_doc)
-
-    def changes(self, other: "CoreScope") -> list[str]:
-        """The ids of the core records that differ from ``other``'s, rank by rank and
-        with their citations, then the names of the other inputs that differ."""
-        ids = dict.fromkeys(
-            paper.canonical_id
-            for mine, theirs in zip_longest(self.core, other.core)
-            if mine != theirs
-            for paper, _ in filter(None, (mine, theirs))
-        )
-        names = [name for name in ("core_task", "target", "target_doc")
-                 if getattr(self, name) != getattr(other, name)]
-        return [*ids, *names]
+def core_papers(target: PaperRecord, candidate_set: CandidateSet) -> list[tuple[PaperRecord, str]]:
+    """The core papers in rank order, each with its citation in the report."""
+    citations = citations_of(build_references(target, candidate_set))
+    records = {paper.canonical_id: paper for paper in candidate_set.unified}
+    return [(records[pid], citations[pid]) for pid in candidate_set.core_task]
 
 
-def _taxonomy_then_comparison(
-    scope: CoreScope, llm: LlmClient, lane: Scheduler
-) -> tuple[RepairOutcome, Optional[CoreTaskCalls]]:
-    """Build the taxonomy, then submit the core-task comparison's calls without waiting;
-    the comparison is None when the taxonomy did not place the target or the lane closed."""
-    records = {paper.canonical_id: paper for paper, _ in scope.core}
-    outcome = build_taxonomy(list(records.values()), scope.core_task, llm, original=scope.target)
+def _taxonomy_task(
+    core: Sequence[tuple[PaperRecord, str]], core_task: CoreTask, target: PaperRecord,
+    target_doc: str, llm: LlmClient, lane: Scheduler,
+) -> tuple[RepairOutcome, StructuralPosition | str, Optional[CoreTaskCalls]]:
+    """Build the taxonomy, place the target in it, then submit the core-task comparison's
+    calls without waiting. Returns the taxonomy, the target's position or why it has
+    none, and the comparison, None when the target has no position or the lane closed."""
+    records = {paper.canonical_id: paper for paper, _ in core}
+    outcome = build_taxonomy(list(records.values()), core_task, llm, original=target)
     try:
-        position = structural_position(outcome.taxonomy, scope.target.canonical_id)
+        position = structural_position(outcome.taxonomy, target.canonical_id)
+    except InvalidInputError as exc:
+        return outcome, str(exc), None
+    try:
         started = start_core_task_comparison(
-            position, scope.target, scope.target_doc, records, llm, core_task=scope.core_task,
-            lane=lane,
-            citations={paper.canonical_id: citation for paper, citation in scope.core},
+            position, target, target_doc, records, llm, core_task=core_task, lane=lane,
+            citations={paper.canonical_id: citation for paper, citation in core},
         )
-    except (InvalidInputError, LaneClosedError):
-        return outcome, None
-    return outcome, started
+    except LaneClosedError:
+        started = None
+    return outcome, position, started
 
 
 @dataclass
 class CoreScopeCalls:
-    """Phase III's calls that read only the core scope, and the scope they were given.
+    """Phase III's calls that read only the core scope, and the core papers they were given.
 
     A run can start them once Phase II has filtered its core scope, while the
-    contribution searches are still out. ``taxonomy`` is one lane task: it
-    builds the taxonomy, submits the core-task comparison's calls, and
-    returns both, the comparison None when none was started.
+    contribution searches are still out. ``taxonomy`` is one lane task,
+    ``_taxonomy_task``: it builds the taxonomy, places the target in it and
+    submits the core-task comparison's calls.
     """
 
-    scope: CoreScope
-    taxonomy: Future[tuple[RepairOutcome, Optional[CoreTaskCalls]]]
+    # the core papers in rank order, each with its citation in the report
+    core: list[tuple[PaperRecord, str]]
+    taxonomy: Future[tuple[RepairOutcome, StructuralPosition | str, Optional[CoreTaskCalls]]]
     one_liners: Future[dict[str, str]]
 
     def cancel(self) -> None:
@@ -1122,7 +1101,7 @@ class CoreScopeCalls:
         def _cancel_comparison(taxonomy: Future) -> None:
             if taxonomy.exception() is not None:
                 return
-            _, started = taxonomy.result()
+            *_, started = taxonomy.result()
             for call in started.calls if started is not None else ():
                 call.cancel()
 
@@ -1130,23 +1109,37 @@ class CoreScopeCalls:
         if not self.taxonomy.cancel():
             self.taxonomy.add_done_callback(_cancel_comparison)
 
+    def kept_for(self, core: Sequence[tuple[PaperRecord, str]]) -> bool:
+        """Whether these calls sent what calls started on ``core`` would send: each core
+        paper's id, title, abstract, full text and citation, rank by rank. If not, log the
+        ids of the papers that differ and cancel the calls not begun."""
+        sent = [[(paper.canonical_id, paper.title, paper.abstract, paper.full_text, citation)
+                 for paper, citation in papers] for papers in (self.core, core)]
+        changed = dict.fromkeys(
+            fields[0] for pair in zip_longest(*sent) if pair[0] != pair[1]
+            for fields in filter(None, pair)
+        )
+        if changed:
+            logger.info("early core-scope calls discarded: %s changed", ", ".join(changed))
+            self.cancel()
+        return not changed
+
 
 def start_core_scope_calls(
-    candidate_set: CandidateSet,
+    core: list[tuple[PaperRecord, str]],
     core_task: CoreTask,
     target: PaperRecord,
     target_doc: str,
     llm: LlmClient,
     lane: Scheduler,
 ) -> CoreScopeCalls:
-    """Submit the taxonomy task and the one-liner call on the core scope of ``candidate_set``.
+    """Submit the taxonomy task and the one-liner call on ``core``, as ``core_papers`` gives it.
 
     Submits and never waits.
     """
-    scope = CoreScope.of(candidate_set, core_task, target, target_doc)
-    taxonomy = lane.submit(_taxonomy_then_comparison, scope, llm, lane)
-    one_liners = lane.submit(generate_one_liners, [paper for paper, _ in scope.core], llm)
-    return CoreScopeCalls(scope, taxonomy, one_liners)
+    taxonomy = lane.submit(_taxonomy_task, core, core_task, target, target_doc, llm, lane)
+    one_liners = lane.submit(generate_one_liners, [paper for paper, _ in core], llm)
+    return CoreScopeCalls(core, taxonomy, one_liners)
 
 
 def run_analysis_phase(
@@ -1166,9 +1159,10 @@ def run_analysis_phase(
 
     Each model call is submitted to the model ``lane`` once its inputs exist;
     results are read in candidate order, never completion order. The
-    ``early`` core-scope calls are taken when the core scope they were
-    derived from equals the one ``candidate_set`` gives; otherwise those of
-    their calls that have not begun are cancelled, and all are made again.
+    ``early`` core-scope calls, started on this run's core task, target and
+    target text, are taken when they sent what Phase III would send (see
+    ``CoreScopeCalls.kept_for``); otherwise those of their calls that have not
+    begun are cancelled, and all are made again.
     """
     diagnostics: list[str] = []
     references = build_references(target, candidate_set)
@@ -1186,19 +1180,10 @@ def run_analysis_phase(
         for pid in candidate_set.per_contribution.get(claim.claim_id, ())
     )
 
+    core = core_papers(target, candidate_set)
     core_calls = early
-    if core_calls is not None:
-        changed = core_calls.scope.changes(
-            CoreScope.of(candidate_set, phase1.core_task, target, target_doc)
-        )
-        if changed:
-            logger.info("early core-scope calls discarded: %s changed", ", ".join(changed))
-            core_calls.cancel()
-            core_calls = None
-    if core_calls is None:
-        core_calls = start_core_scope_calls(
-            candidate_set, phase1.core_task, target, target_doc, llm, lane
-        )
+    if core_calls is None or not core_calls.kept_for(core):
+        core_calls = start_core_scope_calls(core, phase1.core_task, target, target_doc, llm, lane)
     # shared read-only by the comparison and similarity tasks
     target_document = Document(target_doc)
     # a candidate's two tasks share one document and are submitted back to
@@ -1217,12 +1202,10 @@ def run_analysis_phase(
             detect_similarity, target_document, paper, candidate_doc, llm
         )
 
-    outcome, started = core_calls.taxonomy.result()
-    position: Optional[StructuralPosition] = None
-    try:
-        position = structural_position(outcome.taxonomy, target.canonical_id)
-    except InvalidInputError as exc:
-        diagnostics.append(f"structural position unavailable: {exc}")
+    outcome, position, started = core_calls.taxonomy.result()
+    if isinstance(position, str):
+        diagnostics.append(f"structural position unavailable: {position}")
+        position = None
     narrative_future = lane.submit(
         generate_narrative,
         phase1.core_task, outcome.taxonomy, position, references, taxonomy_indices, llm,

@@ -251,7 +251,10 @@ class HttpLlmClient(LlmClient):
         url = f"{self.endpoint}/chat/completions"
         try:
             reply = _post_json(url, payload, self.api_key, self.timeout)
-            return reply["choices"][0]["message"]["content"]
+            content = reply["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"reply content is {type(content).__name__}, not a string")
+            return content
         except Exception as exc:
             raise LlmError(f"llm endpoint failure: {exc}") from exc
 

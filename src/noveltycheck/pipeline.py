@@ -22,7 +22,13 @@ from typing import Any, Callable, Mapping, Optional
 import orjson
 
 from . import __version__
-from .analysis import CoreScopeCalls, NoveltyReport, run_analysis_phase, start_core_scope_calls
+from .analysis import (
+    CoreScopeCalls,
+    NoveltyReport,
+    core_papers,
+    run_analysis_phase,
+    start_core_scope_calls,
+)
 from .clients import (
     HttpLlmClient,
     HttpSearchClient,
@@ -86,8 +92,9 @@ class PipelineConfig:
 
     def validate(self) -> None:
         for name in ("analysis_concurrency", "topk_core", "topk_contribution"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise InvalidInputError(f"{name} must be an integer of at least 1")
         RenderConfig(quote_truncation_limit=self.quote_truncation_limit)
         if self.mock:
             if not self.llm_fixture or not self.search_fixture:
@@ -422,7 +429,8 @@ def _run_phases(paper_text: str, cfg: PipelineConfig, out: Path) -> RunManifest:
 
     def _start_early(phase1: Phase1Result, pool: CandidateSet) -> None:
         early.append(start_core_scope_calls(
-            pool, phase1.core_task, _target(), _target_doc(), llm, model_lane
+            core_papers(_target(), pool), phase1.core_task, _target(), _target_doc(), llm,
+            model_lane,
         ))
 
     def _phase2(phase1: Phase1Result) -> Phase2Result:

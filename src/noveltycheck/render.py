@@ -35,8 +35,8 @@ class RenderConfig:
     quote_truncation_limit: int = 90
 
     def __post_init__(self) -> None:
-        if self.quote_truncation_limit < 30:
-            raise InvalidInputError("quote truncation limit must be at least 30 words")
+        if not isinstance(self.quote_truncation_limit, int) or self.quote_truncation_limit < 30:
+            raise InvalidInputError("quote truncation limit must be an integer of at least 30")
 
 
 def _truncate_quote(text: str, limit: int) -> str:

@@ -52,6 +52,8 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         for name in ("max_query_attempts", "initial_delay", "concurrency"):
+            if name != "initial_delay" and not isinstance(getattr(self, name), int):
+                raise InvalidInputError(f"{name} must be an integer")
             if not getattr(self, name) > 0:  # refuses NaN too
                 raise InvalidInputError(f"{name} must be positive")
         # each backoff, initial_delay * attempt, must fit a thread wait's timeout

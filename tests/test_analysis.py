@@ -3,6 +3,7 @@
 import json
 import random
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from noveltycheck.analysis import (
     claim_counts,
     compare_contribution,
     compare_core_task,
+    core_papers,
     derive_alias,
     detect_similarity,
     downgrade_unverified,
@@ -38,7 +40,7 @@ from noveltycheck.extraction import (
     extract_contributions,
     generate_primary_queries,
 )
-from noveltycheck.papers import preprocess_document
+from noveltycheck.papers import PublicationDate, preprocess_document
 from noveltycheck.render import render_markdown
 from noveltycheck.retrieval import cross_scope_dedup
 from noveltycheck.scheduler import LaneClosedError, Scheduler
@@ -253,17 +255,18 @@ class TestStartCoreScopeCalls:
                     "response": {"is_duplicate_variant": False, "brief_comparison": "Differs."}}
 
     def _start(self, llm, lane):
-        pool = cross_scope_dedup(TestBuildTaxonomy.CANDS, {})
-        return start_core_scope_calls(pool, CORE_TASK, self.TARGET, TARGET_DOC, llm, lane)
+        core = core_papers(self.TARGET, cross_scope_dedup(TestBuildTaxonomy.CANDS, {}))
+        return start_core_scope_calls(core, CORE_TASK, self.TARGET, TARGET_DOC, llm, lane)
 
     def test_comparison_starts_when_the_taxonomy_returns(self):
         llm = MockLlmClient({"rules": [self.TAXONOMY_RULE, self.SIBLING_RULE]})
         with Scheduler(1) as lane:
             calls = self._start(llm, lane)
-            outcome, started = calls.taxonomy.result(timeout=10)
+            outcome, position, started = calls.taxonomy.result(timeout=10)
             assert outcome.status == "valid"
             # the target shares Leaf A with the first candidate, cited as the pool indexes it
             assert started.position.siblings == (self.IDS[1],)
+            assert position is started.position
             [comparison] = compare_core_task(started).comparisons
         [sibling_call] = [c["user"] for c in llm.calls if "SAME taxonomy" in c["system"]]
         assert "Candidate 0 (Candidate 0[1])" in sibling_call
@@ -274,9 +277,11 @@ class TestStartCoreScopeCalls:
         calls = self._start(MockLlmClient({"rules": [self.TAXONOMY_RULE]}), lane)
         lane.refusal = LaneClosedError("cannot schedule new futures after shutdown")
         lane.run_held()
-        outcome, started = calls.taxonomy.result(timeout=0)
+        outcome, position, started = calls.taxonomy.result(timeout=0)
         assert outcome.status == "valid"
         assert started is None
+        # the target was placed all the same
+        assert position.siblings == (self.IDS[1],)
 
     @pytest.mark.parametrize("where", ["taxonomy_call", "sibling_submit"])
     def test_unexpected_error_surfaces(self, where):
@@ -307,6 +312,33 @@ class TestStartCoreScopeCalls:
         assert calls.taxonomy.cancelled() == (ran == 0)
         # only a taxonomy task that had begun made its call; no sibling call was made
         assert len(llm.calls) == llm.call_count("rigorous academic taxonomies") == ran
+
+
+class TestCoreScopeCallsKeptFor:
+    @pytest.mark.parametrize("field, value, kept", [
+        ("url", "https://example.org/elsewhere", True),
+        ("publication_date", PublicationDate(2020), True),
+        ("relevance_score", 0.1, True),
+        ("canonical_id", "doi:10.1/other", False),
+        ("title", "Another Title", False),
+        ("abstract", "Another abstract.", False),
+        ("full_text", "A full text now.", False),
+        ("citation", "Other[9]", False),
+    ])
+    def test_kept_only_when_every_prompt_field_matches(self, field, value, kept):
+        target = TestStartCoreScopeCalls.TARGET
+        core = core_papers(target, cross_scope_dedup(TestBuildTaxonomy.CANDS, {}))
+        calls = start_core_scope_calls(
+            core, CORE_TASK, target, TARGET_DOC, MockLlmClient({}), HeldLane()
+        )
+        (paper, citation), *rest = core
+        if field == "citation":
+            citation = value
+        else:
+            paper = replace(paper, **{field: value})
+        assert calls.kept_for([(paper, citation), *rest]) == kept
+        # calls not kept are cancelled
+        assert calls.one_liners.cancelled() != kept
 
 
 def _comparison_response(status1, status2, evidence=None):

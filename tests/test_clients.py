@@ -88,8 +88,12 @@ class TestHttpLlmClient:
             },
         }
 
-    @pytest.mark.parametrize("status, payload", [*FAILURES, (200, {"id": "no choices"})],
-                             ids=["http-500", "not-json", "no-choices"])
+    @pytest.mark.parametrize("status, payload", [
+        *FAILURES,
+        (200, {"id": "no choices"}),
+        (200, {"choices": [{"message": {"content": None}}]}),
+        (200, {"choices": [{"message": {"content": [{"type": "text", "text": "a reply"}]}}]}),
+    ], ids=["http-500", "not-json", "no-choices", "null-content", "list-content"])
     def test_failure_is_an_llm_error(self, server, status, payload):
         server.answer(status, payload)
         with pytest.raises(LlmError, match="llm endpoint failure"):

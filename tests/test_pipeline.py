@@ -959,6 +959,26 @@ class TestRunPipeline:
         # tokenized only when a quote is checked against it, and then once
         assert max(tokenized.count(text) for text in texts) == 1
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_target_placed_once_per_taxonomy(
+        self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text, workers
+    ):
+        placed = []
+        real = analysis.structural_position
+
+        def counting(taxonomy, original):
+            placed.append(original)
+            return real(taxonomy, original)
+
+        monkeypatch.setattr(analysis, "structural_position", counting)
+        cfg = make_config(
+            tmp_path, fixtures_dir,
+            retry=RetryPolicy(concurrency=workers), analysis_concurrency=workers,
+        )
+        assert run_bounded(paper_text, cfg).succeeded
+        assert len(placed) == 1
+        assert (tmp_path / "phase3.json").read_bytes() == (goldens_dir / "phase3.json").read_bytes()
+
     def test_one_candidate_document_alive_at_a_time_with_one_worker(
         self, monkeypatch, tmp_path, fixtures_dir, goldens_dir, paper_text
     ):
@@ -1190,7 +1210,10 @@ class TestRunPipeline:
         md = next(tmp_path.glob("*.md"))
         assert md.read_bytes() == (goldens_dir / "report.md").read_bytes()
 
-    @pytest.mark.parametrize("change", ["contribution_hit_upgrade", "within_core_title_merge"])
+    @pytest.mark.parametrize("change", [
+        "contribution_hit_upgrade", "within_core_title_merge", "contribution_url_fill",
+        "contribution_full_text_fill",
+    ])
     def test_early_calls_made_again_only_when_a_core_record_changed(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text, caplog, change
     ):
@@ -1204,6 +1227,30 @@ class TestRunPipeline:
             discards = [f"early core-scope calls discarded: arxiv:2401.11111, {marker} changed"]
             # the discarded start's calls: the taxonomy, the one-liners and one distinction
             # per sibling it placed the target beside
+            extra = {"taxonomy_construction": 1, "one_liner": 1, "sibling_distinction": 2}
+        elif change == "contribution_url_fill":
+            # cross-scope dedup fills in Foreseer's url from a contribution copy, and with
+            # it the date read from the url: no core-scope prompt carries either
+            marker = "https://arxiv.org/abs/2401.11111"
+            for query, spec in search["queries"].items():
+                for hit in spec.get("results", []):
+                    if hit["title"].startswith("Foreseer") and not query.startswith(QUERY_PREFIX):
+                        del hit["url"]
+            seen = [False]
+            discards = []
+            extra = {}
+        elif change == "contribution_full_text_fill":
+            # Foreseer's full text only on a contribution copy: the sibling distinction
+            # calls send it, so the early ones, made without it, are discarded
+            foreseer = [(query, hit) for query, spec in search["queries"].items()
+                        for hit in spec.get("results", []) if hit["title"].startswith("Foreseer")]
+            [full_text] = [hit.pop("full_text") for _, hit in foreseer if "full_text" in hit]
+            for query, hit in foreseer:
+                if query.startswith(QUERY_PREFIX):
+                    hit["full_text"] = full_text
+            marker = full_text[-60:]
+            seen = [False, False]
+            discards = ["early core-scope calls discarded: arxiv:2401.11111 changed"]
             extra = {"taxonomy_construction": 1, "one_liner": 1, "sibling_distinction": 2}
         else:
             # a second core hit titled as Foreseer, under another id, merges into it in the
@@ -1349,6 +1396,8 @@ class TestRunPipeline:
         assert stored["mode"] == ("isolated" if mode == "unplaced" else mode)
         if mode == "unplaced":
             assert stored["isolation"]["note"].endswith("target position in taxonomy is unknown.")
+            assert "structural position unavailable: original paper assigned 0 times, expected" \
+                " exactly once" in json.loads(early)["metadata"]["warnings"]
         assert (early, early_md) == (resumed, resumed_md)
         assert phase3_calls_per_prompt(calls) == phase3_calls_per_prompt(resumed_calls)
 
@@ -1478,8 +1527,14 @@ class TestRunPipeline:
         ("topk_core", -1, "topk_core"),
         ("topk_core", 0, "topk_core"),
         ("topk_contribution", 0, "topk_contribution"),
+        ("topk_core", 2.5, "topk_core must be an integer"),
+        ("topk_contribution", 3.0, "topk_contribution must be an integer"),
+        ("analysis_concurrency", 1.5, "analysis_concurrency must be an integer"),
         ("quote_truncation_limit", 10, "quote truncation limit"),
-    ], ids=["topk_core_negative", "topk_core_zero", "topk_contribution_zero", "quote_limit_10"])
+        ("quote_truncation_limit", 30.5, "quote truncation limit must be an integer"),
+    ], ids=["topk_core_negative", "topk_core_zero", "topk_contribution_zero",
+            "topk_core_fraction", "topk_contribution_float", "analysis_concurrency_fraction",
+            "quote_limit_10", "quote_limit_fraction"])
     def test_setting_out_of_range_rejected_before_any_model_call(
         self, monkeypatch, tmp_path, fixtures_dir, paper_text, setting, value, message
     ):

@@ -62,9 +62,14 @@ class TestRetryPolicy:
         assert retrieval.GLOBAL_MAX_RETRIES == 180
         assert policy.concurrency == 1
 
-    def test_positive_required(self):
-        with pytest.raises(InvalidInputError):
-            RetryPolicy(max_query_attempts=0)
+    @pytest.mark.parametrize("setting, value, message", [
+        ("max_query_attempts", 0, "max_query_attempts must be positive"),
+        ("max_query_attempts", 2.5, "max_query_attempts must be an integer"),
+        ("concurrency", 2.0, "concurrency must be an integer"),
+    ], ids=["attempts_zero", "attempts_fraction", "concurrency_float"])
+    def test_positive_required(self, setting, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            RetryPolicy(**{setting: value})
 
 
 def execute(queries, search, policy=RetryPolicy(), *, sleep=time.sleep):
