@@ -41,7 +41,6 @@ from .taxonomy import (
     order_all_leaves,
     repair_taxonomy,
     structural_position,
-    taxonomy_content_hash,
 )
 from .verification import (
     Document,
@@ -711,7 +710,7 @@ def generate_overall_assessment(
     """Three to four reviewer-style paragraphs over the collected signals."""
     payload = {
         "paper_context": {"abstract": target.abstract, "introduction": ""},
-        "taxonomy_tree": taxonomy.to_dict(),
+        "taxonomy_tree": encode(taxonomy),
         "original_paper_position": {
             "leaf_name": position.path[-1] if position and position.path else None,
             "sibling_count": len(position.siblings) if position else 0,
@@ -808,10 +807,8 @@ class CoreTaskSurvey:
     one-liner of each of the target and the core papers that has one, in rank order."""
 
     core_task: str
-    # TaxonomyNode.to_dict form: notes and papers are present or absent by node kind
-    taxonomy: dict[str, Any]
+    taxonomy: TaxonomyNode
     taxonomy_status: str
-    taxonomy_content_hash: str
     narrative: str
     diagnostics: list[str]
     one_liners: dict[str, str] = field(default_factory=dict)
@@ -978,9 +975,8 @@ def assemble_report(
         ),
         core_task_survey=CoreTaskSurvey(
             core_task=core_task.text,
-            taxonomy=taxonomy_outcome.taxonomy.to_dict(),
+            taxonomy=taxonomy_outcome.taxonomy,
             taxonomy_status=taxonomy_outcome.status,
-            taxonomy_content_hash=taxonomy_content_hash(taxonomy_outcome.taxonomy),
             narrative=narrative,
             diagnostics=list(taxonomy_outcome.diagnostics),
             one_liners=kept_one_liners,
@@ -1006,18 +1002,11 @@ def assemble_report(
     return report
 
 
-def check_renderable(report: NoveltyReport) -> TaxonomyNode:
-    """The report's taxonomy, read back.
-
-    Raise RenderError for a stored taxonomy that does not read back as written (a
-    mistyped item would be dropped), for a references list that repeats an index or a
-    canonical id, for a comparison entry or a segment list under a canonical id no
-    reference has (the one place a paper's title and URL live), or for a prose field
-    render prints that cites no reference."""
-    stored = report.core_task_survey.taxonomy
-    taxonomy = TaxonomyNode.from_dict(stored)
-    if taxonomy.to_dict() != stored:
-        raise RenderError("core_task_survey.taxonomy does not read back as written")
+def check_renderable(report: NoveltyReport) -> None:
+    """Check what the codec's types cannot: raise RenderError for a references list that
+    repeats an index or a canonical id, for a comparison entry or a segment list under a
+    canonical id no reference has (the one place a paper's title and URL live), or for a
+    prose field render prints that cites no reference."""
     for key in ("index", "canonical_id"):
         seen: set[Any] = set()
         for ref in report.references:
@@ -1038,7 +1027,6 @@ def check_renderable(report: NoveltyReport) -> TaxonomyNode:
         raise RenderError(f"dangling citation index {bad[0]} in {where}")
 
     strip_dangling_citations(report, _reject)
-    return taxonomy
 
 
 # --- phase orchestration ---------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import click
 
+from .codec import decode
 from .errors import InvalidInputError, NoveltyCheckError
 from .papers import preprocess_document
 from .pipeline import PipelineConfig, read_report, run_pipeline, write_report
@@ -26,7 +27,8 @@ def _exit_on_error(command):
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (NoveltyCheckError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        except (NoveltyCheckError, json.JSONDecodeError, UnicodeDecodeError, OSError,
+                RecursionError) as exc:  # json.loads recurses once per level
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -157,7 +159,7 @@ def verify_quote_cmd(quote: str, doc_path: Path) -> None:
 @_exit_on_error
 def validate_taxonomy_cmd(input_path: Path, allowed_path: Path, original: str | None) -> None:
     """Validate a taxonomy against its allowed id set; exit 1 when invalid."""
-    tax = TaxonomyNode.from_dict(json.loads(input_path.read_text(encoding="utf-8")))
+    tax = decode(TaxonomyNode, json.loads(input_path.read_text(encoding="utf-8")))
     allowed = json.loads(allowed_path.read_text(encoding="utf-8"))
     if not isinstance(allowed, list) or not all(isinstance(pid, str) for pid in allowed):
         raise InvalidInputError(f"{allowed_path.name} must hold a JSON array of strings")

@@ -4,6 +4,9 @@ A dataclass's field declarations are its artifact format:
 
 - keys come out in declaration order;
 - a field renames its key with ``field(metadata={"key": ...})``;
+- a field marked ``field(metadata={"omit_empty": True})`` is left out when its
+  value is ``None`` or an empty container, and reads back as its declared
+  default;
 - an absent key takes the field's declared default, and an absent key of a
   field without one raises ``InvalidInputError`` naming the class and key;
 - ``null`` and an absent key are the only ways to get ``None``.
@@ -61,8 +64,10 @@ def encode(obj: Any) -> dict[str, Any]:
     """
     cls = type(obj)
     out: dict[str, Any] = {}
-    for name, key, _, enc, _, _ in _plan(cls):
+    for name, key, _, omit_empty, enc, _, _ in _plan(cls):
         value = getattr(obj, name)
+        if omit_empty and value in (None, (), [], {}):
+            continue
         if enc is not None:
             try:
                 value = enc(value)
@@ -73,18 +78,21 @@ def encode(obj: Any) -> dict[str, Any]:
 
 
 def decode(cls: type[T], data: Mapping[str, Any]) -> T:
-    """Build ``cls`` from its JSON form; malformed input raises InvalidInputError."""
+    """Build ``cls`` from its JSON form; malformed input raises InvalidInputError, as does
+    input nested past the interpreter's recursion limit."""
     try:
         return _decode(cls, data)
     except InvalidInputError:
         raise
+    except RecursionError:
+        raise InvalidInputError(f"malformed {cls.__name__}: nested too deeply") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed {cls.__name__}: {exc}") from exc
 
 
 def _decode(cls: type[T], data: Mapping[str, Any]) -> T:
     kwargs: dict[str, Any] = {}
-    for name, key, required, _, dec, kinds in _plan(cls):
+    for name, key, required, _, _, dec, kinds in _plan(cls):
         if key in data:
             value = data[key]
             # JSON values have exact types, so this also keeps true/false out of int fields
@@ -104,13 +112,14 @@ def _decode(cls: type[T], data: Mapping[str, Any]) -> T:
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, str, bool, Convert, Convert, Kinds], ...]:
-    """(attribute, key, required, encode, decode, JSON kinds) for each field of ``cls``."""
+def _plan(cls: type) -> tuple[tuple[str, str, bool, bool, Convert, Convert, Kinds], ...]:
+    """(attribute, key, required, omit_empty, encode, decode, JSON kinds) for each field."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        plan.append((f.name, f.metadata.get("key", f.name), required, *_converters(hints[f.name])))
+        key, omit_empty = f.metadata.get("key", f.name), f.metadata.get("omit_empty", False)
+        plan.append((f.name, key, required, omit_empty, *_converters(hints[f.name])))
     return tuple(plan)
 
 

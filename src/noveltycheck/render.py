@@ -137,7 +137,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
 
     Raises RenderError or InvalidInputError for a report it cannot render.
     """
-    taxonomy = check_renderable(report)
+    check_renderable(report)
     survey = report.core_task_survey
     refs_by_id = {r.canonical_id: r for r in report.references}
     segments_by_id = report.textual_similarity.segments_by_candidate
@@ -164,7 +164,7 @@ def render_markdown(report: NoveltyReport, cfg: RenderConfig = RenderConfig()) -
     if survey.taxonomy_status == "needs_review":
         md.line("> Note: this taxonomy failed validation after repair (needs_review).")
         md.blank()
-    _render_taxonomy(md, taxonomy, refs_by_id)
+    _render_taxonomy(md, survey.taxonomy, refs_by_id)
     md.blank()
     md.line("### Narrative")
     md.blank()

@@ -51,6 +51,8 @@ class RetryPolicy:
     concurrency: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.initial_delay, bool) or not isinstance(self.initial_delay, (int, float)):
+            raise InvalidInputError("initial_delay must be a number")
         for name in ("max_query_attempts", "initial_delay", "concurrency"):
             if name != "initial_delay" and not isinstance(getattr(self, name), int):
                 raise InvalidInputError(f"{name} must be an integer")

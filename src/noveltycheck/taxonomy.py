@@ -13,10 +13,10 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from hashlib import md5
 from typing import Any, Iterator, Mapping, Optional
 
 from .clients import LlmClient
+from .codec import encode
 from .errors import InvalidInputError, LlmError, ParseFailureError
 from .extraction import ask, reply_list, reply_text, word_count
 from .papers import PaperRecord
@@ -34,10 +34,10 @@ class TaxonomyNode:
     """One node of the taxonomy tree; leaves carry papers, internals subtopics."""
 
     name: str
-    scope_note: Optional[str] = None
-    exclude_note: Optional[str] = None
-    subtopics: tuple["TaxonomyNode", ...] = ()
-    papers: tuple[str, ...] = ()
+    scope_note: Optional[str] = field(default=None, metadata={"omit_empty": True})
+    exclude_note: Optional[str] = field(default=None, metadata={"omit_empty": True})
+    subtopics: tuple[TaxonomyNode, ...] = field(default=(), metadata={"omit_empty": True})
+    papers: tuple[str, ...] = field(default=(), metadata={"omit_empty": True})
 
     @property
     def is_leaf(self) -> bool:
@@ -50,23 +50,11 @@ class TaxonomyNode:
             for child in self.subtopics:
                 yield from child.iter_leaves()
 
-    def to_dict(self, *, is_root: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name}
-        if not is_root:
-            if self.scope_note is not None:
-                out["scope_note"] = self.scope_note
-            if self.exclude_note is not None:
-                out["exclude_note"] = self.exclude_note
-        if self.subtopics:
-            out["subtopics"] = [c.to_dict(is_root=False) for c in self.subtopics]
-        elif not is_root or self.papers:
-            out["papers"] = list(self.papers)
-        else:
-            out["subtopics"] = []
-        return out
-
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TaxonomyNode":
+        """The tree a model's reply describes, read leniently: a note that is not a string
+        reads as absent, and an item of another type is passed over. An artifact's tree is
+        read with ``codec.decode``, which refuses such a tree."""
         name = reply_text(d, "name", None)
         if name is None:
             raise InvalidInputError("taxonomy node must be an object with a name")
@@ -77,12 +65,6 @@ class TaxonomyNode:
             subtopics=tuple(cls.from_dict(c) for c in reply_list(d, "subtopics")),
             papers=tuple(reply_list(d, "papers", str)),
         )
-
-
-def taxonomy_content_hash(tax: TaxonomyNode) -> str:
-    """Stable digest of a taxonomy for run-to-run diffing."""
-    canonical = json.dumps(tax.to_dict(), sort_keys=True, ensure_ascii=False)
-    return md5(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -249,7 +231,7 @@ def repair_taxonomy(
                 for pid in missing
             ],
             "original_paper_id": original,
-            "taxonomy": tax.to_dict(),
+            "taxonomy": encode(tax),
         }
         try:
             repaired = TaxonomyNode.from_dict(ask(llm, "taxonomy_repair", payload).value)

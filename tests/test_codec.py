@@ -18,6 +18,7 @@ from noveltycheck.extraction import ContributionClaim, CoreTask, Phase1Result
 from noveltycheck.papers import PaperRecord
 from noveltycheck.pipeline import PipelineConfig, run_pipeline
 from noveltycheck.retrieval import Phase2Result
+from noveltycheck.taxonomy import TaxonomyNode
 from noveltycheck.verification import QuoteLocation, SimilaritySegment
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,7 +63,7 @@ def test_artifact_round_trip_is_byte_identical(artifacts, name):
 
 SURVEY = {
     "core_task": "t", "taxonomy": {"name": "T"}, "taxonomy_status": "valid",
-    "taxonomy_content_hash": "h", "narrative": "n", "diagnostics": [],
+    "narrative": "n", "diagnostics": [],
 }
 
 
@@ -79,7 +80,11 @@ SURVEY = {
             {"mode": "isolated", "taxonomy_path": []},
             CoreTaskAnalysis(mode="isolated", taxonomy_path=[]),
         ),
-        (CoreTaskSurvey, SURVEY, CoreTaskSurvey(**SURVEY, one_liners={})),
+        (
+            CoreTaskSurvey,
+            SURVEY,
+            CoreTaskSurvey(**{**SURVEY, "taxonomy": TaxonomyNode(name="T")}, one_liners={}),
+        ),
     ],
     ids=["default", "default_factory", "no_one_liners"],
 )

@@ -1594,11 +1594,12 @@ class TestRunPipeline:
 def old_layout(report):
     """``report`` as phase3.json stored it while each comparison entry held its
     candidate's segments, title and URL as well, the one-liners sat in a papers index
-    beside each paper's citation, title, URL and rank, and counts were stored beside
-    the lists they count."""
+    beside each paper's citation, title, URL and rank, counts were stored beside
+    the lists they count, and an md5 of the taxonomy, which no reader used, beside it."""
     report = copy.deepcopy(report)
     refs = {ref["canonical_id"]: ref for ref in report["references"]}
     survey = report["core_task_survey"]
+    survey["taxonomy_content_hash"] = "4675f7af4c8e82650c85c5d8d94bf4ad"
     one_liners = survey.pop("one_liners")
     survey["papers_index"] = []
     target_id = report["original_paper"]["canonical_id"]
@@ -1631,6 +1632,15 @@ def old_layout(report):
         "core_task_comparison_mode": cta["mode"],
     }
     return report
+
+
+def nested_taxonomy(depth: int) -> str:
+    """The JSON text of a taxonomy ``depth`` subtopics deep, built as text: ``json.dumps``
+    recurses once per level."""
+    text = '{"name": "leaf", "papers": ["p1"]}'
+    for _ in range(depth):
+        text = f'{{"name": "n", "subtopics": [{text}]}}'
+    return text
 
 
 class TestCli:
@@ -1750,7 +1760,8 @@ class TestCli:
             "render_null_narrative", "render_null_quote", "render_nan_score",
             "taxonomy_missing_name", "allowed_number", "allowed_nested_list",
             "quote_empty_doc", "run_not_utf8", "run_nan_delay", "run_inf_delay",
-            "run_huge_delay",
+            "run_huge_delay", "render_deep_taxonomy", "validate_deep_taxonomy",
+            "validate_number_paper",
         ],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, fixtures_dir, goldens_dir, case):
@@ -1774,6 +1785,24 @@ class TestCli:
                 pair["original_location"]["match_score"] = float("nan")
             path.write_text(json.dumps(report))
             args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case == "render_deep_taxonomy":
+            # 500 levels: within orjson's nesting limit, past the interpreter's recursion limit
+            report = json.loads((goldens_dir / "phase3.json").read_text())
+            report["core_task_survey"]["taxonomy"] = "DEEP"
+            path.write_text(json.dumps(report).replace('"DEEP"', nested_taxonomy(500)))
+            args = ["render", "--input", str(path), "--out", str(tmp_path / "report.md")]
+        elif case == "validate_deep_taxonomy":
+            path.write_text(nested_taxonomy(500))
+            (tmp_path / "allowed.json").write_text(json.dumps(["p1"]))
+            args = ["validate-taxonomy", "--input", str(path),
+                    "--allowed", str(tmp_path / "allowed.json")]
+        elif case == "validate_number_paper":  # a lenient read would drop the 1 and pass
+            path.write_text(json.dumps({"name": "X Survey Taxonomy", "subtopics": [
+                {"name": "A", "scope_note": "s", "exclude_note": "e", "papers": ["a", 1, "b"]}
+            ]}))
+            (tmp_path / "allowed.json").write_text(json.dumps(["a", "b"]))
+            args = ["validate-taxonomy", "--input", str(path),
+                    "--allowed", str(tmp_path / "allowed.json")]
         elif case == "render_missing_out_dir":
             args = ["render", "--input", str(goldens_dir / "phase3.json"),
                     "--out", str(tmp_path / "missing" / "report.md")]
@@ -1807,6 +1836,7 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ")
+        assert len(result.output.splitlines()) == 1, result.output[:2000]
 
     def test_unknown_flag_exits_two(self):
         runner = CliRunner()
@@ -1853,8 +1883,8 @@ class TestCli:
         assert len(result.output.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_taxonomy_that_does_not_read_back_is_refused(self, tmp_path, fixtures_dir):
-        # a paper id stored as a number would drop out of the rendered tree
+    def test_mistyped_taxonomy_is_refused_at_load(self, tmp_path, fixtures_dir):
+        # a paper id stored as a number fails the codec's check, as any mistyped field does
         run = [
             "run", "--input", str(fixtures_dir / "target_paper.txt"), "--out-dir", str(tmp_path),
             "--mock", "--llm-fixture", str(fixtures_dir / "mock_llm.json"),
@@ -1874,11 +1904,16 @@ class TestCli:
         out = tmp_path / "rendered.md"
         result = CliRunner().invoke(cli_main, ["render", "--input", str(phase3), "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
-        assert result.output == "error: core_task_survey.taxonomy does not read back as written\n"
+        assert result.output == (
+            "error: cannot load phase3.json: "
+            "TaxonomyNode: key 'papers' holds an integer, not a string\n"
+        )
         result = CliRunner().invoke(cli_main, [*run, "--resume"])
         assert result.exit_code == 1
-        assert "phase3: skipped" in result.output
-        assert "phase4: failed" in result.output and "does not read back" in result.output
+        assert result.output == (
+            "phase1: skipped\nphase2: skipped\nphase3: failed ([phase3] cannot load phase3.json: "
+            "TaxonomyNode: key 'papers' holds an integer, not a string)\nphase4: pending\n"
+        )
         assert list(tmp_path.glob("*.md")) == []
 
     def test_verify_quote_command(self, tmp_path, fixtures_dir):

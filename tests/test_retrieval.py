@@ -66,7 +66,12 @@ class TestRetryPolicy:
         ("max_query_attempts", 0, "max_query_attempts must be positive"),
         ("max_query_attempts", 2.5, "max_query_attempts must be an integer"),
         ("concurrency", 2.0, "concurrency must be an integer"),
-    ], ids=["attempts_zero", "attempts_fraction", "concurrency_float"])
+        ("initial_delay", "5", "initial_delay must be a number"),
+        ("initial_delay", None, "initial_delay must be a number"),
+        ("initial_delay", [1], "initial_delay must be a number"),
+        ("initial_delay", True, "initial_delay must be a number"),
+    ], ids=["attempts_zero", "attempts_fraction", "concurrency_float", "delay_string",
+            "delay_none", "delay_list", "delay_bool"])
     def test_positive_required(self, setting, value, message):
         with pytest.raises(InvalidInputError, match=message):
             RetryPolicy(**{setting: value})

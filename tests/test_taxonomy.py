@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_record, random_taxonomy
 from noveltycheck.clients import MockLlmClient
+from noveltycheck.codec import decode, encode
 from noveltycheck.errors import InvalidInputError
 from noveltycheck.taxonomy import (
     TaxonomyNode,
@@ -13,7 +14,6 @@ from noveltycheck.taxonomy import (
     order_leaf_papers,
     repair_taxonomy,
     structural_position,
-    taxonomy_content_hash,
     validate_taxonomy,
 )
 
@@ -294,7 +294,7 @@ class TestLlmRepair:
 
     def test_still_missing_yields_needs_review(self):
         tree, allowed = self._tree_missing()
-        llm = MockLlmClient({"default": tree.to_dict()})
+        llm = MockLlmClient({"default": encode(tree)})
         outcome = repair_taxonomy(tree, allowed, llm=llm)
         assert outcome.status == "needs_review"
         assert any("still invalid" in d for d in outcome.diagnostics)
@@ -417,12 +417,6 @@ class TestRepairTaxonomy:
         outcome = repair_taxonomy(simple_tree(), ALL_IDS | {"p9"})
         assert outcome.status == "needs_review"
 
-    def test_content_hash_stable_and_sensitive(self):
-        a = taxonomy_content_hash(simple_tree())
-        assert a == taxonomy_content_hash(simple_tree())
-        other = TaxonomyNode(name="Other Survey Taxonomy", subtopics=simple_tree().subtopics)
-        assert a != taxonomy_content_hash(other)
-
 
 class TestDictForm:
     @pytest.mark.parametrize("tree", [
@@ -431,4 +425,29 @@ class TestDictForm:
         TaxonomyNode(name="Empty Survey Taxonomy"),
     ], ids=["nested", "papers_on_root", "empty_root"])
     def test_round_trip_keeps_every_paper(self, tree):
-        assert TaxonomyNode.from_dict(tree.to_dict()) == tree
+        assert decode(TaxonomyNode, encode(tree)) == tree
+
+    @pytest.mark.parametrize("tree, expected", [
+        (TaxonomyNode(name="Survey Taxonomy (unavailable)"),
+         {"name": "Survey Taxonomy (unavailable)"}),
+        (TaxonomyNode(name="R Survey Taxonomy", subtopics=(leaf("Empty", []),)),
+         {"name": "R Survey Taxonomy", "subtopics": [
+             {"name": "Empty", "scope_note": "Inclusion rule.",
+              "exclude_note": "Exclusion rule pointing elsewhere."}]}),
+        (TaxonomyNode(name="R Survey Taxonomy", scope_note="s", exclude_note="e",
+                      subtopics=(leaf("A", ["p1"], scope_note="sa", exclude_note="ea"),)),
+         {"name": "R Survey Taxonomy", "scope_note": "s", "exclude_note": "e",
+          "subtopics": [{"name": "A", "scope_note": "sa", "exclude_note": "ea",
+                         "papers": ["p1"]}]}),
+        (TaxonomyNode(name="R Survey Taxonomy", subtopics=(
+            TaxonomyNode(name="B", subtopics=(leaf("A", ["p1"], scope_note=None,
+                                                   exclude_note=None),), papers=("p2",)),)),
+         {"name": "R Survey Taxonomy", "subtopics": [
+             {"name": "B", "subtopics": [{"name": "A", "papers": ["p1"]}],
+              "papers": ["p2"]}]}),
+    ], ids=["empty_root", "empty_leaf", "root_notes", "papers_beside_subtopics"])
+    def test_tree_that_needs_review_is_written_as_validated(self, tree, expected):
+        # each shape fails validation, and its JSON form holds every note and paper it has
+        assert not validate_taxonomy(tree, {"p1", "p2"}).is_valid
+        assert encode(tree) == expected
+        assert decode(TaxonomyNode, expected) == tree
